@@ -1,11 +1,22 @@
-"""Shared numerical linear algebra: rank decisions, nullspaces, least squares.
+"""Shared numerical linear algebra: rank decisions, bases, least squares.
 
-All rank decisions in the package go through :func:`numerical_rank` so that
-the threshold convention (sigma > tol * sigma_max * max(m, n)) is applied
-uniformly and can be overridden in one place.
+Every SVD in the package goes through :func:`svd`: when LAPACK does not
+converge on a matrix it retries once on the transpose, and a second failure
+raises :class:`NumericalError`.  Every rank decision of a linear map applies
+the threshold convention sigma > tol * sigma_max * max(m, n) of
+:func:`_svd_rank`, so it can be overridden in one place; the Maxwell-Cremona
+collinear-face test is the one geometric check that counts these singular
+values against an absolute cutoff instead.  Counts come from one values-only
+SVD per matrix (:func:`spectrum`); singular vectors are requested only where
+a basis is wanted (:func:`nullspace`, :func:`column_space`, and the plane
+fits of the Maxwell-Cremona lifts).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from .errors import NumericalError
 
 #: Default relative singular-value threshold for rank decisions.
 RANK_TOL = 1e-9
@@ -18,28 +29,69 @@ def _as_matrix(a):
     return a
 
 
-def singular_values(a):
+def svd(a, full_matrices=True, compute_uv=True):
+    """np.linalg.svd of a 2-d array, retried on the transpose when LAPACK does
+    not converge.
+
+    gesdd can fail on a matrix whose transpose it factors without trouble;
+    the factors of the transpose are transposed back, so callers see the
+    same contract either way.
+    """
+    try:
+        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        out = np.linalg.svd(a.T, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "SVD of a %d x %d matrix did not converge, also on its transpose" % a.shape
+        ) from exc
+    if not compute_uv:
+        return out
+    u, s, vt = out
+    return vt.T, s, u.T
+
+
+def _svd_rank(s, shape, tol):
+    """(cutoff, rank) for descending singular values `s` of a matrix of `shape`."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0.0, 0
+    cutoff = tol * s[0] * max(shape)
+    return cutoff, int(np.sum(s > cutoff))
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Singular values of one matrix (descending) with its rank decision."""
+
+    values: np.ndarray
+    cutoff: float
+    rank: int
+
+    def smallest(self, k=2) -> np.ndarray:
+        """The k smallest singular values, padded with nan when there are fewer."""
+        s = np.sort(self.values)
+        out = np.full(k, np.nan)
+        out[: min(k, s.size)] = s[: min(k, s.size)]
+        return out
+
+
+def spectrum(a, tol=RANK_TOL) -> Spectrum:
+    """One values-only SVD of `a`: its singular values, cutoff and rank."""
     a = _as_matrix(a)
-    if a.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(a, compute_uv=False)
+    s = np.zeros(0) if a.size == 0 else svd(a, compute_uv=False)
+    cutoff, rank = _svd_rank(s, a.shape, tol)
+    return Spectrum(s, cutoff, rank)
+
+
+def singular_values(a):
+    return spectrum(a).values
 
 
 def numerical_rank(a, tol=RANK_TOL):
     """Rank of `a`: number of singular values above tol * sigma_max * max(m, n)."""
-    a = _as_matrix(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    cutoff = tol * s[0] * max(a.shape)
-    return int(np.sum(s > cutoff))
-
-
-def nullity(a, tol=RANK_TOL):
-    a = _as_matrix(a)
-    return a.shape[1] - numerical_rank(a, tol)
+    return spectrum(a, tol).rank
 
 
 def nullspace(a, tol=RANK_TOL):
@@ -54,29 +106,22 @@ def nullspace(a, tol=RANK_TOL):
         return np.zeros((0, 0))
     if m == 0 or not np.any(a):
         return np.eye(n)
-    _, s, vt = np.linalg.svd(a)
-    cutoff = tol * s[0] * max(m, n) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:]
+    _, s, vt = svd(a)
+    return vt[_svd_rank(s, a.shape, tol)[1]:]
 
-def row_space(a, tol=RANK_TOL):
-    """Orthonormal basis of the row space, one row per basis vector."""
+
+def column_space(a, tol=RANK_TOL):
+    """Orthonormal basis of the numerical column space, one column per basis vector."""
     a = _as_matrix(a)
-    if a.shape[0] == 0 or a.shape[1] == 0 or not np.any(a):
-        return np.zeros((0, a.shape[1]))
-    _, s, vt = np.linalg.svd(a)
-    cutoff = tol * s[0] * max(a.shape)
-    rank = int(np.sum(s > cutoff))
-    return vt[:rank]
+    if a.size == 0:
+        return np.zeros((a.shape[0], 0))
+    u, s, _ = svd(a, full_matrices=False)
+    return u[:, : _svd_rank(s, a.shape, tol)[1]]
 
 
 def smallest_singular_values(a, k=2):
     """The k smallest singular values, padded with nan when the matrix is tiny."""
-    s = singular_values(a)
-    s = np.sort(s)
-    out = np.full(k, np.nan)
-    out[: min(k, s.size)] = s[: min(k, s.size)]
-    return out
+    return spectrum(a).smallest(k)
 
 
 def min_norm_lstsq(a, b):

@@ -85,6 +85,17 @@ class AnalysisReport:
 
 
 def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
+    """Counts, margins and verdict of `fw`, from values-only SVDs alone.
+
+    Each matrix is factored once, with no singular vectors: the rigidity
+    operator (dim V and the smallest singular values) and the Killing
+    evaluation matrix (dim V0) on the kinematic side, the stacked
+    bivector/tangency matrix (dim F) and the resolution matrix (dim F0 and
+    the self-stress count m - dim F0) on the static side, and the vertex
+    coordinates for the spanning test.  No basis is built.  The static side
+    stays an independent computation, so the duality check kinematic dof ==
+    static dof below still compares two routes.
+    """
     tol = default_tol() if tol is None else tol
     ms = kinematics.motion_spaces(fw, tol)
     ss = statics.static_spaces(fw, tol)
@@ -346,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--to-space", choices=["E", "S", "H"], dest="to_space")
     pt.add_argument("--carry", action="append", choices=["load", "field", "stress"])
     pt.add_argument("-o", "--output")
-    pt.add_argument("--tol", type=float, default=None)
     pt.set_defaults(func=cmd_transform)
 
     pm = sub.add_parser("mc", help="Maxwell-Cremona conversions")

@@ -160,6 +160,12 @@ class BasePerturbationExhausted(MaxwellCremonaError):
     """All base perturbation retries left some incidence value at zero."""
 
 
+# --- numerics --------------------------------------------------------------
+
+class NumericalError(RigidkitError):
+    """A LAPACK factorization failed to converge, also on the fallback route."""
+
+
 # --- reports ---------------------------------------------------------------
 
 class InternalInvariantError(RigidkitError):

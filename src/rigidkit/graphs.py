@@ -6,6 +6,8 @@ input, while planarity testing and embedding search stay out of scope.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     EdgeFaceMismatch,
@@ -44,9 +46,18 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge_index(self) -> dict:
-        """Canonical edge tuple -> position in the edge order."""
-        return {canonical_edge(i, j): k for k, (i, j) in enumerate(self.edges)}
+    @cached_property
+    def _edge_index(self) -> MappingProxyType:
+        return MappingProxyType(
+            {canonical_edge(i, j): k for k, (i, j) in enumerate(self.edges)}
+        )
+
+    def edge_index(self) -> MappingProxyType:
+        """Canonical edge tuple -> position in the edge order.
+
+        Built once per graph and shared by every caller, hence read-only.
+        """
+        return self._edge_index
 
     def adjacency(self) -> list:
         adj = [[] for _ in range(self.vertex_count)]
@@ -77,10 +88,6 @@ def _is_connected(n, adj, skip=()):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(verts)
-
-
-def is_connected(g: Graph) -> bool:
-    return _is_connected(g.vertex_count, g.adjacency())
 
 
 def is_3_connected(g: Graph) -> bool:

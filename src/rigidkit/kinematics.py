@@ -10,7 +10,8 @@ one row per edge; in the non-Euclidean cases candidate fields are ambient
 a single numerical nullspace yields exactly the motion space V.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -65,10 +66,6 @@ class VectorField:
 
 def vector_field(fw: Framework, vecs, eps=EPS_MODEL) -> VectorField:
     return VectorField(fw, validate_tangent_field(fw, vecs, eps))
-
-
-def zero_field(fw: Framework) -> VectorField:
-    return VectorField(fw, np.zeros((fw.n, fw.space.ambient_dim)))
 
 
 def _flatten(fw: Framework, vecs: np.ndarray) -> np.ndarray:
@@ -193,47 +190,66 @@ def trivial_motion_space(fw: Framework, tol=RANK_TOL) -> list:
     non-spanning frameworks (where some Killing fields evaluate to zero or
     become dependent).
     """
-    k = killing_evaluation_matrix(fw)
-    if k.size == 0:
-        return []
-    u, s, _ = np.linalg.svd(k, full_matrices=False)
-    cutoff = tol * s[0] * max(k.shape) if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
-    return [VectorField(fw, _unflatten(fw, u[:, r])) for r in range(rank)]
+    basis = _linalg.column_space(killing_evaluation_matrix(fw), tol)
+    return [VectorField(fw, _unflatten(fw, col)) for col in basis.T]
 
 
 def trivial_motion_dim(fw: Framework, tol=RANK_TOL) -> int:
-    k = killing_evaluation_matrix(fw)
-    return _linalg.numerical_rank(k, tol)
+    return _linalg.numerical_rank(killing_evaluation_matrix(fw), tol)
+
+
+def checked_basis(basis: list, count: int, what: str) -> tuple:
+    """`basis` as a tuple, after checking it has the `count` vectors a
+    values-only SVD found; a mismatch is a rank-decision bug."""
+    if len(basis) != count:
+        raise InternalInvariantError(
+            "%s basis has %d vectors but the values-only SVD counted %d"
+            % (what, len(basis), count)
+        )
+    return tuple(basis)
 
 
 @dataclass(frozen=True, eq=False)
 class MotionSpaces:
-    """Dimensions and bases of the motion space V and trivial space V_0."""
+    """Dimensions of the motion space V and trivial space V_0, bases on request.
+
+    The counts and the smallest singular values of the rigidity operator come
+    from values-only SVDs; the bases are computed on first access and checked
+    against the stored counts.
+    """
 
     framework: Framework
-    basis_V: tuple
-    basis_V0: tuple
-    smallest_sigma: np.ndarray = dataclass_field(default=None)
-
-    @property
-    def dim_V(self) -> int:
-        return len(self.basis_V)
-
-    @property
-    def dim_V0(self) -> int:
-        return len(self.basis_V0)
+    dim_V: int
+    dim_V0: int
+    smallest_sigma: np.ndarray
+    tol: float = RANK_TOL
 
     @property
     def kinematic_dof(self) -> int:
         return self.dim_V - self.dim_V0
 
+    @cached_property
+    def basis_V(self) -> tuple:
+        return checked_basis(motion_space(self.framework, self.tol), self.dim_V, "V")
+
+    @cached_property
+    def basis_V0(self) -> tuple:
+        return checked_basis(
+            trivial_motion_space(self.framework, self.tol), self.dim_V0, "V0"
+        )
+
 
 def motion_spaces(fw: Framework, tol=RANK_TOL) -> MotionSpaces:
+    """dim V, dim V_0 and the smallest operator singular values; no bases.
+
+    One values-only SVD of the rigidity operator and one of the Killing
+    evaluation matrix.
+    """
     op = rigidity_operator(fw)
-    v = motion_space(fw, tol)
-    v0 = trivial_motion_space(fw, tol)
-    ms = MotionSpaces(fw, tuple(v), tuple(v0), op.smallest_singular_values())
+    spec = _linalg.spectrum(op.matrix, tol)
+    ms = MotionSpaces(
+        fw, op.matrix.shape[1] - spec.rank, trivial_motion_dim(fw, tol), spec.smallest(), tol
+    )
     if ms.kinematic_dof < 0:
         raise InternalInvariantError(
             "dim V = %d < dim V0 = %d; rank tolerance is inconsistent" % (ms.dim_V, ms.dim_V0)
@@ -243,22 +259,22 @@ def motion_spaces(fw: Framework, tol=RANK_TOL) -> MotionSpaces:
 
 def kinematic_dof(fw: Framework, tol=RANK_TOL) -> int:
     """dim V - dim V_0, both at the same rank tolerance."""
-    op = rigidity_operator(fw)
-    dim_v = op.matrix.shape[1] - op.rank(tol)
-    return dim_v - trivial_motion_dim(fw, tol)
+    return motion_spaces(fw, tol).kinematic_dof
 
 
 def is_infinitesimally_rigid(fw: Framework, tol=RANK_TOL) -> bool:
-    dof = kinematic_dof(fw, tol)
-    rigid = dof == 0
+    ms = motion_spaces(fw, tol)
+    rigid = ms.kinematic_dof == 0
     if fw.space.is_euclidean and is_spanning(fw, tol):
-        # Rank-formula cross-check; a mismatch would mean the two rank
-        # computations disagree, not that the input is bad.
+        # Rank-formula cross-check on the operator rank behind dim V; a
+        # mismatch would mean the operator and Killing ranks disagree, not
+        # that the input is bad.
         d = fw.dim
-        formula = rigidity_operator(fw).rank(tol) == d * fw.n - d * (d + 1) // 2
+        rank = d * fw.n - ms.dim_V
+        formula = rank == d * fw.n - d * (d + 1) // 2
         if formula != rigid:
             raise InternalInvariantError(
-                "kinematic dof and rank formula disagree (dof=%d)" % dof
+                "kinematic dof and rank formula disagree (dof=%d)" % ms.kinematic_dof
             )
     return rigid
 

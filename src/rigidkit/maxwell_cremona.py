@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import spaces, statics
+from . import _linalg, spaces, statics
 from .errors import (
     ClosureFailure,
     CollinearFace,
@@ -235,10 +235,10 @@ def _bfs_faces(fw: Framework, start: int):
 
 def _face_collinear(fw: Framework, cyc) -> bool:
     pts = fw.coords[list(cyc)]
+    cutoff = 1e-12 * max(1.0, np.max(np.abs(pts)))
     if fw.space.is_euclidean:
-        rel = pts[1:, 1:] - pts[0, 1:]
-        return np.linalg.matrix_rank(rel, tol=1e-12 * max(1.0, np.max(np.abs(pts)))) < 2
-    return np.linalg.matrix_rank(pts, tol=1e-12 * max(1.0, np.max(np.abs(pts)))) < 3
+        return int(np.sum(_linalg.singular_values(pts[1:, 1:] - pts[0, 1:]) > cutoff)) < 2
+    return int(np.sum(_linalg.singular_values(pts) > cutoff)) < 3
 
 
 def _check_no_collinear_faces(fw: Framework):
@@ -307,7 +307,7 @@ def euclid_reciprocal_to_stress(fw: Framework, rec: ReciprocalDiagram,
                 "dual pair for edge %r violates perpendicularity" % (pair.edge,)
             )
         vals[edge_idx[pair.edge]] = float(dlt @ _rot90(u)) / nu
-    return Stress(fw.graph.edges, vals)
+    return Stress(fw.graph, vals)
 
 
 def euclid_lift_from_reciprocal(fw: Framework, rec: ReciprocalDiagram,
@@ -462,7 +462,7 @@ def _fit_radial_planes(fw: Framework, points: np.ndarray, tol) -> np.ndarray:
     for a, cyc in enumerate(fw.embedding.faces):
         pts = points[list(cyc)]
         centered = pts - pts.mean(axis=0)
-        _, s, vt = np.linalg.svd(centered)
+        _, s, vt = _linalg.svd(centered)
         if s[-1] > 1e-6 * max(s[0], 1.0):
             raise NonPlanarFace("face %d not planar (thickness %.3g)" % (a, s[-1]))
         n = vt[-1]
@@ -797,7 +797,7 @@ def _curved_lift_to_stress(fw: Framework, lift: PolyhedralLift, tol):
             )
         dist = spaces.distance(fw.point(pair.tail), fw.point(pair.head))
         vals[idx[pair.edge]] = lam * fw.space.sin_x(dist) / dist
-    return Stress(fw.graph.edges, vals)
+    return Stress(fw.graph, vals)
 
 
 def sph_lift_to_stress(fw: Framework, lift: PolyhedralLift, tol=MC_TOL) -> Stress:

@@ -7,6 +7,7 @@ same code path serves E, S and H.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,9 +15,10 @@ from . import _linalg, spaces
 from ._linalg import RANK_TOL
 from .errors import BaseMismatch, GraphError
 from .frameworks import Framework
-from .graphs import canonical_edge
+from .graphs import Graph, canonical_edge
 from .kinematics import (
     VectorField,
+    checked_basis,
     require_same_framework,
     validate_tangent_field,
     virtual_work_field,
@@ -50,14 +52,23 @@ def zero_load(fw: Framework) -> Load:
 
 
 class Stress:
-    """Symmetric edge weights w_ij = w_ji, stored per undirected edge."""
+    """Symmetric edge weights w_ij = w_ji, stored per undirected edge.
+
+    `edges` is a sequence of vertex pairs, or a Graph: then the stress takes
+    the graph's canonical edges in edge order and reuses its cached edge
+    index instead of building its own.
+    """
 
     def __init__(self, edges, values):
-        self.edges = tuple(canonical_edge(i, j) for i, j in edges)
+        if isinstance(edges, Graph):
+            self._index = edges.edge_index()
+            self.edges = tuple(self._index)
+        else:
+            self.edges = tuple(canonical_edge(i, j) for i, j in edges)
+            self._index = {e: k for k, e in enumerate(self.edges)}
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (len(self.edges),):
             raise GraphError("stress needs one value per edge")
-        self._index = {e: k for k, e in enumerate(self.edges)}
 
     def __getitem__(self, edge):
         return float(self.values[self._index[canonical_edge(*edge)]])
@@ -83,7 +94,7 @@ def stress_from_dict(fw: Framework, mapping: dict) -> Stress:
         if key not in idx:
             raise GraphError("stress on non-edge %r" % (e,))
         vals[idx[key]] = float(w)
-    return Stress(fw.graph.edges, vals)
+    return Stress(fw.graph, vals)
 
 
 def force_bivector(p: ModelPoint, f: TangentVector) -> Bivector:
@@ -159,16 +170,16 @@ def resolve_load(fw: Framework, ld: Load, tol=1e-8):
     w, resid = _linalg.min_norm_lstsq(resolution_matrix(fw), target)
     scale = np.linalg.norm(target)
     if scale == 0.0:
-        return Stress(fw.graph.edges, np.zeros(fw.m))
+        return Stress(fw.graph, np.zeros(fw.m))
     if resid > tol * scale:
         return Unresolvable(resid)
-    return Stress(fw.graph.edges, w)
+    return Stress(fw.graph, w)
 
 
 def self_stress_space(fw: Framework, tol=RANK_TOL) -> list:
     """Orthonormal basis of the stresses resolving the zero load."""
     basis = _linalg.nullspace(resolution_matrix(fw), tol)
-    return [Stress(fw.graph.edges, row) for row in basis]
+    return [Stress(fw.graph, row) for row in basis]
 
 
 def bivector_map_matrix(fw: Framework) -> np.ndarray:
@@ -201,12 +212,16 @@ def tangency_matrix(fw: Framework) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StaticSpaces:
-    """Dimensions of the equilibrium and resolvable load spaces."""
+    """Dimensions of the equilibrium and resolvable load spaces.
+
+    The counts come from values-only SVDs; the self-stress basis is computed
+    on first access and checked against the stored count.
+    """
 
     framework: Framework
     dim_F: int
     dim_F0: int
-    self_stress_basis: tuple
+    tol: float = RANK_TOL
 
     @property
     def static_dof(self) -> int:
@@ -214,21 +229,28 @@ class StaticSpaces:
 
     @property
     def self_stress_count(self) -> int:
-        return len(self.self_stress_basis)
+        return self.framework.m - self.dim_F0
+
+    @cached_property
+    def self_stress_basis(self) -> tuple:
+        return checked_basis(
+            self_stress_space(self.framework, self.tol), self.self_stress_count, "self-stress"
+        )
 
 
 def static_spaces(fw: Framework, tol=RANK_TOL) -> StaticSpaces:
-    """Equilibrium-load dimension, resolvable-load dimension, self-stresses.
+    """Equilibrium-load dimension and resolvable-load dimension; no bases.
 
     dim F is the nullity of the bivector map restricted to tangent loads
     (computed with explicit tangency rows, so non-spanning frameworks are
-    handled correctly); dim F_0 is the rank of the resolution operator.
+    handled correctly); dim F_0 is the rank of the resolution operator.  One
+    values-only SVD of each of the two matrices; the self-stress count is
+    m - dim F_0.
     """
     stacked = np.vstack([bivector_map_matrix(fw), tangency_matrix(fw)])
     dim_f = stacked.shape[1] - _linalg.numerical_rank(stacked, tol)
-    res = resolution_matrix(fw)
-    dim_f0 = _linalg.numerical_rank(res, tol)
-    return StaticSpaces(fw, dim_f, dim_f0, tuple(self_stress_space(fw, tol)))
+    dim_f0 = _linalg.numerical_rank(resolution_matrix(fw), tol)
+    return StaticSpaces(fw, dim_f, dim_f0, tol)
 
 
 def static_dof(fw: Framework, tol=RANK_TOL) -> int:

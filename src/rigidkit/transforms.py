@@ -302,7 +302,7 @@ def pogorelov_stress(spec: MapSpec, fw: Framework, w: Stress) -> Stress:
         lam_img = lam * fmap.normalizers[i] * fmap.normalizers[j] / fmap.global_scale
         d_tgt = _spaces.distance(fmap.image.point(i), fmap.image.point(j))
         vals[k] = lam_img * (1.0 if tgt.is_euclidean else tgt.sin_x(d_tgt) / d_tgt)
-    return Stress(fw.graph.edges, vals)
+    return Stress(fw.graph, vals)
 
 
 # --- averaging / deaveraging -------------------------------------------------

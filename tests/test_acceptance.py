@@ -34,23 +34,37 @@ def _random_equilibrium_load(rng, fw):
     return rk.load(fw, (raw.ravel() - corr).reshape(fw.n, -1), eps=1e-6)
 
 
-def test_criterion_01_static_equals_kinematic():
-    """static_dof == kinematic_dof on all fixtures and seeded random frameworks."""
+def _criterion_01_frameworks():
+    """The gallery fixtures, then 50 seeded random frameworks per space and d."""
     for name in GALLERY:
-        fw = rk.gallery.fixture(name).framework
-        assert rk.static_dof(fw, RANK_TOL) == rk.kinematic_dof(fw, RANK_TOL), name
+        yield name, rk.gallery.fixture(name).framework
     rng = np.random.RandomState(20240817)
     for kind in ("E", "S", "H"):
-        count = 0
         for d in (2, 3):
             space = rk.Space(rk.SpaceKind(kind), d)
-            for _ in range(50):
+            for k in range(50):
                 n = int(rng.randint(3, 13))
-                fw = oc.random_framework(rng, space, n)
-                assert rk.static_dof(fw, RANK_TOL) == rk.kinematic_dof(fw, RANK_TOL)
-                count += 1
-        assert count == 100
+                yield "%s %d #%d" % (space, n, k), oc.random_framework(rng, space, n)
+
+
+def test_criterion_01_static_equals_kinematic():
+    """static_dof == kinematic_dof on all fixtures and seeded random frameworks."""
+    count = 0
+    for label, fw in _criterion_01_frameworks():
+        assert rk.static_dof(fw, RANK_TOL) == rk.kinematic_dof(fw, RANK_TOL), label
+        count += 1
+    assert count == len(GALLERY) + 300
     _passed("1 (static dof == kinematic dof: 11 fixtures + 300 random frameworks)")
+
+
+def test_lazy_bases_have_the_counted_dimensions():
+    """The bases computed on request match the values-only SVD counts."""
+    for label, fw in _criterion_01_frameworks():
+        ms = rk.motion_spaces(fw, RANK_TOL)
+        ss = rk.static_spaces(fw, RANK_TOL)
+        assert len(ms.basis_V) == ms.dim_V, label
+        assert len(ms.basis_V0) == ms.dim_V0, label
+        assert len(ss.self_stress_basis) == ss.self_stress_count, label
 
 
 def test_criterion_02_projective_invariance():

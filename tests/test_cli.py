@@ -212,3 +212,33 @@ def test_analyze_non_spanning_warning():
     assert not report.spanning
     assert any("geodesic subspace" in w for w in report.warnings)
     assert report.kinematic_dof == report.static_dof == 1
+
+
+@pytest.mark.parametrize("kind", ["E", "S", "H"])
+def test_analyze_factors_each_matrix_once_without_vectors(kind, monkeypatch):
+    from rigidkit import kinematics, statics
+    from rigidkit.cli import analyze_framework
+    fw = rk.gallery.fixture("prism3-generic").framework
+    if kind != "E":
+        fw = rk.geodesic_project(rk.transforms.apply_map(
+            rk.affine_map(np.eye(2) * 0.1), fw), rk.Space(rk.SpaceKind(kind), 2))
+    expected = sorted([
+        kinematics.rigidity_operator(fw).matrix.shape,
+        kinematics.killing_evaluation_matrix(fw).shape,
+        (statics.bivector_map_matrix(fw).shape[0] + fw.n, fw.n * 3),
+        statics.resolution_matrix(fw).shape,
+        fw.coords.shape,                # the spanning test
+    ])
+    real = np.linalg.svd
+    calls = []
+
+    def svd(a, full_matrices=True, compute_uv=True, hermitian=False):
+        calls.append((np.shape(a), compute_uv))
+        return real(a, full_matrices=full_matrices, compute_uv=compute_uv,
+                    hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    report = analyze_framework(fw)
+    assert report.rigid and report.self_stress_count == 0
+    assert not any(uv for _, uv in calls)
+    assert sorted(shape for shape, _ in calls) == expected

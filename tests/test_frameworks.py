@@ -134,3 +134,19 @@ def test_bad_attachments_rejected():
              "edges": [[0, 1]], "load": [[0.0, 1.0]]}
     with pytest.raises(rk.errors.GraphError):
         rk.framework_from_dict(data2)
+
+
+def test_stress_keys_in_either_orientation():
+    data = {"space": "E", "dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+            "edges": [[0, 1], [1, 2], [0, 2]],
+            "stress": {"1-0": 1.5, "2-1": -2.0, "0-2": 0.25}}
+    doc = rk.framework_from_dict(data)
+    assert doc.stress == {(0, 1): 1.5, (1, 2): -2.0, (0, 2): 0.25}
+    w = rk.stress_from_dict(doc.framework, {(1, 0): 1.5, (2, 1): -2.0, (2, 0): 0.25})
+    assert w.edges == doc.framework.graph.edges
+    assert w[(2, 1)] == w[(1, 2)] == -2.0
+    data["stress"]["2-3"] = 1.0
+    with pytest.raises(rk.errors.GraphError):
+        rk.framework_from_dict(data)
+    with pytest.raises(rk.errors.GraphError):
+        rk.stress_from_dict(doc.framework, {(3, 1): 1.0})

@@ -1,0 +1,111 @@
+import numpy as np
+import pytest
+
+import rigidkit as rk
+from rigidkit import _linalg, cli
+from rigidkit import transforms as tr
+
+
+def _grid_sphere(k=20):
+    """The k x k triangulated grid (edges right, up, up-right), coordinates
+    (c, r)/k + 0.01 N(0, 1) from default_rng(0), scaled by 0.3 and centrally
+    projected onto the sphere."""
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                edges.append((v, v + 1))
+            if r + 1 < k:
+                edges.append((v, v + k))
+            if c + 1 < k and r + 1 < k:
+                edges.append((v, v + k + 1))
+    rng = np.random.default_rng(0)
+    xy = np.array([(c / k, r / k) for r in range(k) for c in range(k)])
+    xy = xy + 0.01 * rng.standard_normal((k * k, 2))
+    fw = rk.build_framework(rk.graph(k * k, edges), rk.euclidean(2), xy)
+    return rk.geodesic_project(tr.apply_map(tr.affine_map(np.eye(2) * 0.3), fw),
+                               rk.spherical(2))
+
+
+def test_self_stress_space_on_sphere_grid_k20():
+    # gesdd fails on this grid's 1200 x 1121 resolution matrix with two or
+    # more OpenBLAS threads; the transpose retry must recover it.
+    fw = _grid_sphere()
+    basis = rk.self_stress_space(fw)
+    assert len(basis) == fw.m - (2 * fw.n - 3) == 324
+    res = rk.statics.resolution_matrix(fw)
+    values = np.array([w.values for w in basis])
+    assert np.max(np.abs(res @ values.T)) < 1e-10
+    assert np.allclose(values @ values.T, np.eye(len(basis)), atol=1e-10)
+
+
+def _failing_svd(monkeypatch, failures):
+    """Make the first `failures` calls of np.linalg.svd raise LinAlgError."""
+    real = np.linalg.svd
+    calls = []
+
+    def svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7)])
+@pytest.mark.parametrize("full_matrices", [True, False])
+def test_svd_retries_on_the_transpose(monkeypatch, shape, full_matrices):
+    a = np.random.RandomState(5).standard_normal(shape)
+    u0, s0, vt0 = np.linalg.svd(a, full_matrices=full_matrices)
+    calls = _failing_svd(monkeypatch, 1)
+    u, s, vt = _linalg.svd(a, full_matrices=full_matrices)
+    assert calls == [shape, shape[::-1]]
+    assert u.shape == u0.shape and vt.shape == vt0.shape
+    assert np.allclose(s, s0)
+    k = s.size
+    assert np.allclose((u[:, :k] * s) @ vt[:k], a)
+    assert np.allclose(u.T @ u, np.eye(u.shape[1]))
+    assert np.allclose(vt @ vt.T, np.eye(vt.shape[0]))
+
+
+def test_svd_failing_twice_raises_numerical_error(monkeypatch):
+    _failing_svd(monkeypatch, 2)
+    with pytest.raises(rk.errors.NumericalError):
+        _linalg.spectrum(np.eye(3))
+
+
+def test_cli_exit_code_2_when_svd_fails_twice(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    assert cli.main(["example", "triangle", "-o", str(path)]) == 0
+    _failing_svd(monkeypatch, 2)
+    assert cli.main(["analyze", str(path)]) == cli.EXIT_INPUT
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_uses_retry_when_only_first_svd_fails(monkeypatch, tmp_path):
+    path = tmp_path / "tri.json"
+    assert cli.main(["example", "triangle", "-o", str(path)]) == 0
+    _failing_svd(monkeypatch, 1)
+    assert cli.main(["analyze", str(path)]) == cli.EXIT_RIGID
+
+
+def test_spectrum_counts_and_margins():
+    a = np.diag([3.0, 1.0, 1e-13])
+    spec = _linalg.spectrum(a)
+    assert spec.rank == 2
+    assert spec.cutoff == pytest.approx(1e-9 * 3.0 * 3)
+    assert np.allclose(spec.smallest(2), [1e-13, 1.0])
+    empty = _linalg.spectrum(np.zeros((0, 4)))
+    assert empty.rank == 0 and np.all(np.isnan(empty.smallest(2)))
+    assert _linalg.spectrum(np.zeros((2, 2))).rank == 0
+
+
+def test_column_space_spans_the_columns():
+    a = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
+    basis = _linalg.column_space(a)
+    assert basis.shape == (3, 1)
+    assert np.allclose(basis @ basis.T @ a, a)
+    assert _linalg.column_space(np.zeros((0, 0))).shape == (0, 0)

@@ -118,6 +118,21 @@ def test_static_spaces_counts(prism_doc):
     assert rk.static_spaces(sph).static_dof == 0
 
 
+def test_lazy_bases_check_the_stored_counts(prism_doc):
+    import dataclasses
+
+    fw = prism_doc.framework
+    ms = rk.motion_spaces(fw)
+    ss = rk.static_spaces(fw)
+    for wrong, attr in ((dataclasses.replace(ms, dim_V=ms.dim_V + 1), "basis_V"),
+                        (dataclasses.replace(ms, dim_V0=ms.dim_V0 - 1), "basis_V0"),
+                        (dataclasses.replace(ss, dim_F0=ss.dim_F0 + 1), "self_stress_basis")):
+        with pytest.raises(rk.errors.InternalInvariantError):
+            getattr(wrong, attr)
+    assert ms.basis_V is ms.basis_V  # computed once, then cached
+    assert len(ss.self_stress_basis) == ss.self_stress_count == 1
+
+
 def test_virtual_work_annihilators(prism_doc, rng):
     fw = prism_doc.framework
     # resolvable loads annihilate V
