@@ -93,26 +93,9 @@ from .maxwell_cremona import (
     LiftKind,
     PolyhedralLift,
     ReciprocalDiagram,
+    convert,
     euclid_convexity_classify,
-    euclid_lift_from_reciprocal,
-    euclid_lift_to_stress,
-    euclid_reciprocal_from_lift,
-    euclid_reciprocal_to_stress,
-    euclid_stress_to_lift,
-    euclid_stress_to_reciprocal,
-    hyp_lift_to_reciprocal,
-    hyp_lift_to_stress,
-    hyp_reciprocal_to_lift,
-    hyp_reciprocal_to_stress,
-    hyp_stress_to_lift,
-    hyp_stress_to_reciprocal,
     radial_vertical_convert,
-    sph_lift_to_reciprocal,
-    sph_lift_to_stress,
-    sph_reciprocal_to_lift,
-    sph_reciprocal_to_stress,
-    sph_stress_to_lift,
-    sph_stress_to_reciprocal,
 )
 from . import gallery
 

@@ -181,35 +181,7 @@ def cmd_transform(args) -> int:
 
 _MC_DIRECTIONS = ("stress2rec", "rec2stress", "stress2lift",
                   "lift2rec", "rec2lift", "lift2stress")
-
-
-def _mc_tables(space):
-    if space.is_euclidean:
-        return {
-            "stress2rec": mc.euclid_stress_to_reciprocal,
-            "rec2stress": mc.euclid_reciprocal_to_stress,
-            "stress2lift": mc.euclid_stress_to_lift,
-            "lift2rec": mc.euclid_reciprocal_from_lift,
-            "rec2lift": mc.euclid_lift_from_reciprocal,
-            "lift2stress": mc.euclid_lift_to_stress,
-        }
-    if space.is_spherical:
-        return {
-            "stress2rec": mc.sph_stress_to_reciprocal,
-            "rec2stress": mc.sph_reciprocal_to_stress,
-            "stress2lift": mc.sph_stress_to_lift,
-            "lift2rec": mc.sph_lift_to_reciprocal,
-            "rec2lift": mc.sph_reciprocal_to_lift,
-            "lift2stress": mc.sph_lift_to_stress,
-        }
-    return {
-        "stress2rec": mc.hyp_stress_to_reciprocal,
-        "rec2stress": mc.hyp_reciprocal_to_stress,
-        "stress2lift": mc.hyp_stress_to_lift,
-        "lift2rec": mc.hyp_lift_to_reciprocal,
-        "rec2lift": mc.hyp_reciprocal_to_lift,
-        "lift2stress": mc.hyp_lift_to_stress,
-    }
+_MC_OBJECTS = {"stress": "stress", "rec": "reciprocal", "lift": "lift"}
 
 
 def _print_mc_summary(fw, result):
@@ -246,9 +218,7 @@ def _print_mc_summary(fw, result):
 def cmd_mc(args) -> int:
     doc = _load_doc(args.path)
     fw = doc.framework
-    table = _mc_tables(fw.space)
-    func = table[args.direction]
-    source = args.direction.split("2")[0]
+    source, target = (_MC_OBJECTS[name] for name in args.direction.split("2"))
     if source == "stress":
         if doc.stress is None:
             raise RigidkitError("direction %s needs a stress attachment" % args.direction)
@@ -258,16 +228,11 @@ def cmd_mc(args) -> int:
             raise RigidkitError("direction %s needs --object" % args.direction)
         with open(args.object, encoding="utf-8") as fh:
             data = json.load(fh)
-        if data.get("type") == "reciprocal":
-            first = mc.reciprocal_from_dict(fw, data)
-        elif data.get("type") == "lift":
-            first = mc.lift_from_dict(fw, data)
-        else:
-            raise RigidkitError("object file must have type reciprocal or lift")
-        expected = {"rec": "reciprocal", "lift": "lift"}[source]
-        if data["type"] != expected:
-            raise RigidkitError("direction %s needs a %s object" % (args.direction, expected))
-    result = func(fw, first, tol=args.tol if args.tol else mc.MC_TOL)
+        if not isinstance(data, dict) or data.get("type") != source:
+            raise RigidkitError("direction %s needs a %s object" % (args.direction, source))
+        parse = mc.reciprocal_from_dict if source == "reciprocal" else mc.lift_from_dict
+        first = parse(fw, data)
+    result = mc.convert(fw, first, to=target, tol=args.tol if args.tol else mc.MC_TOL)
     out = args.output or ("%s.json" % args.direction)
     if isinstance(result, Stress):
         _write_json(out, framework_to_dict(fw, stress=result.as_dict(),
@@ -362,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("mc", help="Maxwell-Cremona conversions")
     pm.add_argument("path")
     pm.add_argument("--direction", required=True, choices=_MC_DIRECTIONS)
-    pm.add_argument("--variant", default="auto", choices=["auto"])
     pm.add_argument("--object", help="reciprocal/lift JSON input for rec2*/lift2*")
     pm.add_argument("-o", "--output")
     pm.add_argument("--tol", type=float, default=None)

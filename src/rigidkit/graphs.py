@@ -59,6 +59,10 @@ class Graph:
         """
         return self._edge_index
 
+    @cached_property
+    def _three_connected(self) -> bool:
+        return _three_connected_brute_force(self)
+
     def adjacency(self) -> list:
         adj = [[] for _ in range(self.vertex_count)]
         for i, j in self.edges:
@@ -91,11 +95,16 @@ def _is_connected(n, adj, skip=()):
 
 
 def is_3_connected(g: Graph) -> bool:
-    """Brute force over vertex pairs; target graphs are small.
-
-    True iff the graph is connected, has at least 4 vertices, and stays
+    """True iff the graph is connected, has at least 4 vertices, and stays
     connected after deleting any two vertices.
+
+    Decided once per graph by brute force over vertex pairs (target graphs
+    are small) and cached on it, like the edge index.
     """
+    return g._three_connected
+
+
+def _three_connected_brute_force(g: Graph) -> bool:
     n = g.vertex_count
     if n < 4:
         return False
@@ -241,12 +250,17 @@ class PlanarEmbedding:
     def face_left_of(self, i, j) -> int:
         return self._directed_to_face[(i, j)]
 
-    def dual_pairs(self) -> list:
-        """One consistently oriented DualPair per primal edge, in edge order."""
-        out = []
-        for i, j in self.graph.edges:
-            out.append(DualPair(i, j, self.face_right_of(i, j), self.face_left_of(i, j)))
-        return out
+    @cached_property
+    def _dual_pairs(self) -> tuple:
+        return tuple(DualPair(i, j, self.face_right_of(i, j), self.face_left_of(i, j))
+                     for i, j in self.graph.edges)
+
+    def dual_pairs(self) -> tuple:
+        """One consistently oriented DualPair per primal edge, in edge order.
+
+        Built once per embedding and shared by every caller, hence a tuple.
+        """
+        return self._dual_pairs
 
     def faces_at_vertex(self, i) -> list:
         return [a for a, cyc in enumerate(self.faces) if i in cyc]

@@ -1,12 +1,31 @@
 """Conversions among self-stresses, reciprocal diagrams and polyhedral lifts
 in the Euclidean plane, on the sphere, and in the hyperbolic plane.
 
-All recursive constructions walk the dual graph breadth-first from a base
-face (the exterior face when identified, else face 0) and then re-check the
-defining relation on *every* dual pair, which certifies path-independence;
-residuals are kept on the returned objects, never discarded.
+The three geometries share one projective picture (Izmestiev, "Projective
+background of the infinitesimal rigidity of frameworks", Geom. Dedicata 140,
+2009).  Every face a carries one vector M_a in R^3, read against the
+vertices' ambient coordinates p_i: (1, x, y) in E, model points on S and H.
+In E, M_a = (b_a, g_a) is the face function f_a(x) = <g_a, x> + b_a of the
+vertical lift; on S and H it is the normal of the lifted face plane
+<M_a, x> = kappa.  Across the dual pair of edge ij the face vectors jump by
+
+    M_left - M_right = lambda_ij (p_i x p_j),
+
+with lambda = w in E and lambda = w d / sin d on S/H (d the edge length).
+One walk builds M from a stress or from a reciprocal diagram, and one
+decomposition of the jumps recovers the stress.  Geometry enters only at the
+ends: lambda <-> w, M <-> reciprocal point, the lifted vertices from
+c_i = <M_a, p_i>, the spherical base perturbation and the hyperbolic stress
+halving.
+
+Both walks go breadth-first over the dual graph from a base face (the
+exterior face when identified, else face 0) and then re-check the defining
+relation on *every* dual pair or incident vertex, which certifies
+path-independence; residuals are kept on the returned objects, never
+discarded.
 """
 
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
@@ -18,6 +37,7 @@ from .errors import (
     CollinearFace,
     ConeFailure,
     BasePerturbationExhausted,
+    DimensionMismatch,
     GraphError,
     NoExteriorFace,
     NonPlanarFace,
@@ -26,6 +46,7 @@ from .errors import (
     NotPerpendicular,
     NotSelfStress,
     OriginPlane,
+    RigidkitError,
     UnremovableIncidence,
     WrongDimension,
     ZeroOnEdge,
@@ -38,6 +59,15 @@ from .statics import Stress
 #: Absolute construction-residual tolerance on unit-scale data.
 MC_TOL = 1e-9
 
+#: Face vector of the base face in a stress walk, by geometry.  E: the zero
+#: face function (reciprocal base point at the origin); S: a normal off every
+#: coordinate plane, perturbed when some vertex ends up with c_i = 0; H: the
+#: axis of the upper light cone.
+_BASE_VECTOR = {"E": (0.0, 0.0, 0.0), "S": (1.0, 0.25, -0.4), "H": (1.0, 0.0, 0.0)}
+_SPH_BASE_RETRIES = 32
+_HYP_SCALE_STEPS = 60
+_BASE_SEED = 811
+
 
 class LiftKind(Enum):
     VERTICAL = "vertical"
@@ -45,6 +75,15 @@ class LiftKind(Enum):
     SPHERICAL_WEAK = "spherical-weak"
     SPHERICAL_STRONG = "spherical-strong"
     HYPERBOLIC_MINKOWSKI = "hyperbolic-minkowski"
+
+
+#: The lifts `convert` accepts, by geometry; radial lifts only go through
+#: radial_vertical_convert.
+_LIFT_KINDS = {
+    "E": (LiftKind.VERTICAL,),
+    "S": (LiftKind.SPHERICAL_WEAK, LiftKind.SPHERICAL_STRONG),
+    "H": (LiftKind.HYPERBOLIC_MINKOWSKI,),
+}
 
 
 @dataclass(eq=False)
@@ -156,22 +195,56 @@ class PolyhedralLift:
         return d
 
 
+def _numeric(data: dict, key: str, shape: tuple) -> np.ndarray:
+    """data[key] as a finite float array of the given shape."""
+    if key not in data:
+        raise RigidkitError("object has no %r" % key)
+    try:
+        arr = np.array(data[key], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionMismatch("%r is not a numeric array" % key) from None
+    if arr.shape != shape:
+        raise DimensionMismatch("%r has shape %r, expected %r" % (key, arr.shape, shape))
+    if not np.all(np.isfinite(arr)):
+        raise RigidkitError("%r has non-finite entries" % key)
+    return arr
+
+
+def _require_object(fw: Framework, data, what: str):
+    if fw.embedding is None:
+        raise GraphError("framework carries no planar embedding")
+    if not isinstance(data, dict):
+        raise RigidkitError("a %s must be a JSON object" % what)
+
+
 def reciprocal_from_dict(fw: Framework, data: dict) -> ReciprocalDiagram:
+    """Parse ReciprocalDiagram.to_dict output; malformed data raises RigidkitError."""
+    _require_object(fw, data, "reciprocal")
+    width = 2 if fw.space.is_euclidean else 3
+    pos = _numeric(data, "positions", (fw.embedding.face_count, width))
+    base_scale = float(_numeric(data, "base_scale", ())) if "base_scale" in data else 1.0
     dual, _ = dual_graph(fw.embedding)
-    pos = np.array(data["positions"], dtype=float)
-    return ReciprocalDiagram(fw, dual, pos, data.get("strength"),
-                             float(data.get("base_scale", 1.0)))
+    return ReciprocalDiagram(fw, dual, pos, data.get("strength"), base_scale)
 
 
 def lift_from_dict(fw: Framework, data: dict) -> PolyhedralLift:
+    """Parse PolyhedralLift.to_dict output; malformed data raises RigidkitError."""
+    _require_object(fw, data, "lift")
+    try:
+        kind = LiftKind(data["kind"])
+    except KeyError:
+        raise RigidkitError("object has no 'kind'") from None
+    except (TypeError, ValueError):
+        raise RigidkitError("unknown lift kind %r" % (data["kind"],)) from None
+    width = 4 if kind is LiftKind.RADIAL else 3
     center = data.get("radial_center")
     return PolyhedralLift(
         fw,
-        LiftKind(data["kind"]),
-        np.array(data["vertex_points"], dtype=float),
-        np.array(data["face_planes"], dtype=float),
-        None if center is None else np.array(center, dtype=float),
-        float(data.get("stress_scale", 1.0)),
+        kind,
+        _numeric(data, "vertex_points", (fw.n, 3)),
+        _numeric(data, "face_planes", (fw.embedding.face_count, width)),
+        None if center is None else _numeric(data, "radial_center", (3,)),
+        float(_numeric(data, "stress_scale", ())) if "stress_scale" in data else 1.0,
     )
 
 
@@ -208,186 +281,306 @@ def _base_face(fw: Framework) -> int:
 
 
 def _bfs_faces(fw: Framework, start: int):
-    """Yield (new_face, pair, forward) walking the dual graph breadth-first.
+    """Yield (a, b, k, forward) walking the dual graph breadth-first.
 
-    `forward` is True when crossing from the pair's right face to its left
-    face (the consistently oriented direction).
+    Face b is reached for the first time from the known face a across dual
+    pair k; `forward` is True when a is the pair's right face (the
+    consistently oriented direction).
     """
-    pairs = fw.embedding.dual_pairs()
     by_face = {}
-    for p in pairs:
-        by_face.setdefault(p.right, []).append((p, True))
-        by_face.setdefault(p.left, []).append((p, False))
+    for k, p in enumerate(fw.embedding.dual_pairs()):
+        by_face.setdefault(p.right, []).append((k, p.left, True))
+        by_face.setdefault(p.left, []).append((k, p.right, False))
     seen = {start}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        a = queue.pop(0)
-        for p, here_is_right in by_face.get(a, ()):
-            b = p.left if here_is_right else p.right
+        a = queue.popleft()
+        for k, b, forward in by_face.get(a, ()):
             if b in seen:
                 continue
             seen.add(b)
             queue.append(b)
-            yield b, p, here_is_right
+            yield a, b, k, forward
     if len(seen) != fw.embedding.face_count:  # pragma: no cover - dual connected
         raise ClosureFailure("dual graph is disconnected")
 
 
-def _face_collinear(fw: Framework, cyc) -> bool:
-    pts = fw.coords[list(cyc)]
-    cutoff = 1e-12 * max(1.0, np.max(np.abs(pts)))
-    if fw.space.is_euclidean:
-        return int(np.sum(_linalg.singular_values(pts[1:, 1:] - pts[0, 1:]) > cutoff)) < 2
-    return int(np.sum(_linalg.singular_values(pts) > cutoff)) < 3
-
-
 def _check_no_collinear_faces(fw: Framework):
     for a, cyc in enumerate(fw.embedding.faces):
-        if _face_collinear(fw, cyc):
+        pts = fw.coords[list(cyc)]
+        cutoff = 1e-12 * max(1.0, np.max(np.abs(pts)))
+        if fw.space.is_euclidean:  # rank of the homogeneous points
+            rank = 1 + int(np.sum(_linalg.singular_values(pts[1:, 1:] - pts[0, 1:]) > cutoff))
+        else:
+            rank = int(np.sum(_linalg.singular_values(pts) > cutoff))
+        if rank < 3:
             raise CollinearFace("face %d is contained in a geodesic" % a)
 
 
-def _rot90(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
-
-
-# --- Euclidean plane ----------------------------------------------------------
-
-def euclid_stress_to_reciprocal(fw: Framework, w: Stress, base=(0.0, 0.0),
-                                tol=MC_TOL) -> ReciprocalDiagram:
-    """Reciprocal diagram of a nowhere-zero self-stress.
-
-    Walks the dual graph with increments w_ij J(p_j - p_i) across each
-    consistently oriented dual pair, anchored at m[base face] = base.
-    """
-    _require_mc_framework(fw)
-    if not fw.space.is_euclidean:
-        raise WrongDimension("euclid_* conversions need a Euclidean framework")
-    _require_self_stress(fw, w, tol)
-    positions = np.zeros((fw.embedding.face_count, 2))
-    start = _base_face(fw)
-    positions[start] = np.asarray(base, dtype=float)
-    deltas = {}
-    for k, pair in enumerate(fw.embedding.dual_pairs()):
-        u = fw.coords[pair.head, 1:] - fw.coords[pair.tail, 1:]
-        deltas[k] = w[pair.edge] * _rot90(u)
-    pairs = fw.embedding.dual_pairs()
-    idx = {p.edge: k for k, p in enumerate(pairs)}
-    for b, pair, forward in _bfs_faces(fw, start):
-        d = deltas[idx[pair.edge]]
-        a = pair.right if forward else pair.left
-        positions[b] = positions[a] + (d if forward else -d)
-    scale = max(float(np.max(np.abs(np.array(list(deltas.values()))))), 1e-300)
-    worst = 0.0
-    for k, pair in enumerate(pairs):
-        resid = positions[pair.left] - positions[pair.right] - deltas[k]
-        worst = max(worst, float(np.max(np.abs(resid))))
-    if worst > tol * scale * fw.embedding.face_count:
-        raise ClosureFailure("reciprocal recursion does not close (residual %.3g)" % worst)
-    dual, _ = dual_graph(fw.embedding)
-    rec = ReciprocalDiagram(fw, dual, positions)
-    rec.residuals["closure"] = worst
-    rec.residuals["perpendicularity"] = float(np.max(rec.perpendicularity_residuals()))
-    return rec
-
-
-def euclid_reciprocal_to_stress(fw: Framework, rec: ReciprocalDiagram,
-                                tol=MC_TOL) -> Stress:
-    """Recover w_ij from m_beta - m_alpha = w_ij J(p_j - p_i)."""
-    _require_mc_framework(fw)
-    vals = np.zeros(fw.m)
-    edge_idx = fw.graph.edge_index()
-    for pair in fw.embedding.dual_pairs():
-        u = fw.coords[pair.head, 1:] - fw.coords[pair.tail, 1:]
-        dlt = rec.positions[pair.left] - rec.positions[pair.right]
-        nu = float(u @ u)
-        along = float(dlt @ u)
-        if abs(along) > tol * max(np.linalg.norm(dlt) * np.linalg.norm(u), 1e-300) * 1e3:
-            raise NotPerpendicular(
-                "dual pair for edge %r violates perpendicularity" % (pair.edge,)
-            )
-        vals[edge_idx[pair.edge]] = float(dlt @ _rot90(u)) / nu
-    return Stress(fw.graph, vals)
-
-
-def euclid_lift_from_reciprocal(fw: Framework, rec: ReciprocalDiagram,
-                                tol=MC_TOL) -> PolyhedralLift:
-    """Vertical lift with per-face linear functions f_a(x) = <m_a, x> + b_a."""
-    _require_mc_framework(fw)
-    _check_no_collinear_faces(fw)
-    nf = fw.embedding.face_count
-    offsets = np.zeros(nf)
-    start = _base_face(fw)
-    for b, pair, forward in _bfs_faces(fw, start):
-        a = pair.left if not forward else pair.right
-        # f_b = f_a on the line through the shared edge.
-        p_i = fw.coords[pair.tail, 1:]
-        offsets[b] = offsets[a] + float((rec.positions[a] - rec.positions[b]) @ p_i)
-    scale = max(float(np.max(np.abs(rec.positions))), 1.0) * max(
-        float(np.max(np.abs(fw.coords))), 1.0
-    )
-    # Heights from any incident face; all faces at a vertex must agree.
-    heights = np.zeros(fw.n)
-    seen = np.zeros(fw.n, dtype=bool)
-    worst = 0.0
+def _fit_vertical_planes(fw: Framework, heights: np.ndarray, tol) -> np.ndarray:
+    """Rows (gx, gy, b) of the planes z = gx x + gy y + b through each face's
+    lifted vertices (x, y, heights), least-squares fitted and checked planar."""
+    planes = np.zeros((fw.embedding.face_count, 3))
     for a, cyc in enumerate(fw.embedding.faces):
-        for i in cyc:
-            h = float(rec.positions[a] @ fw.coords[i, 1:]) + offsets[a]
-            if not seen[i]:
-                heights[i] = h
-                seen[i] = True
-            else:
-                worst = max(worst, abs(h - heights[i]))
-    if worst > tol * scale * nf:
-        raise ClosureFailure("face heights disagree around a vertex (%.3g)" % worst)
-    planes = np.column_stack([rec.positions, offsets])
-    points = np.column_stack([fw.coords[:, 1:], heights])
-    lift = PolyhedralLift(fw, LiftKind.VERTICAL, points, planes)
-    lift.residuals["closure"] = worst
-    lift.residuals["incidence"] = float(np.max(lift.incidence_residuals()))
-    return lift
-
-
-def euclid_stress_to_lift(fw: Framework, w: Stress, base=(0.0, 0.0),
-                          tol=MC_TOL) -> PolyhedralLift:
-    return euclid_lift_from_reciprocal(fw, euclid_stress_to_reciprocal(fw, w, base, tol), tol)
-
-
-def euclid_reciprocal_from_lift(fw: Framework, lift: PolyhedralLift,
-                                tol=MC_TOL) -> ReciprocalDiagram:
-    """Gradients of the face planes of a vertical lift form the reciprocal."""
-    _require_mc_framework(fw)
-    if lift.kind is not LiftKind.VERTICAL:
-        raise WrongDimension("reciprocal-from-lift needs a vertical lift")
-    nf = fw.embedding.face_count
-    positions = np.zeros((nf, 2))
-    for a, cyc in enumerate(fw.embedding.faces):
-        pts = fw.coords[list(cyc), 1:]
-        zs = lift.vertex_points[list(cyc), 2]
-        sys = np.column_stack([pts, np.ones(len(cyc))])
+        zs = heights[list(cyc)]
+        sys = np.column_stack([fw.coords[list(cyc), 1:], np.ones(len(cyc))])
         sol, *_ = np.linalg.lstsq(sys, zs, rcond=None)
         resid = float(np.max(np.abs(sys @ sol - zs)))
         if resid > tol * max(1.0, float(np.max(np.abs(zs)))) * 1e3:
             raise NonPlanarFace("lifted face %d is not planar (residual %.3g)" % (a, resid))
-        positions[a] = sol[:2]
+        planes[a] = sol
+    return planes
+
+
+def _lambda_per_w(fw: Framework) -> np.ndarray:
+    """lambda_ij / w_ij per edge: 1 in E, d / sin d on S/H (d the edge length)."""
+    if fw.space.is_euclidean:
+        return np.ones(fw.m)
+    dist = np.array([spaces.distance(fw.point(i), fw.point(j)) for i, j in fw.graph.edges])
+    return dist / fw.space.sin_x(dist)
+
+
+def _incidence_values(fw: Framework, normals: np.ndarray, tol):
+    """c_i = <M_a, p_i>, checked equal over the faces incident to i.
+
+    Returns c and the largest disagreement.
+    """
+    c = np.zeros(fw.n)
+    seen = np.zeros(fw.n, dtype=bool)
+    worst = 0.0
+    scale = max(float(np.max(np.abs(normals))), 1e-300)
+    for a, cyc in enumerate(fw.embedding.faces):
+        for i in cyc:
+            val = signed_inner(normals[a], fw.coords[i], fw.space)
+            if not seen[i]:
+                c[i] = val
+                seen[i] = True
+            else:
+                worst = max(worst, abs(val - c[i]))
+    if worst > tol * scale * fw.embedding.face_count * 10:
+        raise ClosureFailure("vertex incidence values disagree (%.3g)" % worst)
+    return c, worst
+
+
+# --- face vectors from a stress, a reciprocal or a lift ------------------------
+
+def _stress_walk(fw: Framework, lam: np.ndarray, base: np.ndarray, tol):
+    """M from M_left - M_right = lam_ij (p_i x p_j), anchored at the base face
+    and closure-checked on every dual pair; returns (M, closure residual)."""
+    pairs = fw.embedding.dual_pairs()
+    deltas = np.array([lam[k] * cross3(fw.coords[p.tail], fw.coords[p.head], fw.space)
+                       for k, p in enumerate(pairs)])
+    normals = np.zeros((fw.embedding.face_count, 3))
+    start = _base_face(fw)
+    normals[start] = base
+    for a, b, k, forward in _bfs_faces(fw, start):
+        normals[b] = normals[a] + (deltas[k] if forward else -deltas[k])
+    left = [p.left for p in pairs]
+    right = [p.right for p in pairs]
+    worst = float(np.max(np.abs(normals[left] - normals[right] - deltas)))
+    if worst > tol * max(float(np.max(np.abs(deltas))), 1e-300) * fw.embedding.face_count:
+        raise ClosureFailure("face-vector recursion does not close (%.3g)" % worst)
+    return normals, worst
+
+
+def _face_vectors_from_stress(fw: Framework, w: Stress, tol):
+    """(M, closure residual, stress scale) of a nowhere-zero self-stress."""
+    _require_self_stress(fw, w, tol)
+    lam = w.values * _lambda_per_w(fw)
+    base = np.array(_BASE_VECTOR[fw.space.kind.value])
+    if fw.space.is_spherical:
+        # Perturb the base normal deterministically until every c_i is nonzero.
+        rng = np.random.RandomState(_BASE_SEED)
+        for _ in range(_SPH_BASE_RETRIES + 1):
+            normals, closure = _stress_walk(fw, lam, base, tol)
+            c, _ = _incidence_values(fw, normals, tol)
+            if np.all(np.abs(c) > 1e-8 * max(float(np.max(np.abs(normals))), 1e-300)):
+                return normals, closure, 1.0
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            base = base + 1e-2 * max(np.linalg.norm(base), 1.0) * u
+        raise BasePerturbationExhausted("all base perturbations leave some c_i at zero")
+    if fw.space.is_hyperbolic:
+        # Halve the stress until every face normal is time-like on the upper sheet.
+        scale = 1.0
+        for _ in range(_HYP_SCALE_STEPS):
+            normals, closure = _stress_walk(fw, scale * lam, base, tol)
+            q = np.array([signed_inner(m, m, fw.space) for m in normals])
+            if np.all(q < -1e-10) and np.all(normals[:, 0] > 0):
+                return normals, closure, scale
+            scale *= 0.5
+        raise ConeFailure("no stress scale places all face normals in the upper cone")
+    normals, closure = _stress_walk(fw, lam, base, tol)
+    return normals, closure, 1.0
+
+
+def _face_vectors_from_reciprocal(fw: Framework, rec: ReciprocalDiagram) -> np.ndarray:
+    """M from a reciprocal diagram.
+
+    Each M_b lies on a known line L_b + t D_b: (0, m_b) + t e_0 in E, t m_b on
+    S/H.  The walk fixes t from <M_b, p_i> = <M_a, p_i> at a vertex i shared
+    with the known face a; the base face takes t = 0 in E, base_scale on S/H.
+    """
+    nf = fw.embedding.face_count
+    if fw.space.is_euclidean:
+        lines = np.column_stack([np.zeros(nf), rec.positions])
+        dirs = np.tile([1.0, 0.0, 0.0], (nf, 1))
+        t_base = 0.0
+    else:
+        lines, dirs, t_base = np.zeros((nf, 3)), rec.positions, rec.base_scale
+    pairs = fw.embedding.dual_pairs()
+    start = _base_face(fw)
+    normals = np.zeros((nf, 3))
+    normals[start] = lines[start] + t_base * dirs[start]
+    for a, b, k, _ in _bfs_faces(fw, start):
+        i = pairs[k].tail
+        along = signed_inner(dirs[b], fw.coords[i], fw.space)
+        if abs(along) < 1e-12:
+            raise ClosureFailure("cannot scale m_%d against vertex %d" % (b, i))
+        t = (signed_inner(normals[a], fw.coords[i], fw.space)
+             - signed_inner(lines[b], fw.coords[i], fw.space)) / along
+        normals[b] = lines[b] + t * dirs[b]
+    return normals
+
+
+def _face_vectors_from_lift(fw: Framework, lift: PolyhedralLift, tol) -> np.ndarray:
+    """M of a lift: its face normals on S/H; in E (b, gx, gy) of the planes
+    fitted to the vertices of a vertical lift."""
+    if lift.kind not in _LIFT_KINDS[fw.space.kind.value]:
+        raise WrongDimension("a %s lift cannot be converted in %s"
+                             % (lift.kind.value, fw.space))
+    if not fw.space.is_euclidean:
+        return lift.face_planes
+    planes = _fit_vertical_planes(fw, lift.vertex_points[:, 2], tol)
     # Adjacent faces must have distinct planes, else the dual edge collapses
-    # and the perpendicularity test below is meaningless noise.
+    # and the perpendicularity test is meaningless noise.
     for pair in fw.embedding.dual_pairs():
         if np.allclose(lift.face_planes[pair.right], lift.face_planes[pair.left], atol=tol):
             raise NonPlanarFace(
                 "adjacent faces %d, %d lifted to one plane" % (pair.right, pair.left)
             )
+    return np.column_stack([planes[:, 2], planes[:, :2]])
+
+
+# --- the ends: lift, reciprocal and stress from face vectors ------------------
+
+def _lift_from_face_vectors(fw: Framework, normals: np.ndarray, tol, closure,
+                            stress_scale) -> PolyhedralLift:
+    """The lift with face vectors M; vertex i from c_i = <M_a, p_i>: the height
+    c_i in E, kappa p_i / c_i on S/H (kappa = +1 on S, -1 on H)."""
+    _check_no_collinear_faces(fw)
+    c, spread = _incidence_values(fw, normals, tol)
+    if fw.space.is_euclidean:
+        kind = LiftKind.VERTICAL
+        points = np.column_stack([fw.coords[:, 1:], c])
+        planes = np.column_stack([normals[:, 1:], normals[:, 0]])
+    else:
+        small = np.nonzero(np.abs(c) < 1e-12)[0]
+        if small.size:
+            raise ClosureFailure("incidence <m, p_%d> = 0; reciprocal not weak" % small[0])
+        kappa = 1.0 if fw.space.is_spherical else -1.0
+        points = fw.coords * (kappa / c)[:, None]
+        planes = normals
+        if fw.space.is_spherical:
+            kind = LiftKind.SPHERICAL_STRONG if np.all(c > 0) else LiftKind.SPHERICAL_WEAK
+        else:
+            kind = LiftKind.HYPERBOLIC_MINKOWSKI
+            for a, m in enumerate(normals):
+                if signed_inner(m, m, fw.space) >= 0 or m[0] <= 0:
+                    raise ConeFailure("lifted face %d normal left the upper cone" % a)
+    lift = PolyhedralLift(fw, kind, points, planes, stress_scale=stress_scale)
+    lift.residuals["closure"] = spread if closure is None else closure
+    lift.residuals["incidence"] = float(np.max(lift.incidence_residuals()))
+    return lift
+
+
+def _reciprocal_from_face_vectors(fw: Framework, normals: np.ndarray,
+                                  closure) -> ReciprocalDiagram:
+    """Reciprocal points of face vectors M: the gradient part in E; on S/H, M
+    normalized onto the sphere or hyperboloid, keeping the base face's norm as
+    base_scale and the sign pattern of <m_a, p_i> as spherical strength."""
+    strength, base_scale = None, 1.0
+    if fw.space.is_euclidean:
+        positions = normals[:, 1:]
+    else:
+        kappa = 1.0 if fw.space.is_spherical else -1.0
+        q = kappa * np.array([signed_inner(m, m, fw.space) for m in normals])
+        for a, m in enumerate(normals):
+            if fw.space.is_spherical and q[a] < 1e-24:
+                raise OriginPlane("face %d plane passes through the origin" % a)
+            if fw.space.is_hyperbolic and (q[a] <= 1e-12 or m[0] <= 0):
+                raise ConeFailure("face %d normal is not in the upper light cone" % a)
+        positions = normals / np.sqrt(q)[:, None]
+        base_scale = float(np.sqrt(q[_base_face(fw)]))
+    if fw.space.is_spherical:
+        strength = "strong"
+        for a, cyc in enumerate(fw.embedding.faces):
+            for i in cyc:
+                val = signed_inner(positions[a], fw.coords[i], fw.space)
+                if abs(val) < 1e-10:
+                    raise OriginPlane("incident pair (%d, %d) at distance pi/2" % (a, i))
+                if val < 0:
+                    strength = "weak"
     dual, _ = dual_graph(fw.embedding)
-    rec = ReciprocalDiagram(fw, dual, positions)
+    rec = ReciprocalDiagram(fw, dual, positions, strength, base_scale)
     res = rec.perpendicularity_residuals()
     rec.residuals["perpendicularity"] = float(np.max(res)) if res.size else 0.0
-    if res.size and np.max(res) > 1e-6:
+    if closure is not None:
+        rec.residuals["closure"] = closure
+    if fw.space.is_euclidean and rec.residuals["perpendicularity"] > 1e-6:
         raise NotPerpendicular("plane gradients violate reciprocity; lift inconsistent")
     return rec
 
 
-def euclid_lift_to_stress(fw: Framework, lift: PolyhedralLift, tol=MC_TOL) -> Stress:
-    return euclid_reciprocal_to_stress(fw, euclid_reciprocal_from_lift(fw, lift, tol), tol)
+def _stress_from_face_vectors(fw: Framework, normals: np.ndarray, tol) -> Stress:
+    """Recover w from M_left - M_right = lambda_ij c_ij.
+
+    c_ij = p_i x p_j on S/H.  In E only the spatial parts count (the
+    reciprocal points and the primal edge turned by 90 degrees), so a
+    difference that is not a multiple of c_ij is a dual edge that is not
+    perpendicular to its primal edge.
+    """
+    width = 2 if fw.space.is_euclidean else 3
+    error = NotPerpendicular if fw.space.is_euclidean else NotMultiple
+    lam = np.zeros(fw.m)
+    for k, pair in enumerate(fw.embedding.dual_pairs()):
+        c = cross3(fw.coords[pair.tail], fw.coords[pair.head], fw.space)[3 - width:]
+        dlt = normals[pair.left, 3 - width:] - normals[pair.right, 3 - width:]
+        lam[k] = float(dlt @ c) / float(c @ c)
+        if np.linalg.norm(dlt - lam[k] * c) > tol * max(np.linalg.norm(dlt), 1e-300) * 1e3:
+            raise error("across edge %r the face-vector difference is not a multiple "
+                        "of p_i x p_j" % (pair.edge,))
+    return Stress(fw.graph, lam / _lambda_per_w(fw))
+
+
+def convert(fw: Framework, obj, to: str, tol=MC_TOL):
+    """Convert a self-stress, reciprocal diagram or polyhedral lift of `fw`
+    into one of the other two; `to` is "stress", "reciprocal" or "lift".
+
+    The space of `fw` selects the construction: vertical lifts and plane
+    reciprocals in E (a reciprocal built from a stress has its base face at
+    the origin); weak or strong spherical lifts on S; Minkowski lifts with
+    every face normal in the upper light cone on H.  A stress on H is halved until the cone
+    condition holds: the lift records the factor as stress_scale, and the
+    stress recovered from that lift or its reciprocal is the scaled one.
+    """
+    if to not in ("stress", "reciprocal", "lift"):
+        raise ValueError("unknown conversion target %r" % (to,))
+    _require_mc_framework(fw)
+    closure, scale = None, 1.0
+    if isinstance(obj, Stress) and to != "stress":
+        normals, closure, scale = _face_vectors_from_stress(fw, obj, tol)
+    elif isinstance(obj, ReciprocalDiagram) and to != "reciprocal":
+        normals = _face_vectors_from_reciprocal(fw, obj)
+    elif isinstance(obj, PolyhedralLift) and to != "lift":
+        normals = _face_vectors_from_lift(fw, obj, tol)
+    else:
+        raise ValueError("cannot convert %s to %r" % (type(obj).__name__, to))
+    if to == "lift":
+        return _lift_from_face_vectors(fw, normals, tol, closure, scale)
+    if to == "reciprocal":
+        return _reciprocal_from_face_vectors(fw, normals, closure)
+    return _stress_from_face_vectors(fw, normals, tol)
 
 
 def _projective_exchange(a: np.ndarray) -> np.ndarray:
@@ -438,15 +631,7 @@ def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
             if abs(h[3]) < 1e-12:
                 raise UnremovableIncidence("radial vertex %d lies on the critical plane" % i)
             out[i] = h[:3] / h[3]
-        planes = np.zeros((fw.embedding.face_count, 3))
-        for face, cyc in enumerate(fw.embedding.faces):
-            pts = fw.coords[list(cyc), 1:]
-            zs = out[list(cyc), 2]
-            sys = np.column_stack([pts, np.ones(len(cyc))])
-            sol, *_ = np.linalg.lstsq(sys, zs, rcond=None)
-            if float(np.max(np.abs(sys @ sol - zs))) > 1e-6 * max(1.0, float(np.max(np.abs(zs)))):
-                raise NonPlanarFace("face %d not planar after conversion" % face)
-            planes[face] = sol
+        planes = _fit_vertical_planes(fw, out[:, 2], tol)
         res = PolyhedralLift(fw, LiftKind.VERTICAL, out, planes,
                              stress_scale=lift.stress_scale)
     else:
@@ -585,282 +770,3 @@ def euclid_convexity_classify(fw: Framework, stress: Stress = None,
                     ok &= lift.face_value(side, xy) >= lift.face_value(other, xy) - 1e-12
         report.lift_convex = bool(ok)
     return report
-
-
-# --- spherical / hyperbolic ----------------------------------------------------
-
-_SPH_BASE_RETRIES = 32
-_HYP_SCALE_STEPS = 60
-_BASE_SEED = 811
-
-def _lambda_values(fw: Framework, w: Stress) -> np.ndarray:
-    vals = np.zeros(fw.m)
-    for k, (i, j) in enumerate(fw.graph.edges):
-        dist = spaces.distance(fw.point(i), fw.point(j))
-        vals[k] = w.values[k] * dist / fw.space.sin_x(dist)
-    return vals
-
-
-def _walk_face_normals(fw: Framework, lam: np.ndarray, base: np.ndarray, tol):
-    """BFS the dual graph with increments lam_ij (p_i x p_j); closure-checked."""
-    nf = fw.embedding.face_count
-    normals = np.zeros((nf, 3))
-    start = _base_face(fw)
-    normals[start] = base
-    pairs = fw.embedding.dual_pairs()
-    idx = {p.edge: k for k, p in enumerate(pairs)}
-    deltas = np.zeros((fw.m, 3))
-    for k, pair in enumerate(pairs):
-        cp = cross3(fw.coords[pair.tail], fw.coords[pair.head], fw.space)
-        deltas[k] = lam[idx[pair.edge]] * cp
-    for b, pair, forward in _bfs_faces(fw, start):
-        a = pair.right if forward else pair.left
-        d = deltas[idx[pair.edge]]
-        normals[b] = normals[a] + (d if forward else -d)
-    scale = max(float(np.max(np.abs(deltas))), 1e-300)
-    worst = 0.0
-    for k, pair in enumerate(pairs):
-        resid = normals[pair.left] - normals[pair.right] - deltas[k]
-        worst = max(worst, float(np.max(np.abs(resid))))
-    if worst > tol * scale * nf:
-        raise ClosureFailure("face-normal recursion does not close (%.3g)" % worst)
-    return normals, worst
-
-
-def _incidence_values(fw: Framework, normals: np.ndarray, tol):
-    """c_i = <m_face, p_i>, checked consistent over the faces incident to i."""
-    c = np.zeros(fw.n)
-    seen = np.zeros(fw.n, dtype=bool)
-    worst = 0.0
-    scale = max(float(np.max(np.abs(normals))), 1e-300)
-    for a, cyc in enumerate(fw.embedding.faces):
-        for i in cyc:
-            val = signed_inner(normals[a], fw.coords[i], fw.space)
-            if not seen[i]:
-                c[i] = val
-                seen[i] = True
-            else:
-                worst = max(worst, abs(val - c[i]))
-    if worst > tol * scale * fw.embedding.face_count * 10:
-        raise ClosureFailure("vertex incidence values disagree (%.3g)" % worst)
-    return c
-
-
-def _curved_guard(fw: Framework, expected_kind: str):
-    _require_mc_framework(fw)
-    if expected_kind == "S" and not fw.space.is_spherical:
-        raise WrongDimension("sph_* conversions need a spherical framework")
-    if expected_kind == "H" and not fw.space.is_hyperbolic:
-        raise WrongDimension("hyp_* conversions need a hyperbolic framework")
-
-
-def sph_stress_to_lift(fw: Framework, w: Stress, base=(1.0, 0.25, -0.4),
-                       tol=MC_TOL) -> PolyhedralLift:
-    """Weak (possibly strong) spherical lift from a nowhere-zero self-stress.
-
-    The base face normal is perturbed deterministically until every
-    incidence value c_i = <m_face, p_i> is nonzero.
-    """
-    _curved_guard(fw, "S")
-    _require_self_stress(fw, w, tol)
-    _check_no_collinear_faces(fw)
-    lam = _lambda_values(fw, w)
-    base = np.asarray(base, dtype=float)
-    rng = np.random.RandomState(_BASE_SEED)
-    normals = closure = None
-    for _ in range(_SPH_BASE_RETRIES + 1):
-        normals, closure = _walk_face_normals(fw, lam, base, tol)
-        c = _incidence_values(fw, normals, tol)
-        if np.all(np.abs(c) > 1e-8 * max(float(np.max(np.abs(normals))), 1e-300)):
-            break
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        base = base + 1e-2 * max(np.linalg.norm(base), 1.0) * u
-    else:
-        raise BasePerturbationExhausted("all base perturbations leave some c_i at zero")
-    a_i = 1.0 / c
-    points = fw.coords * a_i[:, None]
-    kind = LiftKind.SPHERICAL_STRONG if np.all(a_i > 0) else LiftKind.SPHERICAL_WEAK
-    lift = PolyhedralLift(fw, kind, points, normals)
-    lift.residuals["closure"] = closure
-    lift.residuals["incidence"] = float(np.max(lift.incidence_residuals()))
-    return lift
-
-
-def _lift_normals_to_reciprocal(fw: Framework, lift: PolyhedralLift, tol):
-    positions = np.zeros_like(lift.face_planes)
-    strength = None
-    base = _base_face(fw)
-    if fw.space.is_spherical:
-        for a, m in enumerate(lift.face_planes):
-            nrm = np.linalg.norm(m)
-            if nrm < 1e-12:
-                raise OriginPlane("face %d plane passes through the origin" % a)
-            positions[a] = m / nrm
-        base_scale = float(np.linalg.norm(lift.face_planes[base]))
-        strength = "strong"
-        for a, cyc in enumerate(fw.embedding.faces):
-            for i in cyc:
-                val = signed_inner(positions[a], fw.coords[i], fw.space)
-                if abs(val) < 1e-10:
-                    raise OriginPlane("incident pair (%d, %d) at distance pi/2" % (a, i))
-                if val < 0:
-                    strength = "weak"
-    else:
-        for a, m in enumerate(lift.face_planes):
-            q = signed_inner(m, m, fw.space)
-            if q >= -1e-12 or m[0] <= 0:
-                raise ConeFailure("face %d normal is not in the upper light cone" % a)
-            positions[a] = m / np.sqrt(-q)
-        qb = signed_inner(lift.face_planes[base], lift.face_planes[base], fw.space)
-        base_scale = float(np.sqrt(-qb))
-    dual, _ = dual_graph(fw.embedding)
-    rec = ReciprocalDiagram(fw, dual, positions, strength, base_scale)
-    res = rec.perpendicularity_residuals()
-    rec.residuals["perpendicularity"] = float(np.max(res)) if res.size else 0.0
-    return rec
-
-
-def sph_lift_to_reciprocal(fw: Framework, lift: PolyhedralLift, tol=MC_TOL) -> ReciprocalDiagram:
-    """Normalize the face normals onto the sphere; strength is propagated."""
-    _curved_guard(fw, "S")
-    return _lift_normals_to_reciprocal(fw, lift, tol)
-
-
-def _curved_reciprocal_to_lift(fw: Framework, rec: ReciprocalDiagram, tol):
-    kappa = 1.0 if fw.space.is_spherical else -1.0
-    nf = fw.embedding.face_count
-    normals = np.zeros((nf, 3))
-    points = np.zeros((fw.n, 3))
-    have_pt = np.zeros(fw.n, dtype=bool)
-    start = _base_face(fw)
-    normals[start] = rec.positions[start] * rec.base_scale
-
-    def lift_vertices_of(a):
-        for i in fw.embedding.faces[a]:
-            if not have_pt[i]:
-                ip = signed_inner(normals[a], fw.coords[i], fw.space)
-                if abs(ip) < 1e-12:
-                    raise ClosureFailure(
-                        "incidence <m_%d, p_%d> = 0; reciprocal not weak" % (a, i)
-                    )
-                points[i] = fw.coords[i] * (kappa / ip)
-                have_pt[i] = True
-
-    lift_vertices_of(start)
-    for b, pair, _ in _bfs_faces(fw, start):
-        i = pair.tail if have_pt[pair.tail] else pair.head
-        if not have_pt[i]:  # pragma: no cover - BFS order guarantees one endpoint
-            raise ClosureFailure("recursion reached face %d with no lifted vertex" % b)
-        ip = signed_inner(rec.positions[b], points[i], fw.space)
-        if abs(ip) < 1e-12:
-            raise ClosureFailure("cannot scale m_%d against vertex %d" % (b, i))
-        normals[b] = rec.positions[b] * (kappa / ip)
-        lift_vertices_of(b)
-    kind = LiftKind.HYPERBOLIC_MINKOWSKI
-    if fw.space.is_spherical:
-        a_vals = np.array([
-            signed_inner(points[i], fw.coords[i], fw.space) for i in range(fw.n)
-        ])
-        kind = LiftKind.SPHERICAL_STRONG if np.all(a_vals > 0) else LiftKind.SPHERICAL_WEAK
-    lift = PolyhedralLift(fw, kind, points, normals)
-    worst = float(np.max(lift.incidence_residuals()))
-    if worst > tol * 1e3:
-        raise ClosureFailure("double lift recursion does not close (%.3g)" % worst)
-    lift.residuals["incidence"] = worst
-    if fw.space.is_hyperbolic:
-        for a, m in enumerate(normals):
-            if signed_inner(m, m, fw.space) >= 0 or m[0] <= 0:
-                raise ConeFailure("lifted face %d normal left the upper cone" % a)
-    return lift
-
-
-def sph_reciprocal_to_lift(fw: Framework, rec: ReciprocalDiagram, tol=MC_TOL) -> PolyhedralLift:
-    """Simultaneous double lift of reciprocal and framework with <m, p> = 1."""
-    _curved_guard(fw, "S")
-    return _curved_reciprocal_to_lift(fw, rec, tol)
-
-
-def _curved_lift_to_stress(fw: Framework, lift: PolyhedralLift, tol):
-    vals = np.zeros(fw.m)
-    idx = fw.graph.edge_index()
-    for pair in fw.embedding.dual_pairs():
-        cp = cross3(fw.coords[pair.tail], fw.coords[pair.head], fw.space)
-        dlt = lift.face_planes[pair.left] - lift.face_planes[pair.right]
-        denom = float(cp @ cp)
-        lam = float(dlt @ cp) / denom
-        resid = np.linalg.norm(dlt - lam * cp)
-        if resid > tol * max(np.linalg.norm(dlt), 1e-300) * 1e3:
-            raise NotMultiple(
-                "normal difference across edge %r is not parallel to p_i x p_j"
-                % (pair.edge,)
-            )
-        dist = spaces.distance(fw.point(pair.tail), fw.point(pair.head))
-        vals[idx[pair.edge]] = lam * fw.space.sin_x(dist) / dist
-    return Stress(fw.graph, vals)
-
-
-def sph_lift_to_stress(fw: Framework, lift: PolyhedralLift, tol=MC_TOL) -> Stress:
-    """Recover the self-stress from lambda_ij (p_i x p_j) = m_beta - m_alpha."""
-    _curved_guard(fw, "S")
-    return _curved_lift_to_stress(fw, lift, tol)
-
-
-def sph_stress_to_reciprocal(fw: Framework, w: Stress, base=(1.0, 0.25, -0.4),
-                             tol=MC_TOL) -> ReciprocalDiagram:
-    return sph_lift_to_reciprocal(fw, sph_stress_to_lift(fw, w, base, tol), tol)
-
-
-def sph_reciprocal_to_stress(fw: Framework, rec: ReciprocalDiagram, tol=MC_TOL) -> Stress:
-    return sph_lift_to_stress(fw, sph_reciprocal_to_lift(fw, rec, tol), tol)
-
-
-def hyp_stress_to_lift(fw: Framework, w: Stress, tol=MC_TOL) -> PolyhedralLift:
-    """Hyperbolic lift with all face normals in the upper light cone.
-
-    The base normal sits at (1, 0, 0) and the stress is halved (recorded in
-    stress_scale) until every normal is time-like on the upper sheet.
-    """
-    _curved_guard(fw, "H")
-    _require_self_stress(fw, w, tol)
-    _check_no_collinear_faces(fw)
-    base = np.array([1.0, 0.0, 0.0])
-    scale = 1.0
-    for _ in range(_HYP_SCALE_STEPS):
-        lam = _lambda_values(fw, w.scaled(scale))
-        normals, closure = _walk_face_normals(fw, lam, base, tol)
-        q = np.array([signed_inner(m, m, fw.space) for m in normals])
-        if np.all(q < -1e-10) and np.all(normals[:, 0] > 0):
-            c = _incidence_values(fw, normals, tol)
-            points = fw.coords * (-1.0 / c)[:, None]
-            lift = PolyhedralLift(fw, LiftKind.HYPERBOLIC_MINKOWSKI, points, normals,
-                                  stress_scale=scale)
-            lift.residuals["closure"] = closure
-            lift.residuals["incidence"] = float(np.max(lift.incidence_residuals()))
-            return lift
-        scale *= 0.5
-    raise ConeFailure("no stress scale places all face normals in the upper cone")
-
-
-def hyp_lift_to_reciprocal(fw: Framework, lift: PolyhedralLift, tol=MC_TOL) -> ReciprocalDiagram:
-    _curved_guard(fw, "H")
-    return _lift_normals_to_reciprocal(fw, lift, tol)
-
-
-def hyp_reciprocal_to_lift(fw: Framework, rec: ReciprocalDiagram, tol=MC_TOL) -> PolyhedralLift:
-    _curved_guard(fw, "H")
-    return _curved_reciprocal_to_lift(fw, rec, tol)
-
-
-def hyp_lift_to_stress(fw: Framework, lift: PolyhedralLift, tol=MC_TOL) -> Stress:
-    """Stress of the lift itself; divide by stress_scale to undo cone scaling."""
-    _curved_guard(fw, "H")
-    return _curved_lift_to_stress(fw, lift, tol)
-
-
-def hyp_stress_to_reciprocal(fw: Framework, w: Stress, tol=MC_TOL) -> ReciprocalDiagram:
-    return hyp_lift_to_reciprocal(fw, hyp_stress_to_lift(fw, w, tol), tol)
-
-
-def hyp_reciprocal_to_stress(fw: Framework, rec: ReciprocalDiagram, tol=MC_TOL) -> Stress:
-    return hyp_lift_to_stress(fw, hyp_reciprocal_to_lift(fw, rec, tol), tol)

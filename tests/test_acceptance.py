@@ -185,33 +185,28 @@ def test_criterion_08_maxwell_cremona_roundtrips():
     small = _scaled_to_chart(doc.framework)
 
     def check_euclid(fw, w):
-        rec = mc.euclid_stress_to_reciprocal(fw, w)
+        rec = mc.convert(fw, w, to="reciprocal")
         assert np.max(rec.perpendicularity_residuals()) <= 1e-9
-        w1 = mc.euclid_reciprocal_to_stress(fw, rec)
+        w1 = mc.convert(fw, rec, to="stress")
         scale = np.max(np.abs(w.values))
         assert np.max(np.abs(w1.values - w.values)) <= 1e-8 * scale
-        lift = mc.euclid_lift_from_reciprocal(fw, rec)
+        lift = mc.convert(fw, rec, to="lift")
         assert np.max(lift.incidence_residuals()) <= 1e-9
-        w2 = mc.euclid_reciprocal_to_stress(fw, mc.euclid_reciprocal_from_lift(fw, lift))
+        w2 = mc.convert(fw, mc.convert(fw, lift, to="reciprocal"), to="stress")
         assert np.max(np.abs(w2.values - w.values)) <= 1e-8 * scale
 
     w_small = rk.self_stress_space(small, RANK_TOL)[0]
     check_euclid(small, w_small)
 
-    for target, to_lift, to_rec, rec_to_lift, to_stress in (
-        ("S", mc.sph_stress_to_lift, mc.sph_lift_to_reciprocal,
-         mc.sph_reciprocal_to_lift, mc.sph_lift_to_stress),
-        ("H", mc.hyp_stress_to_lift, mc.hyp_lift_to_reciprocal,
-         mc.hyp_reciprocal_to_lift, mc.hyp_lift_to_stress),
-    ):
+    for target in ("S", "H"):
         fwx = tr.apply_map(tr.geodesic_map(target), small)
         w = rk.self_stress_space(fwx, RANK_TOL)[0]
-        lift = to_lift(fwx, w)
+        lift = mc.convert(fwx, w, to="lift")
         scale = lift.stress_scale
         assert np.max(lift.incidence_residuals()) <= 1e-9
-        rec = to_rec(fwx, lift)
+        rec = mc.convert(fwx, lift, to="reciprocal")
         assert np.max(rec.perpendicularity_residuals()) <= 1e-9
-        w2 = to_stress(fwx, rec_to_lift(fwx, rec))
+        w2 = mc.convert(fwx, mc.convert(fwx, rec, to="lift"), to="stress")
         ref = scale * w.values
         assert np.max(np.abs(w2.values - ref)) <= 1e-8 * np.max(np.abs(ref))
 
@@ -219,8 +214,8 @@ def test_criterion_08_maxwell_cremona_roundtrips():
     k4 = rk.gallery.fixture("k4-centroid")
     fw4 = k4.framework
     w4 = rk.stress_from_dict(fw4, k4.stress)  # interior-positive normalization
-    rec4 = mc.euclid_stress_to_reciprocal(fw4, w4)
-    lift4 = mc.euclid_lift_from_reciprocal(fw4, rec4)
+    rec4 = mc.convert(fw4, w4, to="reciprocal")
+    lift4 = mc.convert(fw4, rec4, to="lift")
     report = mc.euclid_convexity_classify(fw4, stress=w4, reciprocal=rec4, lift=lift4)
     assert report.stress_pattern is True
     assert report.reciprocal_pattern is True

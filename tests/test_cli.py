@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rigidkit as rk
 from rigidkit.cli import main
@@ -242,3 +243,135 @@ def test_analyze_factors_each_matrix_once_without_vectors(kind, monkeypatch):
     assert report.rigid and report.self_stress_count == 0
     assert not any(uv for _, uv in calls)
     assert sorted(shape for shape, _ in calls) == expected
+
+
+def _prism_in(space):
+    """prism3-concurrent with its self-stress; on S/H its image after the
+    shrink into the chart of criterion 08."""
+    fw = rk.gallery.fixture("prism3-concurrent").framework
+    if space != "E":
+        reach = float(np.max(np.abs(fw.coords[:, 1:])))
+        small = rk.apply_map(rk.affine_map(np.eye(2) * 0.45 / reach), fw)
+        fw = rk.apply_map(rk.geodesic_map(space), small)
+    return fw, rk.self_stress_space(fw)[0]
+
+
+@pytest.fixture(scope="module")
+def mc_dir(tmp_path_factory):
+    """prism-E/S/H.json with their reciprocal (rec-*.json) and lift (lift-*.json)."""
+    path = tmp_path_factory.mktemp("mc")
+    for space in "ESH":
+        fw, w = _prism_in(space)
+        rk.save_framework(path / ("prism-%s.json" % space), fw, stress=w.as_dict())
+        for direction, source in (("stress2rec", "rec"), ("stress2lift", "lift")):
+            assert run(path, "mc", "prism-%s.json" % space, "--direction", direction,
+                       "-o", "%s-%s.json" % (source, space)) == 0
+    return path
+
+
+def _object(mc_dir, source, space="E"):
+    return json.loads((mc_dir / ("%s-%s.json" % (source, space))).read_text())
+
+
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("source, corrupt", [
+    ("rec", lambda d: _without(d, "positions")),
+    ("rec", lambda d: dict(d, positions=d["positions"][:2])),
+    ("rec", lambda d: dict(d, positions=[row[:1] for row in d["positions"]])),
+    ("lift", lambda d: dict(d, kind="bogus")),
+    ("lift", lambda d: _without(d, "face_planes")),
+    ("lift", lambda d: dict(d, vertex_points=d["vertex_points"][:2])),
+    ("rec", lambda d: [d]),
+], ids=["no-positions", "positions-2-rows", "positions-rows-of-1", "bogus-kind",
+        "no-face-planes", "vertex-points-2-rows", "top-level-list"])
+def test_mc_malformed_object_is_input_error(mc_dir, source, corrupt, capsys):
+    (mc_dir / "bad.json").write_text(json.dumps(corrupt(_object(mc_dir, source))))
+    assert run(mc_dir, "mc", "prism-E.json", "--direction", "%s2stress" % source,
+               "--object", "bad.json", "-o", "out.json") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([kind.value for kind in rk.LiftKind]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mc_mutated_object_exit_codes(mc_dir, data):
+    # random key deletion, row truncation and retyping of a valid object file
+    space = data.draw(st.sampled_from("ESH"))
+    source = data.draw(st.sampled_from(["rec", "lift"]))
+    obj = _object(mc_dir, source, space)
+    key = data.draw(st.sampled_from(sorted(obj)))
+    op = data.draw(st.sampled_from(["delete", "truncate", "retype", "retype-entry"]))
+    value = obj[key]
+    if op == "delete":
+        del obj[key]
+    elif op == "retype":
+        obj[key] = data.draw(_JSON_VALUES)
+    elif isinstance(value, list) and value:
+        if op == "truncate":
+            obj[key] = value[:data.draw(st.integers(0, len(value) - 1))]
+        else:
+            row = data.draw(st.integers(0, len(value) - 1))
+            if isinstance(value[row], list) and data.draw(st.booleans()):
+                value[row][data.draw(st.integers(0, len(value[row]) - 1))] = \
+                    data.draw(_JSON_VALUES)
+            else:
+                value[row] = data.draw(_JSON_VALUES)
+    (mc_dir / "mutated.json").write_text(json.dumps(obj))
+    target = data.draw(st.sampled_from(["stress", "lift" if source == "rec" else "rec"]))
+    code = run(mc_dir, "mc", "prism-%s.json" % space, "--direction",
+               "%s2%s" % (source, target), "--object", "mutated.json", "-o", "out.json")
+    assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("direction", ["stress2rec", "rec2stress", "stress2lift",
+                                       "lift2rec", "rec2lift", "lift2stress"])
+def test_mc_checks_3_connectivity_once_per_call(mc_dir, direction, monkeypatch):
+    # the conversion's precondition and the convexity summary share one verdict
+    from rigidkit import graphs
+    real = graphs._three_connected_brute_force
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "_three_connected_brute_force", counted)
+    source = direction.split("2")[0]
+    argv = ["mc", "prism-E.json", "--direction", direction, "-o", "out.json"]
+    if source != "stress":
+        argv += ["--object", "%s-E.json" % source]
+    assert run(mc_dir, *argv) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("space", ["E", "S", "H"])
+def test_mc_all_directions(mc_dir, space):
+    fw, w = _prism_in(space)
+    rec, lift = _object(mc_dir, "rec", space), _object(mc_dir, "lift", space)
+
+    def mc(direction, source):
+        assert run(mc_dir, "mc", "prism-%s.json" % space, "--direction", direction,
+                   "--object", "%s-%s.json" % (source, space), "-o", "out.json") == 0
+        return json.loads((mc_dir / "out.json").read_text())
+
+    assert lift["kind"] in {"E": ("vertical",), "S": ("spherical-weak", "spherical-strong"),
+                            "H": ("hyperbolic-minkowski",)}[space]
+    ref = lift["stress_scale"] * w.values
+    for stress in (mc("rec2stress", "rec")["stress"], mc("lift2stress", "lift")["stress"]):
+        got = np.array([stress["%d-%d" % e] for e in fw.graph.edges])
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+    assert np.allclose(mc("lift2rec", "lift")["positions"], rec["positions"], atol=1e-9)
+    relifted = mc("rec2lift", "rec")
+    assert relifted["kind"] == lift["kind"]
+    assert np.allclose(relifted["face_planes"], lift["face_planes"], atol=1e-9)

@@ -42,56 +42,58 @@ def _curved_prism(kind):
 
 def test_euclid_reciprocal_perpendicular(prism):
     fw, w = prism
-    rec = mc.euclid_stress_to_reciprocal(fw, w)
+    rec = mc.convert(fw, w, to="reciprocal")
     assert np.max(rec.perpendicularity_residuals()) <= 1e-10
     assert rec.residuals["closure"] <= 1e-10
 
 
 def test_euclid_stress_roundtrip(prism):
     fw, w = prism
-    rec = mc.euclid_stress_to_reciprocal(fw, w, base=(1.3, -0.4))
-    w2 = mc.euclid_reciprocal_to_stress(fw, rec)
+    rec = mc.convert(fw, w, to="reciprocal")
+    # a nonzero gauge: the reciprocal's base face away from the origin
+    moved = mc.ReciprocalDiagram(fw, rec.dual, rec.positions + np.array([1.3, -0.4]))
+    w2 = mc.convert(fw, moved, to="stress")
     assert np.max(np.abs(w2.values - w.values)) <= 1e-12 * np.max(np.abs(w.values))
 
 
 def test_euclid_reciprocal_translation_invariance(prism):
     fw, w = prism
-    rec = mc.euclid_stress_to_reciprocal(fw, w, base=(0.0, 0.0))
+    rec = mc.convert(fw, w, to="reciprocal")
     moved = mc.ReciprocalDiagram(fw, rec.dual, rec.positions + np.array([5.0, -2.0]))
-    w2 = mc.euclid_reciprocal_to_stress(fw, moved)
+    w2 = mc.convert(fw, moved, to="stress")
     assert np.allclose(w2.values, w.values)
 
 
 def test_euclid_reciprocal_scaling_linearity(prism):
     fw, w = prism
-    rec1 = mc.euclid_stress_to_reciprocal(fw, w, base=(0.0, 0.0))
-    rec3 = mc.euclid_stress_to_reciprocal(fw, w.scaled(3.0), base=(0.0, 0.0))
+    rec1 = mc.convert(fw, w, to="reciprocal")
+    rec3 = mc.convert(fw, w.scaled(3.0), to="reciprocal")
     assert np.allclose(rec3.positions, 3.0 * rec1.positions)
 
 
 def test_euclid_reciprocal_perturbed_rejected(prism):
     fw, w = prism
-    rec = mc.euclid_stress_to_reciprocal(fw, w)
+    rec = mc.convert(fw, w, to="reciprocal")
     bad = rec.positions.copy()
     bad[2] += np.array([0.05, 0.02])
     with pytest.raises(NotPerpendicular):
-        mc.euclid_reciprocal_to_stress(fw, mc.ReciprocalDiagram(fw, rec.dual, bad))
+        mc.convert(fw, mc.ReciprocalDiagram(fw, rec.dual, bad), to="stress")
 
 
 def test_euclid_lift_roundtrip(prism):
     fw, w = prism
-    rec = mc.euclid_stress_to_reciprocal(fw, w)
-    lift = mc.euclid_lift_from_reciprocal(fw, rec)
+    rec = mc.convert(fw, w, to="reciprocal")
+    lift = mc.convert(fw, rec, to="lift")
     assert np.max(lift.incidence_residuals()) <= 1e-10
-    rec2 = mc.euclid_reciprocal_from_lift(fw, lift)
-    w2 = mc.euclid_reciprocal_to_stress(fw, rec2)
+    rec2 = mc.convert(fw, lift, to="reciprocal")
+    w2 = mc.convert(fw, rec2, to="stress")
     assert np.max(np.abs(w2.values - w.values)) <= 1e-8 * np.max(np.abs(w.values))
 
 
 def test_euclid_lift_gauge_freedom(prism):
     # adding a global linear function shifts the lift, keeps faces planar
     fw, w = prism
-    lift = mc.euclid_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     shifted_points = lift.vertex_points.copy()
     shifted_planes = lift.face_planes.copy()
     g = np.array([0.3, -0.7])
@@ -100,13 +102,13 @@ def test_euclid_lift_gauge_freedom(prism):
     shifted_planes[:, 2] += 2.0
     shifted = mc.PolyhedralLift(fw, mc.LiftKind.VERTICAL, shifted_points, shifted_planes)
     assert np.max(shifted.incidence_residuals()) <= 1e-9
-    w2 = mc.euclid_lift_to_stress(fw, shifted)
+    w2 = mc.convert(fw, shifted, to="stress")
     assert np.allclose(w2.values, w.values)
 
 
 def test_k4_lift_is_tetrahedron(k4):
     fw, w = k4
-    lift = mc.euclid_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     # apex over the centroid: the three interior faces share the apex height
     heights = lift.heights()
     assert np.max(lift.incidence_residuals()) <= 1e-10
@@ -118,7 +120,7 @@ def test_not_self_stress_rejected(prism):
     fw, w = prism
     bad = rk.Stress(fw.graph.edges, w.values + 0.05)
     with pytest.raises(NotSelfStress):
-        mc.euclid_stress_to_reciprocal(fw, bad)
+        mc.convert(fw, bad, to="reciprocal")
 
 
 def test_zero_on_edge_rejected(k4):
@@ -126,14 +128,14 @@ def test_zero_on_edge_rejected(k4):
     # the zero stress resolves the zero load but vanishes on edges
     zero = rk.Stress(fw.graph.edges, np.zeros(fw.m))
     with pytest.raises(ZeroOnEdge):
-        mc.euclid_stress_to_reciprocal(fw, zero)
+        mc.convert(fw, zero, to="reciprocal")
 
 
 def test_requires_3_connected():
     fw = rk.gallery.fixture("triangle").framework
     w = rk.Stress(fw.graph.edges, np.ones(3))
     with pytest.raises(GraphError):
-        mc.euclid_stress_to_reciprocal(fw, w)
+        mc.convert(fw, w, to="reciprocal")
 
 
 def test_collinear_face_rejected(k4):
@@ -144,12 +146,12 @@ def test_collinear_face_rejected(k4):
     flat = rk.build_framework(fw.graph, fw.space, coords, fw.embedding)
     rec = mc.ReciprocalDiagram(flat, rk.dual_graph(fw.embedding)[0], np.zeros((4, 2)))
     with pytest.raises(CollinearFace):
-        mc.euclid_lift_from_reciprocal(flat, rec)
+        mc.convert(flat, rec, to="lift")
 
 
 def test_radial_vertical_roundtrip(prism):
     fw, w = prism
-    lift = mc.euclid_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     a = np.array([0.5, 0.25, 7.0])
     radial = mc.radial_vertical_convert(fw, lift, a)
     assert radial.kind is mc.LiftKind.RADIAL
@@ -157,13 +159,13 @@ def test_radial_vertical_roundtrip(prism):
     back = mc.radial_vertical_convert(fw, radial, a)
     assert back.kind is mc.LiftKind.VERTICAL
     assert back.residuals["projection"] <= 1e-10
-    w2 = mc.euclid_lift_to_stress(fw, back)
+    w2 = mc.convert(fw, back, to="stress")
     assert np.allclose(w2.values, w.values, atol=1e-8)
 
 
 def test_radial_vertical_autoshift(prism):
     fw, w = prism
-    lift = mc.euclid_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     # place the center's plane exactly at one lifted vertex: needs the shift
     heights = lift.heights()
     z = float(heights[np.argmax(np.abs(heights))])
@@ -173,14 +175,14 @@ def test_radial_vertical_autoshift(prism):
 
 def test_convexity_classification_k4(k4):
     fw, w = k4
-    rec = mc.euclid_stress_to_reciprocal(fw, w)
-    lift = mc.euclid_lift_from_reciprocal(fw, rec)
+    rec = mc.convert(fw, w, to="reciprocal")
+    lift = mc.convert(fw, rec, to="lift")
     report = mc.euclid_convexity_classify(fw, stress=w, reciprocal=rec, lift=lift)
     assert report.stress_pattern and report.reciprocal_pattern and report.lift_convex
     # negated stress: concave lift, everything flips to False
     neg = w.scaled(-1.0)
-    rec_n = mc.euclid_stress_to_reciprocal(fw, neg)
-    lift_n = mc.euclid_lift_from_reciprocal(fw, rec_n)
+    rec_n = mc.convert(fw, neg, to="reciprocal")
+    lift_n = mc.convert(fw, rec_n, to="lift")
     report_n = mc.euclid_convexity_classify(fw, stress=neg, reciprocal=rec_n, lift=lift_n)
     assert not (report_n.stress_pattern or report_n.reciprocal_pattern or
                 report_n.lift_convex)
@@ -188,8 +190,8 @@ def test_convexity_classification_k4(k4):
 
 def test_convexity_classification_prism(prism):
     fw, w = prism
-    rec = mc.euclid_stress_to_reciprocal(fw, w)
-    lift = mc.euclid_lift_from_reciprocal(fw, rec)
+    rec = mc.convert(fw, w, to="reciprocal")
+    lift = mc.convert(fw, rec, to="lift")
     report = mc.euclid_convexity_classify(fw, stress=w, reciprocal=rec, lift=lift)
     # convex-cap shape: all three equivalent conditions agree (positively)
     assert report.stress_pattern is True
@@ -212,32 +214,32 @@ def test_convexity_requires_embedding(k4):
 
 def test_sph_lift_and_reciprocal():
     fw, w = _curved_prism("S")
-    lift = mc.sph_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     assert np.max(lift.incidence_residuals()) <= 1e-9
     # lambda validation per edge: lambda_ij = w_ij d / sin d
-    rec = mc.sph_lift_to_reciprocal(fw, lift)
+    rec = mc.convert(fw, lift, to="reciprocal")
     assert np.max(rec.perpendicularity_residuals()) <= 1e-9
     assert rec.strength in ("weak", "strong")
 
 
 def test_sph_roundtrips():
     fw, w = _curved_prism("S")
-    lift = mc.sph_stress_to_lift(fw, w)
-    w_back = mc.sph_lift_to_stress(fw, lift)
+    lift = mc.convert(fw, w, to="lift")
+    w_back = mc.convert(fw, lift, to="stress")
     assert np.max(np.abs(w_back.values - w.values)) <= 1e-9 * np.max(np.abs(w.values))
-    rec = mc.sph_lift_to_reciprocal(fw, lift)
-    lift2 = mc.sph_reciprocal_to_lift(fw, rec)
-    w2 = mc.sph_lift_to_stress(fw, lift2)
+    rec = mc.convert(fw, lift, to="reciprocal")
+    lift2 = mc.convert(fw, rec, to="lift")
+    w2 = mc.convert(fw, lift2, to="stress")
     assert np.max(np.abs(w2.values - w.values)) <= 1e-8 * np.max(np.abs(w.values))
 
 
 def test_sph_strength_propagation():
     fw, w = _curved_prism("S")
-    lift = mc.sph_stress_to_lift(fw, w)
-    rec = mc.sph_lift_to_reciprocal(fw, lift)
+    lift = mc.convert(fw, w, to="lift")
+    rec = mc.convert(fw, lift, to="reciprocal")
     if lift.kind is mc.LiftKind.SPHERICAL_STRONG:
         assert rec.strength == "strong"
-        lift2 = mc.sph_reciprocal_to_lift(fw, rec)
+        lift2 = mc.convert(fw, rec, to="lift")
         assert lift2.kind is mc.LiftKind.SPHERICAL_STRONG
     else:
         assert rec.strength == "weak"
@@ -245,7 +247,7 @@ def test_sph_strength_propagation():
 
 def test_sph_corrupt_reciprocal_fails():
     fw, w = _curved_prism("S")
-    rec = mc.sph_stress_to_reciprocal(fw, w)
+    rec = mc.convert(fw, w, to="reciprocal")
     bad = rec.positions.copy()
     # replace one dual vertex with a rotated point: breaks reciprocity
     th = 0.3
@@ -253,12 +255,24 @@ def test_sph_corrupt_reciprocal_fails():
     bad[2] = rot @ bad[2]
     broken = mc.ReciprocalDiagram(fw, rec.dual, bad, rec.strength, rec.base_scale)
     with pytest.raises((ClosureFailure, mc.NotMultiple)):
-        mc.sph_lift_to_stress(fw, mc.sph_reciprocal_to_lift(fw, broken))
+        mc.convert(fw, mc.convert(fw, broken, to="lift"), to="stress")
+
+
+@pytest.mark.parametrize("kind", ["S", "H"])
+def test_curved_conversion_rejects_foreign_lift_kind(kind):
+    # only spherical (resp. hyperbolic) lifts carry face normals on S (resp. H)
+    fw, w = _curved_prism(kind)
+    lift = mc.convert(fw, w, to="lift")
+    planes = np.column_stack([lift.face_planes, np.ones(fw.embedding.face_count)])
+    radial = mc.PolyhedralLift(fw, mc.LiftKind.RADIAL, lift.vertex_points, planes)
+    for to in ("stress", "reciprocal"):
+        with pytest.raises(mc.WrongDimension):
+            mc.convert(fw, radial, to=to)
 
 
 def test_sph_lambda_matches_stress_extraction():
     fw, w = _curved_prism("S")
-    lift = mc.sph_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     for pair in fw.embedding.dual_pairs():
         i, j = pair.tail, pair.head
         dlt = lift.face_planes[pair.left] - lift.face_planes[pair.right]
@@ -273,7 +287,7 @@ def test_sph_lambda_matches_stress_extraction():
 
 def test_hyp_lift_space_like_faces():
     fw, w = _curved_prism("H")
-    lift = mc.hyp_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     for m in lift.face_planes:
         assert rk.signed_inner(m, m, fw.space) < 0  # time-like normal
         assert m[0] > 0
@@ -286,15 +300,15 @@ def test_hyp_lift_space_like_faces():
 
 def test_hyp_roundtrips():
     fw, w = _curved_prism("H")
-    lift = mc.hyp_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     scale = lift.stress_scale
-    w_back = mc.hyp_lift_to_stress(fw, lift)
+    w_back = mc.convert(fw, lift, to="stress")
     assert np.max(np.abs(w_back.values - scale * w.values)) <= \
         1e-9 * np.max(np.abs(scale * w.values))
-    rec = mc.hyp_lift_to_reciprocal(fw, lift)
+    rec = mc.convert(fw, lift, to="reciprocal")
     assert np.max(rec.perpendicularity_residuals()) <= 1e-9
-    lift2 = mc.hyp_reciprocal_to_lift(fw, rec)
-    w2 = mc.hyp_lift_to_stress(fw, lift2)
+    lift2 = mc.convert(fw, rec, to="lift")
+    w2 = mc.convert(fw, lift2, to="stress")
     assert np.max(np.abs(w2.values - scale * w.values)) <= \
         1e-8 * np.max(np.abs(scale * w.values))
 
@@ -302,7 +316,7 @@ def test_hyp_roundtrips():
 def test_hyp_quadrilateral_orthogonality_identity():
     # diagonals orthogonal iff cosh a cosh c = cosh b cosh d
     fw, w = _curved_prism("H")
-    rec = mc.hyp_stress_to_reciprocal(fw, w)
+    rec = mc.convert(fw, w, to="reciprocal")
     for pair in fw.embedding.dual_pairs():
         pi = fw.point(pair.tail)
         pj = fw.point(pair.head)
@@ -319,7 +333,7 @@ def test_hyp_quadrilateral_orthogonality_identity():
 def test_euclid_quadrilateral_orthogonality_identity(prism):
     # Euclidean analogue: a^2 + c^2 = b^2 + d^2
     fw, w = prism
-    rec = mc.euclid_stress_to_reciprocal(fw, w)
+    rec = mc.convert(fw, w, to="reciprocal")
     for pair in fw.embedding.dual_pairs():
         pi = fw.coords[pair.tail, 1:]
         pj = fw.coords[pair.head, 1:]
@@ -332,10 +346,10 @@ def test_euclid_quadrilateral_orthogonality_identity(prism):
 
 def test_object_serialization_roundtrip(prism, tmp_path):
     fw, w = prism
-    rec = mc.euclid_stress_to_reciprocal(fw, w)
+    rec = mc.convert(fw, w, to="reciprocal")
     rec2 = mc.reciprocal_from_dict(fw, rec.to_dict())
     assert np.array_equal(rec2.positions, rec.positions)
-    lift = mc.euclid_stress_to_lift(fw, w)
+    lift = mc.convert(fw, w, to="lift")
     lift2 = mc.lift_from_dict(fw, lift.to_dict())
     assert np.array_equal(lift2.vertex_points, lift.vertex_points)
     assert lift2.kind is lift.kind
@@ -349,12 +363,12 @@ def test_constant_lift_rejected(prism):
     planes[:, 2] = 2.0
     flat = mc.PolyhedralLift(fw, mc.LiftKind.VERTICAL, points, planes)
     with pytest.raises(mc.NonPlanarFace):
-        mc.euclid_reciprocal_from_lift(fw, flat)
+        mc.convert(fw, flat, to="reciprocal")
 
 
 def test_k4_reciprocal_is_dual_tetrahedron_projection(k4):
     fw, w = k4
-    rec = mc.euclid_stress_to_reciprocal(fw, w)
+    rec = mc.convert(fw, w, to="reciprocal")
     assert rec.positions.shape == (4, 2)          # one dual vertex per face
     assert rec.dual.vertex_count == 4
     # K4 is self-dual: the dual graph is K4 again

@@ -45,13 +45,13 @@ def test_wheel_conversion_loops(seed):
         w = basis[0]
         assert np.min(np.abs(w.values)) > 1e-8
         scale = np.max(np.abs(w.values))
-        rec = mc.euclid_stress_to_reciprocal(fw, w)
+        rec = mc.convert(fw, w, to="reciprocal")
         assert np.max(rec.perpendicularity_residuals()) <= 1e-9
-        w2 = mc.euclid_reciprocal_to_stress(fw, rec)
+        w2 = mc.convert(fw, rec, to="stress")
         assert np.max(np.abs(w2.values - w.values)) <= 1e-9 * scale
-        lift = mc.euclid_lift_from_reciprocal(fw, rec)
+        lift = mc.convert(fw, rec, to="lift")
         assert np.max(lift.incidence_residuals()) <= 1e-9
-        w3 = mc.euclid_lift_to_stress(fw, lift)
+        w3 = mc.convert(fw, lift, to="stress")
         assert np.max(np.abs(w3.values - w.values)) <= 1e-8 * scale
         # curved loops on the shrunk copy
         small = tr.apply_map(tr.affine_map(np.eye(2) * 0.3), fw)
@@ -59,16 +59,10 @@ def test_wheel_conversion_loops(seed):
             fx = tr.apply_map(tr.geodesic_map(target), small)
             wx = rk.self_stress_space(fx)[0]
             ref_scale = np.max(np.abs(wx.values))
-            if target == "S":
-                liftx = mc.sph_stress_to_lift(fx, wx)
-                factor = 1.0
-                recx = mc.sph_lift_to_reciprocal(fx, liftx)
-                wx2 = mc.sph_lift_to_stress(fx, mc.sph_reciprocal_to_lift(fx, recx))
-            else:
-                liftx = mc.hyp_stress_to_lift(fx, wx)
-                factor = liftx.stress_scale
-                recx = mc.hyp_lift_to_reciprocal(fx, liftx)
-                wx2 = mc.hyp_lift_to_stress(fx, mc.hyp_reciprocal_to_lift(fx, recx))
+            liftx = mc.convert(fx, wx, to="lift")
+            factor = liftx.stress_scale  # 1 on S; the cone halving on H
+            recx = mc.convert(fx, liftx, to="reciprocal")
+            wx2 = mc.convert(fx, mc.convert(fx, recx, to="lift"), to="stress")
             assert np.max(recx.perpendicularity_residuals()) <= 1e-9
             assert np.max(np.abs(wx2.values - factor * wx.values)) <= \
                 1e-8 * factor * ref_scale
@@ -92,8 +86,8 @@ def test_wheel_classification_booleans_agree(seed):
         hub_edge = (0, fw.n - 1)
         if w[hub_edge] < 0:
             w = w.scaled(-1.0)
-        rec = mc.euclid_stress_to_reciprocal(fw, w)
-        lift = mc.euclid_lift_from_reciprocal(fw, rec)
+        rec = mc.convert(fw, w, to="reciprocal")
+        lift = mc.convert(fw, rec, to="lift")
         report = mc.euclid_convexity_classify(fw, stress=w, reciprocal=rec, lift=lift)
         assert report.stress_pattern == report.reciprocal_pattern == report.lift_convex
         assert report.stress_pattern is True
