@@ -4,9 +4,10 @@ Every SVD in the package goes through :func:`svd`: when LAPACK does not
 converge on a matrix it retries once on the transpose, and a second failure
 raises :class:`NumericalError`.  Every rank decision of a linear map applies
 the threshold convention sigma > tol * sigma_max * max(m, n) of
-:func:`_svd_rank`, so it can be overridden in one place; the Maxwell-Cremona
-collinear-face test is the one geometric check that counts these singular
-values against an absolute cutoff instead.  Counts come from one values-only
+:func:`_svd_rank` (m and n count the rows and columns that are not zero), so
+it can be overridden in one place; the Maxwell-Cremona collinear-face test is
+the one geometric check that counts these singular values against an
+absolute cutoff instead.  Counts come from one values-only
 SVD per matrix (:func:`spectrum`); singular vectors are requested only where
 a basis is wanted (:func:`nullspace`, :func:`column_space`, and the plane
 fits of the Maxwell-Cremona lifts).
@@ -53,11 +54,18 @@ def svd(a, full_matrices=True, compute_uv=True):
     return vt.T, s, u.T
 
 
-def _svd_rank(s, shape, tol):
-    """(cutoff, rank) for descending singular values `s` of a matrix of `shape`."""
+def _svd_rank(s, a, tol):
+    """(cutoff, rank) for descending singular values `s` of the matrix `a`.
+
+    max(m, n) counts only rows and columns that are not identically zero, so
+    zero padding, which leaves the singular values alone, leaves the rank
+    alone too: the Euclidean resolution matrix (the transposed rigidity
+    operator plus n zero rows) gets the operator's rank.
+    """
     if s.size == 0 or s[0] == 0.0:
         return 0.0, 0
-    cutoff = tol * s[0] * max(shape)
+    cutoff = tol * s[0] * max(np.count_nonzero(np.any(a, axis=1)),
+                              np.count_nonzero(np.any(a, axis=0)))
     return cutoff, int(np.sum(s > cutoff))
 
 
@@ -81,7 +89,7 @@ def spectrum(a, tol=RANK_TOL) -> Spectrum:
     """One values-only SVD of `a`: its singular values, cutoff and rank."""
     a = _as_matrix(a)
     s = np.zeros(0) if a.size == 0 else svd(a, compute_uv=False)
-    cutoff, rank = _svd_rank(s, a.shape, tol)
+    cutoff, rank = _svd_rank(s, a, tol)
     return Spectrum(s, cutoff, rank)
 
 
@@ -90,7 +98,7 @@ def singular_values(a):
 
 
 def numerical_rank(a, tol=RANK_TOL):
-    """Rank of `a`: number of singular values above tol * sigma_max * max(m, n)."""
+    """Rank of `a`: number of singular values above the `_svd_rank` cutoff."""
     return spectrum(a, tol).rank
 
 
@@ -107,7 +115,7 @@ def nullspace(a, tol=RANK_TOL):
     if m == 0 or not np.any(a):
         return np.eye(n)
     _, s, vt = svd(a)
-    return vt[_svd_rank(s, a.shape, tol)[1]:]
+    return vt[_svd_rank(s, a, tol)[1]:]
 
 
 def column_space(a, tol=RANK_TOL):
@@ -116,7 +124,7 @@ def column_space(a, tol=RANK_TOL):
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
     u, s, _ = svd(a, full_matrices=False)
-    return u[:, : _svd_rank(s, a.shape, tol)[1]]
+    return u[:, : _svd_rank(s, a, tol)[1]]
 
 
 def smallest_singular_values(a, k=2):

@@ -163,7 +163,8 @@ class BasePerturbationExhausted(MaxwellCremonaError):
 # --- numerics --------------------------------------------------------------
 
 class NumericalError(RigidkitError):
-    """A LAPACK factorization failed to converge, also on the fallback route."""
+    """A LAPACK factorization failed to converge, also on the fallback route,
+    or two independent rank computations disagree."""
 
 
 # --- reports ---------------------------------------------------------------

@@ -5,6 +5,7 @@ interchange format used by the CLI and the example gallery.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,9 @@ class Framework:
     def point(self, i: int) -> ModelPoint:
         return ModelPoint(self.space, self.coords[i])
 
-    def points(self):
-        return [self.point(i) for i in range(self.n)]
-
     def spatial(self) -> np.ndarray:
         """Spatial coordinates (drops the homogeneous column; Euclidean only)."""
         return self.coords[:, 1:]
-
-    def with_embedding(self, embedding: PlanarEmbedding) -> "Framework":
-        return Framework(self.graph, self.space, self.coords, embedding)
 
     def __repr__(self):
         return "Framework(%s, n=%d, m=%d)" % (self.space, self.n, self.m)
@@ -78,9 +73,6 @@ class EdgeLengthMap:
 
     def __iter__(self):
         return iter(self.edges)
-
-    def value_set(self, decimals=9):
-        return sorted(set(np.round(self.values, decimals)))
 
 
 def build_framework(g: Graph, space: Space, coords, embedding=None,
@@ -113,8 +105,9 @@ def build_framework(g: Graph, space: Space, coords, embedding=None,
 
 
 def edge_lengths(fw: Framework) -> EdgeLengthMap:
-    vals = [spaces.distance(fw.point(i), fw.point(j)) for i, j in fw.graph.edges]
-    return EdgeLengthMap(fw.graph.edges, vals)
+    i, j = fw.graph.ends
+    lengths = spaces.distances(fw.coords[i], fw.coords[j], fw.space)
+    return EdgeLengthMap(fw.graph.edges, lengths)
 
 
 def is_isometric(fw1: Framework, fw2: Framework, tol=1e-9) -> bool:
@@ -180,33 +173,41 @@ def framework_to_dict(fw: Framework, stress=None, load=None, field=None,
     return d
 
 
+def _indices(values) -> list:
+    """JSON integers as ints; a float, string or other value raises TypeError."""
+    return [operator.index(v) for v in values]
+
+
 def framework_from_dict(data: dict, eps=EPS_MODEL) -> FrameworkDocument:
     try:
         space = spaces.space_from_code(data["space"], int(data["dim"]))
-        g = graph(len(data["vertices"]), [tuple(e) for e in data["edges"]])
-    except (KeyError, ValueError, TypeError) as exc:
+        vertices = [np.asarray(row, dtype=float) for row in data["vertices"]]
+        g = graph(len(vertices), [tuple(_indices(e)) for e in data["edges"]])
+        faces = [_indices(f) for f in data["faces"]] if "faces" in data else None
+        exterior = data.get("exterior_face")
+        exterior = None if faces is None or exterior is None else operator.index(exterior)
+        stress = None
+        if "stress" in data:
+            stress = {}
+            for key, w in data["stress"].items():
+                i, j = (int(t) for t in key.split("-"))
+                stress[(i, j)] = float(w)
+        arrays = {name: np.array(data[name], dtype=float)
+                  for name in ("load", "field") if name in data}
+    except (AttributeError, KeyError, OverflowError, ValueError, TypeError) as exc:
         raise GraphError("malformed framework data: %s" % exc) from None
-    embedding = None
-    if "faces" in data:
-        embedding = validate_embedding(g, data["faces"], data.get("exterior_face"))
-    fw = build_framework(g, space, data["vertices"], embedding, eps=eps)
+    embedding = None if faces is None else validate_embedding(g, faces, exterior)
+    fw = build_framework(g, space, vertices, embedding, eps=eps)
     doc = FrameworkDocument(fw, description=data.get("description"))
-    if "stress" in data:
-        stress = {}
-        for key, w in data["stress"].items():
-            i, j = (int(t) for t in key.split("-"))
+    if stress is not None:
+        for i, j in stress:
             if not g.has_edge(i, j):
-                raise GraphError("stress on non-edge %s" % key)
-            stress[canonical_edge(i, j)] = float(w)
-        doc.stress = stress
-    for name in ("load", "field"):
-        if name in data:
-            arr = np.array(data[name], dtype=float)
-            if arr.shape != (fw.n, space.ambient_dim):
-                raise GraphError(
-                    "%s must be %d ambient (d+1)-vectors" % (name, fw.n)
-                )
-            setattr(doc, name, arr)
+                raise GraphError("stress on non-edge %d-%d" % (i, j))
+        doc.stress = {canonical_edge(i, j): w for (i, j), w in stress.items()}
+    for name, arr in arrays.items():
+        if arr.shape != (fw.n, space.ambient_dim):
+            raise GraphError("%s must be %d ambient (d+1)-vectors" % (name, fw.n))
+        setattr(doc, name, arr)
     return doc
 
 

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
+import numpy as np
+
 from .errors import (
     EdgeFaceMismatch,
     EulerViolation,
@@ -58,6 +60,13 @@ class Graph:
         Built once per graph and shared by every caller, hence read-only.
         """
         return self._edge_index
+
+    @cached_property
+    def ends(self) -> tuple:
+        """(tails, heads): the edge order as two index arrays, built once."""
+        tails, heads = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        tails.flags.writeable = heads.flags.writeable = False
+        return tails, heads
 
     @cached_property
     def _three_connected(self) -> bool:
@@ -261,9 +270,6 @@ class PlanarEmbedding:
         Built once per embedding and shared by every caller, hence a tuple.
         """
         return self._dual_pairs
-
-    def faces_at_vertex(self, i) -> list:
-        return [a for a, cyc in enumerate(self.faces) if i in cyc]
 
 
 def validate_embedding(g: Graph, faces, exterior_face=None) -> PlanarEmbedding:

@@ -84,12 +84,11 @@ def _unflatten(fw: Framework, flat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RigidityOperator:
-    """Linearized edge constraints as a matrix with labeled rows and columns."""
+    """Linearized edge constraints: one row per edge, then (S/H) one tangency
+    row per vertex."""
 
     framework: Framework
     matrix: np.ndarray
-    row_labels: tuple
-    col_labels: tuple
 
     @property
     def edge_rows(self) -> np.ndarray:
@@ -118,9 +117,7 @@ def rigidity_operator(fw: Framework) -> RigidityOperator:
             diff = fw.coords[i, 1:] - fw.coords[j, 1:]
             mat[r, i * d : (i + 1) * d] = diff
             mat[r, j * d : (j + 1) * d] = -diff
-        rows = tuple(("edge", e) for e in fw.graph.edges)
-        cols_lbl = tuple((i, a + 1) for i in range(n) for a in range(d))
-        return RigidityOperator(fw, mat, rows, cols_lbl)
+        return RigidityOperator(fw, mat)
     amb = fw.space.ambient_dim
     g = fw.space.metric_signs
     mat = np.zeros((m + n, n * amb))
@@ -129,11 +126,7 @@ def rigidity_operator(fw: Framework) -> RigidityOperator:
         mat[r, j * amb : (j + 1) * amb] = g * fw.coords[i]
     for i in range(n):
         mat[m + i, i * amb : (i + 1) * amb] = g * fw.coords[i]
-    rows = tuple(("edge", e) for e in fw.graph.edges) + tuple(
-        ("tangency", i) for i in range(n)
-    )
-    cols_lbl = tuple((i, a) for i in range(n) for a in range(amb))
-    return RigidityOperator(fw, mat, rows, cols_lbl)
+    return RigidityOperator(fw, mat)
 
 
 def motion_space(fw: Framework, tol=RANK_TOL) -> list:

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import _linalg, spaces, statics
+from . import _linalg, statics
 from .errors import (
     ClosureFailure,
     CollinearFace,
@@ -332,14 +332,6 @@ def _fit_vertical_planes(fw: Framework, heights: np.ndarray, tol) -> np.ndarray:
     return planes
 
 
-def _lambda_per_w(fw: Framework) -> np.ndarray:
-    """lambda_ij / w_ij per edge: 1 in E, d / sin d on S/H (d the edge length)."""
-    if fw.space.is_euclidean:
-        return np.ones(fw.m)
-    dist = np.array([spaces.distance(fw.point(i), fw.point(j)) for i, j in fw.graph.edges])
-    return dist / fw.space.sin_x(dist)
-
-
 def _incidence_values(fw: Framework, normals: np.ndarray, tol):
     """c_i = <M_a, p_i>, checked equal over the faces incident to i.
 
@@ -386,7 +378,7 @@ def _stress_walk(fw: Framework, lam: np.ndarray, base: np.ndarray, tol):
 def _face_vectors_from_stress(fw: Framework, w: Stress, tol):
     """(M, closure residual, stress scale) of a nowhere-zero self-stress."""
     _require_self_stress(fw, w, tol)
-    lam = w.values * _lambda_per_w(fw)
+    lam = w.values * statics.edge_factors(fw)[0]
     base = np.array(_BASE_VECTOR[fw.space.kind.value])
     if fw.space.is_spherical:
         # Perturb the base normal deterministically until every c_i is nonzero.
@@ -550,7 +542,7 @@ def _stress_from_face_vectors(fw: Framework, normals: np.ndarray, tol) -> Stress
         if np.linalg.norm(dlt - lam[k] * c) > tol * max(np.linalg.norm(dlt), 1e-300) * 1e3:
             raise error("across edge %r the face-vector difference is not a multiple "
                         "of p_i x p_j" % (pair.edge,))
-    return Stress(fw.graph, lam / _lambda_per_w(fw))
+    return Stress(fw.graph, lam / statics.edge_factors(fw)[0])
 
 
 def convert(fw: Framework, obj, to: str, tol=MC_TOL):

@@ -256,6 +256,25 @@ def tangent_basis(p: ModelPoint) -> np.ndarray:
     return np.array(basis)
 
 
+def distances(p, q, space: Space) -> np.ndarray:
+    """Row-wise geodesic distances between two (k, d+1) arrays of model points."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if space.is_euclidean:
+        return np.linalg.norm(p - q, axis=1)
+    if space.is_spherical:
+        # Chord form of arccos(clip(<p, q>)): same function, but well
+        # conditioned at distance 0 (and near pi), where arccos loses half the
+        # digits.
+        near = np.einsum("ka,ka->k", p, q) >= 0.0
+        half = 0.5 * np.linalg.norm(np.where(near[:, None], p - q, p + q), axis=1)
+        arc = 2.0 * np.arcsin(np.minimum(half, 1.0))
+        return np.where(near, arc, np.pi - arc)
+    diff = p - q
+    chord2 = np.einsum("ka,a,ka->k", diff, space.metric_signs, diff)
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(chord2, 0.0)))
+
+
 def distance(p: ModelPoint, q: ModelPoint, as_edge=False, eps=EPS_MODEL) -> float:
     """Geodesic distance between two points of the same space.
 
@@ -264,22 +283,9 @@ def distance(p: ModelPoint, q: ModelPoint, as_edge=False, eps=EPS_MODEL) -> floa
     """
     if p.space != q.space:
         raise DimensionMismatch("points live in different spaces")
-    space = p.space
-    if space.is_euclidean:
-        return float(np.linalg.norm(p.coords - q.coords))
-    ip = p.inner(q)
-    if space.is_spherical:
-        if as_edge and ip <= -1.0 + eps:
-            raise AntipodalOrInvalid("antipodal spherical points cannot span an edge")
-        # Chord form of arccos(clip(ip)): same function, but well conditioned
-        # at distance 0 (and near pi), where arccos loses half the digits.
-        if ip >= 0.0:
-            half = 0.5 * np.linalg.norm(p.coords - q.coords)
-            return float(2.0 * np.arcsin(min(half, 1.0)))
-        half = 0.5 * np.linalg.norm(p.coords + q.coords)
-        return float(np.pi - 2.0 * np.arcsin(min(half, 1.0)))
-    chord2 = signed_inner(p.coords - q.coords, p.coords - q.coords, space)
-    return float(2.0 * np.arcsinh(0.5 * np.sqrt(max(chord2, 0.0))))
+    if as_edge and p.space.is_spherical and p.inner(q) <= -1.0 + eps:
+        raise AntipodalOrInvalid("antipodal spherical points cannot span an edge")
+    return float(distances([p.coords], [q.coords], p.space)[0])
 
 
 def unit_tangent(p_i: ModelPoint, p_j: ModelPoint, eps=EPS_MODEL) -> TangentVector:
@@ -359,10 +365,6 @@ class Bivector:
             raise DimensionMismatch(
                 "bivector on R^%d needs %d components" % (self.dim + 1, expected)
             )
-
-    @property
-    def pairs(self):
-        return bivector_index_pairs(self.dim)
 
     def norm_inf(self) -> float:
         if self.comps.size == 0:

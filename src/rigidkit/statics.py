@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _linalg, spaces
 from ._linalg import RANK_TOL
-from .errors import BaseMismatch, GraphError
+from .errors import BaseMismatch, DegenerateEdge, GraphError
 from .frameworks import Framework
 from .graphs import Graph, canonical_edge
 from .kinematics import (
@@ -23,7 +23,7 @@ from .kinematics import (
     validate_tangent_field,
     virtual_work_field,
 )
-from .spaces import EPS_MODEL, Bivector, ModelPoint, TangentVector, wedge, zero_bivector
+from .spaces import EPS_MODEL, Bivector, ModelPoint, TangentVector, wedge
 
 #: Relative tolerance for the bivector equilibrium test (max-abs norm).
 EQUILIBRIUM_TOL = 1e-8
@@ -104,44 +104,51 @@ def force_bivector(p: ModelPoint, f: TangentVector) -> Bivector:
     return wedge(p.coords, f.vec, p.space.dim)
 
 
-def net_bivector(fw: Framework, ld: Load) -> Bivector:
-    require_same_framework(fw, ld.framework)
-    total = zero_bivector(fw.dim)
-    for i in range(fw.n):
-        total = total + wedge(fw.coords[i], ld.vecs[i], fw.dim)
-    return total
-
-
 def is_equilibrium_load(fw: Framework, ld: Load, tol=EQUILIBRIUM_TOL) -> bool:
-    """True iff the total force bivector vanishes (relative max-abs norm)."""
+    """True iff the total force bivector sum_i p_i ^ f_i vanishes, in max-abs
+    norm relative to the largest single p_i ^ f_i."""
     require_same_framework(fw, ld.framework)
-    per_vertex = [wedge(fw.coords[i], ld.vecs[i], fw.dim).norm_inf() for i in range(fw.n)]
-    scale = max(per_vertex) if per_vertex else 0.0
+    per_vertex = np.array([wedge(p, f, fw.dim).comps for p, f in zip(fw.coords, ld.vecs)])
+    scale = float(np.max(np.abs(per_vertex))) if per_vertex.size else 0.0
     if scale == 0.0:
         return True
-    return net_bivector(fw, ld).norm_inf() <= tol * scale
+    return float(np.max(np.abs(per_vertex.sum(axis=0)))) <= tol * scale
+
+
+def edge_factors(fw: Framework):
+    """Per edge (lambda_ij / w_ij, c_ij): (1, 1) in E, (d / sin d, cos d) on
+    S/H, d the edge length.
+
+    The only place that knows how a stress enters the bivector picture: the
+    edge bivector is lambda_ij p_i ^ p_j, and f (p_j - c p_i) is the force
+    d e_ij at p_i along the edge.
+    """
+    if fw.space.is_euclidean:
+        return np.ones(fw.m), np.ones(fw.m)
+    i, j = fw.graph.ends
+    dist = spaces.distances(fw.coords[i], fw.coords[j], fw.space)
+    sin, cos = fw.space.sin_x(dist), fw.space.cos_x(dist)
+    if np.any(np.abs(sin) <= EPS_MODEL) or np.any(cos <= -1.0 + EPS_MODEL):
+        raise DegenerateEdge("an edge has coincident or antipodal endpoints")
+    return dist / sin, cos
 
 
 def resolution_matrix(fw: Framework) -> np.ndarray:
     """Ambient matrix of the map stress -> resolved load, shape (n*(d+1), m).
 
-    Column for edge ij adds dist(p_i, p_j) e_ij at vertex i and the reversed
-    vector at vertex j; in the Euclidean case this is just p_j - p_i.
+    Column k, for edge ij with (f_k, c_k) from `edge_factors`, holds the
+    force dist(p_i, p_j) e_ij = f_k (p_j - c_k p_i) at vertex i and
+    f_k (p_i - c_k p_j) at vertex j; in the Euclidean case this is just
+    p_j - p_i and its negative.
     """
+    f, c = edge_factors(fw)
+    i, j = fw.graph.ends
+    k = np.arange(fw.m)
     amb = fw.space.ambient_dim
-    mat = np.zeros((fw.n * amb, fw.m))
-    for k, (i, j) in enumerate(fw.graph.edges):
-        if fw.space.is_euclidean:
-            at_i = fw.coords[j] - fw.coords[i]
-            at_j = -at_i
-        else:
-            pi, pj = fw.point(i), fw.point(j)
-            dist = spaces.distance(pi, pj)
-            at_i = dist * spaces.unit_tangent(pi, pj).vec
-            at_j = dist * spaces.unit_tangent(pj, pi).vec
-        mat[i * amb : (i + 1) * amb, k] = at_i
-        mat[j * amb : (j + 1) * amb, k] = at_j
-    return mat
+    mat = np.zeros((fw.n, amb, fw.m))
+    mat[i, :, k] = f[:, None] * (fw.coords[j] - c[:, None] * fw.coords[i])
+    mat[j, :, k] = f[:, None] * (fw.coords[i] - c[:, None] * fw.coords[j])
+    return mat.reshape(fw.n * amb, fw.m)
 
 
 def apply_stress(fw: Framework, w: Stress) -> Load:

@@ -4,10 +4,10 @@ averaging and deaveraging.
 All three map families (affine, projective, geodesic between E and S/H)
 act on the canonical embeddings as a linear map followed by radial
 renormalization onto the target model surface.  The static Pogorelov
-transport is therefore implemented once, as the exact bivector pullback:
-the transported force u at the image point y satisfies y ^ u = M p ^ M f.
-The kinematic transport is the inverse adjoint of the static one under the
-virtual-work pairing, obtained from a (d+1)x(d+1) solve per vertex.
+transport is therefore one linear map per vertex, the exact bivector
+pullback: the transported force u at the image point y satisfies
+y ^ u = M p ^ M f.  The kinematic transport is the inverse adjoint of the
+static one under the virtual-work pairing, one (d+2)x(d+2) solve per vertex.
 """
 
 from dataclasses import dataclass
@@ -25,8 +25,8 @@ from .errors import (
 )
 from .frameworks import Framework, build_framework, is_isometric
 from .kinematics import VectorField, require_same_framework, trivial_motion_space
-from .spaces import EPS_MODEL, Space, SpaceKind, signed_inner, tangent_basis
-from .statics import Load, Stress
+from .spaces import EPS_MODEL, Space, SpaceKind, signed_inner
+from .statics import Load, Stress, edge_factors
 
 _EPS_INF = 1e-12
 
@@ -121,14 +121,12 @@ def map_spec_from_dict(data: dict) -> MapSpec:
     raise InvalidMapSpec("unknown map kind %r" % kind)
 
 
-def _normalizer(y_raw: np.ndarray, target: Space, index=None) -> float:
-    """Scalar N with y_raw / N on the target model surface."""
+def _normalizer(y_raw: np.ndarray, target: Space, index: int) -> float:
+    """Scalar N with y_raw / N on the target model surface (vertex `index`)."""
     if target.is_euclidean:
         n = float(y_raw[0])
         if abs(n) <= _EPS_INF * max(1.0, float(np.max(np.abs(y_raw)))):
-            if index is not None:
-                raise VertexAtInfinity("vertex %d maps to infinity" % index)
-            raise VertexAtInfinity("point maps to infinity")
+            raise VertexAtInfinity("vertex %d maps to infinity" % index)
         return n
     q = signed_inner(y_raw, y_raw, target)
     if target.is_spherical:
@@ -136,16 +134,30 @@ def _normalizer(y_raw: np.ndarray, target: Space, index=None) -> float:
             raise OutsideChart("zero vector cannot be projected to the sphere")
         return float(np.sqrt(q))
     if q >= -_EPS_INF:
-        raise OutsideChart(
-            "vertex %s lies outside the Beltrami-Cayley-Klein chart"
-            % ("?" if index is None else index)
-        )
+        raise OutsideChart("vertex %d lies outside the Beltrami-Cayley-Klein chart" % index)
     n = float(np.sqrt(-q))
     return n if y_raw[0] > 0 else -n
 
 
+def _normals(space: Space, pts) -> np.ndarray:
+    """Per row p, the covector nu with nu . p = 1 that vanishes on the
+    tangent space at p: e0 in E, G p / <p, p> on S/H."""
+    pts = np.atleast_2d(pts)
+    if space.is_euclidean:
+        return np.broadcast_to(np.eye(space.ambient_dim)[0], pts.shape)
+    gp = pts * space.metric_signs
+    return gp / np.einsum("ia,ia->i", gp, pts)[:, None]
+
+
 class FrameworkMap:
-    """A map spec bound to a source framework, with per-vertex transport."""
+    """A map spec bound to a source framework, with per-vertex transport.
+
+    `differentials[i]` is the static transport at vertex i, the bivector
+    pullback D_i = (I - y_i nu_i^T) N_i M / global_scale: M the linear
+    representative, N_i the vertex's normalizer (`factors`), y_i the image
+    point and nu_i its normal covector (see `_normals`).  Then
+    y_i ^ D_i f = M p_i ^ M f / global_scale, and D_i f is tangent at y_i.
+    """
 
     def __init__(self, spec: MapSpec, fw: Framework):
         self.spec = spec
@@ -168,60 +180,62 @@ class FrameworkMap:
         e0[0] = 1.0
         origin_n = float((self.linear @ e0)[0])
         self.global_scale = origin_n**2 if abs(origin_n) > _EPS_INF else 1.0
-        self.normalizers = np.array(
-            [_normalizer(self.linear @ fw.coords[i], self.target_space, i)
-             for i in range(fw.n)]
+        raw = [self.linear @ x for x in fw.coords]
+        self.factors = np.array(
+            [_normalizer(y, self.target_space, i) for i, y in enumerate(raw)]
         )
-        coords = [self.linear @ fw.coords[i] / self.normalizers[i] for i in range(fw.n)]
+        coords = [y / n for y, n in zip(raw, self.factors)]
         self.image = build_framework(
             fw.graph, self.target_space, coords, fw.embedding, renormalize=True
         )
-
-    def point_image(self, x) -> np.ndarray:
-        y_raw = self.linear @ np.asarray(x, dtype=float)
-        return y_raw / _normalizer(y_raw, self.target_space)
+        y = self.image.coords
+        proj = np.eye(y.shape[1]) - y[:, :, None] * _normals(self.target_space, y)[:, None, :]
+        scale = self.factors / self.global_scale
+        self.differentials = proj @ self.linear * scale[:, None, None]
 
     def static_at(self, i: int, vec: np.ndarray) -> np.ndarray:
         """Static Pogorelov transport of a tangent vector at vertex i."""
-        y = self.image.coords[i]
-        mv = self.linear @ vec
-        n = self.normalizers[i]
-        u = n * mv
-        if self.target_space.is_euclidean:
-            mu = -u[0]
-        else:
-            yy = signed_inner(y, y, self.target_space)
-            mu = -signed_inner(y, u, self.target_space) / yy
-        return (u + mu * y) / self.global_scale
-
-    def static_matrix(self, i: int) -> np.ndarray:
-        """Ambient matrix of the static transport at vertex i."""
-        amb = self.source_space.ambient_dim
-        return np.column_stack([self.static_at(i, e) for e in np.eye(amb)])
+        return self.differentials[i] @ vec
 
     def kinematic_at(self, i: int, vec: np.ndarray) -> np.ndarray:
         """Kinematic transport: inverse adjoint of the static map at vertex i.
 
-        Solves for q' tangent at the image point with
-        <q', static(t_k)> = <q, t_k> for a tangent basis t_k at the source.
+        Solves D_i^T G' q' - alpha nu_i = G v with nu'_i . q' = 0 (G, G' the
+        source and target forms, nu_i, nu'_i the normal covectors at p_i and
+        y_i): then <q', D_i t>' = <v, t> for every t tangent at p_i, and q' is
+        tangent at y_i.
         """
-        src_pt = self.source.point(i)
-        basis = tangent_basis(src_pt)
         amb = self.source_space.ambient_dim
-        g_t = self.target_space.metric_signs
-        rows = np.zeros((amb, amb))
-        rhs = np.zeros(amb)
-        for k, t in enumerate(basis):
-            rows[k] = g_t * self.static_at(i, t)
-            rhs[k] = signed_inner(vec, t, self.source_space)
-        y = self.image.coords[i]
-        if self.target_space.is_euclidean:
-            last = np.zeros(amb)
-            last[0] = 1.0
-        else:
-            last = g_t * y
-        rows[-1] = last
-        return np.linalg.solve(rows, rhs)
+        system = np.zeros((amb + 1, amb + 1))
+        system[:amb, :amb] = self.differentials[i].T * self.target_space.metric_signs
+        system[:amb, amb] = -_normals(self.source_space, self.source.coords[i])[0]
+        system[amb, :amb] = _normals(self.target_space, self.image.coords[i])[0]
+        rhs = np.append(self.source_space.metric_signs * vec, 0.0)
+        return np.linalg.solve(system, rhs)[:amb]
+
+    def _each(self, transport, vecs: np.ndarray) -> np.ndarray:
+        return np.array([transport(i, v) for i, v in enumerate(vecs)]).reshape(vecs.shape)
+
+    def static(self, ld: Load) -> Load:
+        """Transport a load; equilibrium and resolvability are preserved both ways."""
+        require_same_framework(self.source, ld.framework)
+        return Load(self.image, self._each(self.static_at, ld.vecs))
+
+    def kinematic(self, field: VectorField) -> VectorField:
+        """Transport a velocity field; maps V to V and V_0 to V_0 of the image."""
+        require_same_framework(self.source, field.framework)
+        return VectorField(self.image, self._each(self.kinematic_at, field.vecs))
+
+    def stress(self, w: Stress) -> Stress:
+        """Transport a stress compatibly with the load transport.
+
+        The edge bivector lambda_ij p_i ^ p_j (lambda_ij / w_ij from
+        `edge_factors`) pushes forward under M, so lambda picks up the two
+        vertex normalizers and the global scale.
+        """
+        i, j = self.source.graph.ends
+        lam = w.values * edge_factors(self.source)[0] * self.factors[i] * self.factors[j]
+        return Stress(self.image.graph, lam / self.global_scale / edge_factors(self.image)[0])
 
 
 def apply_map(spec: MapSpec, fw: Framework) -> Framework:
@@ -242,67 +256,22 @@ def geodesic_project(fw: Framework, target) -> Framework:
     return apply_map(geodesic_map(target), fw)
 
 
-@dataclass(frozen=True, eq=False)
-class TransportReport:
-    """Transport bookkeeping: the map, its image, the per-vertex static
-    transport matrices (ambient differentials), and the scale factors."""
-
-    source: Framework
-    image: Framework
-    differentials: np.ndarray
-    factors: np.ndarray
-    global_scale: float
-    condition: float = 1.0
-
-
-def _transport_field(spec: MapSpec, fw: Framework, vecs: np.ndarray, static: bool):
-    fmap = FrameworkMap(spec, fw)
-    out = np.zeros((fw.n, fw.space.ambient_dim))
-    for i in range(fw.n):
-        if static:
-            out[i] = fmap.static_at(i, vecs[i])
-        else:
-            out[i] = fmap.kinematic_at(i, vecs[i])
-    diffs = np.stack([fmap.static_matrix(i) for i in range(fw.n)]) if fw.n else \
-        np.zeros((0, fw.space.ambient_dim, fw.space.ambient_dim))
-    report = TransportReport(fw, fmap.image, diffs, fmap.normalizers.copy(),
-                             fmap.global_scale, fmap.condition)
-    return fmap.image, out, report
-
-
 def pogorelov_static(spec: MapSpec, fw: Framework, ld: Load):
-    """Transport a load; equilibrium and resolvability are preserved both ways."""
-    require_same_framework(fw, ld.framework)
-    image, vecs, report = _transport_field(spec, fw, ld.vecs, static=True)
-    return Load(image, vecs), report
+    """The transported load and the map, whose `differentials` and `factors`
+    report the transport."""
+    fmap = FrameworkMap(spec, fw)
+    return fmap.static(ld), fmap
 
 
 def pogorelov_kinematic(spec: MapSpec, fw: Framework, field: VectorField):
-    """Transport a velocity field; maps V to V and V_0 to V_0 of the image."""
-    require_same_framework(fw, field.framework)
-    image, vecs, report = _transport_field(spec, fw, field.vecs, static=False)
-    return VectorField(image, vecs), report
+    """The transported velocity field and the map (see `pogorelov_static`)."""
+    fmap = FrameworkMap(spec, fw)
+    return fmap.kinematic(field), fmap
 
 
 def pogorelov_stress(spec: MapSpec, fw: Framework, w: Stress) -> Stress:
-    """Transport a stress compatibly with the load transport.
-
-    The edge bivector w_ij (dist/sin dist) p_i ^ p_j pushes forward under the
-    linear representative, so the image stress picks up the two vertex
-    normalizers and the global scale.
-    """
-    from . import spaces as _spaces
-
-    fmap = FrameworkMap(spec, fw)
-    src, tgt = fw.space, fmap.target_space
-    vals = np.zeros(fw.m)
-    for k, (i, j) in enumerate(fw.graph.edges):
-        d_src = _spaces.distance(fw.point(i), fw.point(j))
-        lam = w.values[k] * (1.0 if src.is_euclidean else d_src / src.sin_x(d_src))
-        lam_img = lam * fmap.normalizers[i] * fmap.normalizers[j] / fmap.global_scale
-        d_tgt = _spaces.distance(fmap.image.point(i), fmap.image.point(j))
-        vals[k] = lam_img * (1.0 if tgt.is_euclidean else tgt.sin_x(d_tgt) / d_tgt)
-    return Stress(fw.graph, vals)
+    """The transported stress (see `FrameworkMap.stress`)."""
+    return FrameworkMap(spec, fw).stress(w)
 
 
 # --- averaging / deaveraging -------------------------------------------------

@@ -375,3 +375,117 @@ def test_mc_all_directions(mc_dir, space):
     relifted = mc("rec2lift", "rec")
     assert relifted["kind"] == lift["kind"]
     assert np.allclose(relifted["face_planes"], lift["face_planes"], atol=1e-9)
+
+
+def _with(key, value):
+    return lambda d: dict(d, **{key: value})
+
+
+def _stress_with(key, value):
+    return lambda d: dict(d, stress=dict(d["stress"], **{key: value}))
+
+
+@pytest.mark.parametrize("command", ["analyze", "transform"])
+@pytest.mark.parametrize("corrupt", [
+    _with("stress", [1, 2]),
+    _stress_with("0-x", 1.0),
+    _stress_with("0-1-2", 1.0),
+    _stress_with("0-1", [1]),
+    _with("faces", [1, 2, 3]),
+    _with("exterior_face", "a"),
+    _with("vertices", "abcdef"),
+    _with("load", "x"),
+], ids=["stress-list", "stress-key-0-x", "stress-key-0-1-2", "stress-value-list",
+        "faces-of-ints", "exterior-face-string", "vertices-string", "load-string"])
+def test_malformed_framework_is_input_error(tmp_path, command, corrupt, capsys):
+    run(tmp_path, "example", "prism3-concurrent")
+    data = json.loads((tmp_path / "prism3-concurrent.json").read_text())
+    (tmp_path / "bad.json").write_text(json.dumps(corrupt(data)))
+    argv = [command, "bad.json"] + (["--to-space", "S", "-o", "out.json"]
+                                    if command == "transform" else [])
+    assert run(tmp_path, *argv) == 2
+    assert "malformed framework data" in capsys.readouterr().err
+
+
+def _small_prism_with_attachments():
+    """prism3-concurrent scaled by 0.2, with its self-stress, an equilibrium
+    load (central forces) and a field (an infinitesimal rotation)."""
+    doc = rk.gallery.fixture("prism3-concurrent")
+    data = rk.framework_to_dict(doc.framework, stress=doc.stress)
+    xy = 0.2 * np.array(data["vertices"])
+    data["vertices"] = xy.tolist()
+    data["load"] = [[0.0, -x, -y] for x, y in xy]
+    data["field"] = [[0.0, -y, x] for x, y in xy]
+    return data
+
+
+@pytest.mark.parametrize("carry, row", [("load", [1.0, 0.5, 0.0]), ("field", [0.7, 0.0, 1.0])],
+                         ids=["load", "field"])
+def test_transform_carry_rejects_non_tangent_vectors(tmp_path, carry, row, capsys):
+    data = _small_prism_with_attachments()
+    data[carry][0] = row
+    (tmp_path / "bent.json").write_text(json.dumps(data))
+    assert run(tmp_path, "transform", "bent.json", "--to-space", "S",
+               "--carry", carry, "-o", "out.json") == 2
+    assert "not tangent" in capsys.readouterr().err
+
+
+def test_transform_builds_one_map(tmp_path, monkeypatch):
+    from rigidkit import transforms
+    (tmp_path / "small.json").write_text(json.dumps(_small_prism_with_attachments()))
+    real = transforms.FrameworkMap.__init__
+    calls = []
+
+    def counted(self, spec, fw):
+        calls.append(spec)
+        real(self, spec, fw)
+
+    monkeypatch.setattr(transforms.FrameworkMap, "__init__", counted)
+    assert run(tmp_path, "transform", "small.json", "--to-space", "H", "--carry", "load",
+               "--carry", "field", "--carry", "stress", "-o", "h.json") == 0
+    assert len(calls) == 1
+    doc = rk.load_framework(tmp_path / "h.json")
+    assert doc.load is not None and doc.field is not None and doc.stress is not None
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_framework_exit_codes(mutation_dir, data):
+    # random key deletion, row truncation and retyping of a valid framework
+    # file with stress, load and field attachments
+    doc = _small_prism_with_attachments()
+    key = data.draw(st.sampled_from(sorted(doc)))
+    op = data.draw(st.sampled_from(["delete", "truncate", "retype", "retype-entry"]))
+    value = doc[key]
+    if op == "delete":
+        del doc[key]
+    elif op == "retype":
+        doc[key] = data.draw(_JSON_VALUES)
+    elif isinstance(value, dict) and value:
+        entry = data.draw(st.sampled_from(sorted(value)))
+        if op == "truncate":
+            del value[entry]
+        else:
+            value[entry] = data.draw(_JSON_VALUES)
+    elif isinstance(value, list) and value:
+        if op == "truncate":
+            doc[key] = value[:data.draw(st.integers(0, len(value) - 1))]
+        else:
+            row = data.draw(st.integers(0, len(value) - 1))
+            if isinstance(value[row], list) and value[row] and data.draw(st.booleans()):
+                value[row][data.draw(st.integers(0, len(value[row]) - 1))] = \
+                    data.draw(_JSON_VALUES)
+            else:
+                value[row] = data.draw(_JSON_VALUES)
+    (mutation_dir / "mutated.json").write_text(json.dumps(doc))
+    if data.draw(st.booleans()):
+        argv = ["analyze", "mutated.json"]
+    else:
+        argv = ["transform", "mutated.json", "--to-space", data.draw(st.sampled_from("SH")),
+                "--carry", "load", "--carry", "field", "--carry", "stress", "-o", "out.json"]
+    assert run(mutation_dir, *argv) in (0, 10, 2, 3)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,30 @@ def test_column_space_spans_the_columns():
     assert basis.shape == (3, 1)
     assert np.allclose(basis @ basis.T @ a, a)
     assert _linalg.column_space(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_zero_rows_do_not_move_the_rank():
+    a = np.diag([1.0, 5e-9, 1e-20])
+    padded = np.vstack([a, np.zeros((9, 3))])
+    assert _linalg.numerical_rank(padded) == _linalg.numerical_rank(a) == 2
+    assert _linalg.nullspace(padded).shape == (1, 3)
+
+
+@pytest.mark.parametrize("x0, code", [(7693, cli.EXIT_RIGID), (1e5, cli.EXIT_INPUT),
+                                      (1e9, cli.EXIT_INPUT)])
+def test_badly_scaled_framework_has_one_dof_count(tmp_path, x0, code, capsys):
+    # prism3-concurrent scaled by 0.2 with vertex 0 moved to x = x0.  At 7693
+    # the operator and the resolution matrix (its transpose plus zero rows)
+    # share their smallest singular value 2.77e-4, which fell between their
+    # two cutoffs when the zero rows counted in max(m, n).  From about 1e5 the
+    # kinematic and static rank decisions disagree outright (dof 1 vs 2, and
+    # 8 vs 13 at 1e9): no verdict, exit 2 instead of a traceback.
+    doc = rk.gallery.fixture("prism3-concurrent")
+    data = rk.framework_to_dict(doc.framework)
+    data["vertices"] = [[0.2 * x, 0.2 * y] for x, y in data["vertices"]]
+    data["vertices"][0][0] = x0
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["analyze", str(path)]) == code
+    if code == cli.EXIT_INPUT:
+        assert "rank decisions disagree" in capsys.readouterr().err

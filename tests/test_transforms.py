@@ -328,3 +328,35 @@ def test_pogorelov_kinematic_from_curved_sources(prism_doc):
         f = rk.load(fwx, raw)
         out, report = tr.pogorelov_static(spec, fwx, f)
         assert np.allclose(report.differentials[0] @ raw[0], out.vecs[0])
+
+
+def _random_tangent(rng, fw, i):
+    v = rng.standard_normal(fw.space.ambient_dim)
+    p, g = fw.coords[i], fw.space.metric_signs
+    if fw.space.is_euclidean:
+        v[0] = 0.0
+    else:
+        v -= (v @ (g * p)) / (p @ (g * p)) * p
+    return v
+
+
+@pytest.mark.parametrize("case", ["affine", "projective", "E->S", "E->H", "S->E", "H->E"])
+def test_per_vertex_transport_is_adjoint(case, rng, prism_doc):
+    fw = scaled_into_chart(prism_doc.framework)
+    spec = {
+        "affine": tr.affine_map([[1.2, 0.3], [-0.1, 0.9]], [0.1, -0.2]),
+        "projective": tr.projective_map([[1.0, 0.3, -0.2], [0.1, 1.1, 0.2], [-0.2, 0.1, 0.9]]),
+        "E->S": tr.geodesic_map("S"), "E->H": tr.geodesic_map("H"),
+    }.get(case, tr.geodesic_map("E"))
+    if case in ("S->E", "H->E"):
+        fw = tr.apply_map(tr.geodesic_map(case[0]), fw)
+    fmap = tr.FrameworkMap(spec, fw)
+    img, g_src, g_img = fmap.image, fw.space.metric_signs, fmap.target_space.metric_signs
+    for i in range(fw.n):
+        q, f = _random_tangent(rng, fw, i), _random_tangent(rng, fw, i)
+        q1, f1 = fmap.kinematic_at(i, q), fmap.static_at(i, f)
+        assert abs(q1 @ (g_img * f1) - q @ (g_src * f)) <= 1e-12
+        assert np.array_equal(f1, fmap.differentials[i] @ f)
+        for u in (q1, f1):
+            normal = u[0] if img.space.is_euclidean else u @ (g_img * img.coords[i])
+            assert abs(normal) <= 1e-12
