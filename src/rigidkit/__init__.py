@@ -7,21 +7,16 @@ lifts in dimension 2.
 from . import errors
 from ._linalg import RANK_TOL
 from .spaces import (
-    Bivector,
-    ModelPoint,
     Space,
     SpaceKind,
-    TangentVector,
     cross3,
-    distance,
+    distances,
     euclidean,
-    exp_map,
     hyperbolic,
     signed_inner,
     spherical,
-    unit_tangent,
-    validate_point,
-    wedge,
+    validate_points,
+    wedges,
 )
 from .graphs import (
     DualPair,
@@ -64,7 +59,6 @@ from .statics import (
     Stress,
     Unresolvable,
     apply_stress,
-    force_bivector,
     is_equilibrium_load,
     load,
     resolve_load,

@@ -21,7 +21,8 @@ class WrongDimension(RigidkitError):
 
 
 class OffModel(RigidkitError):
-    """Coordinates violate the quadratic-form constraint of the model surface."""
+    """Coordinates are not finite or violate the quadratic-form constraint of the
+    model surface."""
 
 
 class WrongSheet(RigidkitError):
@@ -32,20 +33,8 @@ class NotTangent(RigidkitError):
     """Vector is not tangent to the model surface at its base point."""
 
 
-class AntipodalOrInvalid(RigidkitError):
-    """Spherical point pair is antipodal where an edge is required."""
-
-
 class DegenerateEdge(RigidkitError):
     """Edge endpoints coincide."""
-
-
-class ZeroVector(RigidkitError):
-    """Zero tangent vector where a direction is required."""
-
-
-class BaseMismatch(RigidkitError):
-    """Tangent vector is based at a different point than expected."""
 
 
 # --- graphs and embeddings -------------------------------------------------

@@ -15,11 +15,12 @@ from ._linalg import RANK_TOL, numerical_rank
 from .errors import (
     AntipodalEdge,
     DegenerateEdge,
+    DimensionMismatch,
     GraphError,
     GraphMismatch,
 )
 from .graphs import Graph, PlanarEmbedding, canonical_edge, graph, validate_embedding
-from .spaces import EPS_MODEL, ModelPoint, Space, validate_point
+from .spaces import EPS_MODEL, Space
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +46,6 @@ class Framework:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def point(self, i: int) -> ModelPoint:
-        return ModelPoint(self.space, self.coords[i])
 
     def spatial(self) -> np.ndarray:
         """Spatial coordinates (drops the homogeneous column; Euclidean only)."""
@@ -75,30 +73,50 @@ class EdgeLengthMap:
         return iter(self.edges)
 
 
+def _ambient_rows(coords, space: Space) -> np.ndarray:
+    """Per-vertex coordinate rows as one (n, d+1) array.
+
+    A Euclidean row may be a d-vector, and gets the leading 1; rows of the
+    two widths may be mixed.
+    """
+    amb = space.ambient_dim
+    widths = np.fromiter(map(len, coords), dtype=int)
+    flat = np.concatenate([np.zeros(0), *coords], dtype=float)
+    short = widths == space.dim if space.is_euclidean else np.zeros(widths.size, bool)
+    if np.any((widths != amb) & ~short):
+        raise DimensionMismatch("every coordinate row must be a (%d,)-vector" % amb)
+    rows = np.ones((widths.size, amb))
+    given = np.ones(rows.shape, bool)
+    given[short, 0] = False
+    rows[given] = flat
+    return rows
+
+
 def build_framework(g: Graph, space: Space, coords, embedding=None,
-                    eps=EPS_MODEL, renormalize=False) -> Framework:
+                    renormalize=False) -> Framework:
     """Validate all points and edge non-degeneracy, then assemble a Framework.
 
     `coords` may be given per vertex either as full (d+1)-vectors or, for
     Euclidean space, as d-vectors (the leading 1 is added).
     """
-    rows = []
-    for i, c in enumerate(coords):
-        c = np.asarray(c, dtype=float)
-        if space.is_euclidean and c.shape == (space.dim,):
-            c = np.concatenate([[1.0], c])
-        rows.append(validate_point(c, space, eps=eps, renormalize=renormalize).coords)
+    rows = _ambient_rows(coords, space)
     if len(rows) != g.vertex_count:
         raise GraphError(
             "graph has %d vertices but %d coordinate rows given" % (g.vertex_count, len(rows))
         )
-    mat = np.array(rows) if rows else np.zeros((0, space.ambient_dim))
-    mat.flags.writeable = False
-    for i, j in g.edges:
-        if np.max(np.abs(mat[i] - mat[j])) <= eps:
-            raise DegenerateEdge("edge (%d, %d) has coincident endpoints" % (i, j))
-        if space.is_spherical and np.max(np.abs(mat[i] + mat[j])) <= eps:
-            raise AntipodalEdge("edge (%d, %d) joins antipodal points" % (i, j))
+    mat = spaces.validate_points(rows, space, renormalize)
+    i, j = g.ends
+    coincident = np.max(np.abs(mat[i] - mat[j]), axis=1) <= EPS_MODEL
+    if np.any(coincident):
+        raise DegenerateEdge(
+            "edge (%d, %d) has coincident endpoints" % g.edges[np.argmax(coincident)]
+        )
+    if space.is_spherical:
+        antipodal = np.max(np.abs(mat[i] + mat[j]), axis=1) <= EPS_MODEL
+        if np.any(antipodal):
+            raise AntipodalEdge(
+                "edge (%d, %d) joins antipodal points" % g.edges[np.argmax(antipodal)]
+            )
     if embedding is not None and embedding.graph != g:
         raise GraphMismatch("embedding belongs to a different graph")
     return Framework(g, space, mat, embedding)
@@ -178,10 +196,17 @@ def _indices(values) -> list:
     return [operator.index(v) for v in values]
 
 
-def framework_from_dict(data: dict, eps=EPS_MODEL) -> FrameworkDocument:
+def _finite(values, what: str):
+    """`values` unchanged; NaN or infinity raises ValueError."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("%s must be finite" % what)
+    return values
+
+
+def framework_from_dict(data: dict) -> FrameworkDocument:
     try:
         space = spaces.space_from_code(data["space"], int(data["dim"]))
-        vertices = [np.asarray(row, dtype=float) for row in data["vertices"]]
+        vertices = _ambient_rows(data["vertices"], space)
         g = graph(len(vertices), [tuple(_indices(e)) for e in data["edges"]])
         faces = [_indices(f) for f in data["faces"]] if "faces" in data else None
         exterior = data.get("exterior_face")
@@ -192,12 +217,13 @@ def framework_from_dict(data: dict, eps=EPS_MODEL) -> FrameworkDocument:
             for key, w in data["stress"].items():
                 i, j = (int(t) for t in key.split("-"))
                 stress[(i, j)] = float(w)
-        arrays = {name: np.array(data[name], dtype=float)
+            _finite(list(stress.values()), "stress")
+        arrays = {name: _finite(np.array(data[name], dtype=float), name)
                   for name in ("load", "field") if name in data}
     except (AttributeError, KeyError, OverflowError, ValueError, TypeError) as exc:
         raise GraphError("malformed framework data: %s" % exc) from None
     embedding = None if faces is None else validate_embedding(g, faces, exterior)
-    fw = build_framework(g, space, vertices, embedding, eps=eps)
+    fw = build_framework(g, space, vertices, embedding)
     doc = FrameworkDocument(fw, description=data.get("description"))
     if stress is not None:
         for i, j in stress:
@@ -217,6 +243,6 @@ def save_framework(path, fw: Framework, **attachments):
         fh.write("\n")
 
 
-def load_framework(path, eps=EPS_MODEL) -> FrameworkDocument:
+def load_framework(path) -> FrameworkDocument:
     with open(path, encoding="utf-8") as fh:
-        return framework_from_dict(json.load(fh), eps=eps)
+        return framework_from_dict(json.load(fh))

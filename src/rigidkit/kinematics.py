@@ -109,24 +109,23 @@ class RigidityOperator:
 
 
 def rigidity_operator(fw: Framework) -> RigidityOperator:
-    n, m, d = fw.n, fw.m, fw.dim
+    n, m = fw.n, fw.m
+    i, j = fw.graph.ends
+    k = np.arange(m)
     if fw.space.is_euclidean:
-        cols = n * d
-        mat = np.zeros((m, cols))
-        for r, (i, j) in enumerate(fw.graph.edges):
-            diff = fw.coords[i, 1:] - fw.coords[j, 1:]
-            mat[r, i * d : (i + 1) * d] = diff
-            mat[r, j * d : (j + 1) * d] = -diff
-        return RigidityOperator(fw, mat)
+        mat = np.zeros((m, n, fw.dim))
+        diff = fw.coords[i, 1:] - fw.coords[j, 1:]
+        mat[k, i] = diff
+        mat[k, j] = -diff
+        return RigidityOperator(fw, mat.reshape(m, n * fw.dim))
     amb = fw.space.ambient_dim
-    g = fw.space.metric_signs
-    mat = np.zeros((m + n, n * amb))
-    for r, (i, j) in enumerate(fw.graph.edges):
-        mat[r, i * amb : (i + 1) * amb] = g * fw.coords[j]
-        mat[r, j * amb : (j + 1) * amb] = g * fw.coords[i]
-    for i in range(n):
-        mat[m + i, i * amb : (i + 1) * amb] = g * fw.coords[i]
-    return RigidityOperator(fw, mat)
+    gp = fw.space.metric_signs * fw.coords
+    v = np.arange(n)
+    mat = np.zeros((m + n, n, amb))
+    mat[k, i] = gp[j]
+    mat[k, j] = gp[i]
+    mat[m + v, v] = gp
+    return RigidityOperator(fw, mat.reshape(m + n, n * amb))
 
 
 def motion_space(fw: Framework, tol=RANK_TOL) -> list:

@@ -9,8 +9,11 @@ embeddings
 
 where the scalar product is Euclidean for E/S and Minkowski
 (-x_0 y_0 + x_1 y_1 + ... + x_d y_d) for H.  Storing Euclidean points in
-embedded form keeps a single code path for distances, tangent vectors,
-exponential maps and the bivector statics built on top of this module.
+embedded form keeps a single code path for the three geometries.
+
+The kernel is row-wise: a framework's points are one (n, d+1) array, and
+`validate_points`, `signed_inner`, `distances` and `wedges` (the force
+bivectors p_i ^ f_i of the statics) act on all rows at once.
 """
 
 from dataclasses import dataclass
@@ -19,17 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    AntipodalOrInvalid,
-    BaseMismatch,
-    DegenerateEdge,
-    DimensionMismatch,
-    NotTangent,
-    OffModel,
-    WrongDimension,
-    WrongSheet,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, OffModel, WrongDimension, WrongSheet
 
 #: Absolute tolerance for model-surface and tangency residuals.  Inputs are
 #: human-authored JSON, not iterated computation, so a tight absolute bound
@@ -113,12 +106,21 @@ def space_from_code(code: str, d: int) -> Space:
     return Space(SpaceKind(code), d)
 
 
-def signed_inner(x, y, space: Space) -> float:
-    """Ambient scalar product: Euclidean dot for E/S, Minkowski for H."""
+def signed_inner(x, y, space: Space):
+    """Ambient scalar product: Euclidean dot for E/S, Minkowski for H.
+
+    Two (d+1)-vectors give a float; two (k, d+1) arrays give the k row-wise
+    products, each bit-identical to the product of that pair of rows.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = space.ambient_dim
     if x.shape != (n,) or y.shape != (n,):
+        if x.ndim == 2 and x.shape == y.shape and x.shape[1] == n:
+            # Batched matmul: one dot per row, as in the 1-D branch below.
+            if space.is_hyperbolic:
+                return -x[:, 0] * y[:, 0] + (x[:, None, 1:] @ y[:, 1:, None])[:, 0, 0]
+            return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
         raise DimensionMismatch(
             "expected (%d,)-vectors, got %r and %r" % (n, x.shape, y.shape)
         )
@@ -127,133 +129,46 @@ def signed_inner(x, y, space: Space) -> float:
     return float(x @ y)
 
 
-def _quadratic_residual(coords, space: Space) -> float:
-    q = signed_inner(coords, coords, space)
-    if space.is_euclidean:
-        return coords[0] - 1.0
-    if space.is_spherical:
-        return q - 1.0
-    return q + 1.0
+def validate_points(rows, space: Space, renormalize=False) -> np.ndarray:
+    """Check the model-surface invariant of a (k, d+1) array of points and
+    return a read-only copy.
 
-
-@dataclass(frozen=True, eq=False)
-class ModelPoint:
-    """A point of X^d stored as a (d+1)-vector in the canonical embedding."""
-
-    space: Space
-    coords: np.ndarray
-
-    def inner(self, other: "ModelPoint") -> float:
-        return signed_inner(self.coords, other.coords, self.space)
-
-    def close_to(self, other: "ModelPoint", tol=EPS_MODEL) -> bool:
-        return (
-            self.space == other.space
-            and bool(np.all(np.abs(self.coords - other.coords) <= tol))
-        )
-
-    def __repr__(self):
-        return "ModelPoint(%s, %s)" % (self.space, np.array2string(self.coords))
-
-
-def validate_point(coords, space: Space, eps=EPS_MODEL, renormalize=False) -> ModelPoint:
-    """Check the model-surface invariant and wrap coordinates into a ModelPoint.
-
-    With ``renormalize=True`` the vector is first projected radially onto the
-    model surface (division by x_0 for E, by |<x,x>|^(1/2) for S/H) before the
-    residual check.
+    Rejects non-finite coordinates.  With ``renormalize=True`` each row is
+    first projected radially onto the model surface (division by x_0 for E,
+    by |<x,x>|^(1/2) for S/H) before the residual check.
     """
-    coords = np.array(coords, dtype=float)
+    rows = np.array(rows, dtype=float)
     n = space.ambient_dim
-    if coords.shape != (n,):
-        raise DimensionMismatch("expected a (%d,)-vector, got shape %r" % (n, coords.shape))
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise DimensionMismatch("expected (k, %d) coordinates, got shape %r" % (n, rows.shape))
+    if not np.all(np.isfinite(rows)):
+        raise OffModel("coordinates must be finite")
     if renormalize:
         if space.is_euclidean:
-            if abs(coords[0]) <= eps:
+            if np.any(np.abs(rows[:, 0]) <= EPS_MODEL):
                 raise OffModel("cannot renormalize: x0 ~ 0")
-            coords = coords / coords[0]
+            rows = rows / rows[:, :1]
         else:
-            q = signed_inner(coords, coords, space)
-            if abs(q) <= eps:
+            q = signed_inner(rows, rows, space)
+            if np.any(np.abs(q) <= EPS_MODEL):
                 raise OffModel("cannot renormalize: isotropic vector")
-            coords = coords / np.sqrt(abs(q))
-            if space.is_hyperbolic and coords[0] < 0:
-                coords = -coords
-    resid = _quadratic_residual(coords, space)
-    if abs(resid) > eps:
+            rows = rows / np.sqrt(np.abs(q))[:, None]
+            if space.is_hyperbolic:
+                rows[rows[:, 0] < 0] *= -1.0
+    if space.is_euclidean:
+        resid = rows[:, 0] - 1.0
+    else:
+        resid = signed_inner(rows, rows, space) - (1.0 if space.is_spherical else -1.0)
+    bad = np.flatnonzero(np.abs(resid) > EPS_MODEL)
+    if bad.size:
         raise OffModel(
             "point %s violates the %s model constraint (residual %.3g)"
-            % (np.array2string(coords), space, resid)
+            % (np.array2string(rows[bad[0]]), space, resid[bad[0]])
         )
-    if space.is_hyperbolic and coords[0] <= 0:
+    if space.is_hyperbolic and np.any(rows[:, 0] <= 0):
         raise WrongSheet("hyperbolic point must have x0 > 0")
-    coords.flags.writeable = False
-    return ModelPoint(space, coords)
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """An ambient (d+1)-vector tangent to the model surface at `base`."""
-
-    base: ModelPoint
-    vec: np.ndarray
-
-    @property
-    def space(self) -> Space:
-        return self.base.space
-
-    def norm(self) -> float:
-        # The restriction of the signed product to a tangent space is
-        # positive definite in all three geometries.
-        return float(np.sqrt(max(signed_inner(self.vec, self.vec, self.space), 0.0)))
-
-    def __repr__(self):
-        return "TangentVector(at %s: %s)" % (
-            np.array2string(self.base.coords), np.array2string(self.vec)
-        )
-
-
-def tangent_vector(base: ModelPoint, vec, eps=EPS_MODEL) -> TangentVector:
-    """Validate the tangency invariant and wrap into a TangentVector."""
-    vec = np.array(vec, dtype=float)
-    space = base.space
-    if vec.shape != (space.ambient_dim,):
-        raise DimensionMismatch(
-            "expected a (%d,)-vector, got shape %r" % (space.ambient_dim, vec.shape)
-        )
-    scale = max(1.0, float(np.max(np.abs(vec))))
-    if space.is_euclidean:
-        if abs(vec[0]) > eps * scale:
-            raise NotTangent("Euclidean tangent vector must have component 0 equal to 0")
-    else:
-        r = signed_inner(base.coords, vec, space)
-        if abs(r) > eps * scale:
-            raise NotTangent("vector not tangent at base point (residual %.3g)" % r)
-    vec.flags.writeable = False
-    return TangentVector(base, vec)
-
-
-def tangent_basis(p: ModelPoint) -> np.ndarray:
-    """Orthonormal basis of T_p X^d, one row per basis vector (d rows)."""
-    space = p.space
-    n = space.ambient_dim
-    if space.is_euclidean:
-        return np.eye(n)[1:]
-    # Gram-Schmidt against p under the signed product; the restriction to the
-    # tangent space is positive definite, so this is well posed.
-    basis = []
-    for v in np.eye(n):
-        w = v - signed_inner(v, p.coords, space) / signed_inner(p.coords, p.coords, space) * p.coords
-        for b in basis:
-            w = w - signed_inner(w, b, space) * b
-        nrm2 = signed_inner(w, w, space)
-        if nrm2 > 1e-12:
-            basis.append(w / np.sqrt(nrm2))
-        if len(basis) == space.dim:
-            break
-    if len(basis) != space.dim:  # pragma: no cover - valid p implies full tangent space
-        raise RuntimeError("failed to build a tangent basis at a valid point")
-    return np.array(basis)
+    rows.flags.writeable = False
+    return rows
 
 
 def distances(p, q, space: Space) -> np.ndarray:
@@ -273,59 +188,6 @@ def distances(p, q, space: Space) -> np.ndarray:
     diff = p - q
     chord2 = np.einsum("ka,a,ka->k", diff, space.metric_signs, diff)
     return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(chord2, 0.0)))
-
-
-def distance(p: ModelPoint, q: ModelPoint, as_edge=False, eps=EPS_MODEL) -> float:
-    """Geodesic distance between two points of the same space.
-
-    With ``as_edge=True`` an antipodal spherical pair raises
-    AntipodalOrInvalid instead of returning pi.
-    """
-    if p.space != q.space:
-        raise DimensionMismatch("points live in different spaces")
-    if as_edge and p.space.is_spherical and p.inner(q) <= -1.0 + eps:
-        raise AntipodalOrInvalid("antipodal spherical points cannot span an edge")
-    return float(distances([p.coords], [q.coords], p.space)[0])
-
-
-def unit_tangent(p_i: ModelPoint, p_j: ModelPoint, eps=EPS_MODEL) -> TangentVector:
-    """Unit tangent vector e at p_i with exp_{p_i}(dist * e) = p_j."""
-    if p_i.space != p_j.space:
-        raise DimensionMismatch("points live in different spaces")
-    space = p_i.space
-    if space.is_euclidean:
-        diff = p_j.coords - p_i.coords
-        nrm = np.linalg.norm(diff)
-        if nrm <= eps:
-            raise DegenerateEdge("coincident points have no direction")
-        return TangentVector(p_i, diff / nrm)
-    dist = distance(p_i, p_j, as_edge=True, eps=eps)
-    s = space.sin_x(dist)
-    if abs(s) <= eps:
-        raise DegenerateEdge("coincident points have no direction")
-    # cos_x(dist) equals <p_i, p_j> on the sphere and -<p_i, p_j> in the
-    # hyperboloid; using it keeps the result tangent in both signatures.
-    vec = (p_j.coords - space.cos_x(dist) * p_i.coords) / s
-    return TangentVector(p_i, vec)
-
-
-def exp_map(p: ModelPoint, v: TangentVector, t: float = 1.0) -> ModelPoint:
-    """Geodesic exponential: point at parameter t along v from p."""
-    if v.base is not p and not v.base.close_to(p):
-        raise BaseMismatch("tangent vector is based at a different point")
-    space = p.space
-    if t == 0.0:
-        return p
-    if space.is_euclidean:
-        coords = p.coords + t * v.vec
-        return validate_point(coords, space)
-    nrm = v.norm()
-    if nrm == 0.0:
-        raise ZeroVector("cannot follow a zero direction for t != 0")
-    ang = t * nrm
-    unit = v.vec / nrm
-    coords = space.cos_x(ang) * p.coords + space.sin_x(ang) * unit
-    return validate_point(coords, space, eps=1e-7, renormalize=True)
 
 
 def cross3(u, v, space: Space) -> np.ndarray:
@@ -352,46 +214,14 @@ def bivector_index_pairs(d: int):
     return list(combinations(range(d + 1), 2))
 
 
-@dataclass(frozen=True, eq=False)
-class Bivector:
-    """An antisymmetric 2-tensor on R^(d+1), stored by its C(d+1, 2) components."""
+def wedges(P, F) -> np.ndarray:
+    """Row-wise p ^ f in Lambda^2(R^(d+1)): components p_a f_b - p_b f_a for
+    a < b, in `bivector_index_pairs` order, along the last axis.
 
-    dim: int  # space dimension d; ambient is d+1
-    comps: np.ndarray
-
-    def __post_init__(self):
-        expected = self.dim * (self.dim + 1) // 2
-        if np.shape(self.comps) != (expected,):
-            raise DimensionMismatch(
-                "bivector on R^%d needs %d components" % (self.dim + 1, expected)
-            )
-
-    def norm_inf(self) -> float:
-        if self.comps.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.comps)))
-
-    def __add__(self, other: "Bivector") -> "Bivector":
-        if self.dim != other.dim:
-            raise DimensionMismatch("bivector dimensions differ")
-        return Bivector(self.dim, self.comps + other.comps)
-
-    def __mul__(self, scalar: float) -> "Bivector":
-        return Bivector(self.dim, self.comps * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def zero_bivector(d: int) -> Bivector:
-    return Bivector(d, np.zeros(d * (d + 1) // 2))
-
-
-def wedge(x, y, d: int) -> Bivector:
-    """x ^ y in Lambda^2(R^(d+1)): components x_a y_b - x_b y_a for a < b."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (d + 1,) or y.shape != (d + 1,):
-        raise DimensionMismatch("wedge expects (%d,)-vectors" % (d + 1))
-    pairs = bivector_index_pairs(d)
-    comps = np.array([x[a] * y[b] - x[b] * y[a] for a, b in pairs])
-    return Bivector(d, comps)
+    `P` and `F` broadcast against each other, (..., d+1) each; two (k, d+1)
+    arrays give one bivector row per vertex.
+    """
+    P = np.asarray(P, dtype=float)
+    F = np.asarray(F, dtype=float)
+    a, b = np.array(bivector_index_pairs(P.shape[-1] - 1)).T
+    return P[..., a] * F[..., b] - P[..., b] * F[..., a]

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _linalg, spaces
 from ._linalg import RANK_TOL
-from .errors import BaseMismatch, DegenerateEdge, GraphError
+from .errors import DegenerateEdge, GraphError
 from .frameworks import Framework
 from .graphs import Graph, canonical_edge
 from .kinematics import (
@@ -23,7 +23,7 @@ from .kinematics import (
     validate_tangent_field,
     virtual_work_field,
 )
-from .spaces import EPS_MODEL, Bivector, ModelPoint, TangentVector, wedge
+from .spaces import EPS_MODEL
 
 #: Relative tolerance for the bivector equilibrium test (max-abs norm).
 EQUILIBRIUM_TOL = 1e-8
@@ -97,18 +97,11 @@ def stress_from_dict(fw: Framework, mapping: dict) -> Stress:
     return Stress(fw.graph, vals)
 
 
-def force_bivector(p: ModelPoint, f: TangentVector) -> Bivector:
-    """The bivector p ^ f of a force (p, f)."""
-    if f.base is not p and not f.base.close_to(p):
-        raise BaseMismatch("force vector is based at a different point")
-    return wedge(p.coords, f.vec, p.space.dim)
-
-
 def is_equilibrium_load(fw: Framework, ld: Load, tol=EQUILIBRIUM_TOL) -> bool:
     """True iff the total force bivector sum_i p_i ^ f_i vanishes, in max-abs
     norm relative to the largest single p_i ^ f_i."""
     require_same_framework(fw, ld.framework)
-    per_vertex = np.array([wedge(p, f, fw.dim).comps for p, f in zip(fw.coords, ld.vecs)])
+    per_vertex = spaces.wedges(fw.coords, ld.vecs)
     scale = float(np.max(np.abs(per_vertex))) if per_vertex.size else 0.0
     if scale == 0.0:
         return True
@@ -190,31 +183,26 @@ def self_stress_space(fw: Framework, tol=RANK_TOL) -> list:
 
 
 def bivector_map_matrix(fw: Framework) -> np.ndarray:
-    """Matrix of (ambient load) -> total bivector, shape (C(d+1,2), n*(d+1))."""
+    """Matrix of (ambient load) -> total bivector, shape (C(d+1,2), n*(d+1)).
+
+    Column (i, a) holds p_i ^ e_a, the bivector of a unit force along axis a
+    at vertex i.
+    """
     amb = fw.space.ambient_dim
-    pairs = spaces.bivector_index_pairs(fw.dim)
-    mat = np.zeros((len(pairs), fw.n * amb))
-    for i in range(fw.n):
-        for a in range(amb):
-            unit = np.zeros(amb)
-            unit[a] = 1.0
-            mat[:, i * amb + a] = wedge(fw.coords[i], unit, fw.dim).comps
-    return mat
+    per_column = spaces.wedges(fw.coords[:, None, :], np.eye(amb))  # (n, amb, pairs)
+    return per_column.reshape(fw.n * amb, per_column.shape[-1]).T
 
 
 def tangency_matrix(fw: Framework) -> np.ndarray:
     """Rows constraining ambient per-vertex vectors to the tangent spaces."""
     amb = fw.space.ambient_dim
-    mat = np.zeros((fw.n, fw.n * amb))
-    g = fw.space.metric_signs
-    for i in range(fw.n):
-        if fw.space.is_euclidean:
-            row = np.zeros(amb)
-            row[0] = 1.0
-        else:
-            row = g * fw.coords[i]
-        mat[i, i * amb : (i + 1) * amb] = row
-    return mat
+    mat = np.zeros((fw.n, fw.n, amb))
+    v = np.arange(fw.n)
+    if fw.space.is_euclidean:
+        mat[v, v, 0] = 1.0
+    else:
+        mat[v, v] = fw.space.metric_signs * fw.coords
+    return mat.reshape(fw.n, fw.n * amb)
 
 
 @dataclass(frozen=True, eq=False)

@@ -430,6 +430,38 @@ def test_transform_carry_rejects_non_tangent_vectors(tmp_path, carry, row, capsy
     assert "not tangent" in capsys.readouterr().err
 
 
+def _prism_with_nan_load():
+    data = _small_prism_with_attachments()
+    data["load"][0][1] = float("nan")
+    return data, ["transform", "--to-space", "S", "--carry", "load", "-o", "out.json"]
+
+
+def _prism_with_nan_vertex():
+    data = _small_prism_with_attachments()
+    data["vertices"][0][0] = float("nan")
+    return data, ["analyze"]
+
+
+def _prism_with_inf_stress():
+    doc = rk.gallery.fixture("prism3-concurrent")
+    data = rk.framework_to_dict(doc.framework, stress=doc.stress)
+    data["stress"]["0-1"] = float("inf")
+    return data, ["mc", "--direction", "stress2rec", "-o", "rec.json"]
+
+
+@pytest.mark.parametrize("case", [_prism_with_nan_load, _prism_with_nan_vertex,
+                                  _prism_with_inf_stress],
+                         ids=["nan-load", "nan-vertex", "inf-stress"])
+def test_non_finite_input_is_input_error(tmp_path, case, capsys):
+    # exit 0 (NaN load carried), 2 with "SVD ... did not converge" and 3
+    # ("self-stress vanishes") before non-finite numbers were rejected
+    data, (command, *options) = case()
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    assert run(tmp_path, command, "bad.json", *options) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "SVD" not in err
+
+
 def test_transform_builds_one_map(tmp_path, monkeypatch):
     from rigidkit import transforms
     (tmp_path / "small.json").write_text(json.dumps(_small_prism_with_attachments()))

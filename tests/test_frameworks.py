@@ -1,8 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rigidkit as rk
-from rigidkit.errors import AntipodalEdge, DegenerateEdge, GraphMismatch
+from rigidkit.cli import analyze_framework
+from rigidkit.errors import AntipodalEdge, DegenerateEdge, GraphMismatch, RigidkitError
+
+import oracles as oc
 
 
 def test_build_validates_edges():
@@ -113,6 +119,30 @@ def test_json_euclidean_vertices_may_carry_leading_one():
     data["vertices"] = [[0.0, 0.0], [1.0, 0.0]]
     doc2 = rk.framework_from_dict(data)
     assert np.array_equal(doc.framework.coords, doc2.framework.coords)
+
+
+def test_json_euclidean_rows_of_mixed_width():
+    data = {"space": "E", "dim": 2, "vertices": [[0, 0], [1, 0, 2]], "edges": [[0, 1]]}
+    fw = rk.framework_from_dict(data).framework
+    assert np.array_equal(fw.coords, [[1.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+
+
+def _analysis(fw):
+    """Every count and verdict of `analyze`, or the error it raises."""
+    try:
+        return analyze_framework(fw).to_dict()
+    except RigidkitError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from("ESH"), d=st.integers(1, 3),
+       n=st.integers(2, 7))
+def test_json_roundtrip_keeps_the_analysis(seed, space, d, n):
+    fw = oc.random_framework(np.random.RandomState(seed), rk.spaces.space_from_code(space, d), n)
+    back = rk.framework_from_dict(json.loads(json.dumps(rk.framework_to_dict(fw)))).framework
+    assert back.graph == fw.graph and back.space == fw.space
+    assert _analysis(back) == _analysis(fw)
 
 
 def test_is_isometric_under_spherical_rotation(rng):

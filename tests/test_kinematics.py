@@ -29,6 +29,33 @@ def test_rigidity_operator_spherical_triangle():
     assert rk.kinematic_dof(fw) == 0
 
 
+def _operator_by_edges(fw):
+    """Reference: the rigidity operator filled in one edge and vertex at a time."""
+    n, m, d = fw.n, fw.m, fw.dim
+    if fw.space.is_euclidean:
+        mat = np.zeros((m, n * d))
+        for r, (i, j) in enumerate(fw.graph.edges):
+            diff = fw.coords[i, 1:] - fw.coords[j, 1:]
+            mat[r, i * d : (i + 1) * d] = diff
+            mat[r, j * d : (j + 1) * d] = -diff
+        return mat
+    amb, g = d + 1, fw.space.metric_signs
+    mat = np.zeros((m + n, n * amb))
+    for r, (i, j) in enumerate(fw.graph.edges):
+        mat[r, i * amb : (i + 1) * amb] = g * fw.coords[j]
+        mat[r, j * amb : (j + 1) * amb] = g * fw.coords[i]
+    for i in range(n):
+        mat[m + i, i * amb : (i + 1) * amb] = g * fw.coords[i]
+    return mat
+
+
+@pytest.mark.parametrize("code", "ESH")
+def test_rigidity_operator_matches_per_edge_loop(code, rng):
+    for d, n in ((1, 4), (2, 7), (3, 6)):
+        fw = oc.random_framework(rng, rk.spaces.space_from_code(code, d), n)
+        assert np.array_equal(rk.rigidity_operator(fw).matrix, _operator_by_edges(fw))
+
+
 def test_motion_space_dims():
     tri = rk.gallery.fixture("triangle").framework
     assert len(rk.motion_space(tri)) == 3

@@ -278,7 +278,7 @@ def test_sph_lambda_matches_stress_extraction():
         dlt = lift.face_planes[pair.left] - lift.face_planes[pair.right]
         cp = rk.cross3(fw.coords[i], fw.coords[j], fw.space)
         lam = float(dlt @ cp) / float(cp @ cp)
-        dist = rk.distance(fw.point(i), fw.point(j))
+        dist = rk.distances(fw.coords[[i]], fw.coords[[j]], fw.space)[0]
         expected = w[(i, j)] * dist / np.sin(dist)
         assert lam == pytest.approx(expected, rel=1e-9)
 
@@ -318,14 +318,11 @@ def test_hyp_quadrilateral_orthogonality_identity():
     fw, w = _curved_prism("H")
     rec = mc.convert(fw, w, to="reciprocal")
     for pair in fw.embedding.dual_pairs():
-        pi = fw.point(pair.tail)
-        pj = fw.point(pair.head)
-        ma = rk.ModelPoint(fw.space, rec.positions[pair.right])
-        mb = rk.ModelPoint(fw.space, rec.positions[pair.left])
-        a = rk.distance(ma, pi)
-        b = rk.distance(pi, mb)
-        c = rk.distance(mb, pj)
-        d = rk.distance(pj, ma)
+        pi = fw.coords[pair.tail]
+        pj = fw.coords[pair.head]
+        ma = rec.positions[pair.right]
+        mb = rec.positions[pair.left]
+        a, b, c, d = rk.distances([ma, pi, mb, pj], [pi, mb, pj, ma], fw.space)
         assert np.cosh(a) * np.cosh(c) == pytest.approx(np.cosh(b) * np.cosh(d),
                                                         rel=1e-9)
 

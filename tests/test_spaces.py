@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rigidkit as rk
-from rigidkit import spaces
-from rigidkit.errors import (
-    AntipodalOrInvalid,
-    DegenerateEdge,
-    NotTangent,
-    OffModel,
-    WrongSheet,
-    ZeroVector,
-)
+from rigidkit import spaces, statics
+from rigidkit.errors import NotTangent, OffModel, WrongSheet
 
 E2, S2, H2 = rk.euclidean(2), rk.spherical(2), rk.hyperbolic(2)
 
@@ -24,62 +17,75 @@ def test_signed_inner_signature():
 
 
 def test_validate_point_examples():
-    assert rk.validate_point([1.0, 3.0, 4.0], E2).coords[0] == 1.0
-    p = rk.validate_point([0.6, 0.8, 0.0], S2)
-    assert p.inner(p) == pytest.approx(1.0)
-    h = rk.validate_point([np.sqrt(2.0), 1.0, 0.0], H2)
-    assert h.inner(h) == pytest.approx(-1.0)
+    assert rk.validate_points([[1.0, 3.0, 4.0]], E2)[0, 0] == 1.0
+    p = rk.validate_points([[0.6, 0.8, 0.0]], S2)
+    assert rk.signed_inner(p, p, S2)[0] == pytest.approx(1.0)
+    h = rk.validate_points([[np.sqrt(2.0), 1.0, 0.0]], H2)
+    assert rk.signed_inner(h, h, H2)[0] == pytest.approx(-1.0)
 
 
 def test_validate_point_errors():
     with pytest.raises(OffModel):
-        rk.validate_point([2.0, 0.0, 0.0], E2)
+        rk.validate_points([[2.0, 0.0, 0.0]], E2)
     with pytest.raises(OffModel):
-        rk.validate_point([0.5, 0.5, 0.0], S2)
+        rk.validate_points([[0.5, 0.5, 0.0]], S2)
     with pytest.raises(WrongSheet):
-        rk.validate_point([-np.sqrt(2.0), 1.0, 0.0], H2)
+        rk.validate_points([[-np.sqrt(2.0), 1.0, 0.0]], H2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_points_rejects_non_finite(bad):
+    for space, row in ((E2, [1.0, bad, 0.0]), (S2, [bad, 0.0, 1.0]), (H2, [1.0, 0.0, bad])):
+        with pytest.raises(OffModel, match="finite"):
+            rk.validate_points([[1.0, 0.0, 0.0], row], space, renormalize=space is S2)
 
 
 def test_validate_point_renormalize():
-    p = rk.validate_point([0.3, 0.4, 0.0], S2, renormalize=True)
-    assert p.inner(p) == pytest.approx(1.0)
-    q = rk.validate_point([2.0, 6.0, 8.0], E2, renormalize=True)
-    assert np.allclose(q.coords, [1.0, 3.0, 4.0])
+    p = rk.validate_points([[0.3, 0.4, 0.0]], S2, renormalize=True)
+    assert rk.signed_inner(p, p, S2)[0] == pytest.approx(1.0)
+    q = rk.validate_points([[2.0, 6.0, 8.0]], E2, renormalize=True)
+    assert np.allclose(q[0], [1.0, 3.0, 4.0])
 
 
-def _pt(space, coords):
-    return rk.validate_point(coords, space)
+def _dist(space, p, q):
+    return float(rk.distances([p], [q], space)[0])
 
 
 def test_distance_examples():
-    assert rk.distance(_pt(E2, [1, 0, 0]), _pt(E2, [1, 3, 4])) == pytest.approx(5.0)
-    assert rk.distance(_pt(S2, [0, 1, 0]), _pt(S2, [0, 0, 1])) == pytest.approx(np.pi / 2)
-    h0 = _pt(H2, [1, 0, 0])
-    h1 = _pt(H2, [np.cosh(1.0), np.sinh(1.0), 0.0])
-    assert rk.distance(h0, h1) == pytest.approx(1.0)
+    assert _dist(E2, [1, 0, 0], [1, 3, 4]) == pytest.approx(5.0)
+    assert _dist(S2, [0, 1, 0], [0, 0, 1]) == pytest.approx(np.pi / 2)
+    h0 = [1, 0, 0]
+    h1 = [np.cosh(1.0), np.sinh(1.0), 0.0]
+    assert _dist(H2, h0, h1) == pytest.approx(1.0)
 
 
 def test_distance_antipodal_edge():
-    p = _pt(S2, [0, 1, 0])
-    q = _pt(S2, [0, -1, 0])
-    assert rk.distance(p, q) == pytest.approx(np.pi)
-    with pytest.raises(AntipodalOrInvalid):
-        rk.distance(p, q, as_edge=True)
+    assert _dist(S2, [0, 1, 0], [0, -1, 0]) == pytest.approx(np.pi)
+
+
+def _unit_tangent(space, p, q):
+    """(e, dist): the unit tangent at p towards q, from the resolution-matrix
+    column of the one-edge framework p-q, which holds dist * e at vertex 0."""
+    fw = rk.build_framework(rk.graph(2, [(0, 1)]), space, [p, q])
+    dist = float(rk.distances(fw.coords[:1], fw.coords[1:], space)[0])
+    return statics.resolution_matrix(fw)[: space.ambient_dim, 0] / dist, dist
+
+
+def _exp(space, p, e, dist):
+    """exp_p(dist * e) for a unit tangent e at p, in closed form."""
+    if space.is_euclidean:
+        return p + dist * e
+    return space.cos_x(dist) * p + space.sin_x(dist) * e
 
 
 def test_unit_tangent_euclidean():
-    e = rk.unit_tangent(_pt(E2, [1, 0, 0]), _pt(E2, [1, 2, 0]))
-    assert np.allclose(e.vec, [0.0, 1.0, 0.0])
+    e, _ = _unit_tangent(E2, [1, 0, 0], [1, 2, 0])
+    assert np.allclose(e, [0.0, 1.0, 0.0])
 
 
 def test_unit_tangent_spherical_quarter_turn():
-    e = rk.unit_tangent(_pt(S2, [0, 1, 0]), _pt(S2, [0, 0, 1]))
-    assert np.allclose(e.vec, [0.0, 0.0, 1.0])
-
-
-def test_unit_tangent_degenerate():
-    with pytest.raises(DegenerateEdge):
-        rk.unit_tangent(_pt(E2, [1, 0, 0]), _pt(E2, [1, 0, 0]))
+    e, _ = _unit_tangent(S2, [0, 1, 0], [0, 0, 1])
+    assert np.allclose(e, [0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("space", [E2, S2, H2, rk.spherical(3), rk.hyperbolic(3)])
@@ -87,50 +93,31 @@ def test_unit_tangent_exp_roundtrip(space, rng):
     # exp-map roundtrip oracle: e unit and exp_p(dist * e) reproduces q.
     for _ in range(20):
         if space.is_euclidean:
-            a = rk.validate_point(np.r_[1.0, rng.standard_normal(space.dim)], space)
-            b = rk.validate_point(np.r_[1.0, rng.standard_normal(space.dim)], space)
+            a = np.r_[1.0, rng.standard_normal(space.dim)]
+            b = np.r_[1.0, rng.standard_normal(space.dim)]
         elif space.is_spherical:
             raw = rng.standard_normal((2, space.dim + 1))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            a, b = (rk.validate_point(r, space) for r in raw)
+            a, b = rk.validate_points(raw, space)
         else:
             sp = 0.7 * rng.standard_normal((2, space.dim))
             raw = np.column_stack([np.sqrt(1 + np.sum(sp**2, axis=1)), sp])
-            a, b = (rk.validate_point(r, space) for r in raw)
-        if np.allclose(a.coords, b.coords):
+            a, b = rk.validate_points(raw, space)
+        if np.allclose(a, b):
             continue
-        e = rk.unit_tangent(a, b)
-        assert rk.signed_inner(e.vec, e.vec, space) == pytest.approx(1.0, abs=1e-9)
-        back = rk.exp_map(a, e, rk.distance(a, b))
-        assert np.max(np.abs(back.coords - b.coords)) < 1e-9
-
-
-def test_exp_map_examples():
-    p = _pt(S2, [1, 0, 0])
-    v = spaces.tangent_vector(p, [0.0, 1.0, 0.0])
-    out = rk.exp_map(p, v, np.pi / 2)
-    assert np.allclose(out.coords, [0, 1, 0], atol=1e-12)
-    h = _pt(H2, [1, 0, 0])
-    vh = spaces.tangent_vector(h, [0.0, 1.0, 0.0])
-    out = rk.exp_map(h, vh, 1.0)
-    assert np.allclose(out.coords, [np.cosh(1), np.sinh(1), 0], atol=1e-12)
-    assert rk.exp_map(h, vh, 0.0) is h
-
-
-def test_exp_map_zero_vector():
-    p = _pt(S2, [1, 0, 0])
-    z = spaces.tangent_vector(p, [0.0, 0.0, 0.0])
-    with pytest.raises(ZeroVector):
-        rk.exp_map(p, z, 1.0)
+        e, dist = _unit_tangent(space, a, b)
+        assert rk.signed_inner(e, e, space) == pytest.approx(1.0, abs=1e-9)
+        back = _exp(space, a, e, dist)
+        assert np.max(np.abs(back - b)) < 1e-9
 
 
 def test_tangent_vector_invariant():
-    p = _pt(S2, [1, 0, 0])
+    p = rk.build_framework(rk.graph(1, []), S2, [[1, 0, 0]])
     with pytest.raises(NotTangent):
-        spaces.tangent_vector(p, [1.0, 0.0, 0.0])
-    pe = _pt(E2, [1, 2, 3])
+        rk.load(p, [[1.0, 0.0, 0.0]])
+    pe = rk.build_framework(rk.graph(1, []), E2, [[1, 2, 3]])
     with pytest.raises(NotTangent):
-        spaces.tangent_vector(pe, [0.5, 0.0, 0.0])
+        rk.load(pe, [[0.5, 0.0, 0.0]])
 
 
 def test_cross3_euclidean_basis():
@@ -160,22 +147,22 @@ def test_cross3_orthogonality(vals):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_bivector_dimension(d):
-    assert spaces.zero_bivector(d).comps.size == d * (d + 1) // 2
+    assert len(spaces.bivector_index_pairs(d)) == d * (d + 1) // 2
 
 
 def test_wedge_antisymmetry(rng):
-    x = rng.standard_normal(4)
-    y = rng.standard_normal(4)
-    assert np.allclose(spaces.wedge(x, y, 3).comps, -spaces.wedge(y, x, 3).comps)
-    assert np.allclose(spaces.wedge(x, x, 3).comps, 0.0)
+    x = rng.standard_normal((1, 4))
+    y = rng.standard_normal((1, 4))
+    assert np.allclose(rk.wedges(x, y), -rk.wedges(y, x))
+    assert np.allclose(rk.wedges(x, x), 0.0)
 
 
 def test_distance_positive_definite(rng):
     for space in (E2, S2, H2):
         if space.is_euclidean:
-            p = rk.validate_point([1.0, 0.3, -2.0], space)
+            p = rk.validate_points([[1.0, 0.3, -2.0]], space)
         elif space.is_spherical:
-            p = rk.validate_point(np.array([0.6, 0.8, 0.0]), space)
+            p = rk.validate_points(np.array([[0.6, 0.8, 0.0]]), space)
         else:
-            p = rk.validate_point([np.sqrt(2.0), 1.0, 0.0], space)
-        assert rk.distance(p, p) == pytest.approx(0.0, abs=1e-9)
+            p = rk.validate_points([[np.sqrt(2.0), 1.0, 0.0]], space)
+        assert rk.distances(p, p, space)[0] == pytest.approx(0.0, abs=1e-9)

@@ -1,0 +1,44 @@
+"""The benchmark's traced runs find rigidkit's layers by function name.
+
+`perfbench/spans.py` wraps every public module-level function of rigidkit's
+modules and reads its per-layer metrics from fixed span names; a renamed
+function makes its metric read 0 without any error.  This pins the names
+the per-layer metrics are built from.
+"""
+
+import importlib.util
+import inspect
+import os
+
+import rigidkit.cli  # noqa: F401  (every traced module is imported)
+
+SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+
+#: span names, `module.function`, that the per-layer metrics read
+METRIC_SPANS = (
+    "kinematics.rigidity_operator",
+    "statics.resolution_matrix",
+    "statics.bivector_map_matrix",
+    "frameworks.build_framework",
+    "frameworks.load_framework",
+)
+
+
+def test_metric_spans_are_module_level_functions():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name in METRIC_SPANS:
+            module, func = name.split(".")
+            wrapped = getattr(getattr(rigidkit, module), func)
+            assert name in tracer.names
+            assert inspect.isfunction(wrapped.__wrapped__)
+            assert wrapped.__wrapped__.__module__ == "rigidkit." + module
+    finally:
+        tracer.uninstall()
+    for name in METRIC_SPANS:
+        module, func = name.split(".")
+        assert not hasattr(getattr(getattr(rigidkit, module), func), "__wrapped__")

@@ -2,35 +2,54 @@ import numpy as np
 import pytest
 
 import rigidkit as rk
-from rigidkit import spaces, statics
+from rigidkit import statics
 
 import oracles as oc
 
 E2 = rk.euclidean(2)
 
 
-def _pt(space, coords):
-    return rk.validate_point(coords, space)
-
-
 def test_force_bivector_examples():
-    p = _pt(E2, [1, 0, 0])
-    f = spaces.tangent_vector(p, [0, 0, 1])
-    bv = rk.force_bivector(p, f)
+    p = np.array([[1.0, 0, 0]])
+    bv = rk.wedges(p, [[0, 0, 1]])[0]
     # pairs (0,1), (0,2), (1,2): e0 ^ e2
-    assert np.allclose(bv.comps, [0, 1, 0])
-    zero = rk.force_bivector(p, spaces.tangent_vector(p, [0, 0, 0]))
-    assert zero.norm_inf() == 0.0
+    assert np.allclose(bv, [0, 1, 0])
+    zero = rk.wedges(p, [[0, 0, 0]])[0]
+    assert np.max(np.abs(zero)) == 0.0
 
 
 def test_force_bivector_sliding_invariance():
     # moving a force along its line of action keeps the bivector
-    p = _pt(E2, [1, 2.0, -1.0])
+    p = np.array([1, 2.0, -1.0])
     vec = np.array([0.0, 0.3, 0.7])
-    moved = _pt(E2, p.coords + 2.5 * vec)
-    b1 = rk.force_bivector(p, spaces.tangent_vector(p, vec))
-    b2 = rk.force_bivector(moved, spaces.tangent_vector(moved, vec))
-    assert np.allclose(b1.comps, b2.comps)
+    moved = p + 2.5 * vec
+    b1, b2 = rk.wedges([p, moved], [vec, vec])
+    assert np.allclose(b1, b2)
+
+
+def _static_rows_by_vertex(fw):
+    """Reference: the bivector map (column (i, a) = p_i ^ e_a) and the
+    tangency rows, filled in one vertex at a time."""
+    amb = fw.space.ambient_dim
+    pairs = rk.spaces.bivector_index_pairs(fw.dim)
+    biv = np.zeros((len(pairs), fw.n * amb))
+    tangency = np.zeros((fw.n, fw.n * amb))
+    for i, p in enumerate(fw.coords):
+        for a, e in enumerate(np.eye(amb)):
+            biv[:, i * amb + a] = [p[x] * e[y] - p[y] * e[x] for x, y in pairs]
+        tangency[i, i * amb : (i + 1) * amb] = (
+            np.eye(amb)[0] if fw.space.is_euclidean else fw.space.metric_signs * p
+        )
+    return biv, tangency
+
+
+@pytest.mark.parametrize("code", "ESH")
+def test_static_matrices_match_per_vertex_loop(code, rng):
+    for d, n in ((1, 4), (2, 7), (3, 6)):
+        fw = oc.random_framework(rng, rk.spaces.space_from_code(code, d), n)
+        biv, tangency = _static_rows_by_vertex(fw)
+        assert np.array_equal(statics.bivector_map_matrix(fw), biv)
+        assert np.array_equal(statics.tangency_matrix(fw), tangency)
 
 
 def _segment():
@@ -181,7 +200,7 @@ def test_stress_extraction_parallelism(space, rng):
                 if i not in (a, b):
                     continue
                 j = b if i == a else a
-                dist = rk.distance(fw.point(i), fw.point(j))
+                dist = rk.distances(fw.coords[[i]], fw.coords[[j]], space)[0]
                 lam = w.values[k] * dist / space.sin_x(dist)
                 acc -= lam * fw.coords[j]
             # residual of the parallelism test: component off span(p_i)

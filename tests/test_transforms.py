@@ -311,7 +311,7 @@ def test_pogorelov_kinematic_identity(prism_doc):
     assert np.max(np.abs(out.vecs - q.vecs)) <= 1e-12
 
 
-def test_pogorelov_kinematic_from_curved_sources(prism_doc):
+def test_pogorelov_kinematic_from_curved_sources(prism_doc, rng):
     # transport flexes S -> E and H -> E: exercises the curved tangent bases
     fw = scaled_into_chart(prism_doc.framework)
     for target in (rk.spherical(2), rk.hyperbolic(2)):
@@ -324,7 +324,7 @@ def test_pogorelov_kinematic_from_curved_sources(prism_doc):
             assert report.differentials.shape == (fw.n, 3, 3)
         # the differentials reproduce the static transport
         raw = np.zeros((fwx.n, 3))
-        raw[0] = rk.spaces.tangent_basis(fwx.point(0))[0]
+        raw[0] = _random_tangent(rng, fwx, 0)
         f = rk.load(fwx, raw)
         out, report = tr.pogorelov_static(spec, fwx, f)
         assert np.allclose(report.differentials[0] @ raw[0], out.vecs[0])
