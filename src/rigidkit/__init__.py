@@ -19,7 +19,6 @@ from .spaces import (
     wedges,
 )
 from .graphs import (
-    DualPair,
     Graph,
     PlanarEmbedding,
     dual_graph,

@@ -36,9 +36,20 @@ EXIT_INPUT = 2
 EXIT_CONVERSION = 3
 
 
+def tolerance(text) -> float:
+    """A tolerance given as text: a finite number > 0, else RigidkitError."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not (np.isfinite(tol) and tol > 0):
+        raise RigidkitError("tolerance must be a finite number > 0, got %r" % text)
+    return tol
+
+
 def default_tol() -> float:
     env = os.environ.get("RIGIDKIT_TOL")
-    return float(env) if env else RANK_TOL
+    return tolerance(env) if env else RANK_TOL
 
 
 @dataclass
@@ -181,14 +192,13 @@ _MC_OBJECTS = {"stress": "stress", "rec": "reciprocal", "lift": "lift"}
 
 def _print_mc_summary(fw, result):
     if isinstance(result, mc.ReciprocalDiagram):
-        res = result.perpendicularity_residuals()
         print("reciprocal diagram: %d dual vertices, perpendicularity residual %.3e"
-              % (len(result.positions), float(np.max(res)) if res.size else 0.0))
+              % (len(result.positions), result.residuals["perpendicularity"]))
         if result.strength:
             print("strength: %s" % result.strength)
     elif isinstance(result, mc.PolyhedralLift):
         print("polyhedral lift (%s): incidence residual %.3e"
-              % (result.kind.value, float(np.max(result.incidence_residuals()))))
+              % (result.kind.value, result.residuals["incidence"]))
         if result.stress_scale != 1.0:
             print("stress scaled by %.6g for cone admissibility" % result.stress_scale)
     elif isinstance(result, Stress):
@@ -227,7 +237,7 @@ def cmd_mc(args) -> int:
             raise RigidkitError("direction %s needs a %s object" % (args.direction, source))
         parse = mc.reciprocal_from_dict if source == "reciprocal" else mc.lift_from_dict
         first = parse(fw, data)
-    result = mc.convert(fw, first, to=target, tol=args.tol if args.tol else mc.MC_TOL)
+    result = mc.convert(fw, first, to=target, tol=args.tol or mc.MC_TOL)
     out = args.output or ("%s.json" % args.direction)
     if isinstance(result, Stress):
         _write_json(out, framework_to_dict(fw, stress=result.as_dict(),
@@ -307,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="rigidity report; exit 0 rigid, 10 flexible")
     pa.add_argument("path")
-    pa.add_argument("--tol", type=float, default=None)
+    pa.add_argument("--tol", type=tolerance, default=None)
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 
@@ -324,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--direction", required=True, choices=_MC_DIRECTIONS)
     pm.add_argument("--object", help="reciprocal/lift JSON input for rec2*/lift2*")
     pm.add_argument("-o", "--output")
-    pm.add_argument("--tol", type=float, default=None)
+    pm.add_argument("--tol", type=tolerance, default=None)
     pm.set_defaults(func=cmd_mc)
 
     pe = sub.add_parser("example", help="write a named example framework file")
@@ -339,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--flex", action="store_true")
     pr.add_argument("--reciprocal")
     pr.add_argument("--lift")
-    pr.add_argument("--tol", type=float, default=None)
+    pr.add_argument("--tol", type=tolerance, default=None)
     pr.set_defaults(func=cmd_render)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InternalInvariantError:
         raise  # a bug, not bad input: crash loudly

@@ -3,6 +3,13 @@
 Embeddings are input data, never computed: validation via the Euler relation
 and directed-edge orientation consistency is cheap and catches malformed
 input, while planarity testing and embedding search stay out of scope.
+
+An embedding carries its combinatorics as index arrays, built once: the dual
+pairs (tail, head, right face, left face) per edge and the face-vertex
+incidences in cycle order.  3-connectivity is read from the faces: on the
+sphere a simple graph with at least 4 vertices is 3-connected exactly when
+its embedding is polyhedral (Mohar and Thomassen, *Graphs on Surfaces*,
+2001), which one pass over the incidences decides.
 """
 
 from dataclasses import dataclass, field
@@ -68,17 +75,6 @@ class Graph:
         tails.flags.writeable = heads.flags.writeable = False
         return tails, heads
 
-    @cached_property
-    def _three_connected(self) -> bool:
-        return _three_connected_brute_force(self)
-
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(self.vertex_count)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
     def has_edge(self, i, j) -> bool:
         return canonical_edge(i, j) in self.edge_index()
 
@@ -87,44 +83,15 @@ def graph(n: int, edges) -> Graph:
     return Graph(n, tuple(canonical_edge(i, j) for i, j in edges))
 
 
-def _is_connected(n, adj, skip=()):
-    skip = set(skip)
-    verts = [v for v in range(n) if v not in skip]
-    if not verts:
-        return True
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in skip and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
-
-
-def is_3_connected(g: Graph) -> bool:
-    """True iff the graph is connected, has at least 4 vertices, and stays
-    connected after deleting any two vertices.
-
-    Decided once per graph by brute force over vertex pairs (target graphs
-    are small) and cached on it, like the edge index.
-    """
-    return g._three_connected
-
-
-def _three_connected_brute_force(g: Graph) -> bool:
-    n = g.vertex_count
-    if n < 4:
-        return False
-    adj = g.adjacency()
-    if not _is_connected(n, adj):
-        return False
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not _is_connected(n, adj, skip=(a, b)):
-                return False
-    return True
+def _is_connected(g: Graph) -> bool:
+    """Breadth-first from vertex 0, one level per pass over the edge arrays."""
+    tails, heads = g.ends
+    seen = np.arange(g.vertex_count) == 0
+    while True:
+        step = seen[tails] != seen[heads]
+        if not step.any():
+            return bool(seen.all())
+        seen[tails[step]] = seen[heads[step]] = True
 
 
 def generic_dof_count(g: Graph, d: int) -> int:
@@ -207,34 +174,6 @@ def laman_check(g: Graph) -> bool:
 # --- planar embeddings -------------------------------------------------------
 
 @dataclass(frozen=True)
-class DualPair:
-    """A primal edge with its two incident faces.
-
-    Stored in consistent orientation: face `right` lies on the right of the
-    edge directed tail -> head (equivalently, the cycle of `right` traverses
-    head -> tail).  Swapping the edge direction or the face order toggles
-    consistency.
-    """
-
-    tail: int
-    head: int
-    right: int
-    left: int
-
-    @property
-    def edge(self):
-        return canonical_edge(self.tail, self.head)
-
-    def is_consistent(self, i, j, alpha, beta) -> bool:
-        """Orientation flag of the ordered pairing ((i, j), (alpha, beta))."""
-        if {i, j} != {self.tail, self.head} or {alpha, beta} != {self.right, self.left}:
-            raise GraphError("pairing does not match this dual pair")
-        flip = (i, j) != (self.tail, self.head)
-        flip ^= (alpha, beta) != (self.right, self.left)
-        return not flip
-
-
-@dataclass(frozen=True)
 class PlanarEmbedding:
     """A graph together with oriented face cycles.
 
@@ -261,15 +200,33 @@ class PlanarEmbedding:
 
     @cached_property
     def _dual_pairs(self) -> tuple:
-        return tuple(DualPair(i, j, self.face_right_of(i, j), self.face_left_of(i, j))
-                     for i, j in self.graph.edges)
+        tails, heads = self.graph.ends
+        rights = np.array([self.face_right_of(i, j) for i, j in self.graph.edges], dtype=int)
+        lefts = np.array([self.face_left_of(i, j) for i, j in self.graph.edges], dtype=int)
+        rights.flags.writeable = lefts.flags.writeable = False
+        return tails, heads, rights, lefts
 
     def dual_pairs(self) -> tuple:
-        """One consistently oriented DualPair per primal edge, in edge order.
+        """(tails, heads, rights, lefts): per primal edge, in edge order, the
+        edge directed tail -> head with face `right` on its right (the cycle
+        of `right` traverses head -> tail) and face `left` on its left.
 
-        Built once per embedding and shared by every caller, hence a tuple.
+        Four read-only index arrays, built once per embedding.
         """
         return self._dual_pairs
+
+    @cached_property
+    def incidences(self) -> tuple:
+        """(faces, vertices): one entry per face-vertex incidence, face by face
+        in cycle order; two read-only index arrays, built once."""
+        faces = np.repeat(np.arange(self.face_count), [len(cyc) for cyc in self.faces])
+        vertices = np.array([i for cyc in self.faces for i in cyc], dtype=int)
+        faces.flags.writeable = vertices.flags.writeable = False
+        return faces, vertices
+
+    @cached_property
+    def _three_connected(self) -> bool:
+        return _polyhedral(self)
 
 
 def validate_embedding(g: Graph, faces, exterior_face=None) -> PlanarEmbedding:
@@ -311,19 +268,69 @@ def validate_embedding(g: Graph, faces, exterior_face=None) -> PlanarEmbedding:
     return PlanarEmbedding(g, faces, exterior_face, directed)
 
 
-def dual_graph(embedding: PlanarEmbedding):
-    """Dual graph (one vertex per face, one edge per primal edge) and its dual pairs.
+def is_3_connected(embedding: PlanarEmbedding) -> bool:
+    """True iff the embedded graph is 3-connected, read from the faces by
+    `_polyhedral` once per embedding and cached on it."""
+    return embedding._three_connected
+
+
+def _polyhedral(emb: PlanarEmbedding) -> bool:
+    """The face condition of a polyhedral embedding on the sphere.
+
+    The graph is connected with n >= 4; the faces around every vertex form
+    one rotation, so the faces glue to a sphere; every face cycle has
+    distinct vertices; and two faces sharing two or more vertices share
+    exactly two and are adjacent across an edge.  Face lists that glue to
+    anything but a sphere are refused, whatever the graph.
+    """
+    n, f = emb.graph.vertex_count, emb.face_count
+    if n < 4 or not _is_connected(emb.graph):
+        return False
+    faces, verts = emb.incidences
+    if np.unique(faces * n + verts).size != verts.size:
+        return False
+    # Corner t of face faces[t] sits at verts[t] and leaves along the directed
+    # edge verts[t] -> verts[succ[t]].  The next corner around that vertex is
+    # the successor of the corner leaving along the reversed edge.
+    sizes = np.bincount(faces, minlength=f)
+    first = np.cumsum(sizes) - sizes
+    succ = np.arange(verts.size) + 1
+    succ[first + sizes - 1] = first
+    out = verts * n + verts[succ]
+    order = np.argsort(out)
+    back = order[np.searchsorted(out, verts[succ] * n + verts, sorter=order)]
+    if _cycle_count(succ[back]) != n:
+        return False
+    # Face pairs meeting at a vertex: all pairs within each vertex's corners.
+    by_vertex = np.argsort(verts, kind="stable")
+    stop = np.cumsum(np.bincount(verts, minlength=n))[verts[by_vertex]]
+    later = stop - np.arange(verts.size) - 1
+    left = np.repeat(np.arange(verts.size), later)
+    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+    a, b = faces[by_vertex[left]], faces[by_vertex[right]]
+    pairs, shared = np.unique(np.minimum(a, b) * f + np.maximum(a, b), return_counts=True)
+    _, _, rights, lefts = emb.dual_pairs()
+    adjacent = np.minimum(rights, lefts) * f + np.maximum(rights, lefts)
+    return bool(np.all(shared <= 2) and np.all(np.isin(pairs[shared == 2], adjacent)))
+
+
+def _cycle_count(perm: np.ndarray) -> int:
+    """Number of cycles of a permutation of 0..k-1, by pointer doubling."""
+    label, step = np.arange(perm.size), perm
+    for _ in range(perm.size.bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    return np.unique(label).size
+
+
+def dual_graph(embedding: PlanarEmbedding) -> Graph:
+    """Dual graph: one vertex per face, one edge per pair of adjacent faces.
 
     The dual may have parallel edges combinatorially (e.g. for the triangle);
-    they are collapsed in the returned Graph but each primal edge keeps its
-    own DualPair.
+    they are collapsed, in the order of their first primal edge.
     """
-    pairs = embedding.dual_pairs()
-    dual_edges = []
-    seen = set()
-    for p in pairs:
-        e = canonical_edge(p.right, p.left)
-        if e not in seen:
-            seen.add(e)
-            dual_edges.append(e)
-    return Graph(embedding.face_count, tuple(dual_edges)), pairs
+    _, _, rights, lefts = embedding.dual_pairs()
+    lo, hi = np.minimum(rights, lefts), np.maximum(rights, lefts)
+    _, first = np.unique(lo * embedding.face_count + hi, return_index=True)
+    first.sort()
+    return Graph(embedding.face_count, tuple(zip(lo[first].tolist(), hi[first].tolist())))

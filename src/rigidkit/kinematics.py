@@ -36,6 +36,8 @@ def validate_tangent_field(fw: Framework, vecs, eps=EPS_MODEL) -> np.ndarray:
         raise NotTangent(
             "expected an (%d, %d) array of ambient vectors" % (fw.n, fw.space.ambient_dim)
         )
+    if not np.all(np.isfinite(vecs)):
+        raise NotTangent("vectors must be finite")
     scale = max(1.0, float(np.max(np.abs(vecs))) if vecs.size else 0.0)
     if fw.space.is_euclidean:
         bad = np.abs(vecs[:, 0]) > eps * scale

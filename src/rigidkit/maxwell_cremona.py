@@ -110,21 +110,16 @@ class ReciprocalDiagram:
     def perpendicularity_residuals(self) -> np.ndarray:
         """Per dual pair: the reciprocity defect, normalized to unit scale."""
         fw = self.framework
-        out = np.zeros(fw.m)
-        for k, pair in enumerate(fw.embedding.dual_pairs()):
-            i, j, a, b = pair.tail, pair.head, pair.right, pair.left
-            if fw.space.is_euclidean:
-                u = fw.coords[j, 1:] - fw.coords[i, 1:]
-                v = self.positions[b] - self.positions[a]
-                denom = max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300)
-                out[k] = abs(float(u @ v)) / denom
-            else:
-                ma, mb = self.positions[a], self.positions[b]
-                pi, pj = fw.coords[i], fw.coords[j]
-                det = signed_inner(ma, pi, fw.space) * signed_inner(mb, pj, fw.space) - \
-                    signed_inner(ma, pj, fw.space) * signed_inner(mb, pi, fw.space)
-                out[k] = abs(det)
-        return out
+        i, j, a, b = fw.embedding.dual_pairs()
+        if fw.space.is_euclidean:
+            u = fw.coords[j, 1:] - fw.coords[i, 1:]
+            v = self.positions[b] - self.positions[a]
+            denom = np.maximum(np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1), 1e-300)
+            return np.abs(_rowdot(u, v)) / denom
+        ma, mb = self.positions[a], self.positions[b]
+        pi, pj = fw.coords[i], fw.coords[j]
+        return np.abs(signed_inner(ma, pi, fw.space) * signed_inner(mb, pj, fw.space) -
+                      signed_inner(ma, pj, fw.space) * signed_inner(mb, pi, fw.space))
 
     def to_dict(self) -> dict:
         return {
@@ -159,27 +154,19 @@ class PolyhedralLift:
             raise WrongDimension("heights are defined for vertical lifts only")
         return self.vertex_points[:, 2]
 
-    def face_value(self, face_index: int, xy: np.ndarray) -> float:
-        gx, gy, b = self.face_planes[face_index]
-        return float(gx * xy[0] + gy * xy[1] + b)
-
     def incidence_residuals(self) -> np.ndarray:
         """|<m_face, lifted vertex> - kappa| over incident pairs, flattened."""
         fw = self.framework
-        vals = []
-        for a, cyc in enumerate(fw.embedding.faces):
-            for i in cyc:
-                if self.kind is LiftKind.VERTICAL:
-                    vals.append(abs(self.face_value(a, fw.coords[i, 1:]) -
-                                    self.vertex_points[i, 2]))
-                elif self.kind is LiftKind.RADIAL:
-                    n, c = self.face_planes[a, :3], self.face_planes[a, 3]
-                    vals.append(abs(float(n @ self.vertex_points[i]) - c))
-                else:
-                    kappa = -1.0 if self.kind is LiftKind.HYPERBOLIC_MINKOWSKI else 1.0
-                    ip = signed_inner(self.face_planes[a], self.vertex_points[i], fw.space)
-                    vals.append(abs(ip - kappa))
-        return np.array(vals)
+        a, i = fw.embedding.incidences
+        planes, points = self.face_planes[a], self.vertex_points[i]
+        if self.kind is LiftKind.VERTICAL:
+            gx, gy, b = planes.T
+            x, y = fw.coords[i, 1:].T
+            return np.abs(gx * x + gy * y + b - points[:, 2])
+        if self.kind is LiftKind.RADIAL:
+            return np.abs(_rowdot(planes[:, :3], points) - planes[:, 3])
+        kappa = -1.0 if self.kind is LiftKind.HYPERBOLIC_MINKOWSKI else 1.0
+        return np.abs(signed_inner(planes, points, fw.space) - kappa)
 
     def to_dict(self) -> dict:
         d = {
@@ -223,8 +210,7 @@ def reciprocal_from_dict(fw: Framework, data: dict) -> ReciprocalDiagram:
     width = 2 if fw.space.is_euclidean else 3
     pos = _numeric(data, "positions", (fw.embedding.face_count, width))
     base_scale = float(_numeric(data, "base_scale", ())) if "base_scale" in data else 1.0
-    dual, _ = dual_graph(fw.embedding)
-    return ReciprocalDiagram(fw, dual, pos, data.get("strength"), base_scale)
+    return ReciprocalDiagram(fw, dual_graph(fw.embedding), pos, data.get("strength"), base_scale)
 
 
 def lift_from_dict(fw: Framework, data: dict) -> PolyhedralLift:
@@ -255,8 +241,13 @@ def _require_mc_framework(fw: Framework):
         raise WrongDimension("Maxwell-Cremona conversions need d = 2")
     if fw.embedding is None:
         raise GraphError("framework carries no planar embedding")
-    if not is_3_connected(fw.graph):
+    if not is_3_connected(fw.embedding):
         raise GraphError("Maxwell-Cremona conversions need a 3-connected graph")
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean dot products of two (k, w) arrays, each as x_k @ y_k."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _require_self_stress(fw: Framework, w: Stress, tol):
@@ -287,15 +278,16 @@ def _bfs_faces(fw: Framework, start: int):
     pair k; `forward` is True when a is the pair's right face (the
     consistently oriented direction).
     """
-    by_face = {}
-    for k, p in enumerate(fw.embedding.dual_pairs()):
-        by_face.setdefault(p.right, []).append((k, p.left, True))
-        by_face.setdefault(p.left, []).append((k, p.right, False))
+    _, _, rights, lefts = fw.embedding.dual_pairs()
+    around = [[] for _ in range(fw.embedding.face_count)]
+    for k, (a, b) in enumerate(zip(rights.tolist(), lefts.tolist())):
+        around[a].append((k, b, True))
+        around[b].append((k, a, False))
     seen = {start}
     queue = deque([start])
     while queue:
         a = queue.popleft()
-        for k, b, forward in by_face.get(a, ()):
+        for k, b, forward in around[a]:
             if b in seen:
                 continue
             seen.add(b)
@@ -337,18 +329,13 @@ def _incidence_values(fw: Framework, normals: np.ndarray, tol):
 
     Returns c and the largest disagreement.
     """
+    a, i = fw.embedding.incidences
+    vals = signed_inner(normals[a], fw.coords[i], fw.space)
+    _, first = np.unique(i, return_index=True)
     c = np.zeros(fw.n)
-    seen = np.zeros(fw.n, dtype=bool)
-    worst = 0.0
+    c[i[first]] = vals[first]
+    worst = float(np.max(np.abs(vals - c[i]), initial=0.0))
     scale = max(float(np.max(np.abs(normals))), 1e-300)
-    for a, cyc in enumerate(fw.embedding.faces):
-        for i in cyc:
-            val = signed_inner(normals[a], fw.coords[i], fw.space)
-            if not seen[i]:
-                c[i] = val
-                seen[i] = True
-            else:
-                worst = max(worst, abs(val - c[i]))
     if worst > tol * scale * fw.embedding.face_count * 10:
         raise ClosureFailure("vertex incidence values disagree (%.3g)" % worst)
     return c, worst
@@ -359,17 +346,14 @@ def _incidence_values(fw: Framework, normals: np.ndarray, tol):
 def _stress_walk(fw: Framework, lam: np.ndarray, base: np.ndarray, tol):
     """M from M_left - M_right = lam_ij (p_i x p_j), anchored at the base face
     and closure-checked on every dual pair; returns (M, closure residual)."""
-    pairs = fw.embedding.dual_pairs()
-    deltas = np.array([lam[k] * cross3(fw.coords[p.tail], fw.coords[p.head], fw.space)
-                       for k, p in enumerate(pairs)])
+    tails, heads, rights, lefts = fw.embedding.dual_pairs()
+    deltas = lam[:, None] * cross3(fw.coords[tails], fw.coords[heads], fw.space)
     normals = np.zeros((fw.embedding.face_count, 3))
     start = _base_face(fw)
     normals[start] = base
     for a, b, k, forward in _bfs_faces(fw, start):
         normals[b] = normals[a] + (deltas[k] if forward else -deltas[k])
-    left = [p.left for p in pairs]
-    right = [p.right for p in pairs]
-    worst = float(np.max(np.abs(normals[left] - normals[right] - deltas)))
+    worst = float(np.max(np.abs(normals[lefts] - normals[rights] - deltas)))
     if worst > tol * max(float(np.max(np.abs(deltas))), 1e-300) * fw.embedding.face_count:
         raise ClosureFailure("face-vector recursion does not close (%.3g)" % worst)
     return normals, worst
@@ -397,7 +381,7 @@ def _face_vectors_from_stress(fw: Framework, w: Stress, tol):
         scale = 1.0
         for _ in range(_HYP_SCALE_STEPS):
             normals, closure = _stress_walk(fw, scale * lam, base, tol)
-            q = np.array([signed_inner(m, m, fw.space) for m in normals])
+            q = signed_inner(normals, normals, fw.space)
             if np.all(q < -1e-10) and np.all(normals[:, 0] > 0):
                 return normals, closure, scale
             scale *= 0.5
@@ -420,12 +404,12 @@ def _face_vectors_from_reciprocal(fw: Framework, rec: ReciprocalDiagram) -> np.n
         t_base = 0.0
     else:
         lines, dirs, t_base = np.zeros((nf, 3)), rec.positions, rec.base_scale
-    pairs = fw.embedding.dual_pairs()
+    tails = fw.embedding.dual_pairs()[0]
     start = _base_face(fw)
     normals = np.zeros((nf, 3))
     normals[start] = lines[start] + t_base * dirs[start]
     for a, b, k, _ in _bfs_faces(fw, start):
-        i = pairs[k].tail
+        i = tails[k]
         along = signed_inner(dirs[b], fw.coords[i], fw.space)
         if abs(along) < 1e-12:
             raise ClosureFailure("cannot scale m_%d against vertex %d" % (b, i))
@@ -446,11 +430,12 @@ def _face_vectors_from_lift(fw: Framework, lift: PolyhedralLift, tol) -> np.ndar
     planes = _fit_vertical_planes(fw, lift.vertex_points[:, 2], tol)
     # Adjacent faces must have distinct planes, else the dual edge collapses
     # and the perpendicularity test is meaningless noise.
-    for pair in fw.embedding.dual_pairs():
-        if np.allclose(lift.face_planes[pair.right], lift.face_planes[pair.left], atol=tol):
-            raise NonPlanarFace(
-                "adjacent faces %d, %d lifted to one plane" % (pair.right, pair.left)
-            )
+    _, _, rights, lefts = fw.embedding.dual_pairs()
+    same = np.all(np.isclose(lift.face_planes[rights], lift.face_planes[lefts], atol=tol),
+                  axis=1)
+    if np.any(same):
+        k = np.flatnonzero(same)[0]
+        raise NonPlanarFace("adjacent faces %d, %d lifted to one plane" % (rights[k], lefts[k]))
     return np.column_stack([planes[:, 2], planes[:, :2]])
 
 
@@ -477,9 +462,10 @@ def _lift_from_face_vectors(fw: Framework, normals: np.ndarray, tol, closure,
             kind = LiftKind.SPHERICAL_STRONG if np.all(c > 0) else LiftKind.SPHERICAL_WEAK
         else:
             kind = LiftKind.HYPERBOLIC_MINKOWSKI
-            for a, m in enumerate(normals):
-                if signed_inner(m, m, fw.space) >= 0 or m[0] <= 0:
-                    raise ConeFailure("lifted face %d normal left the upper cone" % a)
+            out = np.flatnonzero((signed_inner(normals, normals, fw.space) >= 0) |
+                                 (normals[:, 0] <= 0))
+            if out.size:
+                raise ConeFailure("lifted face %d normal left the upper cone" % out[0])
     lift = PolyhedralLift(fw, kind, points, planes, stress_scale=stress_scale)
     lift.residuals["closure"] = spread if closure is None else closure
     lift.residuals["incidence"] = float(np.max(lift.incidence_residuals()))
@@ -496,27 +482,26 @@ def _reciprocal_from_face_vectors(fw: Framework, normals: np.ndarray,
         positions = normals[:, 1:]
     else:
         kappa = 1.0 if fw.space.is_spherical else -1.0
-        q = kappa * np.array([signed_inner(m, m, fw.space) for m in normals])
-        for a, m in enumerate(normals):
-            if fw.space.is_spherical and q[a] < 1e-24:
-                raise OriginPlane("face %d plane passes through the origin" % a)
-            if fw.space.is_hyperbolic and (q[a] <= 1e-12 or m[0] <= 0):
-                raise ConeFailure("face %d normal is not in the upper light cone" % a)
+        q = kappa * signed_inner(normals, normals, fw.space)
+        bad = np.flatnonzero(q < 1e-24 if fw.space.is_spherical else
+                             (q <= 1e-12) | (normals[:, 0] <= 0))
+        if bad.size and fw.space.is_spherical:
+            raise OriginPlane("face %d plane passes through the origin" % bad[0])
+        if bad.size:
+            raise ConeFailure("face %d normal is not in the upper light cone" % bad[0])
         positions = normals / np.sqrt(q)[:, None]
         base_scale = float(np.sqrt(q[_base_face(fw)]))
     if fw.space.is_spherical:
-        strength = "strong"
-        for a, cyc in enumerate(fw.embedding.faces):
-            for i in cyc:
-                val = signed_inner(positions[a], fw.coords[i], fw.space)
-                if abs(val) < 1e-10:
-                    raise OriginPlane("incident pair (%d, %d) at distance pi/2" % (a, i))
-                if val < 0:
-                    strength = "weak"
-    dual, _ = dual_graph(fw.embedding)
-    rec = ReciprocalDiagram(fw, dual, positions, strength, base_scale)
-    res = rec.perpendicularity_residuals()
-    rec.residuals["perpendicularity"] = float(np.max(res)) if res.size else 0.0
+        a, i = fw.embedding.incidences
+        vals = signed_inner(positions[a], fw.coords[i], fw.space)
+        bad = np.flatnonzero(np.abs(vals) < 1e-10)
+        if bad.size:
+            raise OriginPlane("incident pair (%d, %d) at distance pi/2"
+                              % (a[bad[0]], i[bad[0]]))
+        strength = "weak" if np.any(vals < 0) else "strong"
+    rec = ReciprocalDiagram(fw, dual_graph(fw.embedding), positions, strength, base_scale)
+    rec.residuals["perpendicularity"] = float(np.max(rec.perpendicularity_residuals(),
+                                                     initial=0.0))
     if closure is not None:
         rec.residuals["closure"] = closure
     if fw.space.is_euclidean and rec.residuals["perpendicularity"] > 1e-6:
@@ -532,16 +517,17 @@ def _stress_from_face_vectors(fw: Framework, normals: np.ndarray, tol) -> Stress
     difference that is not a multiple of c_ij is a dual edge that is not
     perpendicular to its primal edge.
     """
-    width = 2 if fw.space.is_euclidean else 3
+    skip = 1 if fw.space.is_euclidean else 0
     error = NotPerpendicular if fw.space.is_euclidean else NotMultiple
-    lam = np.zeros(fw.m)
-    for k, pair in enumerate(fw.embedding.dual_pairs()):
-        c = cross3(fw.coords[pair.tail], fw.coords[pair.head], fw.space)[3 - width:]
-        dlt = normals[pair.left, 3 - width:] - normals[pair.right, 3 - width:]
-        lam[k] = float(dlt @ c) / float(c @ c)
-        if np.linalg.norm(dlt - lam[k] * c) > tol * max(np.linalg.norm(dlt), 1e-300) * 1e3:
-            raise error("across edge %r the face-vector difference is not a multiple "
-                        "of p_i x p_j" % (pair.edge,))
+    tails, heads, rights, lefts = fw.embedding.dual_pairs()
+    c = cross3(fw.coords[tails], fw.coords[heads], fw.space)[:, skip:]
+    dlt = normals[lefts, skip:] - normals[rights, skip:]
+    lam = _rowdot(dlt, c) / _rowdot(c, c)
+    off = np.linalg.norm(dlt - lam[:, None] * c, axis=1)
+    bad = np.flatnonzero(off > tol * np.maximum(np.linalg.norm(dlt, axis=1), 1e-300) * 1e3)
+    if bad.size:
+        raise error("across edge %r the face-vector difference is not a multiple "
+                    "of p_i x p_j" % (fw.graph.edges[bad[0]],))
     return Stress(fw.graph, lam / statics.edge_factors(fw)[0])
 
 
@@ -606,23 +592,13 @@ def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
             raise UnremovableIncidence("no vertical shift avoids the plane z = a_z")
         pts = lift.vertex_points.copy()
         pts[:, 2] += shift
-        inv = np.linalg.inv(phi)
-        out = np.zeros_like(pts)
-        for i, p in enumerate(pts):
-            h = inv @ np.array([p[0], p[1], p[2], 1.0])
-            if abs(h[3]) < 1e-12:
-                raise UnremovableIncidence("lifted vertex %d maps to infinity" % i)
-            out[i] = h[:3] / h[3]
+        out = _apply_homogeneous(np.linalg.inv(phi), pts, "lifted vertex %d maps to infinity")
         planes = _fit_radial_planes(fw, out, tol)
         res = PolyhedralLift(fw, LiftKind.RADIAL, out, planes, radial_center=a,
                              stress_scale=lift.stress_scale)
     elif lift.kind is LiftKind.RADIAL:
-        out = np.zeros_like(lift.vertex_points)
-        for i, p in enumerate(lift.vertex_points):
-            h = phi @ np.array([p[0], p[1], p[2], 1.0])
-            if abs(h[3]) < 1e-12:
-                raise UnremovableIncidence("radial vertex %d lies on the critical plane" % i)
-            out[i] = h[:3] / h[3]
+        out = _apply_homogeneous(phi, lift.vertex_points,
+                                 "radial vertex %d lies on the critical plane")
         planes = _fit_vertical_planes(fw, out[:, 2], tol)
         res = PolyhedralLift(fw, LiftKind.VERTICAL, out, planes,
                              stress_scale=lift.stress_scale)
@@ -632,6 +608,16 @@ def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
     if res.residuals["projection"] > 1e-7:
         raise ClosureFailure("converted lift does not project back onto the framework")
     return res
+
+
+def _apply_homogeneous(m: np.ndarray, points: np.ndarray, message: str) -> np.ndarray:
+    """Rows m (x, y, z, 1) dehomogenized; a row sent to infinity raises
+    UnremovableIncidence with `message` % its index."""
+    h = np.column_stack([points, np.ones(len(points))]) @ m.T
+    bad = np.flatnonzero(np.abs(h[:, 3]) < 1e-12)
+    if bad.size:
+        raise UnremovableIncidence(message % bad[0])
+    return h[:, :3] / h[:, 3:]
 
 
 def _fit_radial_planes(fw: Framework, points: np.ndarray, tol) -> np.ndarray:
@@ -649,17 +635,14 @@ def _fit_radial_planes(fw: Framework, points: np.ndarray, tol) -> np.ndarray:
 
 
 def _projection_residual(fw: Framework, lift: PolyhedralLift) -> float:
-    worst = 0.0
-    for i in range(fw.n):
-        p = lift.vertex_points[i]
-        if lift.kind is LiftKind.VERTICAL:
-            proj = p[:2]
-        else:
-            a = lift.radial_center
-            t = a[2] / (a[2] - p[2])
-            proj = a[:2] + t * (p[:2] - a[:2])
-        worst = max(worst, float(np.max(np.abs(proj - fw.coords[i, 1:]))))
-    return worst
+    p = lift.vertex_points
+    if lift.kind is LiftKind.VERTICAL:
+        proj = p[:, :2]
+    else:
+        a = lift.radial_center
+        t = a[2] / (a[2] - p[:, 2])
+        proj = a[:2] + t[:, None] * (p[:, :2] - a[:2])
+    return float(np.max(np.abs(proj - fw.coords[:, 1:])))
 
 
 # --- convexity classification (Euclidean) -------------------------------------
@@ -728,37 +711,26 @@ def euclid_convexity_classify(fw: Framework, stress: Stress = None,
         ccw_poly = poly[::-1] if a == ext else poly
         if not _is_convex_ccw(ccw_poly):
             raise NotEmbedded("face %d is not a convex polygon in the drawing" % a)
-    boundary = set()
-    cyc = fw.embedding.faces[ext]
-    for k, i in enumerate(cyc):
-        j = cyc[(k + 1) % len(cyc)]
-        boundary.add((i, j) if i < j else (j, i))
-    report = ConvexityReport(ext, tuple(sorted(boundary)))
+    tails, heads, rights, lefts = fw.embedding.dual_pairs()
+    boundary = (rights == ext) | (lefts == ext)
+    lo, hi = np.minimum(tails, heads)[boundary], np.maximum(tails, heads)[boundary]
+    report = ConvexityReport(ext, tuple(sorted(zip(lo.tolist(), hi.tolist()))))
     if stress is not None:
-        ok = True
-        for e in fw.graph.edges:
-            w = stress[e]
-            ok &= (w < 0) if e in boundary else (w > 0)
-        report.stress_pattern = bool(ok)
+        w = stress.values
+        report.stress_pattern = bool(np.all(np.where(boundary, w < 0, w > 0)))
     if reciprocal is not None:
-        ok = True
-        for pair in fw.embedding.dual_pairs():
-            u = fw.coords[pair.head, 1:] - fw.coords[pair.tail, 1:]
-            v = reciprocal.positions[pair.left] - reciprocal.positions[pair.right]
-            det = u[0] * v[1] - u[1] * v[0]
-            ok &= (det < 0) if pair.edge in boundary else (det > 0)
-        report.reciprocal_pattern = bool(ok)
+        u = fw.coords[heads, 1:] - fw.coords[tails, 1:]
+        v = reciprocal.positions[lefts] - reciprocal.positions[rights]
+        det = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        report.reciprocal_pattern = bool(np.all(np.where(boundary, det < 0, det > 0)))
     if lift is not None:
         if lift.kind is not LiftKind.VERTICAL:
             raise WrongDimension("convexity classification needs a vertical lift")
         ok = True
-        for pair in fw.embedding.dual_pairs():
-            if pair.edge in boundary:
-                continue
-            for side, other in ((pair.left, pair.right), (pair.right, pair.left)):
-                probe = [k for k in fw.embedding.faces[side] if k not in pair.edge]
-                for k in probe:
-                    xy = fw.coords[k, 1:]
-                    ok &= lift.face_value(side, xy) >= lift.face_value(other, xy) - 1e-12
+        for k in np.flatnonzero(~boundary):
+            for side, other in ((lefts[k], rights[k]), (rights[k], lefts[k])):
+                probe = [i for i in fw.embedding.faces[side] if i not in (tails[k], heads[k])]
+                xy1 = np.column_stack([fw.coords[probe, 1:], np.ones(len(probe))])
+                ok &= np.all(xy1 @ lift.face_planes[side] >= xy1 @ lift.face_planes[other] - 1e-12)
         report.lift_convex = bool(ok)
     return report

@@ -195,14 +195,15 @@ def cross3(u, v, space: Space) -> np.ndarray:
 
     Defined by <u x v, w> = det(u, v, w) in the space's product; for the
     Minkowski form this flips the sign of component 0 of the Euclidean cross
-    product, which fixes the orientation convention once and for all.
+    product, which fixes the orientation convention once and for all.  Two
+    3-vectors give a 3-vector; two (k, 3) arrays give the k row-wise products.
     """
     if space.dim != 2:
         raise WrongDimension("cross products require ambient dimension 3")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != (3,) or v.shape != (3,):
-        raise DimensionMismatch("cross3 expects 3-vectors")
+    if u.shape != v.shape or u.shape[-1:] != (3,) or u.ndim > 2:
+        raise DimensionMismatch("cross3 expects 3-vectors or (k, 3) rows")
     c = np.cross(u, v)
     if space.is_hyperbolic:
         c = c * np.array([-1.0, 1.0, 1.0])

@@ -20,8 +20,9 @@ def chart_xy(coords: np.ndarray) -> np.ndarray:
 
 
 def chart_pushforward(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Differential of the chart map applied to an ambient tangent vector."""
-    return (v[1:] * x[0] - x[1:] * v[0]) / x[0] ** 2
+    """Differential of the chart map applied to ambient tangent vectors v at
+    the (k, 3)-rows x."""
+    return (v[:, 1:] * x[:, :1] - x[:, 1:] * v[:, :1]) / x[:, :1] ** 2
 
 
 class _Canvas:
@@ -147,9 +148,7 @@ def render_framework(fw: Framework, model="chart", flex=None, reciprocal=None,
         canvas.circle(pts[i])
         canvas.text(pts[i], str(i))
     if flex is not None:
-        arrows = np.array([
-            chart_pushforward(fw.coords[i], np.asarray(flex)[i]) for i in range(fw.n)
-        ])
+        arrows = chart_pushforward(fw.coords, np.asarray(flex))
         peak = float(np.max(np.linalg.norm(arrows, axis=1)))
         if peak > 0:
             span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
@@ -157,9 +156,9 @@ def render_framework(fw: Framework, model="chart", flex=None, reciprocal=None,
         for i in range(fw.n):
             canvas.arrow(pts[i], arrows[i])
     if rec_pts is not None:
-        for pair in fw.embedding.dual_pairs():
-            canvas.line(rec_pts[pair.right], rec_pts[pair.left], color="#27b",
-                        width=1.5, dash="5 3", clip=clip)
+        _, _, rights, lefts = fw.embedding.dual_pairs()
+        for a, b in zip(rights, lefts):
+            canvas.line(rec_pts[a], rec_pts[b], color="#27b", width=1.5, dash="5 3", clip=clip)
         for a in range(len(rec_pts)):
             canvas.circle(rec_pts[a], r=3.0, color="#27b")
     return canvas.render()

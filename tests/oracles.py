@@ -2,8 +2,8 @@
 
 Everything here recomputes expected values through a route disjoint from the
 library: exact rational Gaussian elimination over fractions.Fraction (floats
-convert exactly), subset enumeration for sparsity counts, and finite
-differences for flex checks.  The matrices are rebuilt from scratch from the
+convert exactly), subset enumeration for sparsity counts, vertex-pair
+deletion for 3-connectivity, and finite differences for flex checks.  The matrices are rebuilt from scratch from the
 defining formulas rather than taken from the library.
 """
 
@@ -228,6 +228,64 @@ def brute_force_23_sparse(n, edges) -> bool:
 
 def brute_force_laman(n, edges) -> bool:
     return len(edges) == 2 * n - 3 and brute_force_23_sparse(n, edges)
+
+
+def _connected_without(n, adj, removed) -> bool:
+    verts = [v for v in range(n) if v not in removed]
+    if not verts:
+        return True
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(verts)
+
+
+def brute_force_3_connected(n, edges) -> bool:
+    """At least 4 vertices, connected, and connected after deleting any two
+    vertices: every vertex pair tried, O(n^2 (n + m))."""
+    if n < 4:
+        return False
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return _connected_without(n, adj, ()) and all(
+        _connected_without(n, adj, pair) for pair in combinations(range(n), 2))
+
+
+def random_plane_graph(rng, n, deletions):
+    """(edges, faces) of a plane graph: a random stacked triangulation on n >= 3
+    vertices, then up to `deletions` random edge deletions, each merging the
+    two distinct faces on its sides into one.
+
+    Faces keep the library's orientation (each face left of its directed
+    boundary), so merged faces may revisit a vertex.
+    """
+    faces = [[0, 1, 2], [0, 2, 1]]
+    for v in range(3, n):
+        a, b, c = faces.pop(int(rng.randint(len(faces))))
+        faces += [[a, b, v], [b, c, v], [c, a, v]]
+    for _ in range(deletions):
+        # directed edge -> (face, position of its tail in the face cycle)
+        where = {(cyc[k], cyc[(k + 1) % len(cyc)]): (f, k)
+                 for f, cyc in enumerate(faces) for k in range(len(cyc))}
+        i, j = sorted(where)[int(rng.randint(len(where)))]
+        (f1, k1), (f2, k2) = where[(i, j)], where[(j, i)]
+        if f1 == f2:
+            continue  # a bridge: deleting it would disconnect the graph
+        # rotated, f1 runs j ... i (then i -> j) and f2 runs i ... j (then j -> i)
+        one = faces[f1][k1 + 1:] + faces[f1][:k1 + 1]
+        two = faces[f2][k2 + 1:] + faces[f2][:k2 + 1]
+        faces = [cyc for f, cyc in enumerate(faces) if f not in (f1, f2)]
+        faces.append(one + two[1:-1])
+    edges = sorted({(min(c[k], c[(k + 1) % len(c)]), max(c[k], c[(k + 1) % len(c)]))
+                    for c in faces for k in range(len(c))})
+    return edges, faces
 
 
 # --- numeric oracles ------------------------------------------------------------

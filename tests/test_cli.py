@@ -65,6 +65,31 @@ def test_env_var_tolerance(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("RIGIDKIT_TOL")
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "env:abc"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, monkeypatch, capsys, tol):
+    run(tmp_path, "example", "prism3-concurrent")
+    argv = ["analyze", "prism3-concurrent.json"]
+    if tol.startswith("env:"):
+        monkeypatch.setenv("RIGIDKIT_TOL", tol[4:])
+    else:
+        argv += ["--tol", tol]
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance must be a finite number > 0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["mc", "render"])
+def test_mc_and_render_tolerance_checked(tmp_path, capsys, command):
+    run(tmp_path, "example", "prism3-concurrent")
+    argv = [command, "prism3-concurrent.json", "--tol", "nan", "-o", "out"]
+    if command == "mc":
+        argv += ["--direction", "stress2rec"]
+    assert run(tmp_path, *argv) == 2
+    assert "tolerance must be" in capsys.readouterr().err
+
+
 def test_transform_projective_keeps_dof(tmp_path):
     run(tmp_path, "example", "prism3-concurrent")
     spec = {"kind": "projective",
@@ -339,14 +364,14 @@ def test_mc_mutated_object_exit_codes(mc_dir, data):
 def test_mc_checks_3_connectivity_once_per_call(mc_dir, direction, monkeypatch):
     # the conversion's precondition and the convexity summary share one verdict
     from rigidkit import graphs
-    real = graphs._three_connected_brute_force
+    real = graphs._polyhedral
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+    def counted(emb):
+        calls.append(emb)
+        return real(emb)
 
-    monkeypatch.setattr(graphs, "_three_connected_brute_force", counted)
+    monkeypatch.setattr(graphs, "_polyhedral", counted)
     source = direction.split("2")[0]
     argv = ["mc", "prism-E.json", "--direction", direction, "-o", "out.json"]
     if source != "stress":

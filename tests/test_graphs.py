@@ -1,10 +1,17 @@
+import numpy as np
 import pytest
 
 import rigidkit as rk
 from rigidkit.errors import EdgeFaceMismatch, EulerViolation, GraphError, OrientationInconsistent
-from rigidkit.graphs import DualPair, is_23_sparse
+from rigidkit.graphs import is_23_sparse
 
-from oracles import brute_force_23_sparse, brute_force_laman, random_graph
+from oracles import (
+    brute_force_23_sparse,
+    brute_force_3_connected,
+    brute_force_laman,
+    random_graph,
+    random_plane_graph,
+)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 TETRA_FACES = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
@@ -52,19 +59,20 @@ def test_validate_embedding_errors():
 
 def test_dual_graph_tetrahedron_self_dual():
     g = rk.graph(4, K4_EDGES)
-    dual, pairs = rk.dual_graph(rk.validate_embedding(g, TETRA_FACES))
+    emb = rk.validate_embedding(g, TETRA_FACES)
+    dual = rk.dual_graph(emb)
     assert dual.vertex_count == 4
     assert dual.edge_count == 6
-    assert len(pairs) == 6
+    assert all(len(a) == 6 for a in emb.dual_pairs())
 
 
 def test_dual_graph_cube_octahedron():
     g = rk.graph(8, CUBE_EDGES)
     emb = rk.validate_embedding(g, CUBE_FACES)
-    dual, pairs = rk.dual_graph(emb)
+    dual = rk.dual_graph(emb)
     assert dual.vertex_count == 6      # |faces|
     assert dual.edge_count == 12       # one per primal edge
-    assert len(pairs) == 12
+    assert all(len(a) == 12 for a in emb.dual_pairs())
     degs = [0] * 6
     for i, j in dual.edges:
         degs[i] += 1
@@ -76,17 +84,32 @@ def test_dual_graph_cube_octahedron():
 
 def test_dual_graph_prism():
     g = rk.graph(6, PRISM_EDGES)
-    dual, pairs = rk.dual_graph(rk.validate_embedding(g, PRISM_FACES))
+    emb = rk.validate_embedding(g, PRISM_FACES)
+    dual = rk.dual_graph(emb)
     assert dual.vertex_count == 5
-    assert len(pairs) == 9
+    assert all(len(a) == 9 for a in emb.dual_pairs())
 
 
-def test_dual_pair_orientation_toggles():
-    pair = DualPair(2, 7, 1, 3)
-    assert pair.is_consistent(2, 7, 1, 3)
-    assert not pair.is_consistent(7, 2, 1, 3)
-    assert not pair.is_consistent(2, 7, 3, 1)
-    assert pair.is_consistent(7, 2, 3, 1)
+def test_dual_pairs_are_read_only_arrays_in_edge_order():
+    g = rk.graph(6, PRISM_EDGES)
+    emb = rk.validate_embedding(g, PRISM_FACES)
+    tails, heads, rights, lefts = emb.dual_pairs()
+    assert emb.dual_pairs() is emb.dual_pairs()
+    assert list(zip(tails.tolist(), heads.tolist())) == list(g.edges)
+    for i, j, a, b in zip(tails, heads, rights, lefts):
+        assert (a, b) == (emb.face_right_of(i, j), emb.face_left_of(i, j))
+    for arr in (tails, heads, rights, lefts):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_incidences_in_cycle_order():
+    emb = rk.validate_embedding(rk.graph(6, PRISM_EDGES), PRISM_FACES)
+    faces, vertices = emb.incidences
+    assert faces.tolist() == [a for a, cyc in enumerate(PRISM_FACES) for _ in cyc]
+    assert vertices.tolist() == [i for cyc in PRISM_FACES for i in cyc]
+    with pytest.raises(ValueError):
+        vertices[0] = 1
 
 
 def test_face_right_left():
@@ -98,10 +121,87 @@ def test_face_right_left():
 
 
 def test_is_3_connected():
-    assert rk.is_3_connected(rk.graph(4, K4_EDGES))
-    assert not rk.is_3_connected(rk.graph(4, [(0, 1), (1, 2), (2, 3)]))
-    assert rk.is_3_connected(rk.graph(6, PRISM_EDGES))
-    assert not rk.is_3_connected(rk.graph(3, [(0, 1), (1, 2), (0, 2)]))
+    assert rk.is_3_connected(rk.validate_embedding(rk.graph(4, K4_EDGES), TETRA_FACES))
+    path = rk.graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert not rk.is_3_connected(rk.validate_embedding(path, [[0, 1, 2, 3, 2, 1]]))
+    assert rk.is_3_connected(rk.validate_embedding(rk.graph(6, PRISM_EDGES), PRISM_FACES))
+    triangle = rk.graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert not rk.is_3_connected(rk.validate_embedding(triangle, [[0, 1, 2], [0, 2, 1]]))
+
+
+def _embedded(faces):
+    """The embedding of face cycles on vertices 0..n-1, edges read off the faces."""
+    edges = {tuple(sorted((c[k], c[(k + 1) % len(c)]))) for c in faces for k in range(len(c))}
+    n = 1 + max(max(c) for c in faces)
+    return rk.validate_embedding(rk.graph(n, sorted(edges)), faces)
+
+
+def _agrees_with_brute_force(emb):
+    g = emb.graph
+    return rk.is_3_connected(emb) == brute_force_3_connected(g.vertex_count, g.edges)
+
+
+@pytest.mark.parametrize("name", ["triangle", "square4bar", "prism3-concurrent",
+                                  "prism3-generic", "k4-centroid"])
+def test_is_3_connected_matches_brute_force_on_gallery(name):
+    assert _agrees_with_brute_force(rk.gallery.fixture(name).framework.embedding)
+
+
+def test_is_3_connected_matches_brute_force_on_wheels():
+    for rim in range(4, 41):
+        faces = [[k, (k + 1) % rim, rim] for k in range(rim)] + [list(range(rim))[::-1]]
+        emb = _embedded(faces)
+        assert rk.is_3_connected(emb) and _agrees_with_brute_force(emb)
+
+
+def test_is_3_connected_matches_brute_force_on_random_plane_graphs():
+    rng = np.random.RandomState(2024)
+    verdicts, repeated = [], 0
+    for _ in range(1200):
+        n = int(rng.randint(4, 13))
+        edges, faces = random_plane_graph(rng, n, int(rng.randint(0, n + 1)))
+        emb = rk.validate_embedding(rk.graph(n, edges), faces)
+        assert _agrees_with_brute_force(emb), faces
+        verdicts.append(rk.is_3_connected(emb))
+        repeated += any(len(set(cyc)) < len(cyc) for cyc in faces)
+    # both verdicts and faces with a repeated vertex occur often
+    assert 100 < sum(verdicts) < 1100 and repeated > 100
+
+
+OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
+              [5, 2, 1], [5, 3, 2], [5, 4, 3], [5, 1, 4]]
+
+
+def test_is_3_connected_needs_the_graph_connected():
+    # K7 on the torus beside a tetrahedron: n - m + f = 11 - 27 + 18 = 2 and
+    # every face condition holds, but the graph has two components.
+    torus = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)] + \
+            [[i, (i + 3) % 7, (i + 2) % 7] for i in range(7)]
+    emb = _embedded(torus + [[v + 7 for v in cyc] for cyc in TETRA_FACES])
+    assert (emb.graph.vertex_count, emb.graph.edge_count, emb.face_count) == (11, 27, 18)
+    assert not rk.is_3_connected(emb)
+    assert _agrees_with_brute_force(emb)
+
+
+def test_is_3_connected_needs_one_rotation_per_vertex():
+    # Two octahedra sharing their apexes 0 and 5: every face pair meets in at
+    # most an edge, but {0, 5} separates the two equators, and the faces
+    # around each apex form two rotations, not one.
+    second = {0: 0, 5: 5, 1: 6, 2: 7, 3: 8, 4: 9}
+    emb = _embedded(OCTAHEDRON + [[second[v] for v in cyc] for cyc in OCTAHEDRON])
+    assert not rk.is_3_connected(emb)
+    assert _agrees_with_brute_force(emb)
+
+
+def test_is_3_connected_refuses_faces_off_the_sphere():
+    # Four edge-disjoint triangles of the octahedron, each listed in both
+    # orientations, pass validate_embedding (6 - 12 + 8 = 2) but glue to four
+    # spheres pinched at the vertices.  The graph is 3-connected; the
+    # embedding is not polyhedral, and the verdict is read from the faces.
+    triangles = [OCTAHEDRON[k] for k in (0, 2, 5, 7)]
+    emb = _embedded(triangles + [cyc[::-1] for cyc in triangles])
+    assert brute_force_3_connected(6, emb.graph.edges)
+    assert not rk.is_3_connected(emb)
 
 
 def test_laman_examples():

@@ -165,6 +165,14 @@ def test_vector_field_validation(right_triangle):
     assert rk.vector_field(right_triangle, ok).norm() > 0
 
 
+def test_non_finite_load_and_field_rejected():
+    fw = rk.gallery.fixture("triangle").framework
+    with pytest.raises(rk.errors.NotTangent, match="finite"):
+        rk.load(fw, [[0, np.nan, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(rk.errors.NotTangent, match="finite"):
+        rk.vector_field(fw, [[0, np.inf, 0], [0, 0, 0], [0, 0, 0]])
+
+
 def test_near_singular_configuration_reported(prism_doc):
     # an almost-concurrent prism is rigid at the default tolerance, but the
     # report exposes the tiny singular value so users can judge the margin

@@ -144,7 +144,7 @@ def test_collinear_face_rejected(k4):
     coords = fw.coords[:, 1:].copy()
     coords[3] = (0.5, 0.0)
     flat = rk.build_framework(fw.graph, fw.space, coords, fw.embedding)
-    rec = mc.ReciprocalDiagram(flat, rk.dual_graph(fw.embedding)[0], np.zeros((4, 2)))
+    rec = mc.ReciprocalDiagram(flat, rk.dual_graph(fw.embedding), np.zeros((4, 2)))
     with pytest.raises(CollinearFace):
         mc.convert(flat, rec, to="lift")
 
@@ -270,12 +270,47 @@ def test_curved_conversion_rejects_foreign_lift_kind(kind):
             mc.convert(fw, radial, to=to)
 
 
+@pytest.mark.parametrize("kind", ["E", "S", "H"])
+def test_residuals_match_per_pair_loop(prism, kind):
+    fw, w = prism if kind == "E" else _curved_prism(kind)
+    rec, lift = mc.convert(fw, w, to="reciprocal"), mc.convert(fw, w, to="lift")
+    lifts = [lift]
+    if kind == "E":
+        lifts.append(mc.radial_vertical_convert(fw, lift, np.array([0.5, 0.25, 7.0])))
+    emb, sp = fw.embedding, fw.space
+    perp = []
+    for i, j in fw.graph.edges:
+        a, b = emb.face_right_of(i, j), emb.face_left_of(i, j)
+        if kind == "E":
+            u = fw.coords[j, 1:] - fw.coords[i, 1:]
+            v = rec.positions[b] - rec.positions[a]
+            perp.append(abs(u @ v) / max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300))
+        else:
+            ma, mb, pi, pj = rec.positions[a], rec.positions[b], fw.coords[i], fw.coords[j]
+            perp.append(abs(rk.signed_inner(ma, pi, sp) * rk.signed_inner(mb, pj, sp) -
+                            rk.signed_inner(ma, pj, sp) * rk.signed_inner(mb, pi, sp)))
+    np.testing.assert_allclose(rec.perpendicularity_residuals(), perp, rtol=1e-12, atol=0)
+    for lf in lifts:
+        inc = []
+        for a, cyc in enumerate(emb.faces):
+            for i in cyc:
+                plane, point = lf.face_planes[a], lf.vertex_points[i]
+                if lf.kind is mc.LiftKind.VERTICAL:
+                    x, y = fw.coords[i, 1:]
+                    inc.append(abs(plane[0] * x + plane[1] * y + plane[2] - point[2]))
+                elif lf.kind is mc.LiftKind.RADIAL:
+                    inc.append(abs(plane[:3] @ point - plane[3]))
+                else:
+                    kappa = 1.0 if kind == "S" else -1.0
+                    inc.append(abs(rk.signed_inner(plane, point, sp) - kappa))
+        np.testing.assert_allclose(lf.incidence_residuals(), inc, rtol=1e-12, atol=1e-300)
+
+
 def test_sph_lambda_matches_stress_extraction():
     fw, w = _curved_prism("S")
     lift = mc.convert(fw, w, to="lift")
-    for pair in fw.embedding.dual_pairs():
-        i, j = pair.tail, pair.head
-        dlt = lift.face_planes[pair.left] - lift.face_planes[pair.right]
+    for i, j, right, left in zip(*fw.embedding.dual_pairs()):
+        dlt = lift.face_planes[left] - lift.face_planes[right]
         cp = rk.cross3(fw.coords[i], fw.coords[j], fw.space)
         lam = float(dlt @ cp) / float(cp @ cp)
         dist = rk.distances(fw.coords[[i]], fw.coords[[j]], fw.space)[0]
@@ -317,11 +352,11 @@ def test_hyp_quadrilateral_orthogonality_identity():
     # diagonals orthogonal iff cosh a cosh c = cosh b cosh d
     fw, w = _curved_prism("H")
     rec = mc.convert(fw, w, to="reciprocal")
-    for pair in fw.embedding.dual_pairs():
-        pi = fw.coords[pair.tail]
-        pj = fw.coords[pair.head]
-        ma = rec.positions[pair.right]
-        mb = rec.positions[pair.left]
+    for i, j, right, left in zip(*fw.embedding.dual_pairs()):
+        pi = fw.coords[i]
+        pj = fw.coords[j]
+        ma = rec.positions[right]
+        mb = rec.positions[left]
         a, b, c, d = rk.distances([ma, pi, mb, pj], [pi, mb, pj, ma], fw.space)
         assert np.cosh(a) * np.cosh(c) == pytest.approx(np.cosh(b) * np.cosh(d),
                                                         rel=1e-9)
@@ -331,11 +366,11 @@ def test_euclid_quadrilateral_orthogonality_identity(prism):
     # Euclidean analogue: a^2 + c^2 = b^2 + d^2
     fw, w = prism
     rec = mc.convert(fw, w, to="reciprocal")
-    for pair in fw.embedding.dual_pairs():
-        pi = fw.coords[pair.tail, 1:]
-        pj = fw.coords[pair.head, 1:]
-        ma = rec.positions[pair.right]
-        mb = rec.positions[pair.left]
+    for i, j, right, left in zip(*fw.embedding.dual_pairs()):
+        pi = fw.coords[i, 1:]
+        pj = fw.coords[j, 1:]
+        ma = rec.positions[right]
+        mb = rec.positions[left]
         lhs = np.sum((ma - pi) ** 2) + np.sum((mb - pj) ** 2)
         rhs = np.sum((pi - mb) ** 2) + np.sum((pj - ma) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-9)

@@ -126,6 +126,18 @@ def test_cross3_euclidean_basis():
     assert np.allclose(rk.cross3([0.3, 1, 2], [0.3, 1, 2], E2), 0.0)
 
 
+def test_cross3_rows_match_single_products():
+    rng = np.random.RandomState(5)
+    u, v = rng.standard_normal((2, 7, 3))
+    for space in (E2, H2):
+        rows = rk.cross3(u, v, space)
+        assert rows.shape == (7, 3)
+        for k in range(7):
+            assert np.array_equal(rows[k], rk.cross3(u[k], v[k], space))
+    with pytest.raises(rk.errors.DimensionMismatch):
+        rk.cross3(u, v[:6], E2)
+
+
 @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))
 def test_cross3_orthogonality(vals):
     u = np.array(vals[:3])

@@ -21,6 +21,7 @@ METRIC_SPANS = (
     "statics.bivector_map_matrix",
     "frameworks.build_framework",
     "frameworks.load_framework",
+    "graphs.is_3_connected",
 )
 
 
