@@ -46,10 +46,8 @@ from .kinematics import (
     VectorField,
     is_infinitesimally_rigid,
     kinematic_dof,
-    motion_space,
     motion_spaces,
     rigidity_operator,
-    trivial_motion_space,
     vector_field,
 )
 from .statics import (
@@ -61,7 +59,6 @@ from .statics import (
     is_equilibrium_load,
     load,
     resolve_load,
-    self_stress_space,
     static_dof,
     static_spaces,
     stress_from_dict,

@@ -2,15 +2,15 @@
 
 Every SVD in the package goes through :func:`svd`: when LAPACK does not
 converge on a matrix it retries once on the transpose, and a second failure
-raises :class:`NumericalError`.  Every rank decision of a linear map applies
-the threshold convention sigma > tol * sigma_max * max(m, n) of
-:func:`_svd_rank` (m and n count the rows and columns that are not zero), so
-it can be overridden in one place; the Maxwell-Cremona collinear-face test is
-the one geometric check that counts these singular values against an
-absolute cutoff instead.  Counts come from one values-only
-SVD per matrix (:func:`spectrum`); singular vectors are requested only where
-a basis is wanted (:func:`nullspace`, :func:`column_space`, and the plane
-fits of the Maxwell-Cremona lifts).
+raises :class:`NumericalError`.  Every rank decision of a linear map is one
+values-only SVD (:func:`spectrum`) with the threshold convention
+sigma > tol * sigma_max * max(m, n) of :func:`_svd_rank` (m and n count the
+rows and columns that are not zero), so it can be overridden in one place;
+the Maxwell-Cremona collinear-face test is the one geometric check that
+counts singular values against an absolute cutoff instead.  A basis is one
+SVD with vectors cut at a rank already decided (:func:`nullspace`,
+:func:`column_space`); the plane fits of the Maxwell-Cremona lifts are the
+only other SVDs with vectors.
 """
 
 from dataclasses import dataclass
@@ -76,13 +76,17 @@ class Spectrum:
     values: np.ndarray
     cutoff: float
     rank: int
+    shape: tuple
+
+    @property
+    def nullity(self) -> int:
+        """Dimension of the right null space: columns minus rank."""
+        return self.shape[1] - self.rank
 
     def smallest(self, k=2) -> np.ndarray:
         """The k smallest singular values, padded with nan when there are fewer."""
-        s = np.sort(self.values)
-        out = np.full(k, np.nan)
-        out[: min(k, s.size)] = s[: min(k, s.size)]
-        return out
+        s = self.values[::-1][:k]
+        return np.concatenate([s, np.full(k - s.size, np.nan)])
 
 
 def spectrum(a, tol=RANK_TOL) -> Spectrum:
@@ -90,46 +94,28 @@ def spectrum(a, tol=RANK_TOL) -> Spectrum:
     a = _as_matrix(a)
     s = np.zeros(0) if a.size == 0 else svd(a, compute_uv=False)
     cutoff, rank = _svd_rank(s, a, tol)
-    return Spectrum(s, cutoff, rank)
+    return Spectrum(s, cutoff, rank, a.shape)
 
 
-def singular_values(a):
-    return spectrum(a).values
+def nullspace(a, rank):
+    """Orthonormal basis of the right nullspace of `a`, whose rank `rank` the
+    caller has decided, one row per basis vector: shape (n_cols - rank, n_cols).
 
-
-def numerical_rank(a, tol=RANK_TOL):
-    """Rank of `a`: number of singular values above the `_svd_rank` cutoff."""
-    return spectrum(a, tol).rank
-
-
-def nullspace(a, tol=RANK_TOL):
-    """Orthonormal basis of the numerical right nullspace, one row per basis vector.
-
-    Returns an array of shape (nullity, n_cols); the identity for a matrix
-    with zero rows.
+    The identity for a matrix that is all zero or has no rows.
     """
     a = _as_matrix(a)
-    m, n = a.shape
-    if n == 0:
-        return np.zeros((0, 0))
-    if m == 0 or not np.any(a):
-        return np.eye(n)
-    _, s, vt = svd(a)
-    return vt[_svd_rank(s, a, tol)[1]:]
+    if not np.any(a):
+        return np.eye(a.shape[1])
+    return svd(a)[2][rank:]
 
 
-def column_space(a, tol=RANK_TOL):
-    """Orthonormal basis of the numerical column space, one column per basis vector."""
+def column_space(a, rank):
+    """Orthonormal basis of the column space of `a`, whose rank `rank` the
+    caller has decided, one column per basis vector."""
     a = _as_matrix(a)
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
-    u, s, _ = svd(a, full_matrices=False)
-    return u[:, : _svd_rank(s, a, tol)[1]]
-
-
-def smallest_singular_values(a, k=2):
-    """The k smallest singular values, padded with nan when the matrix is tiny."""
-    return spectrum(a).smallest(k)
+    return svd(a, full_matrices=False)[0][:, :rank]
 
 
 def min_norm_lstsq(a, b):

@@ -99,18 +99,14 @@ class AnalysisReport:
 
 
 def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
-    """Counts, margins and verdict of `fw`, from values-only SVDs alone.
+    """Counts, margins and verdict of `fw`, read from the spectra of
+    `motion_spaces` and `static_spaces` and the vertex coordinates (the
+    spanning test): one values-only SVD per matrix and no basis.
 
-    Each matrix is factored once, with no singular vectors: the rigidity
-    operator (dim V and the smallest singular values) and the Killing
-    evaluation matrix (dim V0) on the kinematic side, the stacked
-    bivector/tangency matrix (dim F) and the resolution matrix (dim F0 and
-    the self-stress count m - dim F0) on the static side, and the vertex
-    coordinates for the spanning test.  No basis is built.  The static side
-    stays an independent computation, so the duality check kinematic dof ==
-    static dof below still compares two routes.  When they disagree, some
-    rank decision is wrong at this tolerance (coordinates spread over more
-    orders of magnitude than it resolves), and no verdict is given.
+    The static side stays an independent computation, so the duality check
+    kinematic dof == static dof still compares two routes.  When they
+    disagree, some rank decision is wrong at this tolerance (coordinates
+    spread over more orders of magnitude than it resolves): no verdict.
     """
     tol = default_tol() if tol is None else tol
     ms = kinematics.motion_spaces(fw, tol)
@@ -127,13 +123,12 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
                         "dim V0 computed from the evaluation rank")
     if fw.n and np.allclose(fw.coords, fw.coords[0]):
         warnings.append("all vertices coincide")
-    sigma = ms.smallest_sigma
     return AnalysisReport(
         n=fw.n, m=fw.m, space=str(fw.space), spanning=spanning,
         dim_V=ms.dim_V, dim_V0=ms.dim_V0, dim_F=ss.dim_F, dim_F0=ss.dim_F0,
         kinematic_dof=ms.kinematic_dof, static_dof=ss.static_dof,
         self_stress_count=ss.self_stress_count,
-        smallest_sigma=tuple(sigma), rigid=ms.kinematic_dof == 0,
+        smallest_sigma=tuple(ms.smallest_sigma), rigid=ms.kinematic_dof == 0,
         laman=laman_check(fw.graph) if (fw.dim == 2 and fw.n >= 2) else None,
         warnings=tuple(warnings),
     )
@@ -265,19 +260,13 @@ def cmd_example(args) -> int:
 
 def _pick_flex(fw: Framework, tol) -> np.ndarray:
     """A unit nontrivial flex: the V basis vector furthest from V_0, projected."""
-    basis = kinematics.motion_space(fw, tol)
-    trivial = kinematics.trivial_motion_space(fw, tol)
-    best, best_norm = None, 0.0
-    for q in basis:
-        flat = q.vecs.ravel().copy()
-        for t in trivial:
-            flat -= (flat @ t.vecs.ravel()) * t.vecs.ravel()
-        nrm = float(np.linalg.norm(flat))
-        if nrm > best_norm:
-            best, best_norm = flat, nrm
-    if best is None or best_norm < 1e-8:
+    ms = kinematics.motion_spaces(fw, tol)
+    flexes = [ms.nontrivial_part(q.vecs) for q in ms.basis_V]
+    norms = [float(np.linalg.norm(flat)) for flat in flexes]
+    if not flexes or max(norms) < 1e-8:
         return None
-    return (best / best_norm).reshape(fw.n, -1)
+    k = int(np.argmax(norms))
+    return (flexes[k] / norms[k]).reshape(fw.n, -1)
 
 
 def cmd_render(args) -> int:

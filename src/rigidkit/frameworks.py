@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from ._linalg import RANK_TOL, numerical_rank
+from ._linalg import RANK_TOL, spectrum
 from .errors import (
     AntipodalEdge,
     DegenerateEdge,
@@ -149,7 +149,7 @@ def is_spanning(fw: Framework, tol=RANK_TOL) -> bool:
     """
     if fw.n == 0:
         return False
-    return numerical_rank(fw.coords, tol) == fw.space.ambient_dim
+    return spectrum(fw.coords, tol).rank == fw.space.ambient_dim
 
 
 # --- JSON interchange --------------------------------------------------------

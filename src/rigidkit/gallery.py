@@ -27,7 +27,7 @@ def _euclidean_framework(n, edges, coords, faces=None, exterior=None) -> Framewo
 
 def _canonical_self_stress(fw: Framework, positive_edge) -> dict:
     """The 1-dim self-stress, scaled to +1 on `positive_edge`."""
-    basis = statics.self_stress_space(fw)
+    basis = statics.static_spaces(fw).self_stress_basis
     if len(basis) != 1:
         raise RuntimeError("fixture expected a one-dimensional self-stress space")
     w = basis[0]

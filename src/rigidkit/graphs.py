@@ -230,7 +230,8 @@ class PlanarEmbedding:
 
 
 def validate_embedding(g: Graph, faces, exterior_face=None) -> PlanarEmbedding:
-    """Validate face data against the Euler relation and orientation rules."""
+    """Validate face data against the Euler relation and orientation rules,
+    and check that the faces glue to a sphere."""
     faces = tuple(tuple(f) for f in faces)
     n, m = g.vertex_count, g.edge_count
     if n - m + len(faces) != 2:
@@ -265,7 +266,32 @@ def validate_embedding(g: Graph, faces, exterior_face=None) -> PlanarEmbedding:
     # directed edge appears exactly once.
     if exterior_face is not None and not (0 <= exterior_face < len(faces)):
         raise GraphError("exterior face index out of range")
-    return PlanarEmbedding(g, faces, exterior_face, directed)
+    emb = PlanarEmbedding(g, faces, exterior_face, directed)
+    if not (_is_connected(g) and _one_rotation_per_vertex(emb)):
+        raise GraphError("the faces do not glue to a sphere: the graph is "
+                         "disconnected or some vertex has more than one rotation of faces")
+    return emb
+
+
+def _one_rotation_per_vertex(emb: PlanarEmbedding) -> bool:
+    """True iff the faces around every vertex form one rotation.
+
+    With a connected graph, n - m + f = 2 and every directed edge on exactly
+    one face, this makes the faces glue to a sphere.
+    """
+    faces, verts = emb.incidences
+    # Corner t of face faces[t] sits at verts[t] and leaves along the directed
+    # edge verts[t] -> verts[succ[t]].  The next corner around that vertex is
+    # the successor of the corner leaving along the reversed edge.
+    n = emb.graph.vertex_count
+    sizes = np.bincount(faces, minlength=emb.face_count)
+    first = np.cumsum(sizes) - sizes
+    succ = np.arange(verts.size) + 1
+    succ[first + sizes - 1] = first
+    out = verts * n + verts[succ]
+    order = np.argsort(out)
+    back = order[np.searchsorted(out, verts[succ] * n + verts, sorter=order)]
+    return _cycle_count(succ[back]) == n
 
 
 def is_3_connected(embedding: PlanarEmbedding) -> bool:
@@ -275,31 +301,17 @@ def is_3_connected(embedding: PlanarEmbedding) -> bool:
 
 
 def _polyhedral(emb: PlanarEmbedding) -> bool:
-    """The face condition of a polyhedral embedding on the sphere.
+    """The face condition of a polyhedral embedding, on faces that
+    `validate_embedding` has glued to a sphere.
 
-    The graph is connected with n >= 4; the faces around every vertex form
-    one rotation, so the faces glue to a sphere; every face cycle has
-    distinct vertices; and two faces sharing two or more vertices share
-    exactly two and are adjacent across an edge.  Face lists that glue to
-    anything but a sphere are refused, whatever the graph.
+    n >= 4; every face cycle has distinct vertices; and two faces sharing two
+    or more vertices share exactly two and are adjacent across an edge.
     """
     n, f = emb.graph.vertex_count, emb.face_count
-    if n < 4 or not _is_connected(emb.graph):
+    if n < 4:
         return False
     faces, verts = emb.incidences
     if np.unique(faces * n + verts).size != verts.size:
-        return False
-    # Corner t of face faces[t] sits at verts[t] and leaves along the directed
-    # edge verts[t] -> verts[succ[t]].  The next corner around that vertex is
-    # the successor of the corner leaving along the reversed edge.
-    sizes = np.bincount(faces, minlength=f)
-    first = np.cumsum(sizes) - sizes
-    succ = np.arange(verts.size) + 1
-    succ[first + sizes - 1] = first
-    out = verts * n + verts[succ]
-    order = np.argsort(out)
-    back = order[np.searchsorted(out, verts[succ] * n + verts, sorter=order)]
-    if _cycle_count(succ[back]) != n:
         return False
     # Face pairs meeting at a vertex: all pairs within each vertex's corners.
     by_vertex = np.argsort(verts, kind="stable")

@@ -96,12 +96,6 @@ class RigidityOperator:
     def edge_rows(self) -> np.ndarray:
         return self.matrix[: self.framework.m]
 
-    def rank(self, tol=RANK_TOL) -> int:
-        return _linalg.numerical_rank(self.matrix, tol)
-
-    def smallest_singular_values(self, k=2) -> np.ndarray:
-        return _linalg.smallest_singular_values(self.matrix, k)
-
     def edge_residuals(self, q: VectorField) -> np.ndarray:
         """|row . q| per edge, normalized by ||row|| ||q||; for flex checks."""
         flat = _flatten(self.framework, q.vecs)
@@ -130,93 +124,49 @@ def rigidity_operator(fw: Framework) -> RigidityOperator:
     return RigidityOperator(fw, mat.reshape(m + n, n * amb))
 
 
-def motion_space(fw: Framework, tol=RANK_TOL) -> list:
-    """Orthonormal basis of V(Gamma, p) as a list of VectorFields."""
-    op = rigidity_operator(fw)
-    basis = _linalg.nullspace(op.matrix, tol)
-    return [VectorField(fw, _unflatten(fw, row)) for row in basis]
-
-
-def killing_matrices(space) -> list:
-    """Ambient matrices whose evaluation q_i = B p_i spans the Killing fields.
+def killing_evaluation_matrix(fw: Framework) -> np.ndarray:
+    """Columns: the Killing fields q_i = B p_i at the vertices, flattened, for
+    the ambient matrices B of a basis of the Killing algebra.
 
     Euclidean: translations plus spatial rotations, as the affine subalgebra
     of gl(d+1) with zero first row.  Spherical: skew matrices.  Hyperbolic:
     G A with A skew (the Lorentz algebra, B^T G = -G B).
     """
-    amb = space.ambient_dim
-    out = []
-    if space.is_euclidean:
-        for k in range(1, amb):
-            b = np.zeros((amb, amb))
-            b[k, 0] = 1.0
-            out.append(b)
-        for a, b_idx in combinations(range(1, amb), 2):
-            m = np.zeros((amb, amb))
-            m[a, b_idx] = 1.0
-            m[b_idx, a] = -1.0
-            out.append(m)
-        return out
-    g = np.diag(space.metric_signs)
-    for a, b_idx in combinations(range(amb), 2):
-        skew = np.zeros((amb, amb))
-        skew[a, b_idx] = 1.0
-        skew[b_idx, a] = -1.0
-        out.append(g @ skew)
-    return out
-
-
-def killing_evaluation_matrix(fw: Framework) -> np.ndarray:
-    """Columns: each Killing basis field evaluated at the vertices, flattened."""
-    mats = killing_matrices(fw.space)
-    cols = [
-        _flatten(fw, (b @ fw.coords.T).T) for b in mats
-    ]
-    if not cols:
-        return np.zeros((0, 0))
-    return np.column_stack(cols)
-
-
-def trivial_motion_space(fw: Framework, tol=RANK_TOL) -> list:
-    """Orthonormal basis of V_0: the Killing fields evaluated at the vertices.
-
-    The dimension is the rank of the evaluation map, which handles
-    non-spanning frameworks (where some Killing fields evaluate to zero or
-    become dependent).
-    """
-    basis = _linalg.column_space(killing_evaluation_matrix(fw), tol)
-    return [VectorField(fw, _unflatten(fw, col)) for col in basis.T]
-
-
-def trivial_motion_dim(fw: Framework, tol=RANK_TOL) -> int:
-    return _linalg.numerical_rank(killing_evaluation_matrix(fw), tol)
-
-
-def checked_basis(basis: list, count: int, what: str) -> tuple:
-    """`basis` as a tuple, after checking it has the `count` vectors a
-    values-only SVD found; a mismatch is a rank-decision bug."""
-    if len(basis) != count:
-        raise InternalInvariantError(
-            "%s basis has %d vectors but the values-only SVD counted %d"
-            % (what, len(basis), count)
-        )
-    return tuple(basis)
+    amb, euclidean = fw.space.ambient_dim, fw.space.is_euclidean
+    e, g = np.eye(amb), np.diag(fw.space.metric_signs)
+    mats = [np.outer(e[k], e[0]) for k in range(1, amb)] if euclidean else []
+    for a, b in combinations(range(1 if euclidean else 0, amb), 2):
+        mats.append(g @ (np.outer(e[a], e[b]) - np.outer(e[b], e[a])))
+    return np.column_stack([_flatten(fw, (m @ fw.coords.T).T) for m in mats])
 
 
 @dataclass(frozen=True, eq=False)
 class MotionSpaces:
-    """Dimensions of the motion space V and trivial space V_0, bases on request.
+    """The motion space V and the trivial space V_0 of a framework.
 
-    The counts and the smallest singular values of the rigidity operator come
-    from values-only SVDs; the bases are computed on first access and checked
-    against the stored counts.
+    `operator` and `killing` are the spectra of the rigidity operator and of
+    the Killing evaluation matrix: dim V is the operator's nullity, dim V_0
+    the rank of the evaluation map (which handles non-spanning frameworks,
+    where some Killing fields evaluate to zero or become dependent).  A basis
+    is built on first access, by one SVD with vectors of its rebuilt matrix
+    cut at the stored rank; no matrix is kept.
     """
 
     framework: Framework
-    dim_V: int
-    dim_V0: int
-    smallest_sigma: np.ndarray
-    tol: float = RANK_TOL
+    operator: _linalg.Spectrum
+    killing: _linalg.Spectrum
+
+    @property
+    def dim_V(self) -> int:
+        return self.operator.nullity
+
+    @property
+    def dim_V0(self) -> int:
+        return self.killing.rank
+
+    @property
+    def smallest_sigma(self) -> np.ndarray:
+        return self.operator.smallest()
 
     @property
     def kinematic_dof(self) -> int:
@@ -224,26 +174,32 @@ class MotionSpaces:
 
     @cached_property
     def basis_V(self) -> tuple:
-        return checked_basis(motion_space(self.framework, self.tol), self.dim_V, "V")
+        """Orthonormal basis of V as VectorFields."""
+        fw = self.framework
+        rows = _linalg.nullspace(rigidity_operator(fw).matrix, self.operator.rank)
+        return tuple(VectorField(fw, _unflatten(fw, row)) for row in rows)
 
     @cached_property
     def basis_V0(self) -> tuple:
-        return checked_basis(
-            trivial_motion_space(self.framework, self.tol), self.dim_V0, "V0"
-        )
+        """Orthonormal basis of V_0: the Killing fields evaluated at the vertices."""
+        fw = self.framework
+        cols = _linalg.column_space(killing_evaluation_matrix(fw), self.killing.rank)
+        return tuple(VectorField(fw, _unflatten(fw, col)) for col in cols.T)
+
+    def nontrivial_part(self, vecs) -> np.ndarray:
+        """The flattened (n, d+1) array `vecs` minus its projection onto V_0."""
+        flat = np.ravel(vecs)
+        for t in self.basis_V0:
+            t = t.vecs.ravel()
+            flat = flat - (flat @ t) * t
+        return flat
 
 
 def motion_spaces(fw: Framework, tol=RANK_TOL) -> MotionSpaces:
-    """dim V, dim V_0 and the smallest operator singular values; no bases.
-
-    One values-only SVD of the rigidity operator and one of the Killing
-    evaluation matrix.
-    """
-    op = rigidity_operator(fw)
-    spec = _linalg.spectrum(op.matrix, tol)
-    ms = MotionSpaces(
-        fw, op.matrix.shape[1] - spec.rank, trivial_motion_dim(fw, tol), spec.smallest(), tol
-    )
+    """The spectra of the rigidity operator and the Killing evaluation matrix,
+    one values-only SVD each; no bases."""
+    ms = MotionSpaces(fw, _linalg.spectrum(rigidity_operator(fw).matrix, tol),
+                      _linalg.spectrum(killing_evaluation_matrix(fw), tol))
     if ms.kinematic_dof < 0:
         raise InternalInvariantError(
             "dim V = %d < dim V0 = %d; rank tolerance is inconsistent" % (ms.dim_V, ms.dim_V0)
@@ -264,8 +220,7 @@ def is_infinitesimally_rigid(fw: Framework, tol=RANK_TOL) -> bool:
         # mismatch would mean the operator and Killing ranks disagree, not
         # that the input is bad.
         d = fw.dim
-        rank = d * fw.n - ms.dim_V
-        formula = rank == d * fw.n - d * (d + 1) // 2
+        formula = ms.operator.rank == d * fw.n - d * (d + 1) // 2
         if formula != rigid:
             raise InternalInvariantError(
                 "kinematic dof and rank formula disagree (dof=%d)" % ms.kinematic_dof

@@ -250,15 +250,16 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _require_self_stress(fw: Framework, w: Stress, tol):
-    res = statics.resolution_matrix(fw) @ w.values
-    scale = max(float(np.max(np.abs(w.values))), 1e-300)
+def _require_self_stress(fw: Framework, w: np.ndarray, tol):
+    """Check the values `w`, in edge order, for a nowhere-zero self-stress."""
+    res = statics.resolution_matrix(fw) @ w
+    scale = max(float(np.max(np.abs(w))), 1e-300)
     edge_scale = scale * max(float(np.max(np.abs(fw.coords))), 1.0)
     if float(np.max(np.abs(res))) > tol * edge_scale * fw.n:
         raise NotSelfStress(
             "stress does not resolve the zero load (residual %.3g)" % np.max(np.abs(res))
         )
-    small = np.abs(w.values) <= 1e-12 * scale
+    small = np.abs(w) <= 1e-12 * scale
     if np.any(small):
         raise ZeroOnEdge(
             "self-stress vanishes on edges %s"
@@ -302,9 +303,9 @@ def _check_no_collinear_faces(fw: Framework):
         pts = fw.coords[list(cyc)]
         cutoff = 1e-12 * max(1.0, np.max(np.abs(pts)))
         if fw.space.is_euclidean:  # rank of the homogeneous points
-            rank = 1 + int(np.sum(_linalg.singular_values(pts[1:, 1:] - pts[0, 1:]) > cutoff))
+            rank = 1 + np.sum(_linalg.svd(pts[1:, 1:] - pts[0, 1:], compute_uv=False) > cutoff)
         else:
-            rank = int(np.sum(_linalg.singular_values(pts) > cutoff))
+            rank = np.sum(_linalg.svd(pts, compute_uv=False) > cutoff)
         if rank < 3:
             raise CollinearFace("face %d is contained in a geodesic" % a)
 
@@ -361,8 +362,9 @@ def _stress_walk(fw: Framework, lam: np.ndarray, base: np.ndarray, tol):
 
 def _face_vectors_from_stress(fw: Framework, w: Stress, tol):
     """(M, closure residual, stress scale) of a nowhere-zero self-stress."""
-    _require_self_stress(fw, w, tol)
-    lam = w.values * statics.edge_factors(fw)[0]
+    values = w.values_on(fw.graph)
+    _require_self_stress(fw, values, tol)
+    lam = values * statics.edge_factors(fw)[0]
     base = np.array(_BASE_VECTOR[fw.space.kind.value])
     if fw.space.is_spherical:
         # Perturb the base normal deterministically until every c_i is nonzero.
@@ -431,8 +433,7 @@ def _face_vectors_from_lift(fw: Framework, lift: PolyhedralLift, tol) -> np.ndar
     # Adjacent faces must have distinct planes, else the dual edge collapses
     # and the perpendicularity test is meaningless noise.
     _, _, rights, lefts = fw.embedding.dual_pairs()
-    same = np.all(np.isclose(lift.face_planes[rights], lift.face_planes[lefts], atol=tol),
-                  axis=1)
+    same = np.all(np.isclose(planes[rights], planes[lefts], atol=tol), axis=1)
     if np.any(same):
         k = np.flatnonzero(same)[0]
         raise NonPlanarFace("adjacent faces %d, %d lifted to one plane" % (rights[k], lefts[k]))
@@ -716,7 +717,7 @@ def euclid_convexity_classify(fw: Framework, stress: Stress = None,
     lo, hi = np.minimum(tails, heads)[boundary], np.maximum(tails, heads)[boundary]
     report = ConvexityReport(ext, tuple(sorted(zip(lo.tolist(), hi.tolist()))))
     if stress is not None:
-        w = stress.values
+        w = stress.values_on(fw.graph)
         report.stress_pattern = bool(np.all(np.where(boundary, w < 0, w > 0)))
     if reciprocal is not None:
         u = fw.coords[heads, 1:] - fw.coords[tails, 1:]

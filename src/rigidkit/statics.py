@@ -18,7 +18,6 @@ from .frameworks import Framework
 from .graphs import Graph, canonical_edge
 from .kinematics import (
     VectorField,
-    checked_basis,
     require_same_framework,
     validate_tangent_field,
     virtual_work_field,
@@ -75,6 +74,16 @@ class Stress:
 
     def __len__(self):
         return len(self.edges)
+
+    def values_on(self, g: Graph) -> np.ndarray:
+        """The values in the edge order of `g`, read by edge; GraphError unless
+        the stress has one value on each edge of `g` and on no other."""
+        index = g.edge_index()
+        if self._index is index:
+            return self.values
+        if len(self.edges) != len(index) or self._index.keys() != index.keys():
+            raise GraphError("stress edges do not match the graph's edges")
+        return self.values[[self._index[e] for e in index]]
 
     def scaled(self, factor: float) -> "Stress":
         return Stress(self.edges, self.values * factor)
@@ -146,9 +155,7 @@ def resolution_matrix(fw: Framework) -> np.ndarray:
 
 def apply_stress(fw: Framework, w: Stress) -> Load:
     """The load resolved by `w`: f_i = sum_j w_ij dist(p_i, p_j) e_ij."""
-    if tuple(w.edges) != tuple(fw.graph.edges):
-        raise GraphError("stress edge order does not match the framework")
-    flat = resolution_matrix(fw) @ w.values
+    flat = resolution_matrix(fw) @ w.values_on(fw.graph)
     return Load(fw, flat.reshape(fw.n, fw.space.ambient_dim))
 
 
@@ -176,12 +183,6 @@ def resolve_load(fw: Framework, ld: Load, tol=1e-8):
     return Stress(fw.graph, w)
 
 
-def self_stress_space(fw: Framework, tol=RANK_TOL) -> list:
-    """Orthonormal basis of the stresses resolving the zero load."""
-    basis = _linalg.nullspace(resolution_matrix(fw), tol)
-    return [Stress(fw.graph, row) for row in basis]
-
-
 def bivector_map_matrix(fw: Framework) -> np.ndarray:
     """Matrix of (ambient load) -> total bivector, shape (C(d+1,2), n*(d+1)).
 
@@ -207,16 +208,28 @@ def tangency_matrix(fw: Framework) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StaticSpaces:
-    """Dimensions of the equilibrium and resolvable load spaces.
+    """The equilibrium load space F and the resolvable load space F_0.
 
-    The counts come from values-only SVDs; the self-stress basis is computed
-    on first access and checked against the stored count.
+    `equilibrium` and `resolution` are the spectra of the stacked
+    bivector/tangency matrix and of the resolution matrix: dim F is the
+    nullity of the bivector map restricted to tangent loads (explicit
+    tangency rows handle non-spanning frameworks), dim F_0 the rank of the
+    resolution matrix and the self-stress count its nullity.  The self-stress
+    basis is built on first access, by one SVD with vectors of the rebuilt
+    resolution matrix cut at the stored rank; no matrix is kept.
     """
 
     framework: Framework
-    dim_F: int
-    dim_F0: int
-    tol: float = RANK_TOL
+    equilibrium: _linalg.Spectrum
+    resolution: _linalg.Spectrum
+
+    @property
+    def dim_F(self) -> int:
+        return self.equilibrium.nullity
+
+    @property
+    def dim_F0(self) -> int:
+        return self.resolution.rank
 
     @property
     def static_dof(self) -> int:
@@ -224,28 +237,22 @@ class StaticSpaces:
 
     @property
     def self_stress_count(self) -> int:
-        return self.framework.m - self.dim_F0
+        return self.resolution.nullity
 
     @cached_property
     def self_stress_basis(self) -> tuple:
-        return checked_basis(
-            self_stress_space(self.framework, self.tol), self.self_stress_count, "self-stress"
-        )
+        """Orthonormal basis of the stresses resolving the zero load."""
+        fw = self.framework
+        rows = _linalg.nullspace(resolution_matrix(fw), self.resolution.rank)
+        return tuple(Stress(fw.graph, row) for row in rows)
 
 
 def static_spaces(fw: Framework, tol=RANK_TOL) -> StaticSpaces:
-    """Equilibrium-load dimension and resolvable-load dimension; no bases.
-
-    dim F is the nullity of the bivector map restricted to tangent loads
-    (computed with explicit tangency rows, so non-spanning frameworks are
-    handled correctly); dim F_0 is the rank of the resolution operator.  One
-    values-only SVD of each of the two matrices; the self-stress count is
-    m - dim F_0.
-    """
+    """The spectra of the stacked bivector/tangency matrix and the resolution
+    matrix, one values-only SVD each; no bases."""
     stacked = np.vstack([bivector_map_matrix(fw), tangency_matrix(fw)])
-    dim_f = stacked.shape[1] - _linalg.numerical_rank(stacked, tol)
-    dim_f0 = _linalg.numerical_rank(resolution_matrix(fw), tol)
-    return StaticSpaces(fw, dim_f, dim_f0, tol)
+    return StaticSpaces(fw, _linalg.spectrum(stacked, tol),
+                        _linalg.spectrum(resolution_matrix(fw), tol))
 
 
 def static_dof(fw: Framework, tol=RANK_TOL) -> int:

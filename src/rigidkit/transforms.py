@@ -24,7 +24,7 @@ from .errors import (
     VertexAtInfinity,
 )
 from .frameworks import Framework, build_framework, is_isometric
-from .kinematics import VectorField, require_same_framework, trivial_motion_space
+from .kinematics import VectorField, motion_spaces, require_same_framework
 from .spaces import EPS_MODEL, Space, SpaceKind, signed_inner
 from .statics import Load, Stress, edge_factors
 
@@ -234,7 +234,8 @@ class FrameworkMap:
         vertex normalizers and the global scale.
         """
         i, j = self.source.graph.ends
-        lam = w.values * edge_factors(self.source)[0] * self.factors[i] * self.factors[j]
+        lam = (w.values_on(self.source.graph) * edge_factors(self.source)[0]
+               * self.factors[i] * self.factors[j])
         return Stress(self.image.graph, lam / self.global_scale / edge_factors(self.image)[0])
 
 
@@ -283,19 +284,21 @@ class AveragingResult:
     nontrivial: bool
 
 
-def _model_normalize(vec: np.ndarray, space: Space, what: str):
+def _model_normalize(vecs: np.ndarray, space: Space, what: str):
+    """The rows of `vecs` scaled onto the model surface, and the scales (ones
+    in E); DegenerateMidpoint names the first row, by `what` % its index,
+    that cannot be scaled."""
     if space.is_euclidean:
-        return vec, 1.0
-    q = signed_inner(vec, vec, space)
+        return vecs, np.ones(len(vecs))
+    q = signed_inner(vecs, vecs, space)
     if space.is_spherical:
-        if q <= EPS_MODEL:
-            raise DegenerateMidpoint("%s has vanishing norm" % what)
-        n = float(np.sqrt(q))
+        bad, why = q <= EPS_MODEL, "has vanishing norm"
     else:
-        if q >= -EPS_MODEL or vec[0] <= 0:
-            raise DegenerateMidpoint("%s is not normalizable to the upper sheet" % what)
-        n = float(np.sqrt(-q))
-    return vec / n, n
+        bad, why = (q >= -EPS_MODEL) | (vecs[:, 0] <= 0), "is not normalizable to the upper sheet"
+    if np.any(bad):
+        raise DegenerateMidpoint("%s %s" % (what % np.flatnonzero(bad)[0], why))
+    n = np.sqrt(np.abs(q))
+    return vecs / n[:, None], n
 
 
 def average(fw1: Framework, fw2: Framework, tol=1e-7) -> AveragingResult:
@@ -310,25 +313,17 @@ def average(fw1: Framework, fw2: Framework, tol=1e-7) -> AveragingResult:
     if not is_isometric(fw1, fw2, tol):
         raise NotIsometric("averaging requires isometric frameworks")
     space = fw1.space
-    coords = np.zeros_like(fw1.coords)
-    qvecs = np.zeros_like(fw1.coords)
-    for i in range(fw1.n):
-        s = fw1.coords[i] + fw2.coords[i]
-        d = fw1.coords[i] - fw2.coords[i]
-        if space.is_euclidean:
-            coords[i] = s / 2.0
-            qvecs[i] = d / 2.0
-        else:
-            coords[i], n = _model_normalize(s, space, "vertex %d midpoint" % i)
-            qvecs[i] = d / n
+    total, diff = fw1.coords + fw2.coords, fw1.coords - fw2.coords
+    if space.is_euclidean:
+        coords, qvecs = total / 2.0, diff / 2.0
+    else:
+        coords, n = _model_normalize(total, space, "vertex %d midpoint")
+        qvecs = diff / n[:, None]
     mid = build_framework(fw1.graph, space, coords, fw1.embedding)
     field = VectorField(mid, qvecs)
     nontrivial = False
     if field.norm() > 0:
-        basis = trivial_motion_space(mid)
-        flat = qvecs.ravel()
-        for b in basis:
-            flat = flat - (flat @ b.vecs.ravel()) * b.vecs.ravel()
+        flat = motion_spaces(mid).nontrivial_part(qvecs)
         nontrivial = bool(np.linalg.norm(flat) > 1e-7 * max(field.norm(), 1e-300))
     return AveragingResult(mid, field, nontrivial)
 
@@ -359,15 +354,8 @@ def deaverage(fw: Framework, field: VectorField, c: float):
 
 
 def _deaverage_once(fw: Framework, field: VectorField, c: float):
-    space = fw.space
     out = []
     for sign in (+1.0, -1.0):
-        coords = np.zeros_like(fw.coords)
-        for i in range(fw.n):
-            v = fw.coords[i] + sign * c * field.vecs[i]
-            if space.is_euclidean:
-                coords[i] = v
-            else:
-                coords[i], _ = _model_normalize(v, space, "vertex %d" % i)
-        out.append(build_framework(fw.graph, space, coords, fw.embedding))
+        coords, _ = _model_normalize(fw.coords + sign * c * field.vecs, fw.space, "vertex %d")
+        out.append(build_framework(fw.graph, fw.space, coords, fw.embedding))
     return out[0], out[1]

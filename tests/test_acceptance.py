@@ -84,7 +84,7 @@ def test_criterion_02_projective_invariance():
             assert source_dof == expected, name
         else:
             assert source_dof >= 1, name
-        source_stresses = len(rk.self_stress_space(fw, RANK_TOL))
+        source_stresses = len(rk.static_spaces(fw, RANK_TOL).self_stress_basis)
         applied = 0
         while applied < 50:
             m = rng.standard_normal((3, 3))
@@ -97,7 +97,7 @@ def test_criterion_02_projective_invariance():
                 continue
             assert rk.kinematic_dof(img, RANK_TOL) == source_dof, name
             if name == "k4-centroid":
-                assert len(rk.self_stress_space(img, RANK_TOL)) == source_stresses == 1
+                assert len(rk.static_spaces(img, RANK_TOL).self_stress_basis) == source_stresses == 1
             applied += 1
     _passed("2 (dof exactly invariant under 50 projective maps x 4 fixtures)")
 
@@ -128,7 +128,7 @@ def test_criterion_03_geodesic_invariance_and_pogorelov_transport():
                 assert isinstance(rk.resolve_load(out.framework, out), rk.Unresolvable) == \
                     isinstance(rk.resolve_load(fw, f), rk.Unresolvable), (name, target)
             # virtual work preserved
-            basis = rk.motion_space(fw, RANK_TOL)
+            basis = rk.motion_spaces(fw, RANK_TOL).basis_V
             q = basis[0]
             q_img, _ = tr.pogorelov_kinematic(spec, fw, q)
             vw0 = rk.virtual_work(q, f_any)
@@ -141,7 +141,7 @@ def test_criterion_04_three_prism():
     doc = rk.gallery.fixture("prism3-concurrent")
     fw = doc.framework
     assert rk.kinematic_dof(fw, RANK_TOL) == 1
-    basis = rk.self_stress_space(fw, RANK_TOL)
+    basis = rk.static_spaces(fw, RANK_TOL).self_stress_basis
     assert len(basis) == 1
     assert np.min(np.abs(basis[0].values)) > 1e-6 * np.max(np.abs(basis[0].values))
     generic = rk.gallery.fixture("prism3-generic").framework
@@ -195,12 +195,12 @@ def test_criterion_08_maxwell_cremona_roundtrips():
         w2 = mc.convert(fw, mc.convert(fw, lift, to="reciprocal"), to="stress")
         assert np.max(np.abs(w2.values - w.values)) <= 1e-8 * scale
 
-    w_small = rk.self_stress_space(small, RANK_TOL)[0]
+    w_small = rk.static_spaces(small, RANK_TOL).self_stress_basis[0]
     check_euclid(small, w_small)
 
     for target in ("S", "H"):
         fwx = tr.apply_map(tr.geodesic_map(target), small)
-        w = rk.self_stress_space(fwx, RANK_TOL)[0]
+        w = rk.static_spaces(fwx, RANK_TOL).self_stress_basis[0]
         lift = mc.convert(fwx, w, to="lift")
         scale = lift.stress_scale
         assert np.max(lift.incidence_residuals()) <= 1e-9
@@ -228,16 +228,16 @@ def test_criterion_09_rational_oracle_equivalence():
     for name in rk.gallery.EXACT_RATIONAL:
         fw = rk.gallery.fixture(name).framework
         checks = {
-            "rigidity rank": (rk.rigidity_operator(fw).rank(RANK_TOL),
+            "rigidity rank": (rk.motion_spaces(fw, RANK_TOL).operator.rank,
                               oc.rational_rank(oc.rational_rigidity_matrix(fw))),
-            "dim V": (len(rk.motion_space(fw, RANK_TOL)), oc.rational_motion_dim(fw)),
-            "dim V0": (len(rk.trivial_motion_space(fw, RANK_TOL)),
+            "dim V": (len(rk.motion_spaces(fw, RANK_TOL).basis_V), oc.rational_motion_dim(fw)),
+            "dim V0": (len(rk.motion_spaces(fw, RANK_TOL).basis_V0),
                        oc.rational_killing_rank(fw)),
             "dim F": (rk.static_spaces(fw, RANK_TOL).dim_F,
                       oc.rational_equilibrium_dim(fw)),
             "dim F0": (rk.static_spaces(fw, RANK_TOL).dim_F0,
                        oc.rational_rank(oc.rational_resolution_matrix(fw))),
-            "self-stress": (len(rk.self_stress_space(fw, RANK_TOL)),
+            "self-stress": (len(rk.static_spaces(fw, RANK_TOL).self_stress_basis),
                             oc.rational_self_stress_dim(fw)),
         }
         for what, (num, exact) in checks.items():

@@ -270,6 +270,34 @@ def test_analyze_factors_each_matrix_once_without_vectors(kind, monkeypatch):
     assert sorted(shape for shape, _ in calls) == expected
 
 
+@pytest.mark.parametrize("kind", ["E", "S", "H"])
+def test_each_basis_is_one_svd_with_vectors_at_the_stored_rank(kind, monkeypatch):
+    from rigidkit import kinematics, statics
+    fw = rk.gallery.fixture("prism3-generic").framework
+    if kind != "E":
+        fw = rk.geodesic_project(rk.transforms.apply_map(
+            rk.affine_map(np.eye(2) * 0.1), fw), rk.Space(rk.SpaceKind(kind), 2))
+    ms, ss = rk.motion_spaces(fw), rk.static_spaces(fw)
+    real = np.linalg.svd
+    calls = []
+
+    def svd(a, full_matrices=True, compute_uv=True, hermitian=False):
+        calls.append((np.shape(a), compute_uv))
+        return real(a, full_matrices=full_matrices, compute_uv=compute_uv,
+                    hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for spaces, attr, matrix, count in (
+            (ms, "basis_V", kinematics.rigidity_operator(fw).matrix, ms.dim_V),
+            (ms, "basis_V0", kinematics.killing_evaluation_matrix(fw), ms.dim_V0),
+            (ss, "self_stress_basis", statics.resolution_matrix(fw), ss.self_stress_count)):
+        calls.clear()
+        basis = getattr(spaces, attr)
+        assert calls == [(matrix.shape, True)]
+        assert len(basis) == count
+        assert getattr(spaces, attr) is basis and len(calls) == 1
+
+
 def _prism_in(space):
     """prism3-concurrent with its self-stress; on S/H its image after the
     shrink into the chart of criterion 08."""
@@ -278,7 +306,7 @@ def _prism_in(space):
         reach = float(np.max(np.abs(fw.coords[:, 1:])))
         small = rk.apply_map(rk.affine_map(np.eye(2) * 0.45 / reach), fw)
         fw = rk.apply_map(rk.geodesic_map(space), small)
-    return fw, rk.self_stress_space(fw)[0]
+    return fw, rk.static_spaces(fw).self_stress_basis[0]
 
 
 @pytest.fixture(scope="module")

@@ -61,7 +61,7 @@ def test_k33_circle_flex_attachment():
     op = kinematics.rigidity_operator(fw)
     assert np.max(op.edge_residuals(q)) <= 1e-12
     # and it is nontrivial: it stretches a non-edge pair (two part-A vertices)
-    trivial = rk.trivial_motion_space(fw)
+    trivial = rk.motion_spaces(fw).basis_V0
     flat = q.vecs.ravel().copy()
     for t in trivial:
         flat -= (flat @ t.vecs.ravel()) * t.vecs.ravel()

@@ -129,11 +129,15 @@ def test_is_3_connected():
     assert not rk.is_3_connected(rk.validate_embedding(triangle, [[0, 1, 2], [0, 2, 1]]))
 
 
+def _graph_of(faces):
+    """The graph on vertices 0..n-1 whose edges are read off the face cycles."""
+    edges = {tuple(sorted((c[k], c[(k + 1) % len(c)]))) for c in faces for k in range(len(c))}
+    return rk.graph(1 + max(max(c) for c in faces), sorted(edges))
+
+
 def _embedded(faces):
     """The embedding of face cycles on vertices 0..n-1, edges read off the faces."""
-    edges = {tuple(sorted((c[k], c[(k + 1) % len(c)]))) for c in faces for k in range(len(c))}
-    n = 1 + max(max(c) for c in faces)
-    return rk.validate_embedding(rk.graph(n, sorted(edges)), faces)
+    return rk.validate_embedding(_graph_of(faces), faces)
 
 
 def _agrees_with_brute_force(emb):
@@ -172,15 +176,25 @@ OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
               [5, 2, 1], [5, 3, 2], [5, 4, 3], [5, 1, 4]]
 
 
+def _refused_off_the_sphere(faces):
+    """Validation refuses `faces`, which pass Euler's count and use every
+    directed edge once; returns their graph."""
+    g = _graph_of(faces)
+    assert g.vertex_count - g.edge_count + len(faces) == 2
+    with pytest.raises(GraphError, match="do not glue to a sphere"):
+        rk.validate_embedding(g, faces)
+    return g
+
+
 def test_is_3_connected_needs_the_graph_connected():
     # K7 on the torus beside a tetrahedron: n - m + f = 11 - 27 + 18 = 2 and
     # every face condition holds, but the graph has two components.
     torus = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)] + \
             [[i, (i + 3) % 7, (i + 2) % 7] for i in range(7)]
-    emb = _embedded(torus + [[v + 7 for v in cyc] for cyc in TETRA_FACES])
-    assert (emb.graph.vertex_count, emb.graph.edge_count, emb.face_count) == (11, 27, 18)
-    assert not rk.is_3_connected(emb)
-    assert _agrees_with_brute_force(emb)
+    faces = torus + [[v + 7 for v in cyc] for cyc in TETRA_FACES]
+    g = _refused_off_the_sphere(faces)
+    assert (g.vertex_count, g.edge_count, len(faces)) == (11, 27, 18)
+    assert not brute_force_3_connected(g.vertex_count, g.edges)
 
 
 def test_is_3_connected_needs_one_rotation_per_vertex():
@@ -188,20 +202,18 @@ def test_is_3_connected_needs_one_rotation_per_vertex():
     # most an edge, but {0, 5} separates the two equators, and the faces
     # around each apex form two rotations, not one.
     second = {0: 0, 5: 5, 1: 6, 2: 7, 3: 8, 4: 9}
-    emb = _embedded(OCTAHEDRON + [[second[v] for v in cyc] for cyc in OCTAHEDRON])
-    assert not rk.is_3_connected(emb)
-    assert _agrees_with_brute_force(emb)
+    g = _refused_off_the_sphere(OCTAHEDRON + [[second[v] for v in cyc] for cyc in OCTAHEDRON])
+    assert not brute_force_3_connected(g.vertex_count, g.edges)
 
 
 def test_is_3_connected_refuses_faces_off_the_sphere():
     # Four edge-disjoint triangles of the octahedron, each listed in both
-    # orientations, pass validate_embedding (6 - 12 + 8 = 2) but glue to four
-    # spheres pinched at the vertices.  The graph is 3-connected; the
-    # embedding is not polyhedral, and the verdict is read from the faces.
+    # orientations (6 - 12 + 8 = 2), glue to four spheres pinched at the
+    # vertices.  The graph is 3-connected; the face list is not an embedding
+    # on the sphere.
     triangles = [OCTAHEDRON[k] for k in (0, 2, 5, 7)]
-    emb = _embedded(triangles + [cyc[::-1] for cyc in triangles])
-    assert brute_force_3_connected(6, emb.graph.edges)
-    assert not rk.is_3_connected(emb)
+    g = _refused_off_the_sphere(triangles + [cyc[::-1] for cyc in triangles])
+    assert brute_force_3_connected(6, g.edges)
 
 
 def test_laman_examples():

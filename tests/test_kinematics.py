@@ -9,15 +9,15 @@ import oracles as oc
 def test_rigidity_operator_right_triangle_rank(right_triangle):
     op = rk.rigidity_operator(right_triangle)
     assert op.matrix.shape == (3, 6)
-    assert op.rank() == 3  # frozen from the exact rational oracle
-    assert op.rank() == oc.rational_rank(oc.rational_rigidity_matrix(right_triangle))
+    rank = rk.motion_spaces(right_triangle).operator.rank
+    assert rank == 3  # frozen from the exact rational oracle
+    assert rank == oc.rational_rank(oc.rational_rigidity_matrix(right_triangle))
 
 
 def test_rigidity_operator_single_edge():
     fw = rk.build_framework(rk.graph(2, [(0, 1)]), rk.euclidean(2), [(0, 0), (1, 0)])
-    op = rk.rigidity_operator(fw)
-    assert op.rank() == 1
-    assert len(rk.motion_space(fw)) == 3  # kernel dim frozen from the oracle
+    assert rk.motion_spaces(fw).operator.rank == 1
+    assert len(rk.motion_spaces(fw).basis_V) == 3  # kernel dim frozen from the oracle
 
 
 def test_rigidity_operator_spherical_triangle():
@@ -25,7 +25,7 @@ def test_rigidity_operator_spherical_triangle():
                             rk.spherical(2), np.eye(3))
     op = rk.rigidity_operator(fw)
     assert op.matrix.shape == (6, 9)  # 3 edge rows + 3 tangency rows
-    assert len(rk.motion_space(fw)) == oc.rational_motion_dim(fw) == 3
+    assert len(rk.motion_spaces(fw).basis_V) == oc.rational_motion_dim(fw) == 3
     assert rk.kinematic_dof(fw) == 0
 
 
@@ -58,21 +58,21 @@ def test_rigidity_operator_matches_per_edge_loop(code, rng):
 
 def test_motion_space_dims():
     tri = rk.gallery.fixture("triangle").framework
-    assert len(rk.motion_space(tri)) == 3
+    assert len(rk.motion_spaces(tri).basis_V) == 3
     path = rk.build_framework(rk.graph(3, [(0, 1), (1, 2)]), rk.euclidean(2),
                               [(0, 0), (1, 0), (2, 0)])
-    assert len(rk.motion_space(path)) == 4  # includes the middle-vertex flex
+    assert len(rk.motion_spaces(path).basis_V) == 4  # includes the middle-vertex flex
     jes = rk.gallery.fixture("jessen:0.5").framework
-    assert len(rk.motion_space(jes)) >= 7
+    assert len(rk.motion_spaces(jes).basis_V) >= 7
 
 
 def test_trivial_motion_space_dims():
     tri = rk.gallery.fixture("triangle").framework
-    assert len(rk.trivial_motion_space(tri)) == 3
+    assert len(rk.motion_spaces(tri).basis_V0) == 3
     edge = rk.build_framework(rk.graph(2, [(0, 1)]), rk.euclidean(2), [(0, 0), (1, 0)])
-    assert len(rk.trivial_motion_space(edge)) == 3  # evaluation still injective
+    assert len(rk.motion_spaces(edge).basis_V0) == 3  # evaluation still injective
     single = rk.build_framework(rk.graph(1, []), rk.euclidean(2), [(5.0, 2.0)])
-    assert len(rk.trivial_motion_space(single)) == 2  # rotations about the point die
+    assert len(rk.motion_spaces(single).basis_V0) == 2  # rotations about the point die
 
 
 def test_trivial_motion_space_spanning_dimension(rng):
@@ -83,7 +83,7 @@ def test_trivial_motion_space_spanning_dimension(rng):
         if not rk.is_spanning(fw):
             continue
         d = space.dim
-        assert len(rk.trivial_motion_space(fw)) == d * (d + 1) // 2
+        assert len(rk.motion_spaces(fw).basis_V0) == d * (d + 1) // 2
 
 
 def test_kinematic_dof_fixtures():
@@ -102,7 +102,7 @@ def test_motion_basis_annihilates_edge_rows():
     for name in ("prism3-concurrent", "k33-circle", "jessen:0.5", "octa-blaschke"):
         fw = rk.gallery.fixture(name).framework
         op = rk.rigidity_operator(fw)
-        for q in rk.motion_space(fw):
+        for q in rk.motion_spaces(fw).basis_V:
             assert np.max(op.edge_residuals(q)) <= 1e-8
 
 
@@ -110,7 +110,7 @@ def test_trivial_space_inside_motion_space():
     for name in ("prism3-concurrent", "schoenhardt", "cube-triangulated"):
         fw = rk.gallery.fixture(name).framework
         op = rk.rigidity_operator(fw)
-        for q in rk.trivial_motion_space(fw):
+        for q in rk.motion_spaces(fw).basis_V0:
             assert np.max(op.edge_residuals(q)) <= 1e-8
 
 
@@ -118,7 +118,7 @@ def test_flex_finite_difference_invariance():
     # first-order length invariance of reported flexes, h = 1e-6
     for name in ("prism3-concurrent", "jessen:0.5"):
         fw = rk.gallery.fixture(name).framework
-        for q in rk.motion_space(fw):
+        for q in rk.motion_spaces(fw).basis_V:
             assert oc.edge_length_derivative_residual(fw, q.vecs) <= 1e-6
 
 
@@ -129,25 +129,25 @@ def test_flex_finite_difference_curved(rng):
     fw = scaled_into_chart(rk.gallery.fixture("prism3-concurrent").framework)
     for target in (rk.spherical(2), rk.hyperbolic(2)):
         fwx = transforms.geodesic_project(fw, target)
-        for q in rk.motion_space(fwx):
+        for q in rk.motion_spaces(fwx).basis_V:
             assert oc.edge_length_derivative_residual(fwx, q.vecs) <= 1e-6
 
 
 def test_numerical_ranks_match_rational_oracle():
     for name in ("triangle", "square4bar", "prism3-concurrent", "k4-centroid"):
         fw = rk.gallery.fixture(name).framework
-        op = rk.rigidity_operator(fw)
-        assert op.rank() == oc.rational_rank(oc.rational_rigidity_matrix(fw))
-        assert len(rk.motion_space(fw)) == oc.rational_motion_dim(fw)
-        assert len(rk.trivial_motion_space(fw)) == oc.rational_killing_rank(fw)
+        assert (rk.motion_spaces(fw).operator.rank
+                == oc.rational_rank(oc.rational_rigidity_matrix(fw)))
+        assert len(rk.motion_spaces(fw).basis_V) == oc.rational_motion_dim(fw)
+        assert len(rk.motion_spaces(fw).basis_V0) == oc.rational_killing_rank(fw)
 
 
 def test_prism_rank_frozen_values(prism_doc):
     # exact values from the rational oracle: rank 8, dim V 4, dim V0 3
     fw = prism_doc.framework
-    assert rk.rigidity_operator(fw).rank() == 8
-    assert len(rk.motion_space(fw)) == 4
-    assert len(rk.trivial_motion_space(fw)) == 3
+    assert rk.motion_spaces(fw).operator.rank == 8
+    assert len(rk.motion_spaces(fw).basis_V) == 4
+    assert len(rk.motion_spaces(fw).basis_V0) == 3
 
 
 def test_smallest_singular_values_reported(prism_doc):

@@ -34,7 +34,7 @@ def test_self_stress_space_on_sphere_grid_k20():
     # gesdd fails on this grid's 1200 x 1121 resolution matrix with two or
     # more OpenBLAS threads; the transpose retry must recover it.
     fw = _grid_sphere()
-    basis = rk.self_stress_space(fw)
+    basis = rk.static_spaces(fw).self_stress_basis
     assert len(basis) == fw.m - (2 * fw.n - 3) == 324
     res = rk.statics.resolution_matrix(fw)
     values = np.array([w.values for w in basis])
@@ -105,19 +105,29 @@ def test_spectrum_counts_and_margins():
     assert _linalg.spectrum(np.zeros((2, 2))).rank == 0
 
 
+def test_spectrum_nullity_counts_the_columns():
+    assert _linalg.spectrum(np.diag([3.0, 1.0, 1e-13])).nullity == 1
+    assert _linalg.spectrum(np.zeros((0, 4))).nullity == 4
+    assert _linalg.spectrum(np.zeros((2, 2))).nullity == 2
+    wide = np.random.RandomState(3).standard_normal((2, 5))
+    assert _linalg.spectrum(wide).shape == (2, 5)
+    assert _linalg.spectrum(wide).nullity == 3
+    assert _linalg.spectrum(wide.T).nullity == 0
+
+
 def test_column_space_spans_the_columns():
     a = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
-    basis = _linalg.column_space(a)
+    basis = _linalg.column_space(a, _linalg.spectrum(a).rank)
     assert basis.shape == (3, 1)
     assert np.allclose(basis @ basis.T @ a, a)
-    assert _linalg.column_space(np.zeros((0, 0))).shape == (0, 0)
+    assert _linalg.column_space(np.zeros((0, 0)), 0).shape == (0, 0)
 
 
 def test_zero_rows_do_not_move_the_rank():
     a = np.diag([1.0, 5e-9, 1e-20])
     padded = np.vstack([a, np.zeros((9, 3))])
-    assert _linalg.numerical_rank(padded) == _linalg.numerical_rank(a) == 2
-    assert _linalg.nullspace(padded).shape == (1, 3)
+    assert _linalg.spectrum(padded).rank == _linalg.spectrum(a).rank == 2
+    assert _linalg.nullspace(padded, _linalg.spectrum(padded).rank).shape == (1, 3)
 
 
 @pytest.mark.parametrize("x0, code", [(7693, cli.EXIT_RIGID), (1e5, cli.EXIT_INPUT),

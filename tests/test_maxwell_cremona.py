@@ -34,7 +34,7 @@ def _curved_prism(kind):
     fw = scaled_into_chart(doc.framework)
     target = rk.spherical(2) if kind == "S" else rk.hyperbolic(2)
     fwx = tr.geodesic_project(fw, target)
-    w = rk.self_stress_space(fwx)[0]
+    w = rk.static_spaces(fwx).self_stress_basis[0]
     return fwx, w
 
 
@@ -405,3 +405,58 @@ def test_k4_reciprocal_is_dual_tetrahedron_projection(k4):
     assert rec.dual.vertex_count == 4
     # K4 is self-dual: the dual graph is K4 again
     assert rec.dual.edge_count == 6
+
+
+@pytest.fixture
+def reversed_prism(prism):
+    """The gallery stress with its edges and values listed backwards: every
+    w[e] is equal, so every result must be equal too."""
+    fw, w = prism
+    rev = rk.Stress(list(reversed(w.edges)), list(reversed(w.values)))
+    assert all(rev[e] == w[e] for e in w.edges)
+    return fw, w, rev
+
+
+def test_convert_reads_the_stress_by_edge(reversed_prism):
+    fw, w, rev = reversed_prism
+    assert np.array_equal(mc.convert(fw, rev, to="reciprocal").positions,
+                          mc.convert(fw, w, to="reciprocal").positions)
+    assert mc.euclid_convexity_classify(fw, stress=rev).stress_pattern is True
+
+
+def test_stress_transport_reads_the_stress_by_edge(reversed_prism):
+    fw, w, rev = reversed_prism
+    fmap = tr.FrameworkMap(tr.geodesic_map("S"), scaled_into_chart(fw))
+    assert np.array_equal(fmap.stress(rev).values, fmap.stress(w).values)
+
+
+def test_apply_stress_reads_the_stress_by_edge(reversed_prism):
+    fw, w, rev = reversed_prism
+    assert np.array_equal(rk.apply_stress(fw, rev).vecs, rk.apply_stress(fw, w).vecs)
+
+
+def test_stress_on_other_edges_is_refused(prism):
+    fw, w = prism
+    moved = rk.Stress([(0, 4)] + list(w.edges[1:]), w.values)
+    for bad in (moved, rk.Stress(w.edges[1:], w.values[1:])):
+        with pytest.raises(GraphError):
+            rk.apply_stress(fw, bad)
+        with pytest.raises(GraphError):
+            mc.convert(fw, bad, to="reciprocal")
+        with pytest.raises(GraphError):
+            tr.FrameworkMap(tr.geodesic_map("S"), scaled_into_chart(fw)).stress(bad)
+
+
+def test_lift_conversion_checks_the_planes_it_fits(prism):
+    # The conversion fits the face planes to the lifted vertices; the stored
+    # face_planes must not decide the adjacent-plane check.
+    fw, w = prism
+    lift = mc.convert(fw, w, to="lift")
+    expected = mc.convert(fw, lift, to="stress").values
+    rng = np.random.RandomState(0)
+    for planes in (np.zeros_like(lift.face_planes), rng.standard_normal(lift.face_planes.shape)):
+        stored = mc.PolyhedralLift(fw, lift.kind, lift.vertex_points, planes)
+        assert np.array_equal(mc.convert(fw, stored, to="stress").values, expected)
+    flat = np.column_stack([fw.coords[:, 1:], np.full(fw.n, 2.0)])
+    with pytest.raises(mc.NonPlanarFace, match="one plane"):
+        mc.convert(fw, mc.PolyhedralLift(fw, lift.kind, flat, lift.face_planes), to="stress")

@@ -40,7 +40,7 @@ def test_wheel_conversion_loops(seed):
         fw = make_wheel(rng, int(rng.randint(4, 9)))
         if fw is None:
             continue
-        basis = rk.self_stress_space(fw)
+        basis = rk.static_spaces(fw).self_stress_basis
         assert len(basis) == 1
         w = basis[0]
         assert np.min(np.abs(w.values)) > 1e-8
@@ -57,7 +57,7 @@ def test_wheel_conversion_loops(seed):
         small = tr.apply_map(tr.affine_map(np.eye(2) * 0.3), fw)
         for target in ("S", "H"):
             fx = tr.apply_map(tr.geodesic_map(target), small)
-            wx = rk.self_stress_space(fx)[0]
+            wx = rk.static_spaces(fx).self_stress_basis[0]
             ref_scale = np.max(np.abs(wx.values))
             liftx = mc.convert(fx, wx, to="lift")
             factor = liftx.stress_scale  # 1 on S; the cone halving on H
@@ -82,7 +82,7 @@ def test_wheel_classification_booleans_agree(seed):
         rim = fw.coords[:-1, 1:]
         if not _is_convex_ccw(rim):
             continue
-        w = rk.self_stress_space(fw)[0]
+        w = rk.static_spaces(fw).self_stress_basis[0]
         hub_edge = (0, fw.n - 1)
         if w[hub_edge] < 0:
             w = w.scaled(-1.0)

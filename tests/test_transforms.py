@@ -153,7 +153,7 @@ def test_pogorelov_duality_virtual_work(make_spec, rng, prism_doc):
     raw = rng.standard_normal((fw.n, 3))
     raw[:, 0] = 0.0
     f = rk.load(fw, raw)
-    q = rk.motion_space(fw)[0]
+    q = rk.motion_spaces(fw).basis_V[0]
     f1, _ = tr.pogorelov_static(spec, fw, f)
     q1, _ = tr.pogorelov_kinematic(spec, fw, q)
     vw0 = rk.virtual_work(q, f)
@@ -165,15 +165,15 @@ def test_pogorelov_kinematic_preserves_spaces(rng, prism_doc):
     fw = scaled_into_chart(prism_doc.framework)
     spec = tr.projective_map(_random_invertible(rng, 3) + 2.5 * np.eye(3))
     # flexes map to flexes
-    for q in rk.motion_space(fw):
+    for q in rk.motion_spaces(fw).basis_V:
         q1, _ = tr.pogorelov_kinematic(spec, fw, q)
         op = rk.rigidity_operator(q1.framework)
         assert np.max(op.edge_residuals(q1)) <= 1e-8
     # Killing fields map to Killing fields
     spec_a = tr.affine_map(_random_invertible(rng, 2), rng.standard_normal(2))
-    for q in rk.trivial_motion_space(fw):
+    for q in rk.motion_spaces(fw).basis_V0:
         q1, _ = tr.pogorelov_kinematic(spec_a, fw, q)
-        basis = rk.trivial_motion_space(q1.framework)
+        basis = rk.motion_spaces(q1.framework).basis_V0
         flat = q1.vecs.ravel().copy()
         for b in basis:
             flat -= (flat @ b.vecs.ravel()) * b.vecs.ravel()
@@ -229,7 +229,7 @@ def test_deaverage_trivial_translation(prism_doc):
 
 def test_deaverage_flex_gives_isometric_pair(prism_doc):
     fw = prism_doc.framework
-    flex = rk.motion_space(fw)[0]
+    flex = rk.motion_spaces(fw).basis_V[0]
     plus, minus = tr.deaverage(fw, flex, 0.1)
     lp = rk.edge_lengths(plus).values
     lm = rk.edge_lengths(minus).values
@@ -238,7 +238,7 @@ def test_deaverage_flex_gives_isometric_pair(prism_doc):
 
 def test_average_deaverage_roundtrip(prism_doc):
     fw = prism_doc.framework
-    flex = rk.motion_space(fw)[2]
+    flex = rk.motion_spaces(fw).basis_V[2]
     plus, minus = tr.deaverage(fw, flex, 1.0)
     res = tr.average(plus, minus)
     assert np.max(np.abs(res.framework.coords - fw.coords)) <= 1e-10
@@ -249,7 +249,7 @@ def test_spherical_average_norm_identity(rng):
     # ||p + q|| = ||p - q|| when <p, q> = 0
     space = rk.spherical(2)
     fw = oc.random_framework(rng, space, 5)
-    basis = rk.motion_space(fw)
+    basis = rk.motion_spaces(fw).basis_V
     if basis:
         q = basis[0]
         for i in range(fw.n):
@@ -262,11 +262,43 @@ def test_curved_deaverage_average_roundtrip(rng, prism_doc):
     from rigidkit import transforms
     fw = transforms.geodesic_project(scaled_into_chart(prism_doc.framework),
                                      rk.spherical(2))
-    flex = rk.motion_space(fw)[0]
+    flex = rk.motion_spaces(fw).basis_V[0]
     plus, minus = tr.deaverage(fw, flex, 0.3)
     assert rk.is_isometric(plus, minus, tol=1e-9)
     res = tr.average(plus, minus)
     assert np.max(np.abs(res.framework.coords - fw.coords)) <= 1e-10
+
+
+def _per_vertex_normalize(vec, space):
+    """The per-vertex scaling onto the model that `average` and `deaverage`
+    did before they worked on rows; the reference for the row-wise form."""
+    if space.is_euclidean:
+        return vec, 1.0
+    n = float(np.sqrt(abs(rk.signed_inner(vec, vec, space))))
+    return vec / n, n
+
+
+@pytest.mark.parametrize("kind", ["E", "S", "H"])
+def test_average_and_deaverage_match_per_vertex_loop(kind, prism_doc):
+    fw = prism_doc.framework
+    if kind != "E":
+        fw = tr.geodesic_project(scaled_into_chart(fw), rk.Space(rk.SpaceKind(kind), 2))
+    flex = rk.motion_spaces(fw).basis_V[0]
+    plus, minus = tr.deaverage(fw, flex, 0.3)
+    for out, sign in ((plus, 1.0), (minus, -1.0)):
+        for i in range(fw.n):
+            ref, _ = _per_vertex_normalize(fw.coords[i] + sign * 0.3 * flex.vecs[i], fw.space)
+            assert np.array_equal(out.coords[i], ref)
+    res = tr.average(plus, minus)
+    for i in range(fw.n):
+        s, d = plus.coords[i] + minus.coords[i], plus.coords[i] - minus.coords[i]
+        if kind == "E":
+            mid, q = s / 2.0, d / 2.0
+        else:
+            mid, n = _per_vertex_normalize(s, fw.space)
+            q = d / n
+        assert np.array_equal(res.framework.coords[i], mid)
+        assert np.array_equal(res.field.vecs[i], q)
 
 
 def test_degenerate_midpoint():
@@ -306,7 +338,7 @@ def test_transport_report_fields(rng, prism_doc):
 
 def test_pogorelov_kinematic_identity(prism_doc):
     fw = prism_doc.framework
-    q = rk.motion_space(fw)[0]
+    q = rk.motion_spaces(fw).basis_V[0]
     out, _ = tr.pogorelov_kinematic(tr.affine_map(np.eye(2)), fw, q)
     assert np.max(np.abs(out.vecs - q.vecs)) <= 1e-12
 
@@ -317,7 +349,7 @@ def test_pogorelov_kinematic_from_curved_sources(prism_doc, rng):
     for target in (rk.spherical(2), rk.hyperbolic(2)):
         fwx = tr.geodesic_project(fw, target)
         spec = tr.geodesic_map("E")
-        for q in rk.motion_space(fwx)[:2]:
+        for q in rk.motion_spaces(fwx).basis_V[:2]:
             q_e, report = tr.pogorelov_kinematic(spec, fwx, q)
             op = rk.rigidity_operator(q_e.framework)
             assert np.max(op.edge_residuals(q_e)) <= 1e-8
