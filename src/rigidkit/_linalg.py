@@ -2,11 +2,23 @@
 
 Every SVD in the package goes through :func:`svd`: when LAPACK does not
 converge on a matrix it retries once on the transpose, and a second failure
-raises :class:`NumericalError`.  Every rank decision of a linear map is one
-values-only SVD (:func:`spectrum`) with the threshold convention
+raises :class:`NumericalError`.  Every rank decision of a linear map is made
+by :func:`spectrum` with the threshold convention
 sigma > tol * sigma_max * max(m, n) of :func:`_svd_rank` (m and n count the
-rows and columns that are not zero), so it can be overridden in one place;
-the Maxwell-Cremona collinear-face test is the one geometric check that
+rows and columns that are not zero), so it can be overridden in one place.
+
+Which path decides: a matrix whose smaller non-zero side has fewer than
+:data:`SPARSE_MIN_SIDE` rows or columns gets one values-only SVD.  A larger
+one, given densely or as :class:`Entries`, is decided by shift-invert Lanczos
+(ARPACK, through scipy) on the Gram matrix of its smaller side, where the
+null space of every rigidity matrix is small (:func:`_lanczos_spectrum`);
+its `Spectrum` then holds sigma_max and the low end only.  When that cannot
+certify the rank with a 100x margin on both sides of the cutoff, when the
+cutoff sits below the sqrt(eps) * sigma_max floor of squaring, when ARPACK
+or SuperLU fails, or when scipy is missing, the same matrix gets the dense
+SVD instead.
+
+The Maxwell-Cremona collinear-face test is the one geometric check that
 counts singular values against an absolute cutoff instead.  A basis is one
 SVD with vectors cut at a rank already decided (:func:`nullspace`,
 :func:`column_space`); the plane fits of the Maxwell-Cremona lifts are the
@@ -21,6 +33,18 @@ from .errors import NumericalError
 
 #: Default relative singular-value threshold for rank decisions.
 RANK_TOL = 1e-9
+
+#: Smallest side (non-zero rows or columns, whichever are fewer) from which
+#: `spectrum` tries shift-invert Lanczos before the dense SVD.  On E grid
+#: operators (2 cores) the two break even near a side of 250; staying above
+#: that keeps every small framework off scipy, whose import takes ~0.4 s.
+SPARSE_MIN_SIDE = 300
+
+#: Number of smallest singular values the first Lanczos solve asks for; it
+#: doubles, up to 4x, while they all fall below the cutoff.  A null space
+#: larger than that goes to the dense SVD: ARPACK's cost grows quickly with k
+#: on a cluster of zero eigenvalues.
+_LANCZOS_K = 8
 
 
 def _as_matrix(a):
@@ -70,13 +94,50 @@ def _svd_rank(s, a, tol):
 
 
 @dataclass(frozen=True, eq=False)
+class Entries:
+    """A matrix given by its (row, column, value) arrays; each position
+    occurs at most once."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    @property
+    def T(self) -> "Entries":
+        return Entries(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def toarray(self) -> np.ndarray:
+        a = np.zeros(self.shape)
+        a[self.rows, self.cols] = self.vals
+        return a
+
+
+def block_entries(rows, vertices, blocks, shape) -> Entries:
+    """Entries that put the vector blocks[t] into row rows[t], at the columns
+    w * vertices[t] ... w * vertices[t] + w - 1 of that vertex (w the block
+    width)."""
+    w = blocks.shape[1]
+    cols = np.asarray(vertices)[:, None] * w + np.arange(w)
+    return Entries(np.repeat(rows, w), cols.ravel(), blocks.ravel(), shape)
+
+
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Singular values of one matrix (descending) with its rank decision."""
+    """Singular values of one matrix (descending) with its rank decision.
+
+    `method` says which path decided the rank: "dense" (one values-only
+    SVD; `values` holds every singular value) or "sparse" (shift-invert
+    Lanczos; `partial` is then true and `values` holds sigma_max followed
+    by the smallest singular values only).
+    """
 
     values: np.ndarray
     cutoff: float
     rank: int
     shape: tuple
+    method: str = "dense"
+    partial: bool = False
 
     @property
     def nullity(self) -> int:
@@ -85,16 +146,86 @@ class Spectrum:
 
     def smallest(self, k=2) -> np.ndarray:
         """The k smallest singular values, padded with nan when there are fewer."""
-        s = self.values[::-1][:k]
+        low = self.values[1:] if self.partial else self.values
+        s = low[::-1][:k]
         return np.concatenate([s, np.full(k - s.size, np.nan)])
 
 
 def spectrum(a, tol=RANK_TOL) -> Spectrum:
-    """One values-only SVD of `a`: its singular values, cutoff and rank."""
-    a = _as_matrix(a)
+    """The singular values, cutoff and rank of `a`, a 2-d array or Entries:
+    by shift-invert Lanczos when its smaller side has at least
+    SPARSE_MIN_SIDE non-zero rows or columns and the rank can be certified,
+    else by one values-only SVD."""
+    a = a if isinstance(a, Entries) else _as_matrix(a)
+    if min(a.shape) >= SPARSE_MIN_SIDE:
+        spec = _lanczos_spectrum(a, tol)
+        if spec is not None:
+            return spec
+    if isinstance(a, Entries):
+        a = a.toarray()
     s = np.zeros(0) if a.size == 0 else svd(a, compute_uv=False)
     cutoff, rank = _svd_rank(s, a, tol)
     return Spectrum(s, cutoff, rank, a.shape)
+
+
+def _lanczos_spectrum(a, tol):
+    """The Spectrum of `a` (Entries or a 2-d array) from the Gram matrix G of
+    its smaller non-zero side, or None when it cannot be certified.
+
+    sigma_max comes from the largest eigenvalue of G; the smallest k
+    singular values are those of B V, for the k eigenvectors V of G nearest
+    0 (shift-invert about -1e-8 sigma_max^2, fixed start vector).  By
+    interlacing they bound the k smallest singular values of B from above,
+    and reading them from B V instead of sqrt(eig) keeps the null ones at
+    roundoff rather than at sqrt(eps) sigma_max.  k doubles, up to
+    4 * _LANCZOS_K, while all k fall below the cutoff.  The rank is
+    certified when the first value above the cutoff clears it by 100x and
+    the last one below sits under cutoff/100.  A value between, a null
+    space larger than ARPACK can take (k < side), a cutoff below the
+    sqrt(eps) * sigma_max floor of squaring, an ARPACK or SuperLU failure
+    and a missing scipy all give None.
+    """
+    if not isinstance(a, Entries):
+        rows, cols = np.nonzero(a)
+        a = Entries(rows, cols, a[rows, cols], a.shape)
+    keep = a.vals != 0
+    rows, ri = np.unique(a.rows[keep], return_inverse=True)
+    cols, ci = np.unique(a.cols[keep], return_inverse=True)
+    side = min(rows.size, cols.size)
+    if side < max(SPARSE_MIN_SIDE, 2):
+        return None
+    try:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import eigsh
+    except ImportError:
+        return None
+    b = csr_matrix((a.vals[keep], (ri, ci)), shape=(rows.size, cols.size))
+    if rows.size < cols.size:
+        b = b.T.tocsr()
+    gram = (b.T @ b).tocsc()
+    v0 = np.random.default_rng(0).standard_normal(side)
+    try:
+        lam_max = float(eigsh(gram, 1, v0=v0, return_eigenvectors=False)[0])
+        smax = np.sqrt(max(lam_max, 0.0))
+        cutoff = tol * smax * max(rows.size, cols.size)
+        if smax == 0.0 or cutoff < np.sqrt(np.finfo(float).eps) * smax:
+            return None
+        k = min(_LANCZOS_K, side - 1)
+        while True:
+            _, vecs = eigsh(gram, k, sigma=-1e-8 * lam_max, which="LM", v0=v0)
+            low = np.linalg.svd(b @ vecs, compute_uv=False)[::-1]
+            null = int(np.count_nonzero(low <= cutoff))
+            if null < k:
+                break
+            if k >= min(4 * _LANCZOS_K, side - 1):
+                return None
+            k = min(2 * k, side - 1)
+    except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU
+        return None
+    if low[null] <= 100.0 * cutoff or (null and low[null - 1] >= cutoff / 100.0):
+        return None
+    values = np.concatenate([[smax], low[::-1]])
+    return Spectrum(values, cutoff, side - null, a.shape, "sparse", True)
 
 
 def nullspace(a, rank):

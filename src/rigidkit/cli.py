@@ -101,7 +101,7 @@ class AnalysisReport:
 def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     """Counts, margins and verdict of `fw`, read from the spectra of
     `motion_spaces` and `static_spaces` and the vertex coordinates (the
-    spanning test): one values-only SVD per matrix and no basis.
+    spanning test): one rank decision per matrix and no basis.
 
     The static side stays an independent computation, so the duality check
     kinematic dof == static dof still compares two routes.  When they
@@ -261,7 +261,7 @@ def cmd_example(args) -> int:
 def _pick_flex(fw: Framework, tol) -> np.ndarray:
     """A unit nontrivial flex: the V basis vector furthest from V_0, projected."""
     ms = kinematics.motion_spaces(fw, tol)
-    flexes = [ms.nontrivial_part(q.vecs) for q in ms.basis_V]
+    flexes = [kinematics.nontrivial_part(ms.basis_V0, q.vecs) for q in ms.basis_V]
     norms = [float(np.linalg.norm(flat)) for flat in flexes]
     if not flexes or max(norms) < 1e-8:
         return None

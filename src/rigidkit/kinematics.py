@@ -87,10 +87,15 @@ def _unflatten(fw: Framework, flat: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RigidityOperator:
     """Linearized edge constraints: one row per edge, then (S/H) one tangency
-    row per vertex."""
+    row per vertex.  `entries` are written by index from `Graph.ends`; the
+    dense `matrix` is built from them on first access."""
 
     framework: Framework
-    matrix: np.ndarray
+    entries: _linalg.Entries
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.entries.toarray()
 
     @property
     def edge_rows(self) -> np.ndarray:
@@ -109,19 +114,15 @@ def rigidity_operator(fw: Framework) -> RigidityOperator:
     i, j = fw.graph.ends
     k = np.arange(m)
     if fw.space.is_euclidean:
-        mat = np.zeros((m, n, fw.dim))
         diff = fw.coords[i, 1:] - fw.coords[j, 1:]
-        mat[k, i] = diff
-        mat[k, j] = -diff
-        return RigidityOperator(fw, mat.reshape(m, n * fw.dim))
-    amb = fw.space.ambient_dim
+        return RigidityOperator(fw, _linalg.block_entries(
+            np.concatenate([k, k]), np.concatenate([i, j]), np.concatenate([diff, -diff]),
+            (m, n * fw.dim)))
     gp = fw.space.metric_signs * fw.coords
     v = np.arange(n)
-    mat = np.zeros((m + n, n, amb))
-    mat[k, i] = gp[j]
-    mat[k, j] = gp[i]
-    mat[m + v, v] = gp
-    return RigidityOperator(fw, mat.reshape(m + n, n * amb))
+    return RigidityOperator(fw, _linalg.block_entries(
+        np.concatenate([k, k, m + v]), np.concatenate([i, j, v]),
+        np.concatenate([gp[j], gp[i], gp]), (m + n, n * fw.space.ambient_dim)))
 
 
 def killing_evaluation_matrix(fw: Framework) -> np.ndarray:
@@ -182,23 +183,30 @@ class MotionSpaces:
     @cached_property
     def basis_V0(self) -> tuple:
         """Orthonormal basis of V_0: the Killing fields evaluated at the vertices."""
-        fw = self.framework
-        cols = _linalg.column_space(killing_evaluation_matrix(fw), self.killing.rank)
-        return tuple(VectorField(fw, _unflatten(fw, col)) for col in cols.T)
+        return trivial_basis(self.framework, self.killing.rank)
 
-    def nontrivial_part(self, vecs) -> np.ndarray:
-        """The flattened (n, d+1) array `vecs` minus its projection onto V_0."""
-        flat = np.ravel(vecs)
-        for t in self.basis_V0:
-            t = t.vecs.ravel()
-            flat = flat - (flat @ t) * t
-        return flat
+
+def trivial_basis(fw: Framework, rank: int) -> tuple:
+    """Orthonormal basis of V_0 as VectorFields: one SVD with vectors of the
+    Killing evaluation matrix, cut at its rank `rank`, decided by the caller."""
+    cols = _linalg.column_space(killing_evaluation_matrix(fw), rank)
+    return tuple(VectorField(fw, _unflatten(fw, col)) for col in cols.T)
+
+
+def nontrivial_part(basis_V0, vecs) -> np.ndarray:
+    """The flattened (n, d+1) array `vecs` minus its projection onto the span
+    of the orthonormal VectorFields `basis_V0`."""
+    flat = np.ravel(vecs)
+    for t in basis_V0:
+        t = t.vecs.ravel()
+        flat = flat - (flat @ t) * t
+    return flat
 
 
 def motion_spaces(fw: Framework, tol=RANK_TOL) -> MotionSpaces:
     """The spectra of the rigidity operator and the Killing evaluation matrix,
-    one values-only SVD each; no bases."""
-    ms = MotionSpaces(fw, _linalg.spectrum(rigidity_operator(fw).matrix, tol),
+    one rank decision each; no bases."""
+    ms = MotionSpaces(fw, _linalg.spectrum(rigidity_operator(fw).entries, tol),
                       _linalg.spectrum(killing_evaluation_matrix(fw), tol))
     if ms.kinematic_dof < 0:
         raise InternalInvariantError(

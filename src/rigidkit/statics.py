@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _linalg, spaces
 from ._linalg import RANK_TOL
-from .errors import DegenerateEdge, GraphError
+from .errors import DegenerateEdge, GraphError, InternalInvariantError
 from .frameworks import Framework
 from .graphs import Graph, canonical_edge
 from .kinematics import (
@@ -135,22 +135,59 @@ def edge_factors(fw: Framework):
     return dist / sin, cos
 
 
-def resolution_matrix(fw: Framework) -> np.ndarray:
-    """Ambient matrix of the map stress -> resolved load, shape (n*(d+1), m).
-
-    Column k, for edge ij with (f_k, c_k) from `edge_factors`, holds the
-    force dist(p_i, p_j) e_ij = f_k (p_j - c_k p_i) at vertex i and
+def resolution_entries(fw: Framework, frames=False) -> _linalg.Entries:
+    """The map stress -> resolved load, shape (n*(d+1), m): column k, for
+    edge ij with (f_k, c_k) from `edge_factors`, holds the force
+    dist(p_i, p_j) e_ij = f_k (p_j - c_k p_i) at vertex i and
     f_k (p_i - c_k p_j) at vertex j; in the Euclidean case this is just
     p_j - p_i and its negative.
+
+    With `frames`, each force is written in the tangent frame of its vertex
+    instead, shape (n*d, m): a Householder reflection sends the unit normal
+    of the tangent space (e_0 in E, G p_i / |G p_i| on S/H) to e_0, and the
+    then-zero coordinate 0 is dropped.  The map is orthogonal per vertex, so
+    the singular values stay, while the n left null vectors (the normals)
+    go.  In E it drops exactly the zero rows.  A dropped coordinate larger
+    than the model residual and roundoff allow is an InternalInvariantError.
     """
     f, c = edge_factors(fw)
     i, j = fw.graph.ends
     k = np.arange(fw.m)
-    amb = fw.space.ambient_dim
-    mat = np.zeros((fw.n, amb, fw.m))
-    mat[i, :, k] = f[:, None] * (fw.coords[j] - c[:, None] * fw.coords[i])
-    mat[j, :, k] = f[:, None] * (fw.coords[i] - c[:, None] * fw.coords[j])
-    return mat.reshape(fw.n * amb, fw.m)
+    at, to = np.concatenate([i, j]), np.concatenate([j, i])
+    f, c = np.concatenate([f, f])[:, None], np.concatenate([c, c])[:, None]
+    forces = f * (fw.coords[to] - c * fw.coords[at])
+    if frames:
+        size = np.linalg.norm(fw.coords, axis=1)
+        scale = f[:, 0] * (size[to] + np.abs(c[:, 0]) * size[at])
+        forces = _in_tangent_frames(fw, at, forces, scale)
+    return _linalg.block_entries(np.concatenate([k, k]), at, forces,
+                                 (fw.m, fw.n * forces.shape[1])).T
+
+
+def _in_tangent_frames(fw: Framework, at, forces, scale) -> np.ndarray:
+    """Forces[t], tangent at vertex at[t], in that vertex's tangent frame.
+
+    A normal component above 16 EPS_MODEL * scale[t] (the model residual
+    allowed in a point, and roundoff, on terms of size scale[t]) means the
+    force was not tangent: InternalInvariantError.
+    """
+    normal = _normals(fw)
+    normal = normal / np.linalg.norm(normal, axis=1)[:, None]
+    v = normal.copy()  # I - 2 v v^T / (v.v) sends the normal to -+e_0
+    v[:, 0] += np.where(normal[:, 0] < 0.0, -1.0, 1.0)
+    u, v = normal[at], v[at]
+    dropped = np.abs(np.einsum("ka,ka->k", u, forces))
+    if np.any(dropped > 16.0 * EPS_MODEL * scale):
+        raise InternalInvariantError(
+            "a resolved force has normal component %.3g at its vertex" % np.max(dropped))
+    reflect = 2.0 * np.einsum("ka,ka->k", v, forces) / np.einsum("ka,ka->k", v, v)
+    return forces[:, 1:] - reflect[:, None] * v[:, 1:]
+
+
+def resolution_matrix(fw: Framework) -> np.ndarray:
+    """Ambient matrix of the map stress -> resolved load, shape (n*(d+1), m);
+    see `resolution_entries`."""
+    return resolution_entries(fw).toarray()
 
 
 def apply_stress(fw: Framework, w: Stress) -> Load:
@@ -194,15 +231,22 @@ def bivector_map_matrix(fw: Framework) -> np.ndarray:
     return per_column.reshape(fw.n * amb, per_column.shape[-1]).T
 
 
+def _normals(fw: Framework) -> np.ndarray:
+    """Per vertex, the ambient normal of its tangent space: e_0 in E, G p_i
+    on S/H."""
+    if fw.space.is_euclidean:
+        normals = np.zeros((fw.n, fw.space.ambient_dim))
+        normals[:, 0] = 1.0
+        return normals
+    return fw.space.metric_signs * fw.coords
+
+
 def tangency_matrix(fw: Framework) -> np.ndarray:
     """Rows constraining ambient per-vertex vectors to the tangent spaces."""
     amb = fw.space.ambient_dim
     mat = np.zeros((fw.n, fw.n, amb))
     v = np.arange(fw.n)
-    if fw.space.is_euclidean:
-        mat[v, v, 0] = 1.0
-    else:
-        mat[v, v] = fw.space.metric_signs * fw.coords
+    mat[v, v] = _normals(fw)
     return mat.reshape(fw.n, fw.n * amb)
 
 
@@ -214,9 +258,13 @@ class StaticSpaces:
     bivector/tangency matrix and of the resolution matrix: dim F is the
     nullity of the bivector map restricted to tangent loads (explicit
     tangency rows handle non-spanning frameworks), dim F_0 the rank of the
-    resolution matrix and the self-stress count its nullity.  The self-stress
-    basis is built on first access, by one SVD with vectors of the rebuilt
-    resolution matrix cut at the stored rank; no matrix is kept.
+    resolution matrix and the self-stress count its nullity.  On S/H the
+    resolution rank is decided in per-vertex tangent frames
+    (`resolution_entries(fw, frames=True)`): the same singular values, but
+    a left null space of the small dimension the sparse path needs.  The
+    self-stress basis is built on first access, by one SVD with vectors of
+    the rebuilt ambient resolution matrix, whose right null space is the
+    same, cut at the stored rank; no matrix is kept.
     """
 
     framework: Framework
@@ -249,10 +297,10 @@ class StaticSpaces:
 
 def static_spaces(fw: Framework, tol=RANK_TOL) -> StaticSpaces:
     """The spectra of the stacked bivector/tangency matrix and the resolution
-    matrix, one values-only SVD each; no bases."""
+    matrix (in tangent frames off E), one rank decision each; no bases."""
     stacked = np.vstack([bivector_map_matrix(fw), tangency_matrix(fw)])
-    return StaticSpaces(fw, _linalg.spectrum(stacked, tol),
-                        _linalg.spectrum(resolution_matrix(fw), tol))
+    resolution = resolution_entries(fw, frames=not fw.space.is_euclidean)
+    return StaticSpaces(fw, _linalg.spectrum(stacked, tol), _linalg.spectrum(resolution, tol))
 
 
 def static_dof(fw: Framework, tol=RANK_TOL) -> int:

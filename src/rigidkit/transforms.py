@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from .errors import (
     DegenerateEdge,
     DegenerateMidpoint,
@@ -24,7 +25,13 @@ from .errors import (
     VertexAtInfinity,
 )
 from .frameworks import Framework, build_framework, is_isometric
-from .kinematics import VectorField, motion_spaces, require_same_framework
+from .kinematics import (
+    VectorField,
+    killing_evaluation_matrix,
+    nontrivial_part,
+    require_same_framework,
+    trivial_basis,
+)
 from .spaces import EPS_MODEL, Space, SpaceKind, signed_inner
 from .statics import Load, Stress, edge_factors
 
@@ -323,7 +330,8 @@ def average(fw1: Framework, fw2: Framework, tol=1e-7) -> AveragingResult:
     field = VectorField(mid, qvecs)
     nontrivial = False
     if field.norm() > 0:
-        flat = motion_spaces(mid).nontrivial_part(qvecs)
+        killing = _linalg.spectrum(killing_evaluation_matrix(mid))
+        flat = nontrivial_part(trivial_basis(mid, killing.rank), qvecs)
         nontrivial = bool(np.linalg.norm(flat) > 1e-7 * max(field.norm(), 1e-300))
     return AveragingResult(mid, field, nontrivial)
 

@@ -218,6 +218,26 @@ def test_average_jessen_family():
     assert np.max(op.edge_residuals(res.field)) <= 1e-8
 
 
+def test_average_factors_only_the_killing_matrix(monkeypatch):
+    # the V_0 projection needs the Killing evaluation matrix's rank and basis,
+    # not the midpoint's rigidity operator
+    p3 = rk.gallery.fixture("jessen:0.3").framework
+    p7 = rk.gallery.fixture("jessen:0.7").framework
+    real = np.linalg.svd
+    calls = []
+
+    def svd(a, full_matrices=True, compute_uv=True, hermitian=False):
+        calls.append((np.shape(a), compute_uv))
+        return real(a, full_matrices=full_matrices, compute_uv=compute_uv,
+                    hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    res = tr.average(p3, p7)
+    killing = rk.kinematics.killing_evaluation_matrix(res.framework).shape
+    assert res.nontrivial
+    assert sorted(calls) == [(killing, False), (killing, True)]
+
+
 def test_deaverage_trivial_translation(prism_doc):
     fw = prism_doc.framework
     vecs = np.zeros((fw.n, 3))
