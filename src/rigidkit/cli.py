@@ -103,14 +103,18 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     `motion_spaces` and `static_spaces` and the vertex coordinates (the
     spanning test): one rank decision per matrix and no basis.
 
-    The static side stays an independent computation, so the duality check
-    kinematic dof == static dof still compares two routes.  When they
-    disagree, some rank decision is wrong at this tolerance (coordinates
-    spread over more orders of magnitude than it resolves): no verdict.
+    In E the resolution matrix is the transposed rigidity operator (plus
+    zero rows), so its rank is the operator's, passed on and not decided
+    again; the duality check kinematic dof == static dof then compares dim F
+    with dim V0.  On S/H the static side decides its own tangent-frame
+    resolution matrix (edges scaled by d/sin d), so the check compares two
+    routes to the rank as well.  When they disagree, some rank decision is
+    wrong at this tolerance (coordinates spread over more orders of
+    magnitude than it resolves): no verdict.
     """
     tol = default_tol() if tol is None else tol
     ms = kinematics.motion_spaces(fw, tol)
-    ss = statics.static_spaces(fw, tol)
+    ss = statics.static_spaces(fw, tol, operator=ms.operator)
     if ms.kinematic_dof != ss.static_dof:
         raise NumericalError(
             "kinematic dof %d != static dof %d: the rank decisions disagree at tol %g"
@@ -277,7 +281,7 @@ def cmd_render(args) -> int:
         if doc.field is not None:
             flex = kinematics.validate_tangent_field(fw, doc.field)
         else:
-            flex = _pick_flex(fw, args.tol or RANK_TOL)
+            flex = _pick_flex(fw, args.tol or default_tol())
         if flex is None:
             print("note: framework is infinitesimally rigid; no flex arrows drawn",
                   file=sys.stderr)

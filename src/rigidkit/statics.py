@@ -6,7 +6,7 @@ ambient (d+1)-coordinates with tangency enforced at construction, so the
 same code path serves E, S and H.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +19,7 @@ from .graphs import Graph, canonical_edge
 from .kinematics import (
     VectorField,
     require_same_framework,
+    rigidity_operator,
     validate_tangent_field,
     virtual_work_field,
 )
@@ -241,13 +242,22 @@ def _normals(fw: Framework) -> np.ndarray:
     return fw.space.metric_signs * fw.coords
 
 
-def tangency_matrix(fw: Framework) -> np.ndarray:
-    """Rows constraining ambient per-vertex vectors to the tangent spaces."""
-    amb = fw.space.ambient_dim
-    mat = np.zeros((fw.n, fw.n, amb))
+def equilibrium_entries(fw: Framework) -> _linalg.Entries:
+    """The bivector map stacked over one tangency row per vertex, shape
+    (C(d+1,2) + n, n*(d+1)): its right null space is the equilibrium load
+    space F, with explicit tangency rows for non-spanning frameworks.
+
+    Row C(d+1,2) + i holds the normal of vertex i's tangent space
+    (`_normals`) at that vertex's columns; nothing of size n x n is filled.
+    """
+    biv = bivector_map_matrix(fw)
+    rows, cols = np.indices(biv.shape).reshape(2, -1)
     v = np.arange(fw.n)
-    mat[v, v] = _normals(fw)
-    return mat.reshape(fw.n, fw.n * amb)
+    shape = (len(biv) + fw.n, biv.shape[1])
+    tangency = _linalg.block_entries(len(biv) + v, v, _normals(fw), shape)
+    return _linalg.Entries(np.concatenate([rows, tangency.rows]),
+                           np.concatenate([cols, tangency.cols]),
+                           np.concatenate([biv.ravel(), tangency.vals]), shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,16 +265,19 @@ class StaticSpaces:
     """The equilibrium load space F and the resolvable load space F_0.
 
     `equilibrium` and `resolution` are the spectra of the stacked
-    bivector/tangency matrix and of the resolution matrix: dim F is the
-    nullity of the bivector map restricted to tangent loads (explicit
-    tangency rows handle non-spanning frameworks), dim F_0 the rank of the
-    resolution matrix and the self-stress count its nullity.  On S/H the
-    resolution rank is decided in per-vertex tangent frames
-    (`resolution_entries(fw, frames=True)`): the same singular values, but
-    a left null space of the small dimension the sparse path needs.  The
-    self-stress basis is built on first access, by one SVD with vectors of
-    the rebuilt ambient resolution matrix, whose right null space is the
-    same, cut at the stored rank; no matrix is kept.
+    bivector/tangency matrix (`equilibrium_entries`) and of the resolution
+    map: dim F is the nullity of the bivector map restricted to tangent
+    loads (explicit tangency rows handle non-spanning frameworks), dim F_0
+    the rank of the resolution map and the self-stress count its nullity.
+    In E the resolution matrix is -R^T plus n zero rows (R the rigidity
+    operator), so `resolution` is the operator's spectrum with its shape
+    swapped: one rank decision serves R and R^T.  On S/H the resolution
+    rank is decided on its own matrix, in per-vertex tangent frames
+    (`resolution_entries(fw, frames=True)`): the same singular values as
+    the ambient matrix, but a left null space of the small dimension the
+    sparse path needs.  The self-stress basis is built on first access, by
+    one SVD with vectors of the rebuilt ambient resolution matrix, whose
+    right null space is the same, cut at the stored rank; no matrix is kept.
     """
 
     framework: Framework
@@ -295,12 +308,23 @@ class StaticSpaces:
         return tuple(Stress(fw.graph, row) for row in rows)
 
 
-def static_spaces(fw: Framework, tol=RANK_TOL) -> StaticSpaces:
-    """The spectra of the stacked bivector/tangency matrix and the resolution
-    matrix (in tangent frames off E), one rank decision each; no bases."""
-    stacked = np.vstack([bivector_map_matrix(fw), tangency_matrix(fw)])
-    resolution = resolution_entries(fw, frames=not fw.space.is_euclidean)
-    return StaticSpaces(fw, _linalg.spectrum(stacked, tol), _linalg.spectrum(resolution, tol))
+def static_spaces(fw: Framework, tol=RANK_TOL, operator=None) -> StaticSpaces:
+    """The spectra of the stacked bivector/tangency matrix and of the
+    resolution map, one rank decision each; no bases.
+
+    In E the resolution rank is the rigidity operator's: `operator`, its
+    Spectrum at `tol` when the caller has it, else decided here.  Off E
+    `operator` is not used and the tangent-frame resolution matrix is
+    decided instead.
+    """
+    equilibrium = _linalg.spectrum(equilibrium_entries(fw), tol)
+    if fw.space.is_euclidean:
+        if operator is None:
+            operator = _linalg.spectrum(rigidity_operator(fw).entries, tol)
+        resolution = replace(operator, shape=operator.shape[::-1])
+    else:
+        resolution = _linalg.spectrum(resolution_entries(fw, frames=True), tol)
+    return StaticSpaces(fw, equilibrium, resolution)
 
 
 def static_dof(fw: Framework, tol=RANK_TOL) -> int:

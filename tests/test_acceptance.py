@@ -29,7 +29,7 @@ def _scaled_to_chart(fw, margin=0.45):
 
 def _random_equilibrium_load(rng, fw):
     raw = rng.standard_normal((fw.n, fw.space.ambient_dim))
-    stacked = np.vstack([statics.bivector_map_matrix(fw), statics.tangency_matrix(fw)])
+    stacked = statics.equilibrium_entries(fw).toarray()
     corr, *_ = np.linalg.lstsq(stacked, stacked @ raw.ravel(), rcond=None)
     return rk.load(fw, (raw.ravel() - corr).reshape(fw.n, -1), eps=1e-6)
 

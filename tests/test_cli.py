@@ -80,6 +80,26 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, monkeypatch, capsys, to
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("env, code", [("nan", 2), ("1e-3", 0)])
+def test_render_flex_reads_the_env_tolerance(tmp_path, monkeypatch, capsys, env, code):
+    from rigidkit import cli
+    run(tmp_path, "example", "prism3-concurrent")
+    tols = []
+    real = cli._pick_flex
+
+    def pick_flex(fw, tol):
+        tols.append(tol)
+        return real(fw, tol)
+
+    monkeypatch.setattr(cli, "_pick_flex", pick_flex)
+    monkeypatch.setenv("RIGIDKIT_TOL", env)
+    capsys.readouterr()
+    assert run(tmp_path, "render", "prism3-concurrent.json", "--flex", "-o", "x.svg") == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: tolerance must be a finite number > 0")
+    assert tols == ([] if code else [1e-3])
+
+
 @pytest.mark.parametrize("command", ["mc", "render"])
 def test_mc_and_render_tolerance_checked(tmp_path, capsys, command):
     run(tmp_path, "example", "prism3-concurrent")
@@ -252,10 +272,11 @@ def test_analyze_factors_each_matrix_once_without_vectors(kind, monkeypatch):
         kinematics.rigidity_operator(fw).matrix.shape,
         kinematics.killing_evaluation_matrix(fw).shape,
         (statics.bivector_map_matrix(fw).shape[0] + fw.n, fw.n * 3),
-        # off E the resolution rank is decided in per-vertex tangent frames
-        statics.resolution_matrix(fw).shape if kind == "E" else (fw.n * fw.dim, fw.m),
         fw.coords.shape,                # the spanning test
-    ])
+    ] + (
+        # in E the resolution rank is the operator's; off E it is decided in
+        # per-vertex tangent frames
+        [] if kind == "E" else [(fw.n * fw.dim, fw.m)]))
     real = np.linalg.svd
     calls = []
 

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,7 +53,8 @@ def grid(k, kind="E"):
 
 def _recording_spectra(monkeypatch):
     """Make `_linalg.spectrum` append each Spectrum it returns to a list: the
-    operator, Killing, equilibrium and resolution spectra of an analysis."""
+    operator, Killing and equilibrium spectra of an analysis, then off E the
+    resolution spectrum (in E the resolution rank is the operator's)."""
     spectra = []
     real = _linalg.spectrum
 
@@ -65,8 +67,8 @@ def _recording_spectra(monkeypatch):
 
 
 def _report(fw, monkeypatch, gate):
-    """analyze's report of `fw` (None for no verdict) and its four spectra,
-    with the size gate at `gate`."""
+    """analyze's report of `fw` (None for no verdict) and its spectra, with
+    the size gate at `gate`."""
     monkeypatch.setattr(_linalg, "SPARSE_MIN_SIDE", gate)
     spectra = _recording_spectra(monkeypatch)
     try:
@@ -141,7 +143,8 @@ def test_sparse_path_exit_codes_match_dense_on_the_gallery(monkeypatch, tmp_path
 def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
     fw = grid(20, kind)
     sparse, spectra = _report(fw, monkeypatch, _linalg.SPARSE_MIN_SIDE)
-    assert [s.method for s in spectra] == ["sparse", "dense", "sparse", "sparse"]
+    assert [s.method for s in spectra] == ["sparse", "dense", "sparse"] + (
+        [] if kind == "E" else ["sparse"])
     assert all(s.partial == (s.method == "sparse") for s in spectra)
     assert sparse["rigid"] and sparse["kinematic_dof"] == sparse["static_dof"] == 0
     assert sparse["dim_V0"] == 3
@@ -159,6 +162,48 @@ def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
             above = d.values[d.rank - 1]
             assert abs(low[low > d.cutoff][0] - above) <= 1e-8 * above
             assert np.all(low[low <= d.cutoff] < d.cutoff / 100)
+
+
+def test_the_euclidean_resolution_spectrum_is_the_operators():
+    # In E the resolution matrix is -R^T plus n zero rows, so the spectrum
+    # static_spaces takes from the operator R must be the one the resolution
+    # matrix gets when decided itself (the reference): the same bits on the
+    # sparse path, whose Gram matrices are the same, and equal to roundoff on
+    # the dense path, whose SVDs factor R and -R^T.
+    frameworks = [(name, rk.gallery.fixture(name).framework)
+                  for name in rk.gallery.GALLERY_NAMES]
+    frameworks = [(label, fw) for label, fw in frameworks if fw.space.is_euclidean]
+    methods = set()
+    for label, fw in frameworks + [("grid 20", grid(20))]:
+        reference = _linalg.spectrum(statics.resolution_entries(fw))
+        operator = rk.motion_spaces(fw).operator
+        for spec in (statics.static_spaces(fw).resolution,
+                     statics.static_spaces(fw, operator=operator).resolution):
+            assert (spec.rank, spec.method) == (reference.rank, reference.method), label
+            assert spec.values.shape == reference.values.shape, label
+            if spec.method == "sparse":
+                assert np.array_equal(spec.values, reference.values), label
+                assert spec.cutoff == reference.cutoff, label
+            else:
+                assert np.all(np.abs(spec.values - reference.values)
+                              <= 1e-14 * reference.values[0]), label
+                assert abs(spec.cutoff - reference.cutoff) <= 1e-14 * reference.cutoff, label
+            assert spec.nullity == fw.m - spec.rank == reference.nullity, label
+            methods.add(spec.method)
+    assert methods == {"dense", "sparse"}
+
+
+def test_static_spaces_on_the_n900_grid_fill_no_dense_matrix():
+    pytest.importorskip("scipy.sparse.linalg")
+    fw = grid(30)
+    statics.static_spaces(fw)  # warm: scipy imported, the graph's arrays cached
+    tracemalloc.start()
+    try:
+        statics.static_spaces(fw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # one dense n x n(d+1) tangency block alone is 19 MB
 
 
 @pytest.mark.parametrize("factor, method", [(1e3, "sparse"), (2.0, "dense"), (0.5, "dense")])
@@ -194,7 +239,7 @@ def test_sparse_output_is_the_same_bytes_every_run(tmp_path, capsys):
 
 def _analyze_dense_fallback(path, monkeypatch, capsys, argv=()):
     """analyze --json on `path`: its exit code and report, and the methods of
-    the four spectra decided on the way."""
+    the spectra decided on the way."""
     spectra = _recording_spectra(monkeypatch)
     code = cli.main(["analyze", str(path), "--json", *argv])
     monkeypatch.undo()
@@ -223,7 +268,7 @@ def test_arpack_failure_falls_back_to_dense(error, tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(sla, "eigsh", eigsh)
     code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
-    assert methods == ["dense"] * 4
+    assert methods == ["dense"] * 3
     assert (code, report) == expected
     assert code in (0, 10, 2, 3)
 
@@ -233,7 +278,7 @@ def test_missing_scipy_falls_back_to_dense(tmp_path, monkeypatch, capsys):
     expected = _dense_reference(path, monkeypatch, capsys)
     monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
     code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
-    assert methods == ["dense"] * 4
+    assert methods == ["dense"] * 3
     assert (code, report) == expected
 
 
@@ -243,7 +288,7 @@ def test_tolerance_below_the_squaring_floor_falls_back_to_dense(tmp_path, monkey
     argv = ("--tol", "1e-14")
     expected = _dense_reference(path, monkeypatch, capsys, argv)
     code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys, argv)
-    assert methods == ["dense"] * 4
+    assert methods == ["dense"] * 3
     assert (code, report) == expected
     assert code in (0, 10, 2, 3)
 

@@ -49,7 +49,8 @@ def test_static_matrices_match_per_vertex_loop(code, rng):
         fw = oc.random_framework(rng, rk.spaces.space_from_code(code, d), n)
         biv, tangency = _static_rows_by_vertex(fw)
         assert np.array_equal(statics.bivector_map_matrix(fw), biv)
-        assert np.array_equal(statics.tangency_matrix(fw), tangency)
+        assert np.array_equal(statics.equilibrium_entries(fw).toarray(),
+                              np.vstack([biv, tangency]))
 
 
 def _segment():
@@ -106,7 +107,7 @@ def test_equilibrium_load_on_flexible_framework_unresolvable(prism_doc):
             flex = flat
             break
     assert flex is not None
-    stacked = np.vstack([statics.bivector_map_matrix(fw), statics.tangency_matrix(fw)])
+    stacked = statics.equilibrium_entries(fw).toarray()
     corr, *_ = np.linalg.lstsq(stacked, stacked @ flex, rcond=None)
     f_eq = rk.load(fw, (flex - corr).reshape(fw.n, 3))
     assert rk.is_equilibrium_load(fw, f_eq)
@@ -155,7 +156,7 @@ def test_virtual_work_annihilators(prism_doc, rng):
     # equilibrium loads annihilate V0
     raw = rng.standard_normal((fw.n, 3))
     raw[:, 0] = 0.0
-    stacked = np.vstack([statics.bivector_map_matrix(fw), statics.tangency_matrix(fw)])
+    stacked = statics.equilibrium_entries(fw).toarray()
     corr, *_ = np.linalg.lstsq(stacked, stacked @ raw.ravel(), rcond=None)
     f_eq = rk.load(fw, (raw.ravel() - corr).reshape(fw.n, 3))
     assert rk.is_equilibrium_load(fw, f_eq)

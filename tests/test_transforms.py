@@ -24,7 +24,7 @@ def _random_invertible(rng, n, min_det=0.1):
 
 def _random_equilibrium_load(rng, fw):
     raw = rng.standard_normal((fw.n, fw.space.ambient_dim))
-    stacked = np.vstack([statics.bivector_map_matrix(fw), statics.tangency_matrix(fw)])
+    stacked = statics.equilibrium_entries(fw).toarray()
     corr, *_ = np.linalg.lstsq(stacked, stacked @ raw.ravel(), rcond=None)
     return rk.load(fw, (raw.ravel() - corr).reshape(fw.n, -1), eps=1e-7)
 
