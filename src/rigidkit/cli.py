@@ -103,14 +103,13 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     `motion_spaces` and `static_spaces` and the vertex coordinates (the
     spanning test): one rank decision per matrix and no basis.
 
-    In E the resolution matrix is the transposed rigidity operator (plus
-    zero rows), so its rank is the operator's, passed on and not decided
-    again; the duality check kinematic dof == static dof then compares dim F
-    with dim V0.  On S/H the static side decides its own tangent-frame
-    resolution matrix (edges scaled by d/sin d), so the check compares two
-    routes to the rank as well.  When they disagree, some rank decision is
-    wrong at this tolerance (coordinates spread over more orders of
-    magnitude than it resolves): no verdict.
+    In tangent frames the resolution matrix is the transposed rigidity
+    operator up to invertible factors, in every geometry, so its rank is
+    the operator's, passed on and not decided again: three spectra in all.
+    The duality check kinematic dof == static dof then compares dim F with
+    dim V0.  When they disagree, some rank decision is wrong at this
+    tolerance (coordinates spread over more orders of magnitude than it
+    resolves): no verdict.
     """
     tol = default_tol() if tol is None else tol
     ms = kinematics.motion_spaces(fw, tol)

@@ -2,12 +2,13 @@
 
 The operator realizes the linearized length constraints
 
-    <p_i - p_j, q_i - q_j> = 0        (Euclidean)
-    <p_i, q_j> + <q_i, p_j> = 0       (spherical / hyperbolic)
+    <p_i - p_j, q_i - q_j> = 0
 
-one row per edge; in the non-Euclidean cases candidate fields are ambient
-(d+1)-vectors and one tangency row <p_i, q_i> = 0 is appended per vertex, so
-a single numerical nullspace yields exactly the motion space V.
+one row per edge, in the same way in all three geometries: candidate fields
+are written in per-vertex tangent frames (`spaces._to_frames`), d
+coordinates per vertex, so the operator is m x n*d and its null space is
+exactly the motion space V, mapped back to ambient (d+1)-vectors by
+`spaces._from_frames`.  In E the frames are the coordinates 1..d.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import _linalg
+from . import _linalg, spaces
 from ._linalg import RANK_TOL
 from .errors import FrameworkMismatch, InternalInvariantError, NotTangent
 from .frameworks import Framework, is_spanning
@@ -71,24 +72,24 @@ def vector_field(fw: Framework, vecs, eps=EPS_MODEL) -> VectorField:
 
 
 def _flatten(fw: Framework, vecs: np.ndarray) -> np.ndarray:
-    if fw.space.is_euclidean:
-        return np.asarray(vecs)[:, 1:].ravel()
-    return np.asarray(vecs).ravel()
+    """Ambient fields (..., n, d+1) in tangent frames, flattened: (..., n*d)."""
+    vecs = np.asarray(vecs)
+    framed = spaces._to_frames(fw.coords, fw.space, vecs)
+    return framed.reshape(vecs.shape[:-2] + (fw.n * fw.dim,))
 
 
 def _unflatten(fw: Framework, flat: np.ndarray) -> np.ndarray:
-    if fw.space.is_euclidean:
-        out = np.zeros((fw.n, fw.space.ambient_dim))
-        out[:, 1:] = flat.reshape(fw.n, fw.dim)
-        return out
-    return flat.reshape(fw.n, fw.space.ambient_dim)
+    """Inverse of `_flatten`: (..., n*d) back to ambient fields (..., n, d+1)."""
+    flat = np.asarray(flat)
+    return spaces._from_frames(fw.coords, fw.space,
+                               flat.reshape(flat.shape[:-1] + (fw.n, fw.dim)))
 
 
 @dataclass(frozen=True, eq=False)
 class RigidityOperator:
-    """Linearized edge constraints: one row per edge, then (S/H) one tangency
-    row per vertex.  `entries` are written by index from `Graph.ends`; the
-    dense `matrix` is built from them on first access."""
+    """Linearized edge constraints in tangent frames: one row per edge.
+    `entries` are written by index from `Graph.ends`; the dense `matrix` is
+    built from them on first access."""
 
     framework: Framework
     entries: _linalg.Entries
@@ -97,37 +98,30 @@ class RigidityOperator:
     def matrix(self) -> np.ndarray:
         return self.entries.toarray()
 
-    @property
-    def edge_rows(self) -> np.ndarray:
-        return self.matrix[: self.framework.m]
-
     def edge_residuals(self, q: VectorField) -> np.ndarray:
         """|row . q| per edge, normalized by ||row|| ||q||; for flex checks."""
         flat = _flatten(self.framework, q.vecs)
-        vals = self.edge_rows @ flat
-        scale = np.linalg.norm(self.edge_rows, axis=1) * max(np.linalg.norm(flat), 1e-300)
+        vals = self.matrix @ flat
+        scale = np.linalg.norm(self.matrix, axis=1) * max(np.linalg.norm(flat), 1e-300)
         return np.abs(vals) / np.where(scale > 0, scale, 1.0)
 
 
 def rigidity_operator(fw: Framework) -> RigidityOperator:
-    n, m = fw.n, fw.m
+    """Edge ij puts G(p_i - p_j) at vertex i and G(p_j - p_i) at vertex j,
+    each in that vertex's tangent frame: shape (m, n*d)."""
     i, j = fw.graph.ends
-    k = np.arange(m)
-    if fw.space.is_euclidean:
-        diff = fw.coords[i, 1:] - fw.coords[j, 1:]
-        return RigidityOperator(fw, _linalg.block_entries(
-            np.concatenate([k, k]), np.concatenate([i, j]), np.concatenate([diff, -diff]),
-            (m, n * fw.dim)))
-    gp = fw.space.metric_signs * fw.coords
-    v = np.arange(n)
+    k = np.arange(fw.m)
+    at = np.concatenate([i, j])
+    diff = fw.space.metric_signs * (fw.coords[i] - fw.coords[j])
+    rows = spaces._to_frames(fw.coords, fw.space, np.concatenate([diff, -diff]), at)
     return RigidityOperator(fw, _linalg.block_entries(
-        np.concatenate([k, k, m + v]), np.concatenate([i, j, v]),
-        np.concatenate([gp[j], gp[i], gp]), (m + n, n * fw.space.ambient_dim)))
+        np.concatenate([k, k]), at, rows, (fw.m, fw.n * fw.dim)))
 
 
 def killing_evaluation_matrix(fw: Framework) -> np.ndarray:
-    """Columns: the Killing fields q_i = B p_i at the vertices, flattened, for
-    the ambient matrices B of a basis of the Killing algebra.
+    """Columns: the Killing fields q_i = B p_i at the vertices, in tangent
+    frames and flattened, for the ambient matrices B of a basis of the
+    Killing algebra.
 
     Euclidean: translations plus spatial rotations, as the affine subalgebra
     of gl(d+1) with zero first row.  Spherical: skew matrices.  Hyperbolic:
@@ -138,7 +132,7 @@ def killing_evaluation_matrix(fw: Framework) -> np.ndarray:
     mats = [np.outer(e[k], e[0]) for k in range(1, amb)] if euclidean else []
     for a, b in combinations(range(1 if euclidean else 0, amb), 2):
         mats.append(g @ (np.outer(e[a], e[b]) - np.outer(e[b], e[a])))
-    return np.column_stack([_flatten(fw, (m @ fw.coords.T).T) for m in mats])
+    return _flatten(fw, np.stack([(m @ fw.coords.T).T for m in mats])).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +172,7 @@ class MotionSpaces:
         """Orthonormal basis of V as VectorFields."""
         fw = self.framework
         rows = _linalg.nullspace(rigidity_operator(fw).matrix, self.operator.rank)
-        return tuple(VectorField(fw, _unflatten(fw, row)) for row in rows)
+        return tuple(VectorField(fw, vecs) for vecs in _unflatten(fw, rows))
 
     @cached_property
     def basis_V0(self) -> tuple:
@@ -190,7 +184,7 @@ def trivial_basis(fw: Framework, rank: int) -> tuple:
     """Orthonormal basis of V_0 as VectorFields: one SVD with vectors of the
     Killing evaluation matrix, cut at its rank `rank`, decided by the caller."""
     cols = _linalg.column_space(killing_evaluation_matrix(fw), rank)
-    return tuple(VectorField(fw, _unflatten(fw, col)) for col in cols.T)
+    return tuple(VectorField(fw, vecs) for vecs in _unflatten(fw, cols.T))
 
 
 def nontrivial_part(basis_V0, vecs) -> np.ndarray:
@@ -223,10 +217,10 @@ def kinematic_dof(fw: Framework, tol=RANK_TOL) -> int:
 def is_infinitesimally_rigid(fw: Framework, tol=RANK_TOL) -> bool:
     ms = motion_spaces(fw, tol)
     rigid = ms.kinematic_dof == 0
-    if fw.space.is_euclidean and is_spanning(fw, tol):
-        # Rank-formula cross-check on the operator rank behind dim V; a
-        # mismatch would mean the operator and Killing ranks disagree, not
-        # that the input is bad.
+    if is_spanning(fw, tol):
+        # Rank-formula cross-check on the operator rank behind dim V (n*d
+        # columns in every geometry); a mismatch would mean the operator and
+        # Killing ranks disagree, not that the input is bad.
         d = fw.dim
         formula = ms.operator.rank == d * fw.n - d * (d + 1) // 2
         if formula != rigid:

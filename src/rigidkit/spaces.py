@@ -13,7 +13,10 @@ embedded form keeps a single code path for the three geometries.
 
 The kernel is row-wise: a framework's points are one (n, d+1) array, and
 `validate_points`, `signed_inner`, `distances` and `wedges` (the force
-bivectors p_i ^ f_i of the statics) act on all rows at once.
+bivectors p_i ^ f_i of the statics) act on all rows at once.  So does the
+frame map (`_to_frames`, `_from_frames`): tangent vectors in per-point
+frames of the tangent spaces, d coordinates each, orthonormal for the
+Euclidean product of R^(d+1), the same way in all three geometries.
 """
 
 from dataclasses import dataclass
@@ -226,3 +229,46 @@ def wedges(P, F) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     a, b = np.array(bivector_index_pairs(P.shape[-1] - 1)).T
     return P[..., a] * F[..., b] - P[..., b] * F[..., a]
+
+
+def _normals(points, space: Space) -> np.ndarray:
+    """Per point, the ambient normal of its tangent space: e_0 in E, G p on
+    S/H (not normalized)."""
+    if space.is_euclidean:
+        normals = np.zeros(np.shape(points))
+        normals[:, 0] = 1.0
+        return normals
+    return space.metric_signs * points
+
+
+def _reflectors(points, space: Space) -> np.ndarray:
+    """Per point, the vector v of the Householder reflection I - v v^T that
+    sends the unit normal of its tangent space to -+e_0: that normal plus
+    +-e_0 (the sign of its coordinate 0), scaled to v.v = 2.  In E,
+    v = sqrt(2) e_0."""
+    v = _normals(points, space)
+    v = v / np.linalg.norm(v, axis=1)[:, None]
+    v[:, 0] += np.where(v[:, 0] < 0.0, -1.0, 1.0)
+    return v / np.sqrt(np.abs(v[:, :1]))  # v.v = 2 |v_0| before the scaling
+
+
+def _to_frames(points, space: Space, vecs, at=slice(None)) -> np.ndarray:
+    """Ambient vectors (..., k, d+1), vecs[..., t, :] at the point
+    points[at][t], in the tangent frames of their points: (..., k, d).
+
+    Coordinates 1..d of the reflected vector (`_reflectors`); coordinate 0,
+    the normal component, is dropped, so a vector that is not tangent loses
+    its normal part.  In E this is exactly vecs[..., 1:].  The reflectors
+    are computed once per call, so a whole matrix is framed in one call.
+    """
+    v = _reflectors(points, space)[at]
+    return vecs[..., 1:] - np.einsum("...a,...a->...", v, vecs)[..., None] * v[..., 1:]
+
+
+def _from_frames(points, space: Space, coords) -> np.ndarray:
+    """Inverse of `_to_frames` on tangent vectors: frame coordinates
+    (..., n, d) at the n points back to ambient (..., n, d+1).  In E this is
+    exactly coordinate 0 set to 0 before the d given ones."""
+    v = _reflectors(points, space)
+    vecs = np.concatenate([np.zeros(coords.shape[:-1] + (1,)), coords], axis=-1)
+    return vecs - np.einsum("...a,...a->...", v[:, 1:], coords)[..., None] * v

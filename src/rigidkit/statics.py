@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _linalg, spaces
 from ._linalg import RANK_TOL
-from .errors import DegenerateEdge, GraphError, InternalInvariantError
+from .errors import DegenerateEdge, GraphError
 from .frameworks import Framework
 from .graphs import Graph, canonical_edge
 from .kinematics import (
@@ -136,20 +136,15 @@ def edge_factors(fw: Framework):
     return dist / sin, cos
 
 
-def resolution_entries(fw: Framework, frames=False) -> _linalg.Entries:
+def resolution_entries(fw: Framework) -> _linalg.Entries:
     """The map stress -> resolved load, shape (n*(d+1), m): column k, for
     edge ij with (f_k, c_k) from `edge_factors`, holds the force
     dist(p_i, p_j) e_ij = f_k (p_j - c_k p_i) at vertex i and
     f_k (p_i - c_k p_j) at vertex j; in the Euclidean case this is just
     p_j - p_i and its negative.
 
-    With `frames`, each force is written in the tangent frame of its vertex
-    instead, shape (n*d, m): a Householder reflection sends the unit normal
-    of the tangent space (e_0 in E, G p_i / |G p_i| on S/H) to e_0, and the
-    then-zero coordinate 0 is dropped.  The map is orthogonal per vertex, so
-    the singular values stay, while the n left null vectors (the normals)
-    go.  In E it drops exactly the zero rows.  A dropped coordinate larger
-    than the model residual and roundoff allow is an InternalInvariantError.
+    It has the rank of the rigidity operator R, from whose spectrum
+    `static_spaces` reads it; see `StaticSpaces`.
     """
     f, c = edge_factors(fw)
     i, j = fw.graph.ends
@@ -157,32 +152,8 @@ def resolution_entries(fw: Framework, frames=False) -> _linalg.Entries:
     at, to = np.concatenate([i, j]), np.concatenate([j, i])
     f, c = np.concatenate([f, f])[:, None], np.concatenate([c, c])[:, None]
     forces = f * (fw.coords[to] - c * fw.coords[at])
-    if frames:
-        size = np.linalg.norm(fw.coords, axis=1)
-        scale = f[:, 0] * (size[to] + np.abs(c[:, 0]) * size[at])
-        forces = _in_tangent_frames(fw, at, forces, scale)
     return _linalg.block_entries(np.concatenate([k, k]), at, forces,
-                                 (fw.m, fw.n * forces.shape[1])).T
-
-
-def _in_tangent_frames(fw: Framework, at, forces, scale) -> np.ndarray:
-    """Forces[t], tangent at vertex at[t], in that vertex's tangent frame.
-
-    A normal component above 16 EPS_MODEL * scale[t] (the model residual
-    allowed in a point, and roundoff, on terms of size scale[t]) means the
-    force was not tangent: InternalInvariantError.
-    """
-    normal = _normals(fw)
-    normal = normal / np.linalg.norm(normal, axis=1)[:, None]
-    v = normal.copy()  # I - 2 v v^T / (v.v) sends the normal to -+e_0
-    v[:, 0] += np.where(normal[:, 0] < 0.0, -1.0, 1.0)
-    u, v = normal[at], v[at]
-    dropped = np.abs(np.einsum("ka,ka->k", u, forces))
-    if np.any(dropped > 16.0 * EPS_MODEL * scale):
-        raise InternalInvariantError(
-            "a resolved force has normal component %.3g at its vertex" % np.max(dropped))
-    reflect = 2.0 * np.einsum("ka,ka->k", v, forces) / np.einsum("ka,ka->k", v, v)
-    return forces[:, 1:] - reflect[:, None] * v[:, 1:]
+                                 (fw.m, fw.n * fw.space.ambient_dim)).T
 
 
 def resolution_matrix(fw: Framework) -> np.ndarray:
@@ -232,29 +203,21 @@ def bivector_map_matrix(fw: Framework) -> np.ndarray:
     return per_column.reshape(fw.n * amb, per_column.shape[-1]).T
 
 
-def _normals(fw: Framework) -> np.ndarray:
-    """Per vertex, the ambient normal of its tangent space: e_0 in E, G p_i
-    on S/H."""
-    if fw.space.is_euclidean:
-        normals = np.zeros((fw.n, fw.space.ambient_dim))
-        normals[:, 0] = 1.0
-        return normals
-    return fw.space.metric_signs * fw.coords
-
-
 def equilibrium_entries(fw: Framework) -> _linalg.Entries:
     """The bivector map stacked over one tangency row per vertex, shape
     (C(d+1,2) + n, n*(d+1)): its right null space is the equilibrium load
     space F, with explicit tangency rows for non-spanning frameworks.
 
     Row C(d+1,2) + i holds the normal of vertex i's tangent space
-    (`_normals`) at that vertex's columns; nothing of size n x n is filled.
+    (`spaces._normals`) at that vertex's columns; nothing of size n x n is
+    filled.
     """
     biv = bivector_map_matrix(fw)
     rows, cols = np.indices(biv.shape).reshape(2, -1)
     v = np.arange(fw.n)
     shape = (len(biv) + fw.n, biv.shape[1])
-    tangency = _linalg.block_entries(len(biv) + v, v, _normals(fw), shape)
+    tangency = _linalg.block_entries(len(biv) + v, v, spaces._normals(fw.coords, fw.space),
+                                     shape)
     return _linalg.Entries(np.concatenate([rows, tangency.rows]),
                            np.concatenate([cols, tangency.cols]),
                            np.concatenate([biv.ravel(), tangency.vals]), shape)
@@ -269,15 +232,16 @@ class StaticSpaces:
     map: dim F is the nullity of the bivector map restricted to tangent
     loads (explicit tangency rows handle non-spanning frameworks), dim F_0
     the rank of the resolution map and the self-stress count its nullity.
-    In E the resolution matrix is -R^T plus n zero rows (R the rigidity
-    operator), so `resolution` is the operator's spectrum with its shape
-    swapped: one rank decision serves R and R^T.  On S/H the resolution
-    rank is decided on its own matrix, in per-vertex tangent frames
-    (`resolution_entries(fw, frames=True)`): the same singular values as
-    the ambient matrix, but a left null space of the small dimension the
-    sparse path needs.  The self-stress basis is built on first access, by
-    one SVD with vectors of the rebuilt ambient resolution matrix, whose
-    right null space is the same, cut at the stored rank; no matrix is kept.
+    Written in per-vertex tangent frames, the resolution matrix is
+    -R^T diag(f) in E and S, R the rigidity operator and f the edge factors
+    (1 in E, d / sin d on S); on H also up to an invertible d x d block per
+    vertex, the Minkowski form read in the Euclidean frames.  The frames,
+    diag(f) and the blocks are invertible, so `resolution` is the operator's
+    spectrum with its shape swapped: one rank decision serves R and R^T in
+    every geometry.  Its values are R's singular values, those of the
+    resolution matrix in E only.  The self-stress basis is built on first
+    access, by one SVD with vectors of the rebuilt ambient resolution
+    matrix cut at the stored rank; no matrix is kept.
     """
 
     framework: Framework
@@ -310,21 +274,14 @@ class StaticSpaces:
 
 def static_spaces(fw: Framework, tol=RANK_TOL, operator=None) -> StaticSpaces:
     """The spectra of the stacked bivector/tangency matrix and of the
-    resolution map, one rank decision each; no bases.
-
-    In E the resolution rank is the rigidity operator's: `operator`, its
-    Spectrum at `tol` when the caller has it, else decided here.  Off E
-    `operator` is not used and the tangent-frame resolution matrix is
-    decided instead.
+    resolution map; no bases.  The resolution spectrum is the rigidity
+    operator's (see `StaticSpaces`): `operator`, its Spectrum at `tol` when
+    the caller has it, else decided here.
     """
     equilibrium = _linalg.spectrum(equilibrium_entries(fw), tol)
-    if fw.space.is_euclidean:
-        if operator is None:
-            operator = _linalg.spectrum(rigidity_operator(fw).entries, tol)
-        resolution = replace(operator, shape=operator.shape[::-1])
-    else:
-        resolution = _linalg.spectrum(resolution_entries(fw, frames=True), tol)
-    return StaticSpaces(fw, equilibrium, resolution)
+    if operator is None:
+        operator = _linalg.spectrum(rigidity_operator(fw).entries, tol)
+    return StaticSpaces(fw, equilibrium, replace(operator, shape=operator.shape[::-1]))
 
 
 def static_dof(fw: Framework, tol=RANK_TOL) -> int:

@@ -28,6 +28,8 @@ def chart_pushforward(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Canvas:
     def __init__(self, points_xy):
         pts = np.asarray(points_xy, dtype=float)
+        if pts.size == 0:  # nothing to draw: an empty canvas about the origin
+            pts = np.zeros((1, 2))
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         span = max(float(np.max(hi - lo)), 1e-9)

@@ -250,6 +250,16 @@ def test_render_hemisphere_model(tmp_path):
     assert "<circle" in text and "stroke-dasharray" in text
 
 
+def test_render_a_framework_without_vertices(tmp_path):
+    # A file `analyze` and `transform` accept: `render` draws an empty
+    # canvas, with no min/max over the empty point array.
+    (tmp_path / "empty.json").write_text('{"space":"E","dim":2,"vertices":[],"edges":[]}')
+    assert run(tmp_path, "analyze", "empty.json") == 0
+    assert run(tmp_path, "render", "empty.json", "-o", "empty.svg") == 0
+    text = (tmp_path / "empty.svg").read_text()
+    assert text.startswith("<svg") and "<circle" not in text and "<line" not in text
+
+
 def test_analyze_non_spanning_warning():
     from rigidkit.cli import analyze_framework
     fw = rk.build_framework(rk.graph(3, [(0, 1), (1, 2)]), rk.euclidean(2),
@@ -273,10 +283,7 @@ def test_analyze_factors_each_matrix_once_without_vectors(kind, monkeypatch):
         kinematics.killing_evaluation_matrix(fw).shape,
         (statics.bivector_map_matrix(fw).shape[0] + fw.n, fw.n * 3),
         fw.coords.shape,                # the spanning test
-    ] + (
-        # in E the resolution rank is the operator's; off E it is decided in
-        # per-vertex tangent frames
-        [] if kind == "E" else [(fw.n * fw.dim, fw.m)]))
+    ])  # the resolution rank is the operator's, in every geometry
     real = np.linalg.svd
     calls = []
 

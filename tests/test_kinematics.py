@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rigidkit as rk
+from rigidkit import kinematics
 
 import oracles as oc
 
@@ -24,36 +25,53 @@ def test_rigidity_operator_spherical_triangle():
     fw = rk.build_framework(rk.graph(3, [(0, 1), (0, 2), (1, 2)]),
                             rk.spherical(2), np.eye(3))
     op = rk.rigidity_operator(fw)
-    assert op.matrix.shape == (6, 9)  # 3 edge rows + 3 tangency rows
+    assert op.matrix.shape == (3, 6)  # 3 edge rows, 2 frame coordinates per vertex
     assert len(rk.motion_spaces(fw).basis_V) == oc.rational_motion_dim(fw) == 3
     assert rk.kinematic_dof(fw) == 0
 
 
 def _operator_by_edges(fw):
-    """Reference: the rigidity operator filled in one edge and vertex at a time."""
+    """Reference: the Euclidean rigidity operator filled in one edge at a time."""
     n, m, d = fw.n, fw.m, fw.dim
-    if fw.space.is_euclidean:
-        mat = np.zeros((m, n * d))
-        for r, (i, j) in enumerate(fw.graph.edges):
-            diff = fw.coords[i, 1:] - fw.coords[j, 1:]
-            mat[r, i * d : (i + 1) * d] = diff
-            mat[r, j * d : (j + 1) * d] = -diff
-        return mat
-    amb, g = d + 1, fw.space.metric_signs
-    mat = np.zeros((m + n, n * amb))
+    mat = np.zeros((m, n * d))
     for r, (i, j) in enumerate(fw.graph.edges):
-        mat[r, i * amb : (i + 1) * amb] = g * fw.coords[j]
-        mat[r, j * amb : (j + 1) * amb] = g * fw.coords[i]
-    for i in range(n):
-        mat[m + i, i * amb : (i + 1) * amb] = g * fw.coords[i]
+        diff = fw.coords[i, 1:] - fw.coords[j, 1:]
+        mat[r, i * d : (i + 1) * d] = diff
+        mat[r, j * d : (j + 1) * d] = -diff
     return mat
+
+
+def _tangent_field(rng, fw):
+    """A random tangent field: random ambient vectors minus their components
+    along the vertex normals (e_0 in E, G p_i on S/H)."""
+    vecs = rng.standard_normal((fw.n, fw.space.ambient_dim))
+    normals = np.zeros_like(vecs)
+    normals[:, 0] = 1.0
+    if not fw.space.is_euclidean:
+        normals = fw.space.metric_signs * fw.coords
+    unit = normals / np.linalg.norm(normals, axis=1)[:, None]
+    return vecs - np.sum(vecs * unit, axis=1)[:, None] * unit
 
 
 @pytest.mark.parametrize("code", "ESH")
 def test_rigidity_operator_matches_per_edge_loop(code, rng):
+    # In E the operator is the per-edge reference bit for bit.  In every
+    # geometry, on tangent fields q it gives <p_i - p_j, q_i - q_j> per edge.
     for d, n in ((1, 4), (2, 7), (3, 6)):
         fw = oc.random_framework(rng, rk.spaces.space_from_code(code, d), n)
-        assert np.array_equal(rk.rigidity_operator(fw).matrix, _operator_by_edges(fw))
+        op = rk.rigidity_operator(fw)
+        assert op.matrix.shape == (fw.m, n * d)
+        if code == "E":
+            assert np.array_equal(op.matrix, _operator_by_edges(fw))
+        for _ in range(3):
+            q = _tangent_field(rng, fw)
+            i, j = fw.graph.ends
+            by_edges = [rk.spaces.signed_inner(fw.coords[a] - fw.coords[b], q[a] - q[b],
+                                               fw.space)
+                        for a, b in zip(i, j)]
+            scale = np.max(np.abs(fw.coords)) * np.max(np.abs(q))
+            assert np.allclose(op.matrix @ kinematics._flatten(fw, q), by_edges,
+                               rtol=0, atol=1e-13 * scale)
 
 
 def test_motion_space_dims():
@@ -184,3 +202,31 @@ def test_near_singular_configuration_reported(prism_doc):
     assert ms.kinematic_dof == 0
     assert 1e-8 < ms.smallest_sigma[0] < 1e-3
     assert ms.smallest_sigma[1] > 1e-1
+
+
+def test_a_tampered_operator_rank_on_S_is_an_internal_error(monkeypatch):
+    # The rank formula rank R = d n - d(d+1)/2 of a spanning rigid framework
+    # holds in tangent frames in every geometry, so it cross-checks S/H too:
+    # an operator rank one too high, its nullity kept (dof still 0), must not
+    # pass as a verdict.
+    from dataclasses import replace
+
+    from conftest import scaled_into_chart
+    from rigidkit import _linalg
+
+    fw = rk.geodesic_project(scaled_into_chart(rk.gallery.fixture("prism3-generic").framework),
+                             rk.spherical(2))
+    assert rk.is_infinitesimally_rigid(fw)
+    real = _linalg.spectrum
+    calls = []
+
+    def spectrum(a, tol=_linalg.RANK_TOL):
+        spec = real(a, tol)
+        calls.append(spec)
+        if len(calls) == 1:  # motion_spaces decides the operator first
+            spec = replace(spec, rank=spec.rank + 1, shape=(spec.shape[0], spec.shape[1] + 1))
+        return spec
+
+    monkeypatch.setattr(_linalg, "spectrum", spectrum)
+    with pytest.raises(rk.errors.InternalInvariantError, match="rank formula"):
+        rk.is_infinitesimally_rigid(fw)

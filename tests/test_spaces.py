@@ -178,3 +178,31 @@ def test_distance_positive_definite(rng):
         else:
             p = rk.validate_points([[np.sqrt(2.0), 1.0, 0.0]], space)
         assert rk.distances(p, p, space)[0] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("code", "ESH")
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_frame_map_is_orthogonal_on_tangent_vectors(code, d, rng):
+    # Frame coordinates of tangent vectors keep Euclidean dot products, the
+    # normal component is what `_to_frames` drops, and `_from_frames` inverts
+    # it on tangent vectors.  In E it is exactly the slice x[:, 1:] and back.
+    import oracles as oc
+
+    space = rk.spaces.space_from_code(code, d)
+    pts = oc.random_framework(rng, space, 6).coords
+    normals = spaces._normals(pts, space)
+    unit = normals / np.linalg.norm(normals, axis=1)[:, None]
+    vecs = rng.standard_normal((2, 6, d + 1))
+    tangent = vecs - np.sum(vecs * unit, axis=-1)[..., None] * unit
+    framed = spaces._to_frames(pts, space, vecs)
+    assert framed.shape == (2, 6, d)
+    assert np.allclose(framed, spaces._to_frames(pts, space, tangent), rtol=0, atol=1e-14)
+    assert np.allclose(np.sum(framed[0] * framed[1], axis=-1),
+                       np.sum(tangent[0] * tangent[1], axis=-1), rtol=0, atol=1e-14)
+    assert np.allclose(spaces._from_frames(pts, space, framed), tangent, rtol=0, atol=1e-14)
+    rows = spaces._to_frames(pts, space, vecs[0][[4, 1]], at=[4, 1])
+    assert np.array_equal(rows, framed[0][[4, 1]])
+    if code == "E":
+        assert np.array_equal(framed, vecs[..., 1:])
+        back = spaces._from_frames(pts, space, framed)
+        assert np.array_equal(back[..., 1:], vecs[..., 1:]) and not np.any(back[..., 0])
