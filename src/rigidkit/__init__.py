@@ -73,9 +73,6 @@ from .transforms import (
     deaverage,
     geodesic_map,
     geodesic_project,
-    pogorelov_kinematic,
-    pogorelov_static,
-    pogorelov_stress,
     projective_map,
 )
 from .maxwell_cremona import (

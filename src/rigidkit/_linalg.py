@@ -112,6 +112,12 @@ class Entries:
         a[self.rows, self.cols] = self.vals
         return a
 
+    def matvec(self, x) -> np.ndarray:
+        """The product with the vector `x`, without a dense matrix."""
+        out = np.bincount(self.rows, weights=self.vals * np.asarray(x)[self.cols],
+                          minlength=self.shape[0])
+        return out.astype(float, copy=False)  # bincount of no entries gives ints
+
 
 def block_entries(rows, vertices, blocks, shape) -> Entries:
     """Entries that put the vector blocks[t] into row rows[t], at the columns

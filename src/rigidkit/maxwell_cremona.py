@@ -252,7 +252,7 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _require_self_stress(fw: Framework, w: np.ndarray, tol):
     """Check the values `w`, in edge order, for a nowhere-zero self-stress."""
-    res = statics.resolution_matrix(fw) @ w
+    res = statics.resolution_entries(fw).matvec(w)
     scale = max(float(np.max(np.abs(w))), 1e-300)
     edge_scale = scale * max(float(np.max(np.abs(fw.coords))), 1.0)
     if float(np.max(np.abs(res))) > tol * edge_scale * fw.n:

@@ -164,7 +164,7 @@ def resolution_matrix(fw: Framework) -> np.ndarray:
 
 def apply_stress(fw: Framework, w: Stress) -> Load:
     """The load resolved by `w`: f_i = sum_j w_ij dist(p_i, p_j) e_ij."""
-    flat = resolution_matrix(fw) @ w.values_on(fw.graph)
+    flat = resolution_entries(fw).matvec(w.values_on(fw.graph))
     return Load(fw, flat.reshape(fw.n, fw.space.ambient_dim))
 
 

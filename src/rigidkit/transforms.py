@@ -7,7 +7,8 @@ renormalization onto the target model surface.  The static Pogorelov
 transport is therefore one linear map per vertex, the exact bivector
 pullback: the transported force u at the image point y satisfies
 y ^ u = M p ^ M f.  The kinematic transport is the inverse adjoint of the
-static one under the virtual-work pairing, one (d+2)x(d+2) solve per vertex.
+static one under the virtual-work pairing: one bordered (d+2)x(d+2) system
+per vertex.  `FrameworkMap` applies both to all vertices at once.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .kinematics import (
     require_same_framework,
     trivial_basis,
 )
-from .spaces import EPS_MODEL, Space, SpaceKind, signed_inner
+from .spaces import EPS_MODEL, Space, SpaceKind, _normals, signed_inner
 from .statics import Load, Stress, edge_factors
 
 _EPS_INF = 1e-12
@@ -59,15 +60,17 @@ class MapSpec:
             m[0, 0] = 1.0
             m[1:, 0] = b
             m[1:, 1:] = a
-            return m
-        if self.kind == "projective":
+        elif self.kind == "projective":
             m = np.asarray(self.matrix, dtype=float)
             if m.shape != (d + 1, d + 1):
                 raise InvalidMapSpec("projective map needs a (d+1) x (d+1) matrix")
-            return m
-        if self.kind == "geodesic":
+        elif self.kind == "geodesic":
             return np.eye(d + 1)
-        raise InvalidMapSpec("unknown map kind %r" % self.kind)
+        else:
+            raise InvalidMapSpec("unknown map kind %r" % self.kind)
+        if not np.all(np.isfinite(m)):
+            raise InvalidMapSpec("map matrix has non-finite entries")
+        return m
 
     def target_space(self, source: Space) -> Space:
         if self.kind in ("affine", "projective"):
@@ -128,42 +131,49 @@ def map_spec_from_dict(data: dict) -> MapSpec:
     raise InvalidMapSpec("unknown map kind %r" % kind)
 
 
-def _normalizer(y_raw: np.ndarray, target: Space, index: int) -> float:
-    """Scalar N with y_raw / N on the target model surface (vertex `index`)."""
+def _normalizers(raw: np.ndarray, target: Space) -> np.ndarray:
+    """Per row y of `raw`, the scalar N with y / N on the target model
+    surface; the lowest vertex that has none raises."""
     if target.is_euclidean:
-        n = float(y_raw[0])
-        if abs(n) <= _EPS_INF * max(1.0, float(np.max(np.abs(y_raw)))):
-            raise VertexAtInfinity("vertex %d maps to infinity" % index)
+        n = raw[:, 0]
+        bad = np.abs(n) <= _EPS_INF * np.fmax(1.0, np.max(np.abs(raw), axis=1))
+        if np.any(bad):
+            raise VertexAtInfinity("vertex %d maps to infinity" % np.flatnonzero(bad)[0])
         return n
-    q = signed_inner(y_raw, y_raw, target)
+    q = signed_inner(raw, raw, target)
     if target.is_spherical:
-        if q <= _EPS_INF:
+        if np.any(q <= _EPS_INF):
             raise OutsideChart("zero vector cannot be projected to the sphere")
-        return float(np.sqrt(q))
-    if q >= -_EPS_INF:
-        raise OutsideChart("vertex %d lies outside the Beltrami-Cayley-Klein chart" % index)
-    n = float(np.sqrt(-q))
-    return n if y_raw[0] > 0 else -n
+        return np.sqrt(q)
+    bad = q >= -_EPS_INF
+    if np.any(bad):
+        raise OutsideChart("vertex %d lies outside the Beltrami-Cayley-Klein chart"
+                           % np.flatnonzero(bad)[0])
+    n = np.sqrt(-q)
+    return np.where(raw[:, 0] > 0, n, -n)
 
 
-def _normals(space: Space, pts) -> np.ndarray:
-    """Per row p, the covector nu with nu . p = 1 that vanishes on the
-    tangent space at p: e0 in E, G p / <p, p> on S/H."""
-    pts = np.atleast_2d(pts)
+def _covectors(points, space: Space) -> np.ndarray:
+    """Per point p, the covector nu with nu . p = 1 that vanishes on the
+    tangent space at p: the normal of `spaces._normals` over its product
+    with p on S/H, and exactly e0 in E (where a file may give x0 != 1
+    within EPS_MODEL)."""
+    nu = _normals(points, space)
     if space.is_euclidean:
-        return np.broadcast_to(np.eye(space.ambient_dim)[0], pts.shape)
-    gp = pts * space.metric_signs
-    return gp / np.einsum("ia,ia->i", gp, pts)[:, None]
+        return nu
+    return nu / np.einsum("ia,ia->i", nu, points)[:, None]
 
 
 class FrameworkMap:
-    """A map spec bound to a source framework, with per-vertex transport.
+    """A map spec bound to a source framework, with stacked per-vertex transport.
 
     `differentials[i]` is the static transport at vertex i, the bivector
     pullback D_i = (I - y_i nu_i^T) N_i M / global_scale: M the linear
     representative, N_i the vertex's normalizer (`factors`), y_i the image
-    point and nu_i its normal covector (see `_normals`).  Then
+    point and nu_i its normal covector (see `_covectors`).  Then
     y_i ^ D_i f = M p_i ^ M f / global_scale, and D_i f is tangent at y_i.
+    `systems[i]` is the bordered (d+2)x(d+2) system of the kinematic
+    transport at vertex i (see `kinematic_at`).
     """
 
     def __init__(self, spec: MapSpec, fw: Framework):
@@ -172,7 +182,8 @@ class FrameworkMap:
         self.source_space = fw.space
         self.target_space = spec.target_space(fw.space)
         self.linear = spec.homogeneous(fw.space)
-        self.condition = float(np.linalg.cond(self.linear))
+        s = _linalg.svd(self.linear, compute_uv=False)
+        self.condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
         if not np.isfinite(self.condition) or self.condition > 1e14:
             raise InvalidMapSpec(
                 "map matrix is numerically singular (condition %.3g)" % self.condition
@@ -183,55 +194,54 @@ class FrameworkMap:
                 raise OutsideChart("vertex %d not in the open upper hemisphere" % bad)
         # Normalization so the static factor at the chart origin e0 is 1;
         # only a global positive scalar, harmless if e0 maps to infinity.
-        e0 = np.zeros(fw.space.ambient_dim)
-        e0[0] = 1.0
-        origin_n = float((self.linear @ e0)[0])
+        origin_n = float(self.linear[0, 0])
         self.global_scale = origin_n**2 if abs(origin_n) > _EPS_INF else 1.0
-        raw = [self.linear @ x for x in fw.coords]
-        self.factors = np.array(
-            [_normalizer(y, self.target_space, i) for i, y in enumerate(raw)]
-        )
-        coords = [y / n for y, n in zip(raw, self.factors)]
+        raw = (self.linear @ fw.coords[:, :, None])[:, :, 0]
+        self.factors = _normalizers(raw, self.target_space)
         self.image = build_framework(
-            fw.graph, self.target_space, coords, fw.embedding, renormalize=True
+            fw.graph, self.target_space, raw / self.factors[:, None], fw.embedding,
+            renormalize=True,
         )
         y = self.image.coords
-        proj = np.eye(y.shape[1]) - y[:, :, None] * _normals(self.target_space, y)[:, None, :]
+        nu = _covectors(y, self.target_space)
+        proj = np.eye(y.shape[1]) - y[:, :, None] * nu[:, None, :]
         scale = self.factors / self.global_scale
         self.differentials = proj @ self.linear * scale[:, None, None]
+        amb = fw.space.ambient_dim
+        self.systems = np.zeros((fw.n, amb + 1, amb + 1))
+        self.systems[:, :amb, :amb] = (self.differentials.transpose(0, 2, 1)
+                                       * self.target_space.metric_signs)
+        self.systems[:, :amb, amb] = -_covectors(fw.coords, fw.space)
+        self.systems[:, amb, :amb] = nu
 
-    def static_at(self, i: int, vec: np.ndarray) -> np.ndarray:
-        """Static Pogorelov transport of a tangent vector at vertex i."""
-        return self.differentials[i] @ vec
+    def static_at(self, i, vec: np.ndarray) -> np.ndarray:
+        """Static Pogorelov transport of a tangent vector at vertex i; for an
+        index array or slice i, of one vector per indexed vertex."""
+        return (self.differentials[i] @ vec[..., None])[..., 0]
 
-    def kinematic_at(self, i: int, vec: np.ndarray) -> np.ndarray:
-        """Kinematic transport: inverse adjoint of the static map at vertex i.
+    def kinematic_at(self, i, vec: np.ndarray) -> np.ndarray:
+        """Kinematic transport: inverse adjoint of the static map at vertex i
+        (for an index array or slice i, as `static_at`).
 
         Solves D_i^T G' q' - alpha nu_i = G v with nu'_i . q' = 0 (G, G' the
         source and target forms, nu_i, nu'_i the normal covectors at p_i and
         y_i): then <q', D_i t>' = <v, t> for every t tangent at p_i, and q' is
-        tangent at y_i.
+        tangent at y_i.  All systems are solved in one LAPACK call.
         """
         amb = self.source_space.ambient_dim
-        system = np.zeros((amb + 1, amb + 1))
-        system[:amb, :amb] = self.differentials[i].T * self.target_space.metric_signs
-        system[:amb, amb] = -_normals(self.source_space, self.source.coords[i])[0]
-        system[amb, :amb] = _normals(self.target_space, self.image.coords[i])[0]
-        rhs = np.append(self.source_space.metric_signs * vec, 0.0)
-        return np.linalg.solve(system, rhs)[:amb]
-
-    def _each(self, transport, vecs: np.ndarray) -> np.ndarray:
-        return np.array([transport(i, v) for i, v in enumerate(vecs)]).reshape(vecs.shape)
+        rhs = np.zeros(vec.shape[:-1] + (amb + 1, 1))
+        rhs[..., :amb, 0] = self.source_space.metric_signs * vec
+        return np.linalg.solve(self.systems[i], rhs)[..., :amb, 0]
 
     def static(self, ld: Load) -> Load:
         """Transport a load; equilibrium and resolvability are preserved both ways."""
         require_same_framework(self.source, ld.framework)
-        return Load(self.image, self._each(self.static_at, ld.vecs))
+        return Load(self.image, self.static_at(slice(None), ld.vecs))
 
     def kinematic(self, field: VectorField) -> VectorField:
         """Transport a velocity field; maps V to V and V_0 to V_0 of the image."""
         require_same_framework(self.source, field.framework)
-        return VectorField(self.image, self._each(self.kinematic_at, field.vecs))
+        return VectorField(self.image, self.kinematic_at(slice(None), field.vecs))
 
     def stress(self, w: Stress) -> Stress:
         """Transport a stress compatibly with the load transport.
@@ -262,24 +272,6 @@ def geodesic_project(fw: Framework, target) -> Framework:
             raise InvalidMapSpec("geodesic projection cannot change the dimension")
         target = target.kind
     return apply_map(geodesic_map(target), fw)
-
-
-def pogorelov_static(spec: MapSpec, fw: Framework, ld: Load):
-    """The transported load and the map, whose `differentials` and `factors`
-    report the transport."""
-    fmap = FrameworkMap(spec, fw)
-    return fmap.static(ld), fmap
-
-
-def pogorelov_kinematic(spec: MapSpec, fw: Framework, field: VectorField):
-    """The transported velocity field and the map (see `pogorelov_static`)."""
-    fmap = FrameworkMap(spec, fw)
-    return fmap.kinematic(field), fmap
-
-
-def pogorelov_stress(spec: MapSpec, fw: Framework, w: Stress) -> Stress:
-    """The transported stress (see `FrameworkMap.stress`)."""
-    return FrameworkMap(spec, fw).stress(w)
 
 
 # --- averaging / deaveraging -------------------------------------------------

@@ -109,8 +109,8 @@ def test_criterion_03_geodesic_invariance_and_pogorelov_transport():
         fw = _scaled_to_chart(rk.gallery.fixture(name).framework)
         source_dof = rk.kinematic_dof(fw, RANK_TOL)
         for target in ("S", "H"):
-            spec = tr.geodesic_map(target)
-            img = tr.apply_map(spec, fw)
+            fmap = tr.FrameworkMap(tr.geodesic_map(target), fw)
+            img = fmap.image
             assert rk.kinematic_dof(img, RANK_TOL) == source_dof, (name, target)
             # Pogorelov transport of three load types
             f_eq = _random_equilibrium_load(rng, fw)
@@ -122,7 +122,7 @@ def test_criterion_03_geodesic_invariance_and_pogorelov_transport():
             for f in (f_eq, f_any, f_res):
                 if f.norm() < 1e-9:
                     continue
-                out, _ = tr.pogorelov_static(spec, fw, f)
+                out = fmap.static(f)
                 assert rk.is_equilibrium_load(out.framework, out, 1e-8) == \
                     rk.is_equilibrium_load(fw, f, 1e-8), (name, target)
                 assert isinstance(rk.resolve_load(out.framework, out), rk.Unresolvable) == \
@@ -130,9 +130,9 @@ def test_criterion_03_geodesic_invariance_and_pogorelov_transport():
             # virtual work preserved
             basis = rk.motion_spaces(fw, RANK_TOL).basis_V
             q = basis[0]
-            q_img, _ = tr.pogorelov_kinematic(spec, fw, q)
+            q_img = fmap.kinematic(q)
             vw0 = rk.virtual_work(q, f_any)
-            vw1 = rk.virtual_work(q_img, tr.pogorelov_static(spec, fw, f_any)[0])
+            vw1 = rk.virtual_work(q_img, fmap.static(f_any))
             assert abs(vw1 - vw0) <= 1e-8 * max(abs(vw0), 1.0), (name, target)
     _passed("3 (geodesic dof invariance + Pogorelov transport preserves statics)")
 

@@ -127,6 +127,26 @@ def test_transform_outside_chart_is_input_error(tmp_path, capsys):
     assert "vertex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture, spec", [
+    ("prism3-generic", '{"kind": "projective", "M": [[1, 0, 0], [0, NaN, 0], [0, 0, 1]]}'),
+    ("prism3-generic", '{"kind": "affine", "A": [[1, 0], [NaN, 1]], "b": [0, 0]}'),
+    (None, '{"kind": "affine", "A": [[1, 0], [NaN, 1]], "b": [0, 0]}'),
+    ("prism3-generic", '{"kind": "affine", "A": [[1, 0], [0, 1]], "b": [Infinity, 0]}'),
+    ("prism3-generic", '{"kind": "projective", "M": [[1, 0, 0], [0, 1, 0], [0, 0, Infinity]]}'),
+], ids=["nan-projective", "nan-affine", "nan-affine-empty", "inf-offset", "inf-projective"])
+def test_transform_non_finite_map_is_input_error(tmp_path, capsys, fixture, spec):
+    if fixture is None:
+        (tmp_path / "fw.json").write_text(
+            json.dumps({"space": "E", "dim": 2, "vertices": [], "edges": []}))
+    else:
+        run(tmp_path, "example", fixture, "-o", "fw.json")
+    (tmp_path / "map.json").write_text(spec)
+    capsys.readouterr()
+    assert run(tmp_path, "transform", "fw.json", "--map", "map.json", "-o", "img.json") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "img.json").exists()
+
+
 def test_transform_carry_stress(tmp_path):
     run(tmp_path, "example", "prism3-concurrent")
     data = json.loads((tmp_path / "prism3-concurrent.json").read_text())

@@ -123,6 +123,17 @@ def test_column_space_spans_the_columns():
     assert _linalg.column_space(np.zeros((0, 0)), 0).shape == (0, 0)
 
 
+def test_entries_matvec_is_the_dense_product(rng):
+    from rigidkit import statics
+    fw = rk.gallery.fixture("prism3-generic").framework
+    entries = statics.resolution_entries(fw)
+    w = rng.standard_normal(fw.m)
+    assert np.allclose(entries.matvec(w), entries.toarray() @ w, rtol=0, atol=1e-14)
+    empty = _linalg.Entries(np.zeros(0, int), np.zeros(0, int), np.zeros(0), (3, 0))
+    out = empty.matvec(np.zeros(0))
+    assert out.dtype == float and np.array_equal(out, np.zeros(3))
+
+
 def test_zero_rows_do_not_move_the_rank():
     a = np.diag([1.0, 5e-9, 1e-20])
     padded = np.vstack([a, np.zeros((9, 3))])

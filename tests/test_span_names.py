@@ -3,7 +3,7 @@
 `perfbench/spans.py` wraps every public module-level function of rigidkit's
 modules and reads its per-layer metrics from fixed span names; a renamed
 function makes its metric read 0 without any error.  This pins the names
-the per-layer metrics are built from.
+the per-layer metrics are built from, and the methods it wraps by name.
 """
 
 import importlib.util
@@ -25,11 +25,15 @@ METRIC_SPANS = (
 )
 
 
-def test_metric_spans_are_module_level_functions():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    return spans
+
+
+def test_metric_spans_are_module_level_functions():
+    tracer = _spans().Tracer()
     tracer.install()
     try:
         for name in METRIC_SPANS:
@@ -43,3 +47,9 @@ def test_metric_spans_are_module_level_functions():
     for name in METRIC_SPANS:
         module, func = name.split(".")
         assert not hasattr(getattr(getattr(rigidkit, module), func), "__wrapped__")
+
+
+def test_traced_methods_exist():
+    # `Tracer.install` wraps these by name; a missing one crashes a traced run
+    for module, cls, method in _spans().TRACED_METHODS:
+        assert inspect.isfunction(getattr(getattr(getattr(rigidkit, module), cls), method))

@@ -12,6 +12,7 @@ from rigidkit.errors import (
 )
 
 from conftest import scaled_into_chart
+from test_sparse import grid
 import oracles as oc
 
 
@@ -101,7 +102,8 @@ def test_geodesic_dof_invariance(prism_doc):
 def test_pogorelov_identity_spec(prism_doc, rng):
     fw = prism_doc.framework
     f = _random_equilibrium_load(rng, fw)
-    out, report = tr.pogorelov_static(tr.affine_map(np.eye(2)), fw, f)
+    report = tr.FrameworkMap(tr.affine_map(np.eye(2)), fw)
+    out = report.static(f)
     assert np.allclose(out.vecs, f.vecs)
     assert report.global_scale == 1.0
 
@@ -111,7 +113,7 @@ def test_pogorelov_geodesic_origin_factor():
     fw = rk.build_framework(rk.graph(2, [(0, 1)]), rk.euclidean(2),
                             [(0.0, 0.0), (0.3, 0.0)])
     f = rk.load(fw, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    out, _ = tr.pogorelov_static(tr.geodesic_map("S"), fw, f)
+    out = tr.FrameworkMap(tr.geodesic_map("S"), fw).static(f)
     assert np.allclose(out.vecs[0], [0.0, 0.0, 1.0])
 
 
@@ -123,21 +125,21 @@ def test_pogorelov_geodesic_origin_factor():
 ])
 def test_pogorelov_preserves_statics(make_spec, rng, prism_doc):
     fw = scaled_into_chart(prism_doc.framework)
-    spec = make_spec(rng)
+    fmap = tr.FrameworkMap(make_spec(rng), fw)
     # equilibrium verdicts preserved bit-for-bit
     f_eq = _random_equilibrium_load(rng, fw)
     raw = rng.standard_normal((fw.n, 3))
     raw[:, 0] = 0.0
     f_raw = rk.load(fw, raw)
     for f, expect in ((f_eq, True), (f_raw, rk.is_equilibrium_load(fw, f_raw))):
-        out, _ = tr.pogorelov_static(spec, fw, f)
+        out = fmap.static(f)
         assert rk.is_equilibrium_load(out.framework, out) == expect
     # resolvability verdicts preserved
     w = rk.Stress(fw.graph.edges, rng.standard_normal(fw.m))
     f_res = rk.apply_stress(fw, w)
-    out, _ = tr.pogorelov_static(spec, fw, f_res)
+    out = fmap.static(f_res)
     assert not isinstance(rk.resolve_load(out.framework, out), rk.Unresolvable)
-    out_eq, _ = tr.pogorelov_static(spec, fw, f_eq)
+    out_eq = fmap.static(f_eq)
     assert isinstance(rk.resolve_load(fw, f_eq), rk.Unresolvable) == \
         isinstance(rk.resolve_load(out_eq.framework, out_eq), rk.Unresolvable)
 
@@ -149,13 +151,13 @@ def test_pogorelov_preserves_statics(make_spec, rng, prism_doc):
 ])
 def test_pogorelov_duality_virtual_work(make_spec, rng, prism_doc):
     fw = scaled_into_chart(prism_doc.framework)
-    spec = make_spec(rng)
+    fmap = tr.FrameworkMap(make_spec(rng), fw)
     raw = rng.standard_normal((fw.n, 3))
     raw[:, 0] = 0.0
     f = rk.load(fw, raw)
     q = rk.motion_spaces(fw).basis_V[0]
-    f1, _ = tr.pogorelov_static(spec, fw, f)
-    q1, _ = tr.pogorelov_kinematic(spec, fw, q)
+    f1 = fmap.static(f)
+    q1 = fmap.kinematic(q)
     vw0 = rk.virtual_work(q, f)
     vw1 = rk.virtual_work(q1, f1)
     assert vw1 == pytest.approx(vw0, rel=1e-8)
@@ -163,16 +165,16 @@ def test_pogorelov_duality_virtual_work(make_spec, rng, prism_doc):
 
 def test_pogorelov_kinematic_preserves_spaces(rng, prism_doc):
     fw = scaled_into_chart(prism_doc.framework)
-    spec = tr.projective_map(_random_invertible(rng, 3) + 2.5 * np.eye(3))
+    fmap = tr.FrameworkMap(tr.projective_map(_random_invertible(rng, 3) + 2.5 * np.eye(3)), fw)
     # flexes map to flexes
     for q in rk.motion_spaces(fw).basis_V:
-        q1, _ = tr.pogorelov_kinematic(spec, fw, q)
+        q1 = fmap.kinematic(q)
         op = rk.rigidity_operator(q1.framework)
         assert np.max(op.edge_residuals(q1)) <= 1e-8
     # Killing fields map to Killing fields
-    spec_a = tr.affine_map(_random_invertible(rng, 2), rng.standard_normal(2))
+    fmap_a = tr.FrameworkMap(tr.affine_map(_random_invertible(rng, 2), rng.standard_normal(2)), fw)
     for q in rk.motion_spaces(fw).basis_V0:
-        q1, _ = tr.pogorelov_kinematic(spec_a, fw, q)
+        q1 = fmap_a.kinematic(q)
         basis = rk.motion_spaces(q1.framework).basis_V0
         flat = q1.vecs.ravel().copy()
         for b in basis:
@@ -185,9 +187,10 @@ def test_pogorelov_stress_commutes_with_load_transport(rng, prism_doc):
     for spec in (tr.geodesic_map("S"), tr.geodesic_map("H"),
                  tr.projective_map(_random_invertible(rng, 3) + 2.5 * np.eye(3))):
         w = rk.Stress(fw.graph.edges, rng.standard_normal(fw.m))
-        w1 = tr.pogorelov_stress(spec, fw, w)
+        fmap = tr.FrameworkMap(spec, fw)
+        w1 = fmap.stress(w)
         f_direct = rk.apply_stress(fw, w)
-        f_image, _ = tr.pogorelov_static(spec, fw, f_direct)
+        f_image = fmap.static(f_direct)
         f_from_stress = rk.apply_stress(f_image.framework, w1)
         scale = max(np.max(np.abs(f_image.vecs)), 1e-12)
         assert np.max(np.abs(f_image.vecs - f_from_stress.vecs)) <= 1e-9 * scale
@@ -350,7 +353,8 @@ def test_transport_report_fields(rng, prism_doc):
     fw = scaled_into_chart(prism_doc.framework)
     raw = rng.standard_normal((fw.n, 3))
     raw[:, 0] = 0.0
-    out, report = tr.pogorelov_static(tr.geodesic_map("H"), fw, rk.load(fw, raw))
+    report = tr.FrameworkMap(tr.geodesic_map("H"), fw)
+    report.static(rk.load(fw, raw))
     assert report.factors.shape == (fw.n,)
     assert np.all(np.isfinite(report.factors)) and np.all(report.factors != 0)
     assert report.condition >= 1.0
@@ -359,7 +363,7 @@ def test_transport_report_fields(rng, prism_doc):
 def test_pogorelov_kinematic_identity(prism_doc):
     fw = prism_doc.framework
     q = rk.motion_spaces(fw).basis_V[0]
-    out, _ = tr.pogorelov_kinematic(tr.affine_map(np.eye(2)), fw, q)
+    out = tr.FrameworkMap(tr.affine_map(np.eye(2)), fw).kinematic(q)
     assert np.max(np.abs(out.vecs - q.vecs)) <= 1e-12
 
 
@@ -368,9 +372,9 @@ def test_pogorelov_kinematic_from_curved_sources(prism_doc, rng):
     fw = scaled_into_chart(prism_doc.framework)
     for target in (rk.spherical(2), rk.hyperbolic(2)):
         fwx = tr.geodesic_project(fw, target)
-        spec = tr.geodesic_map("E")
+        report = tr.FrameworkMap(tr.geodesic_map("E"), fwx)
         for q in rk.motion_spaces(fwx).basis_V[:2]:
-            q_e, report = tr.pogorelov_kinematic(spec, fwx, q)
+            q_e = report.kinematic(q)
             op = rk.rigidity_operator(q_e.framework)
             assert np.max(op.edge_residuals(q_e)) <= 1e-8
             assert report.differentials.shape == (fw.n, 3, 3)
@@ -378,7 +382,7 @@ def test_pogorelov_kinematic_from_curved_sources(prism_doc, rng):
         raw = np.zeros((fwx.n, 3))
         raw[0] = _random_tangent(rng, fwx, 0)
         f = rk.load(fwx, raw)
-        out, report = tr.pogorelov_static(spec, fwx, f)
+        out = report.static(f)
         assert np.allclose(report.differentials[0] @ raw[0], out.vecs[0])
 
 
@@ -392,17 +396,25 @@ def _random_tangent(rng, fw, i):
     return v
 
 
-@pytest.mark.parametrize("case", ["affine", "projective", "E->S", "E->H", "S->E", "H->E"])
-def test_per_vertex_transport_is_adjoint(case, rng, prism_doc):
-    fw = scaled_into_chart(prism_doc.framework)
-    spec = {
-        "affine": tr.affine_map([[1.2, 0.3], [-0.1, 0.9]], [0.1, -0.2]),
-        "projective": tr.projective_map([[1.0, 0.3, -0.2], [0.1, 1.1, 0.2], [-0.2, 0.1, 0.9]]),
-        "E->S": tr.geodesic_map("S"), "E->H": tr.geodesic_map("H"),
-    }.get(case, tr.geodesic_map("E"))
+_SPECS = {
+    "affine": tr.affine_map([[1.2, 0.3], [-0.1, 0.9]], [0.1, -0.2]),
+    "projective": tr.projective_map([[1.0, 0.3, -0.2], [0.1, 1.1, 0.2], [-0.2, 0.1, 0.9]]),
+    "E->S": tr.geodesic_map("S"), "E->H": tr.geodesic_map("H"),
+    "S->E": tr.geodesic_map("E"), "H->E": tr.geodesic_map("E"),
+}
+
+
+def _mapped_source(case, fw):
+    """`fw` as the source of `case`: its S or H image for S->E and H->E."""
     if case in ("S->E", "H->E"):
-        fw = tr.apply_map(tr.geodesic_map(case[0]), fw)
-    fmap = tr.FrameworkMap(spec, fw)
+        return tr.apply_map(tr.geodesic_map(case[0]), fw)
+    return fw
+
+
+@pytest.mark.parametrize("case", list(_SPECS))
+def test_per_vertex_transport_is_adjoint(case, rng, prism_doc):
+    fw = _mapped_source(case, scaled_into_chart(prism_doc.framework))
+    fmap = tr.FrameworkMap(_SPECS[case], fw)
     img, g_src, g_img = fmap.image, fw.space.metric_signs, fmap.target_space.metric_signs
     for i in range(fw.n):
         q, f = _random_tangent(rng, fw, i), _random_tangent(rng, fw, i)
@@ -412,3 +424,73 @@ def test_per_vertex_transport_is_adjoint(case, rng, prism_doc):
         for u in (q1, f1):
             normal = u[0] if img.space.is_euclidean else u @ (g_img * img.coords[i])
             assert abs(normal) <= 1e-12
+
+
+def _per_vertex_reference(fmap, loads, fields):
+    """The image coordinates and the static and kinematic transport of
+    `loads` and `fields` as FrameworkMap computed them one vertex at a time,
+    before it worked on stacked arrays: the reference for the stacked form."""
+    src, tgt = fmap.source_space, fmap.target_space
+
+    def covector(space, p):
+        if space.is_euclidean:
+            return np.eye(space.ambient_dim)[0]
+        gp = np.atleast_2d(p) * space.metric_signs
+        return (gp / np.einsum("ia,ia->i", gp, np.atleast_2d(p))[:, None])[0]
+
+    coords = []
+    for x in fmap.source.coords:
+        y = fmap.linear @ x
+        if tgt.is_euclidean:
+            n = float(y[0])
+        else:
+            n = float(np.sqrt(abs(rk.signed_inner(y, y, tgt))))
+            n = -n if tgt.is_hyperbolic and not y[0] > 0 else n
+        coords.append(y / n)
+    image = rk.build_framework(fmap.source.graph, tgt, coords, fmap.source.embedding,
+                               renormalize=True)
+    amb = src.ambient_dim
+    static, kinematic = [], []
+    for i in range(fmap.source.n):
+        static.append(fmap.differentials[i] @ loads[i])
+        system = np.zeros((amb + 1, amb + 1))
+        system[:amb, :amb] = fmap.differentials[i].T * tgt.metric_signs
+        system[:amb, amb] = -covector(src, fmap.source.coords[i])
+        system[amb, :amb] = covector(tgt, image.coords[i])
+        rhs = np.append(src.metric_signs * fields[i], 0.0)
+        kinematic.append(np.linalg.solve(system, rhs)[:amb])
+    return image.coords, np.array(static), np.array(kinematic)
+
+
+@pytest.mark.parametrize("source", ["prism", "grid-30"])
+@pytest.mark.parametrize("case", list(_SPECS))
+def test_stacked_transport_matches_per_vertex_loop(case, source, rng, prism_doc):
+    fw = _mapped_source(case, scaled_into_chart(prism_doc.framework) if source == "prism"
+                        else scaled_into_chart(grid(30), 0.3))
+    ld = rk.load(fw, [_random_tangent(rng, fw, i) for i in range(fw.n)], eps=1e-7)
+    q = rk.vector_field(fw, [_random_tangent(rng, fw, i) for i in range(fw.n)], eps=1e-7)
+    fmap = tr.FrameworkMap(_SPECS[case], fw)
+    coords, static, kinematic = _per_vertex_reference(fmap, ld.vecs, q.vecs)
+    assert np.array_equal(fmap.image.coords, coords)
+    assert np.array_equal(fmap.static(ld).vecs, static)
+    assert np.array_equal(fmap.kinematic(q).vecs, kinematic)
+
+
+def test_kinematic_transport_is_one_solve(monkeypatch, rng):
+    fw = grid(30)
+    fmap = tr.FrameworkMap(tr.geodesic_map("S"), fw)
+    field = rk.vector_field(fw, np.column_stack([np.zeros(fw.n), rng.standard_normal((fw.n, 2))]))
+    real, calls = np.linalg.solve, []
+
+    def solve(a, b):
+        calls.append(np.shape(a))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    fmap.kinematic(field)
+    assert calls == [(fw.n, 4, 4)]
+
+
+def test_outside_chart_names_the_lowest_vertex():
+    with pytest.raises(OutsideChart, match=r"^vertex 19 lies outside"):
+        tr.FrameworkMap(tr.geodesic_map("H"), grid(5))
