@@ -143,7 +143,10 @@ class Spectrum:
     rank: int
     shape: tuple
     method: str = "dense"
-    partial: bool = False
+
+    @property
+    def partial(self) -> bool:
+        return self.method == "sparse"
 
     @property
     def nullity(self) -> int:
@@ -231,7 +234,7 @@ def _lanczos_spectrum(a, tol):
     if low[null] <= 100.0 * cutoff or (null and low[null - 1] >= cutoff / 100.0):
         return None
     values = np.concatenate([[smax], low[::-1]])
-    return Spectrum(values, cutoff, side - null, a.shape, "sparse", True)
+    return Spectrum(values, cutoff, side - null, a.shape, "sparse")
 
 
 def nullspace(a, rank):

@@ -153,7 +153,7 @@ def cmd_analyze(args) -> int:
     return EXIT_RIGID if report.rigid else EXIT_FLEXIBLE
 
 
-def _map_spec_from_args(args, fw: Framework) -> transforms.MapSpec:
+def _map_spec_from_args(args) -> transforms.MapSpec:
     if args.map:
         with open(args.map, encoding="utf-8") as fh:
             return transforms.map_spec_from_dict(json.load(fh))
@@ -165,7 +165,7 @@ def _map_spec_from_args(args, fw: Framework) -> transforms.MapSpec:
 def cmd_transform(args) -> int:
     doc = load_framework(args.path)
     fw = doc.framework
-    fmap = transforms.FrameworkMap(_map_spec_from_args(args, fw), fw)
+    fmap = transforms.FrameworkMap(_map_spec_from_args(args), fw)
     attachments = {}
     for carry in args.carry or ():
         raw = getattr(doc, carry)

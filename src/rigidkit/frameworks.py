@@ -47,10 +47,6 @@ class Framework:
     def dim(self) -> int:
         return self.space.dim
 
-    def spatial(self) -> np.ndarray:
-        """Spatial coordinates (drops the homogeneous column; Euclidean only)."""
-        return self.coords[:, 1:]
-
     def __repr__(self):
         return "Framework(%s, n=%d, m=%d)" % (self.space, self.n, self.m)
 
@@ -170,10 +166,8 @@ def framework_to_dict(fw: Framework, stress=None, load=None, field=None,
     d = {
         "space": fw.space.kind.value,
         "dim": fw.space.dim,
-        "vertices": [
-            [float(x) for x in (row[1:] if fw.space.is_euclidean else row)]
-            for row in fw.coords
-        ],
+        "vertices": np.asarray(fw.coords[:, 1:] if fw.space.is_euclidean else fw.coords,
+                               dtype=float).tolist(),
         "edges": [[int(i), int(j)] for i, j in fw.graph.edges],
     }
     if description is not None:
@@ -185,9 +179,9 @@ def framework_to_dict(fw: Framework, stress=None, load=None, field=None,
     if stress is not None:
         d["stress"] = {"%d-%d" % e: float(w) for e, w in sorted(stress.items())}
     if load is not None:
-        d["load"] = [[float(x) for x in row] for row in np.asarray(load)]
+        d["load"] = np.asarray(load, dtype=float).tolist()
     if field is not None:
-        d["field"] = [[float(x) for x in row] for row in np.asarray(field)]
+        d["field"] = np.asarray(field, dtype=float).tolist()
     return d
 
 

@@ -4,16 +4,18 @@ Embeddings are input data, never computed: validation via the Euler relation
 and directed-edge orientation consistency is cheap and catches malformed
 input, while planarity testing and embedding search stay out of scope.
 
-An embedding carries its combinatorics as index arrays, built once: the dual
-pairs (tail, head, right face, left face) per edge and the face-vertex
-incidences in cycle order.  3-connectivity is read from the faces: on the
-sphere a simple graph with at least 4 vertices is 3-connected exactly when
-its embedding is polyhedral (Mohar and Thomassen, *Graphs on Surfaces*,
-2001), which one pass over the incidences decides.
+An embedding derives one corner table from its face cycles, built once: per
+corner, face by face in cycle order, its face, vertex, next corner and twin
+(the corner on the reversed edge).  Dual pairs and vertex rotations are read
+from it.  3-connectivity is read from the faces: on the sphere a simple
+graph with at least 4 vertices is 3-connected exactly when its embedding is
+polyhedral (Mohar and Thomassen, *Graphs on Surfaces*, 2001), which one pass
+over the corners decides.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -186,23 +188,37 @@ class PlanarEmbedding:
     graph: Graph
     faces: tuple
     exterior_face: int = None
-    _directed_to_face: dict = field(default=None, repr=False, compare=False)
 
     @property
     def face_count(self) -> int:
         return len(self.faces)
 
-    def face_right_of(self, i, j) -> int:
-        return self._directed_to_face[(j, i)]
+    @cached_property
+    def corners(self) -> tuple:
+        """(faces, vertices, nexts, twins): one entry per face corner, face by
+        face in cycle order; four read-only index arrays, built once.
 
-    def face_left_of(self, i, j) -> int:
-        return self._directed_to_face[(i, j)]
+        Corner t of face faces[t] sits at vertices[t] and leaves along the
+        directed edge vertices[t] -> vertices[nexts[t]]; twins[t] is the
+        corner leaving along the reversed edge.
+        """
+        sizes = np.fromiter(map(len, self.faces), dtype=int, count=self.face_count)
+        faces = np.repeat(np.arange(self.face_count), sizes)
+        vertices = np.fromiter(chain.from_iterable(self.faces), dtype=int, count=faces.size)
+        last = np.cumsum(sizes) - 1
+        nexts = np.arange(faces.size) + 1
+        nexts[last] = last + 1 - sizes
+        twins = _leaving(self.graph.vertex_count, vertices, nexts, vertices[nexts], vertices)
+        faces.flags.writeable = vertices.flags.writeable = False
+        nexts.flags.writeable = twins.flags.writeable = False
+        return faces, vertices, nexts, twins
 
     @cached_property
     def _dual_pairs(self) -> tuple:
         tails, heads = self.graph.ends
-        rights = np.array([self.face_right_of(i, j) for i, j in self.graph.edges], dtype=int)
-        lefts = np.array([self.face_left_of(i, j) for i, j in self.graph.edges], dtype=int)
+        faces, vertices, nexts, twins = self.corners
+        lead = _leaving(self.graph.vertex_count, vertices, nexts, tails, heads)
+        rights, lefts = faces[twins[lead]], faces[lead]
         rights.flags.writeable = lefts.flags.writeable = False
         return tails, heads, rights, lefts
 
@@ -214,15 +230,6 @@ class PlanarEmbedding:
         Four read-only index arrays, built once per embedding.
         """
         return self._dual_pairs
-
-    @cached_property
-    def incidences(self) -> tuple:
-        """(faces, vertices): one entry per face-vertex incidence, face by face
-        in cycle order; two read-only index arrays, built once."""
-        faces = np.repeat(np.arange(self.face_count), [len(cyc) for cyc in self.faces])
-        vertices = np.array([i for cyc in self.faces for i in cyc], dtype=int)
-        faces.flags.writeable = vertices.flags.writeable = False
-        return faces, vertices
 
     @cached_property
     def _three_connected(self) -> bool:
@@ -266,32 +273,29 @@ def validate_embedding(g: Graph, faces, exterior_face=None) -> PlanarEmbedding:
     # directed edge appears exactly once.
     if exterior_face is not None and not (0 <= exterior_face < len(faces)):
         raise GraphError("exterior face index out of range")
-    emb = PlanarEmbedding(g, faces, exterior_face, directed)
+    emb = PlanarEmbedding(g, faces, exterior_face)
     if not (_is_connected(g) and _one_rotation_per_vertex(emb)):
         raise GraphError("the faces do not glue to a sphere: the graph is "
                          "disconnected or some vertex has more than one rotation of faces")
     return emb
 
 
+def _leaving(n: int, vertices, nexts, tails, heads) -> np.ndarray:
+    """The corners of (vertices, nexts) on n vertices leaving along tails -> heads."""
+    out = vertices * n + vertices[nexts]
+    order = np.argsort(out)
+    return order[np.searchsorted(out, tails * n + heads, sorter=order)]
+
+
 def _one_rotation_per_vertex(emb: PlanarEmbedding) -> bool:
     """True iff the faces around every vertex form one rotation.
 
     With a connected graph, n - m + f = 2 and every directed edge on exactly
-    one face, this makes the faces glue to a sphere.
+    one face, this makes the faces glue to a sphere.  The next corner around
+    a vertex is the successor of the twin corner.
     """
-    faces, verts = emb.incidences
-    # Corner t of face faces[t] sits at verts[t] and leaves along the directed
-    # edge verts[t] -> verts[succ[t]].  The next corner around that vertex is
-    # the successor of the corner leaving along the reversed edge.
-    n = emb.graph.vertex_count
-    sizes = np.bincount(faces, minlength=emb.face_count)
-    first = np.cumsum(sizes) - sizes
-    succ = np.arange(verts.size) + 1
-    succ[first + sizes - 1] = first
-    out = verts * n + verts[succ]
-    order = np.argsort(out)
-    back = order[np.searchsorted(out, verts[succ] * n + verts, sorter=order)]
-    return _cycle_count(succ[back]) == n
+    _, _, nexts, twins = emb.corners
+    return _cycle_count(nexts[twins]) == emb.graph.vertex_count
 
 
 def is_3_connected(embedding: PlanarEmbedding) -> bool:
@@ -310,7 +314,7 @@ def _polyhedral(emb: PlanarEmbedding) -> bool:
     n, f = emb.graph.vertex_count, emb.face_count
     if n < 4:
         return False
-    faces, verts = emb.incidences
+    faces, verts, _, twins = emb.corners
     if np.unique(faces * n + verts).size != verts.size:
         return False
     # Face pairs meeting at a vertex: all pairs within each vertex's corners.
@@ -321,8 +325,7 @@ def _polyhedral(emb: PlanarEmbedding) -> bool:
     right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
     a, b = faces[by_vertex[left]], faces[by_vertex[right]]
     pairs, shared = np.unique(np.minimum(a, b) * f + np.maximum(a, b), return_counts=True)
-    _, _, rights, lefts = emb.dual_pairs()
-    adjacent = np.minimum(rights, lefts) * f + np.maximum(rights, lefts)
+    adjacent = np.minimum(faces, faces[twins]) * f + np.maximum(faces, faces[twins])
     return bool(np.all(shared <= 2) and np.all(np.isin(pairs[shared == 2], adjacent)))
 
 

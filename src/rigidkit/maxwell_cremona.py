@@ -95,7 +95,6 @@ class ReciprocalDiagram:
     """
 
     framework: Framework
-    dual: Graph
     positions: np.ndarray
     strength: str = None  # spherical only: "weak" | "strong"
     #: Norm of the base face's lift normal before normalization onto the
@@ -106,6 +105,11 @@ class ReciprocalDiagram:
     @property
     def space(self):
         return self.framework.space
+
+    @property
+    def dual(self) -> Graph:
+        """The dual graph of the framework's embedding, one vertex per position."""
+        return dual_graph(self.framework.embedding)
 
     def perpendicularity_residuals(self) -> np.ndarray:
         """Per dual pair: the reciprocity defect, normalized to unit scale."""
@@ -126,7 +130,7 @@ class ReciprocalDiagram:
             "type": "reciprocal",
             "space": self.space.kind.value,
             "dim": self.space.dim,
-            "positions": [[float(x) for x in row] for row in self.positions],
+            "positions": np.asarray(self.positions, dtype=float).tolist(),
             "strength": self.strength,
             "base_scale": float(self.base_scale),
         }
@@ -157,7 +161,7 @@ class PolyhedralLift:
     def incidence_residuals(self) -> np.ndarray:
         """|<m_face, lifted vertex> - kappa| over incident pairs, flattened."""
         fw = self.framework
-        a, i = fw.embedding.incidences
+        a, i, _, _ = fw.embedding.corners
         planes, points = self.face_planes[a], self.vertex_points[i]
         if self.kind is LiftKind.VERTICAL:
             gx, gy, b = planes.T
@@ -173,12 +177,12 @@ class PolyhedralLift:
             "type": "lift",
             "kind": self.kind.value,
             "space": self.framework.space.kind.value,
-            "vertex_points": [[float(x) for x in row] for row in self.vertex_points],
-            "face_planes": [[float(x) for x in row] for row in self.face_planes],
+            "vertex_points": np.asarray(self.vertex_points, dtype=float).tolist(),
+            "face_planes": np.asarray(self.face_planes, dtype=float).tolist(),
             "stress_scale": float(self.stress_scale),
         }
         if self.radial_center is not None:
-            d["radial_center"] = [float(x) for x in self.radial_center]
+            d["radial_center"] = np.asarray(self.radial_center, dtype=float).tolist()
         return d
 
 
@@ -210,7 +214,7 @@ def reciprocal_from_dict(fw: Framework, data: dict) -> ReciprocalDiagram:
     width = 2 if fw.space.is_euclidean else 3
     pos = _numeric(data, "positions", (fw.embedding.face_count, width))
     base_scale = float(_numeric(data, "base_scale", ())) if "base_scale" in data else 1.0
-    return ReciprocalDiagram(fw, dual_graph(fw.embedding), pos, data.get("strength"), base_scale)
+    return ReciprocalDiagram(fw, pos, data.get("strength"), base_scale)
 
 
 def lift_from_dict(fw: Framework, data: dict) -> PolyhedralLift:
@@ -330,7 +334,7 @@ def _incidence_values(fw: Framework, normals: np.ndarray, tol):
 
     Returns c and the largest disagreement.
     """
-    a, i = fw.embedding.incidences
+    a, i, _, _ = fw.embedding.corners
     vals = signed_inner(normals[a], fw.coords[i], fw.space)
     _, first = np.unique(i, return_index=True)
     c = np.zeros(fw.n)
@@ -493,14 +497,14 @@ def _reciprocal_from_face_vectors(fw: Framework, normals: np.ndarray,
         positions = normals / np.sqrt(q)[:, None]
         base_scale = float(np.sqrt(q[_base_face(fw)]))
     if fw.space.is_spherical:
-        a, i = fw.embedding.incidences
+        a, i, _, _ = fw.embedding.corners
         vals = signed_inner(positions[a], fw.coords[i], fw.space)
         bad = np.flatnonzero(np.abs(vals) < 1e-10)
         if bad.size:
             raise OriginPlane("incident pair (%d, %d) at distance pi/2"
                               % (a[bad[0]], i[bad[0]]))
         strength = "weak" if np.any(vals < 0) else "strong"
-    rec = ReciprocalDiagram(fw, dual_graph(fw.embedding), positions, strength, base_scale)
+    rec = ReciprocalDiagram(fw, positions, strength, base_scale)
     rec.residuals["perpendicularity"] = float(np.max(rec.perpendicularity_residuals(),
                                                      initial=0.0))
     if closure is not None:
@@ -594,7 +598,7 @@ def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
         pts = lift.vertex_points.copy()
         pts[:, 2] += shift
         out = _apply_homogeneous(np.linalg.inv(phi), pts, "lifted vertex %d maps to infinity")
-        planes = _fit_radial_planes(fw, out, tol)
+        planes = _fit_radial_planes(fw, out)
         res = PolyhedralLift(fw, LiftKind.RADIAL, out, planes, radial_center=a,
                              stress_scale=lift.stress_scale)
     elif lift.kind is LiftKind.RADIAL:
@@ -621,7 +625,7 @@ def _apply_homogeneous(m: np.ndarray, points: np.ndarray, message: str) -> np.nd
     return h[:, :3] / h[:, 3:]
 
 
-def _fit_radial_planes(fw: Framework, points: np.ndarray, tol) -> np.ndarray:
+def _fit_radial_planes(fw: Framework, points: np.ndarray) -> np.ndarray:
     planes = np.zeros((fw.embedding.face_count, 4))
     for a, cyc in enumerate(fw.embedding.faces):
         pts = points[list(cyc)]
@@ -667,28 +671,15 @@ class ConvexityReport:
         }
 
 
-def _signed_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def _is_convex_ccw(poly: np.ndarray) -> bool:
-    n = len(poly)
-    for k in range(n):
-        u = poly[(k + 1) % n] - poly[k]
-        v = poly[(k + 2) % n] - poly[(k + 1) % n]
-        if u[0] * v[1] - u[1] * v[0] <= 0:
-            return False
-    return True
-
-
 def find_exterior_face(fw: Framework) -> int:
     """The unique clockwise face of a drawing-consistent Euclidean embedding."""
-    areas = [_signed_area(fw.coords[list(cyc), 1:]) for cyc in fw.embedding.faces]
-    negative = [a for a, ar in enumerate(areas) if ar < 0]
-    if len(negative) != 1:
-        raise NoExteriorFace("expected exactly one clockwise face, found %d" % len(negative))
-    ext = negative[0]
+    faces, verts, nexts, _ = fw.embedding.corners
+    x, y = fw.coords[verts, 1], fw.coords[verts, 2]
+    areas = np.bincount(faces, x * y[nexts] - x[nexts] * y, minlength=fw.embedding.face_count)
+    negative = np.flatnonzero(areas < 0)
+    if negative.size != 1:
+        raise NoExteriorFace("expected exactly one clockwise face, found %d" % negative.size)
+    ext = int(negative[0])
     declared = fw.embedding.exterior_face
     if declared is not None and declared != ext:
         raise NoExteriorFace("declared exterior face %d is not the clockwise one" % declared)
@@ -707,11 +698,13 @@ def euclid_convexity_classify(fw: Framework, stress: Stress = None,
     """
     _require_mc_framework(fw)
     ext = find_exterior_face(fw)
-    for a, cyc in enumerate(fw.embedding.faces):
-        poly = fw.coords[list(cyc), 1:]
-        ccw_poly = poly[::-1] if a == ext else poly
-        if not _is_convex_ccw(ccw_poly):
-            raise NotEmbedded("face %d is not a convex polygon in the drawing" % a)
+    # The turn at each corner's head; the exterior face runs clockwise.
+    faces, verts, nexts, twins = fw.embedding.corners
+    u = fw.coords[verts[nexts], 1:] - fw.coords[verts, 1:]
+    turns = u[:, 0] * u[nexts, 1] - u[:, 1] * u[nexts, 0]
+    bent = np.flatnonzero(np.where(faces == ext, turns >= 0, turns <= 0))
+    if bent.size:
+        raise NotEmbedded("face %d is not a convex polygon in the drawing" % faces[bent[0]])
     tails, heads, rights, lefts = fw.embedding.dual_pairs()
     boundary = (rights == ext) | (lefts == ext)
     lo, hi = np.minimum(tails, heads)[boundary], np.maximum(tails, heads)[boundary]
@@ -727,11 +720,16 @@ def euclid_convexity_classify(fw: Framework, stress: Stress = None,
     if lift is not None:
         if lift.kind is not LiftKind.VERTICAL:
             raise WrongDimension("convexity classification needs a vertical lift")
-        ok = True
-        for k in np.flatnonzero(~boundary):
-            for side, other in ((lefts[k], rights[k]), (rights[k], lefts[k])):
-                probe = [i for i in fw.embedding.faces[side] if i not in (tails[k], heads[k])]
-                xy1 = np.column_stack([fw.coords[probe, 1:], np.ones(len(probe))])
-                ok &= np.all(xy1 @ lift.face_planes[side] >= xy1 @ lift.face_planes[other] - 1e-12)
-        report.lift_convex = bool(ok)
+        # Each corner t on an interior edge probes its face's plane against
+        # the face across the edge at every vertex s of its face off the edge.
+        sizes = np.bincount(faces)
+        edge = np.flatnonzero((faces != ext) & (faces[twins] != ext))
+        reps = sizes[faces[edge]]
+        t = np.repeat(edge, reps)
+        s = np.arange(t.size) + np.repeat(np.cumsum(sizes)[faces[edge]] - np.cumsum(reps), reps)
+        off = (verts[s] != verts[t]) & (verts[s] != verts[nexts[t]])
+        t, s = t[off], s[off]
+        xy1 = np.column_stack([fw.coords[verts[s], 1:], np.ones(s.size)])
+        report.lift_convex = bool(np.all(_rowdot(xy1, lift.face_planes[faces[t]]) >=
+                                         _rowdot(xy1, lift.face_planes[faces[twins[t]]]) - 1e-12))
     return report

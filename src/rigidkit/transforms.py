@@ -64,6 +64,8 @@ class MapSpec:
             m = np.asarray(self.matrix, dtype=float)
             if m.shape != (d + 1, d + 1):
                 raise InvalidMapSpec("projective map needs a (d+1) x (d+1) matrix")
+            # cM is the map M: scale it exactly by 2^k to max |entry| in [1, 2).
+            m = np.ldexp(m, 1 - np.frexp(np.max(np.abs(m)))[1])
         elif self.kind == "geodesic":
             return np.eye(d + 1)
         else:

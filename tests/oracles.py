@@ -3,8 +3,10 @@
 Everything here recomputes expected values through a route disjoint from the
 library: exact rational Gaussian elimination over fractions.Fraction (floats
 convert exactly), subset enumeration for sparsity counts, vertex-pair
-deletion for 3-connectivity, and finite differences for flex checks.  The matrices are rebuilt from scratch from the
-defining formulas rather than taken from the library.
+deletion for 3-connectivity, a directed-edge dict and per-face loops for
+planar embeddings, and finite differences for flex checks.  The matrices are
+rebuilt from scratch from the defining formulas rather than taken from the
+library.
 """
 
 from fractions import Fraction
@@ -286,6 +288,74 @@ def random_plane_graph(rng, n, deletions):
     edges = sorted({(min(c[k], c[(k + 1) % len(c)]), max(c[k], c[(k + 1) % len(c)]))
                     for c in faces for k in range(len(c))})
     return edges, faces
+
+
+def directed_faces(faces) -> dict:
+    """Directed edge (i, j) -> the face whose cycle runs i -> j: the face on
+    the left of i -> j, and on the right of j -> i."""
+    return {(cyc[k], cyc[(k + 1) % len(cyc)]): a
+            for a, cyc in enumerate(faces) for k in range(len(cyc))}
+
+
+# --- Euclidean face checks, one face and one edge at a time ---------------------
+
+def signed_area(poly) -> float:
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def is_convex_ccw(poly) -> bool:
+    n = len(poly)
+    for k in range(n):
+        u = poly[(k + 1) % n] - poly[k]
+        v = poly[(k + 2) % n] - poly[(k + 1) % n]
+        if u[0] * v[1] - u[1] * v[0] <= 0:
+            return False
+    return True
+
+
+def convexity_classify(fw, stress=None, reciprocal=None, planes=None):
+    """The Euclidean convexity classification by per-face and per-edge loops.
+
+    `stress` holds values in edge order, `reciprocal` the reciprocal points and
+    `planes` the (gx, gy, b) rows of a vertical lift.  Returns the report's
+    fields as a dict, or (error class name, message) where the library raises.
+    """
+    emb, xy = fw.embedding, fw.coords[:, 1:]
+    negative = [a for a, cyc in enumerate(emb.faces) if signed_area(xy[list(cyc)]) < 0]
+    if len(negative) != 1:
+        return "NoExteriorFace", "expected exactly one clockwise face, found %d" % len(negative)
+    ext = negative[0]
+    if emb.exterior_face is not None and emb.exterior_face != ext:
+        return ("NoExteriorFace",
+                "declared exterior face %d is not the clockwise one" % emb.exterior_face)
+    for a, cyc in enumerate(emb.faces):
+        poly = xy[list(cyc)]
+        if not is_convex_ccw(poly[::-1] if a == ext else poly):
+            return "NotEmbedded", "face %d is not a convex polygon in the drawing" % a
+    left_of = directed_faces(emb.faces)
+    boundary, stress_ok, rec_ok, lift_ok = [], True, True, True
+    for k, (i, j) in enumerate(fw.graph.edges):
+        left, right = left_of[(i, j)], left_of[(j, i)]
+        outer = ext in (left, right)
+        if outer:
+            boundary.append((min(i, j), max(i, j)))
+        if stress is not None:
+            stress_ok &= bool(stress[k] < 0 if outer else stress[k] > 0)
+        if reciprocal is not None:
+            u, v = xy[j] - xy[i], reciprocal[left] - reciprocal[right]
+            det = u[0] * v[1] - u[1] * v[0]
+            rec_ok &= bool(det < 0 if outer else det > 0)
+        if planes is not None and not outer:
+            for side, other in ((left, right), (right, left)):
+                for h in emb.faces[side]:
+                    if h not in (i, j):
+                        x1 = np.array([xy[h, 0], xy[h, 1], 1.0])
+                        lift_ok &= bool(x1 @ planes[side] >= x1 @ planes[other] - 1e-12)
+    return {"exterior_face": ext, "boundary_edges": tuple(sorted(boundary)),
+            "stress_pattern": None if stress is None else stress_ok,
+            "reciprocal_pattern": None if reciprocal is None else rec_ok,
+            "lift_convex": None if planes is None else lift_ok}
 
 
 # --- numeric oracles ------------------------------------------------------------

@@ -127,6 +127,21 @@ def test_transform_outside_chart_is_input_error(tmp_path, capsys):
     assert "vertex" in capsys.readouterr().err
 
 
+def test_transform_projective_map_at_any_scale(tmp_path):
+    # c M is the map M: a power-of-two c gives the identity's file bit for bit,
+    # and no scale overflows or sends a vertex to infinity
+    run(tmp_path, "example", "prism3-concurrent")
+    outputs = {}
+    for c in (1.0, 2.0 ** -1000, 2.0 ** -43, 2.0 ** 515, 2.0 ** 997, 1e-13, 1e155):
+        (tmp_path / "map.json").write_text(json.dumps({"kind": "projective",
+                                                       "M": (c * np.eye(3)).tolist()}))
+        assert run(tmp_path, "transform", "prism3-concurrent.json", "--map", "map.json",
+                   "--carry", "stress", "-o", "img.json") == 0, c
+        outputs[c] = (tmp_path / "img.json").read_bytes()
+    for c in (2.0 ** -1000, 2.0 ** -43, 2.0 ** 515, 2.0 ** 997):
+        assert outputs[c] == outputs[1.0], c
+
+
 @pytest.mark.parametrize("fixture, spec", [
     ("prism3-generic", '{"kind": "projective", "M": [[1, 0, 0], [0, NaN, 0], [0, 0, 1]]}'),
     ("prism3-generic", '{"kind": "affine", "A": [[1, 0], [NaN, 1]], "b": [0, 0]}'),

@@ -9,6 +9,7 @@ from oracles import (
     brute_force_23_sparse,
     brute_force_3_connected,
     brute_force_laman,
+    directed_faces,
     random_graph,
     random_plane_graph,
 )
@@ -96,28 +97,40 @@ def test_dual_pairs_are_read_only_arrays_in_edge_order():
     tails, heads, rights, lefts = emb.dual_pairs()
     assert emb.dual_pairs() is emb.dual_pairs()
     assert list(zip(tails.tolist(), heads.tolist())) == list(g.edges)
+    left_of = directed_faces(PRISM_FACES)
     for i, j, a, b in zip(tails, heads, rights, lefts):
-        assert (a, b) == (emb.face_right_of(i, j), emb.face_left_of(i, j))
+        assert (a, b) == (left_of[(j, i)], left_of[(i, j)])
     for arr in (tails, heads, rights, lefts):
         with pytest.raises(ValueError):
             arr[0] = 0
 
 
 def test_incidences_in_cycle_order():
+    # the corner table: one face-vertex incidence per corner, in cycle order
     emb = rk.validate_embedding(rk.graph(6, PRISM_EDGES), PRISM_FACES)
-    faces, vertices = emb.incidences
+    faces, vertices, nexts, twins = emb.corners
+    assert emb.corners is emb.corners
     assert faces.tolist() == [a for a, cyc in enumerate(PRISM_FACES) for _ in cyc]
     assert vertices.tolist() == [i for cyc in PRISM_FACES for i in cyc]
-    with pytest.raises(ValueError):
-        vertices[0] = 1
+    assert nexts.tolist() == [1, 2, 0, 4, 5, 3, 7, 8, 9, 6, 11, 12, 13, 10, 15, 16, 17, 14]
+    for arr in (faces, vertices, nexts, twins):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_face_right_left():
     g = rk.graph(6, PRISM_EDGES)
     emb = rk.validate_embedding(g, PRISM_FACES)
     # quad [0,1,4,3] contains directed (0,1): it lies left of 0->1.
-    assert emb.face_left_of(0, 1) == 2
-    assert emb.face_right_of(0, 1) == 0  # exterior triangle [0,2,1]
+    tails, heads, rights, lefts = emb.dual_pairs()
+    k = g.edge_index()[(0, 1)]
+    assert (tails[k], heads[k]) == (0, 1)
+    assert lefts[k] == 2
+    assert rights[k] == 0  # exterior triangle [0,2,1]
+    # the same faces from the corner table: the corner leaving 0 -> 1, its twin
+    faces, vertices, nexts, twins = emb.corners
+    t = [c for c in range(vertices.size) if (vertices[c], vertices[nexts[c]]) == (0, 1)]
+    assert (faces[t[0]], faces[twins[t[0]]]) == (2, 0)
 
 
 def test_is_3_connected():
@@ -170,6 +183,52 @@ def test_is_3_connected_matches_brute_force_on_random_plane_graphs():
         repeated += any(len(set(cyc)) < len(cyc) for cyc in faces)
     # both verdicts and faces with a repeated vertex occur often
     assert 100 < sum(verdicts) < 1100 and repeated > 100
+
+
+def _agrees_with_directed_faces(emb):
+    """The corner table and dual pairs of `emb` against the directed-edge dict."""
+    left_of = directed_faces(emb.faces)
+    faces, vertices, nexts, twins = emb.corners
+    heads = vertices[nexts]
+    assert vertices.tolist() == [i for cyc in emb.faces for i in cyc]
+    assert heads.tolist() == [cyc[(k + 1) % len(cyc)] for cyc in emb.faces for k in range(len(cyc))]
+    assert np.array_equal(faces, [left_of[e] for e in zip(vertices.tolist(), heads.tolist())])
+    assert np.array_equal(twins[twins], np.arange(twins.size))
+    assert np.array_equal(vertices[twins], heads) and np.array_equal(heads[twins], vertices)
+    tails, heads, rights, lefts = emb.dual_pairs()
+    assert list(zip(tails.tolist(), heads.tolist())) == list(emb.graph.edges)
+    assert np.array_equal(lefts, [left_of[(i, j)] for i, j in emb.graph.edges])
+    assert np.array_equal(rights, [left_of[(j, i)] for i, j in emb.graph.edges])
+    return True
+
+
+@pytest.mark.parametrize("name", rk.gallery.GALLERY_NAMES)
+def test_corners_match_directed_faces_on_gallery(name):
+    emb = rk.gallery.fixture(name).framework.embedding
+    assert emb is None or _agrees_with_directed_faces(emb)
+
+
+def test_corners_match_directed_faces_on_wheels_and_random_plane_graphs():
+    for rim in range(4, 41):
+        faces = [[k, (k + 1) % rim, rim] for k in range(rim)] + [list(range(rim))[::-1]]
+        assert _agrees_with_directed_faces(_embedded(faces))
+    rng = np.random.RandomState(77)
+    for _ in range(500):
+        n = int(rng.randint(3, 13))
+        edges, faces = random_plane_graph(rng, n, int(rng.randint(0, n + 1)))
+        assert _agrees_with_directed_faces(rk.validate_embedding(rk.graph(n, edges), faces))
+
+
+def test_direct_construction_matches_validated():
+    path = [(0, 1), (1, 2), (2, 3)]
+    for n, edges, faces in ((4, K4_EDGES, TETRA_FACES), (8, CUBE_EDGES, CUBE_FACES),
+                            (6, PRISM_EDGES, PRISM_FACES), (4, path, [[0, 1, 2, 3, 2, 1]])):
+        g = rk.graph(n, edges)
+        direct = rk.PlanarEmbedding(g, tuple(map(tuple, faces)))
+        valid = rk.validate_embedding(g, faces)
+        for a, b in zip(direct.dual_pairs(), valid.dual_pairs()):
+            assert np.array_equal(a, b)
+        assert rk.is_3_connected(direct) == rk.is_3_connected(valid)
 
 
 OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],

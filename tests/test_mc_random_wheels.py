@@ -11,7 +11,9 @@ import pytest
 
 import rigidkit as rk
 from rigidkit import maxwell_cremona as mc, transforms as tr
-from rigidkit.maxwell_cremona import _is_convex_ccw
+from rigidkit.errors import NoExteriorFace, NotEmbedded
+
+from oracles import convexity_classify, is_convex_ccw
 
 
 def make_wheel(rng, n_rim):
@@ -80,7 +82,7 @@ def test_wheel_classification_booleans_agree(seed):
         if fw is None:
             continue
         rim = fw.coords[:-1, 1:]
-        if not _is_convex_ccw(rim):
+        if not is_convex_ccw(rim):
             continue
         w = rk.static_spaces(fw).self_stress_basis[0]
         hub_edge = (0, fw.n - 1)
@@ -92,3 +94,79 @@ def test_wheel_classification_booleans_agree(seed):
         assert report.stress_pattern == report.reciprocal_pattern == report.lift_convex
         assert report.stress_pattern is True
         done += 1
+
+
+def _classified(fw, w, rec, lift):
+    """euclid_convexity_classify's fields, or its error as (class name, message)."""
+    try:
+        r = mc.euclid_convexity_classify(fw, stress=w, reciprocal=rec, lift=lift)
+    except (NotEmbedded, NoExteriorFace) as exc:
+        return type(exc).__name__, str(exc)
+    return {"exterior_face": r.exterior_face, "boundary_edges": r.boundary_edges,
+            **r.classifications}
+
+
+def _dented(fw, rng):
+    """The wheel with one rim vertex pulled towards the hub: a reflex rim corner."""
+    xy = fw.coords[:, 1:].copy()
+    k = int(rng.randint(fw.n - 1))
+    xy[k] = 0.6 * xy[k] + 0.4 * xy[-1]
+    return rk.build_framework(fw.graph, fw.space, xy, fw.embedding)
+
+
+def _outside(fw):
+    """The wheel with its hub moved outside the rim: clockwise triangles."""
+    xy = fw.coords[:, 1:].copy()
+    xy[-1] = (3.0, 0.5)
+    return rk.build_framework(fw.graph, fw.space, xy, fw.embedding)
+
+
+def test_classification_matches_per_face_reference():
+    rng = np.random.RandomState(61)
+    cases = [(doc.framework, rk.stress_from_dict(doc.framework, doc.stress))
+             for doc in map(rk.gallery.fixture, ("prism3-concurrent", "k4-centroid"))]
+    while len(cases) < 26:
+        fw = make_wheel(rng, int(rng.randint(4, 12)))
+        for fx in (fw, _dented(fw, rng), _outside(fw)):
+            cases.append((fx, rk.static_spaces(fx).self_stress_basis[0]))
+    outcomes = []
+    for fw, w in cases:
+        # both signs of the self-stress with their reciprocals and lifts, then
+        # random objects with mixed signs
+        for sign in (1.0, -1.0):
+            ws = w.scaled(sign)
+            rec = mc.convert(fw, ws, to="reciprocal")
+            lift = mc.convert(fw, rec, to="lift")
+            objects = [(ws, rec, lift), (ws, None, None), (None, rec, None), (None, None, lift)]
+            for w_, rec_, lift_ in objects:
+                got = _classified(fw, w_, rec_, lift_)
+                assert got == convexity_classify(
+                    fw, None if w_ is None else w_.values_on(fw.graph),
+                    None if rec_ is None else rec_.positions,
+                    None if lift_ is None else lift_.face_planes)
+                outcomes.append(got if isinstance(got, tuple) else tuple(got.values())[2:])
+        planes = lift.face_planes + 0.05 * rng.standard_normal(lift.face_planes.shape)
+        noise = mc.PolyhedralLift(fw, mc.LiftKind.VERTICAL, lift.vertex_points, planes)
+        w_mixed = rk.Stress(fw.graph.edges, rng.standard_normal(fw.m))
+        rec_mixed = mc.ReciprocalDiagram(fw, rng.standard_normal(rec.positions.shape))
+        got = _classified(fw, w_mixed, rec_mixed, noise)
+        assert got == convexity_classify(fw, w_mixed.values_on(fw.graph), rec_mixed.positions,
+                                         noise.face_planes)
+    # prism3-concurrent drawn with a flat corner (a zero turn) in face 2, and
+    # with reflex corners in faces 2 and 4: the error names the lowest face
+    prism = cases[0][0]
+    for moves in ({3: (-1.0, 1.5)}, {4: (-3.0, -1.0), 5: (3.5, -1.0)}):
+        xy = prism.coords[:, 1:].copy()
+        for v, p in moves.items():
+            xy[v] = p
+        fw = rk.build_framework(prism.graph, prism.space, xy, prism.embedding)
+        w_mixed = rk.Stress(fw.graph.edges, rng.standard_normal(fw.m))
+        got = _classified(fw, w_mixed, None, None)
+        assert got == convexity_classify(fw, w_mixed.values_on(fw.graph))
+        assert got == ("NotEmbedded", "face 2 is not a convex polygon in the drawing")
+    # every outcome occurs: both errors, and each pattern both true and false
+    kinds = {o[0] for o in outcomes if isinstance(o[0], str)}
+    assert kinds == {"NotEmbedded", "NoExteriorFace"}
+    patterns = [o for o in outcomes if not isinstance(o[0], str)]
+    for k in range(3):
+        assert {o[k] for o in patterns} >= {True, False}
