@@ -12,11 +12,14 @@ Which path decides: a matrix whose smaller non-zero side has fewer than
 one, given densely or as :class:`Entries`, is decided by shift-invert Lanczos
 (ARPACK, through scipy) on the Gram matrix of its smaller side, where the
 null space of every rigidity matrix is small (:func:`_lanczos_spectrum`);
-its `Spectrum` then holds sigma_max and the low end only.  When that cannot
-certify the rank with a 100x margin on both sides of the cutoff, when the
-cutoff sits below the sqrt(eps) * sigma_max floor of squaring, when ARPACK
-or SuperLU fails, or when scipy is missing, the same matrix gets the dense
-SVD instead.
+its `Spectrum` then holds sigma_max and the low end only.  One sparse LU
+factorization of the shifted Gram matrix (minimum degree ordering) serves
+every Lanczos call of a decision, and each call has a budget of about
+side^3 flops of solves, the order of the dense SVD's cost.  When Lanczos
+cannot certify the rank with a 100x margin on both sides of the cutoff,
+when the cutoff sits below the sqrt(eps) * sigma_max floor of squaring, when
+ARPACK or SuperLU fails or a call spends its budget, or when scipy is
+missing, the same matrix gets the dense SVD instead.
 
 The Maxwell-Cremona collinear-face test is the one geometric check that
 counts singular values against an absolute cutoff instead.  A basis is one
@@ -177,6 +180,34 @@ def spectrum(a, tol=RANK_TOL) -> Spectrum:
     return Spectrum(s, cutoff, rank, a.shape)
 
 
+class _OverBudget(RuntimeError):
+    """An ARPACK call asked for one operator application more than its budget."""
+
+
+def _budgeted(apply, side, nnz, k):
+    """`apply`, an operator with `nnz` non-zeros on a side x side matrix, as
+    a LinearOperator for one ARPACK call for k eigenvalues, which raises
+    _OverBudget in place of any application past its budget.
+
+    The budget is about side^3 flops, the order of the dense SVD's cost, at
+    2 nnz flops per application.  It is never below 4 ncv, ncv =
+    max(2k + 1, 20) the Krylov basis that eigsh keeps: whatever its fill, a
+    small matrix needs a first basis and a restart or two.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    budget, calls = max(4 * max(2 * k + 1, 20), side**3 // (2 * nnz)), 0
+
+    def matvec(x):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise _OverBudget("no convergence within %d applications" % budget)
+        return apply(x)
+
+    return LinearOperator((side, side), matvec=matvec, dtype=float)
+
+
 def _lanczos_spectrum(a, tol):
     """The Spectrum of `a` (Entries or a 2-d array) from the Gram matrix G of
     its smaller non-zero side, or None when it cannot be certified.
@@ -189,10 +220,19 @@ def _lanczos_spectrum(a, tol):
     roundoff rather than at sqrt(eps) sigma_max.  k doubles, up to
     4 * _LANCZOS_K, while all k fall below the cutoff.  The rank is
     certified when the first value above the cutoff clears it by 100x and
-    the last one below sits under cutoff/100.  A value between, a null
-    space larger than ARPACK can take (k < side), a cutoff below the
-    sqrt(eps) * sigma_max floor of squaring, an ARPACK or SuperLU failure
-    and a missing scipy all give None.
+    the last one below sits under cutoff/100.
+
+    G - sigma I is factored once per decision, by SuperLU with the minimum
+    degree ordering of its (symmetric) pattern, and every shift-invert call
+    reuses that factor; ARPACK's own factorization would use a column
+    ordering (COLAMD), with more fill, and repeat it for each k.  Every
+    ARPACK call stops at its budget of operator applications
+    (`_budgeted`: about side^3 flops, at 2 nnz flops per solve or
+    product), so a cluster of eigenvalues at the shift costs about a dense
+    SVD's flops before the dense SVD decides.  A value between, a null space larger
+    than ARPACK can take (k < side), a cutoff below the sqrt(eps) * sigma_max
+    floor of squaring, an ARPACK or SuperLU failure, a spent budget and a
+    missing scipy all give None.
     """
     if not isinstance(a, Entries):
         rows, cols = np.nonzero(a)
@@ -204,8 +244,8 @@ def _lanczos_spectrum(a, tol):
     if side < max(SPARSE_MIN_SIDE, 2):
         return None
     try:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.linalg import eigsh
+        from scipy.sparse import csr_matrix, identity
+        from scipy.sparse.linalg import eigsh, splu
     except ImportError:
         return None
     b = csr_matrix((a.vals[keep], (ri, ci)), shape=(rows.size, cols.size))
@@ -214,14 +254,18 @@ def _lanczos_spectrum(a, tol):
     gram = (b.T @ b).tocsc()
     v0 = np.random.default_rng(0).standard_normal(side)
     try:
-        lam_max = float(eigsh(gram, 1, v0=v0, return_eigenvectors=False)[0])
+        lam_max = float(eigsh(_budgeted(gram.dot, side, gram.nnz, 1), 1, v0=v0,
+                              return_eigenvectors=False)[0])
         smax = np.sqrt(max(lam_max, 0.0))
         cutoff = tol * smax * max(rows.size, cols.size)
         if smax == 0.0 or cutoff < np.sqrt(np.finfo(float).eps) * smax:
             return None
+        sigma = -1e-8 * lam_max
+        lu = splu(gram - sigma * identity(side, format="csc"), permc_spec="MMD_AT_PLUS_A")
         k = min(_LANCZOS_K, side - 1)
         while True:
-            _, vecs = eigsh(gram, k, sigma=-1e-8 * lam_max, which="LM", v0=v0)
+            _, vecs = eigsh(gram, k, sigma=sigma, which="LM", v0=v0,
+                            OPinv=_budgeted(lu.solve, side, lu.nnz, k))
             low = np.linalg.svd(b @ vecs, compute_uv=False)[::-1]
             null = int(np.count_nonzero(low <= cutoff))
             if null < k:
@@ -229,7 +273,7 @@ def _lanczos_spectrum(a, tol):
             if k >= min(4 * _LANCZOS_K, side - 1):
                 return None
             k = min(2 * k, side - 1)
-    except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU
+    except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU, _OverBudget
         return None
     if low[null] <= 100.0 * cutoff or (null and low[null - 1] >= cutoff / 100.0):
         return None

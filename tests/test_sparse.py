@@ -51,6 +51,44 @@ def grid(k, kind="E"):
                                rk.Space(rk.SpaceKind(kind), 2))
 
 
+def wheel(rng, rim):
+    """(xy, edges) of the hub joined to every rim vertex, at evenly spread
+    jittered rim angles: the wheel generator of perfbench/workloads.py,
+    without its faces."""
+    hub = rim
+    edges = [(k, (k + 1) % rim) for k in range(rim)] + [(k, hub) for k in range(rim)]
+    angles = 2 * np.pi * (np.arange(rim) + rng.uniform(0.15, 0.85, rim)) / rim
+    radii = rng.uniform(0.9, 1.3, rim)
+    xy = np.vstack([np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]),
+                    0.05 * rng.standard_normal(2)])
+    return xy, edges
+
+
+def _counting_solves(monkeypatch):
+    """Make every factor from `scipy.sparse.linalg.splu` count its solves:
+    one entry (solves, nnz) per factorization, in order."""
+    from types import SimpleNamespace
+
+    from scipy.sparse import linalg as sla
+
+    factors = []
+    real = sla.splu
+
+    def splu(*args, **kwargs):
+        lu = real(*args, **kwargs)
+        factor = SimpleNamespace(solves=0, nnz=lu.nnz)
+        factors.append(factor)
+
+        def solve(rhs):
+            factor.solves += 1
+            return lu.solve(rhs)
+
+        return SimpleNamespace(solve=solve, nnz=lu.nnz)
+
+    monkeypatch.setattr(sla, "splu", splu)
+    return factors
+
+
 def _recording_spectra(monkeypatch):
     """Make `_linalg.spectrum` append each Spectrum it returns to a list: the
     operator, Killing and equilibrium spectra of an analysis (the resolution
@@ -178,6 +216,27 @@ def test_large_curved_grids_take_the_sparse_path(kind, k, monkeypatch):
     assert report["self_stress_count"] == fw.m - (2 * fw.n - 3)
 
 
+@pytest.mark.parametrize("kind, k, operator_solves",
+                         [("E", 20, 36), ("S", 20, 36), ("H", 20, 36), ("H", 45, 35)])
+def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_solves,
+                                                             monkeypatch):
+    # One factorization per sparse decision, reused when k doubles.  The
+    # counts are the previous code's for the operator; on H the equilibrium
+    # decision took 471 solves at k = 20 and 1461 at k = 45 while its
+    # tangency rows were G p_i of length 1.000-1.176, whose Gram matrix
+    # spreads the n near-unit eigenvalues into a cluster that shift-invert
+    # Lanczos resolves slowly.  As unit normals they take 21, as in E and S.
+    pytest.importorskip("scipy.sparse.linalg")
+    fw = grid(k, kind)
+    factors = _counting_solves(monkeypatch)
+    spectra = _recording_spectra(monkeypatch)
+    cli.analyze_framework(fw)
+    assert [s.method for s in spectra] == ["sparse", "dense", "sparse"]
+    operator, equilibrium = factors
+    assert operator.solves <= operator_solves
+    assert equilibrium.solves <= 30
+
+
 def _gallery_images(kind):
     """The gallery fixtures (all Euclidean); for kind S/H their images after
     the shrink into the chart, in every dimension."""
@@ -299,6 +358,47 @@ def test_arpack_failure_falls_back_to_dense(error, tmp_path, monkeypatch, capsys
     assert methods == ["dense"] * 3
     assert (code, report) == expected
     assert code in (0, 10, 2, 3)
+
+
+def test_superlu_failure_falls_back_to_dense(tmp_path, monkeypatch, capsys):
+    from scipy.sparse import linalg as sla
+
+    path = _grid_file(tmp_path)
+    monkeypatch.setattr(_linalg, "SPARSE_MIN_SIDE", DENSE_ONLY)
+    expected = cli.main(["analyze", str(path), "--json"]), capsys.readouterr().out
+    monkeypatch.undo()
+
+    def splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sla, "splu", splu)
+    spectra = _recording_spectra(monkeypatch)
+    assert (cli.main(["analyze", str(path), "--json"]), capsys.readouterr().out) == expected
+    assert [s.method for s in spectra] == ["dense"] * 3
+
+
+def test_the_rim_1000_wheel_stops_within_its_solve_budget(monkeypatch):
+    # About 24 singular values of this operator sit near the cutoff: a
+    # cluster of tiny Gram eigenvalues next to the shift.  Unbounded,
+    # shift-invert Lanczos ran for minutes before the margin check refused
+    # and the dense SVD decided.  Now the first call stops at its budget,
+    # about side^3 flops of solves at 2 nnz(L + U) flops each, and the dense
+    # SVD decides at once.  Its verdict is kept as it is, though the exact
+    # rank is 2n - 3 = 1999: the cutoff's size factor is an open question.
+    pytest.importorskip("scipy.sparse.linalg")
+    xy, edges = wheel(np.random.default_rng(1), 1000)
+    fw = rk.build_framework(rk.graph(1001, edges), rk.euclidean(2), xy)
+    a = rk.rigidity_operator(fw).entries
+    factors = _counting_solves(monkeypatch)
+    spec = _linalg.spectrum(a)
+    s = np.linalg.svd(a.toarray(), compute_uv=False)
+    cutoff = _linalg.RANK_TOL * s[0] * max(a.shape)
+    assert spec.method == "dense"
+    assert np.array_equal(spec.values, s)
+    assert spec.cutoff == cutoff
+    assert spec.rank == np.count_nonzero(s > cutoff) == 1978
+    [factor] = factors
+    assert 0 < factor.solves <= min(a.shape) ** 3 // (2 * factor.nnz)
 
 
 def test_missing_scipy_falls_back_to_dense(tmp_path, monkeypatch, capsys):
