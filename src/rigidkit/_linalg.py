@@ -58,8 +58,8 @@ def _as_matrix(a):
 
 
 def svd(a, full_matrices=True, compute_uv=True):
-    """np.linalg.svd of a 2-d array, retried on the transpose when LAPACK does
-    not converge.
+    """np.linalg.svd of a 2-d array or a stack of them, retried on the
+    transposes when LAPACK does not converge.
 
     gesdd can fail on a matrix whose transpose it factors without trouble;
     the factors of the transpose are transposed back, so callers see the
@@ -70,15 +70,16 @@ def svd(a, full_matrices=True, compute_uv=True):
     except np.linalg.LinAlgError:
         pass
     try:
-        out = np.linalg.svd(a.T, full_matrices=full_matrices, compute_uv=compute_uv)
+        out = np.linalg.svd(np.swapaxes(a, -1, -2), full_matrices=full_matrices,
+                            compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            "SVD of a %d x %d matrix did not converge, also on its transpose" % a.shape
+            "SVD of a %d x %d matrix did not converge, also on its transpose" % a.shape[-2:]
         ) from exc
     if not compute_uv:
         return out
     u, s, vt = out
-    return vt.T, s, u.T
+    return np.swapaxes(vt, -1, -2), s, np.swapaxes(u, -1, -2)
 
 
 def _svd_rank(s, a, tol):

@@ -9,6 +9,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from .frameworks import (
     Framework,
     framework_to_dict,
     is_spanning,
+    json_text,
     load_framework,
+    write_json,
 )
 from .graphs import laman_check
 from .statics import Stress, stress_from_dict
@@ -137,17 +140,11 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     )
 
 
-def _write_json(path, data):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
-
-
 def cmd_analyze(args) -> int:
     doc = load_framework(args.path)
     report = analyze_framework(doc.framework, args.tol)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=1))
+        print(json_text(report.to_dict()))
     else:
         print(report.to_text())
     return EXIT_RIGID if report.rigid else EXIT_FLEXIBLE
@@ -178,7 +175,7 @@ def cmd_transform(args) -> int:
         else:
             attachments["stress"] = fmap.stress(stress_from_dict(fw, raw)).as_dict()
     out = args.output or "transformed.json"
-    _write_json(out, framework_to_dict(fmap.image, description=doc.description, **attachments))
+    write_json(out, framework_to_dict(fmap.image, description=doc.description, **attachments))
     print("wrote %s (%s)" % (out, fmap.image.space))
     return EXIT_OK
 
@@ -200,8 +197,8 @@ def _print_mc_summary(fw, result):
         if result.stress_scale != 1.0:
             print("stress scaled by %.6g for cone admissibility" % result.stress_scale)
     elif isinstance(result, Stress):
-        print("stress: %s" % json.dumps(
-            {"%d-%d" % e: round(w, 12) for e, w in result.as_dict().items()}))
+        print("stress: %s" % json.dumps(dict(zip(map("%d-%d".__mod__, result.edges),
+                                                 map(round, result.values.tolist(), repeat(12))))))
     if fw.space.is_euclidean:
         try:
             report = mc.euclid_convexity_classify(
@@ -238,10 +235,10 @@ def cmd_mc(args) -> int:
     result = mc.convert(fw, first, to=target, tol=args.tol or mc.MC_TOL)
     out = args.output or ("%s.json" % args.direction)
     if isinstance(result, Stress):
-        _write_json(out, framework_to_dict(fw, stress=result.as_dict(),
+        write_json(out, framework_to_dict(fw, stress=result.as_dict(),
                                            description=doc.description))
     else:
-        _write_json(out, result.to_dict())
+        write_json(out, result.to_dict())
     _print_mc_summary(fw, result)
     print("wrote %s" % out)
     return EXIT_OK
@@ -253,7 +250,7 @@ def cmd_example(args) -> int:
     except (KeyError, ValueError) as exc:
         raise RigidkitError(str(exc)) from None
     out = args.output or ("%s.json" % args.name.replace(":", "-"))
-    _write_json(out, framework_to_dict(
+    write_json(out, framework_to_dict(
         doc.framework, stress=doc.stress, load=doc.load, field=doc.field,
         description=doc.description,
     ))

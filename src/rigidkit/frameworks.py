@@ -7,6 +7,8 @@ interchange format used by the CLI and the example gallery.
 import json
 import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -76,8 +78,12 @@ def _ambient_rows(coords, space: Space) -> np.ndarray:
     two widths may be mixed.
     """
     amb = space.ambient_dim
-    widths = np.fromiter(map(len, coords), dtype=int)
-    flat = np.concatenate([np.zeros(0), *coords], dtype=float)
+    if isinstance(coords, np.ndarray):
+        coords = coords.tolist()
+    widths = np.fromiter(map(len, coords), dtype=int, count=len(coords))
+    flat = np.array(list(chain.from_iterable(coords)))
+    if flat.shape != (widths.sum(),) or flat.dtype.kind not in "biuf":
+        raise TypeError("coordinates must be numbers")
     short = widths == space.dim if space.is_euclidean else np.zeros(widths.size, bool)
     if np.any((widths != amb) & ~short):
         raise DimensionMismatch("every coordinate row must be a (%d,)-vector" % amb)
@@ -168,16 +174,18 @@ def framework_to_dict(fw: Framework, stress=None, load=None, field=None,
         "dim": fw.space.dim,
         "vertices": np.asarray(fw.coords[:, 1:] if fw.space.is_euclidean else fw.coords,
                                dtype=float).tolist(),
-        "edges": [[int(i), int(j)] for i, j in fw.graph.edges],
+        "edges": np.column_stack(fw.graph.ends).tolist(),
     }
     if description is not None:
         d["description"] = description
     if fw.embedding is not None:
-        d["faces"] = [list(map(int, f)) for f in fw.embedding.faces]
+        d["faces"] = fw.embedding.face_lists()
         if fw.embedding.exterior_face is not None:
             d["exterior_face"] = int(fw.embedding.exterior_face)
     if stress is not None:
-        d["stress"] = {"%d-%d" % e: float(w) for e, w in sorted(stress.items())}
+        edges = sorted(stress)
+        d["stress"] = dict(zip(map("%d-%d".__mod__, edges),
+                               map(float, map(stress.__getitem__, edges))))
     if load is not None:
         d["load"] = np.asarray(load, dtype=float).tolist()
     if field is not None:
@@ -185,9 +193,12 @@ def framework_to_dict(fw: Framework, stress=None, load=None, field=None,
     return d
 
 
-def _indices(values) -> list:
-    """JSON integers as ints; a float, string or other value raises TypeError."""
-    return [operator.index(v) for v in values]
+def _indices(values) -> np.ndarray:
+    """JSON integers as an int array; a float, string or other value raises TypeError."""
+    arr = np.array(values)
+    if arr.size and arr.dtype.kind not in "bi":
+        raise TypeError("indices must be integers, not %s" % arr.dtype)
+    return arr.astype(int)
 
 
 def _finite(values, what: str):
@@ -197,21 +208,49 @@ def _finite(values, what: str):
     return values
 
 
+def stress_positions(g: Graph, pairs: np.ndarray) -> np.ndarray:
+    """The edge positions of the stress keys (i, j), rows of `pairs`, either
+    way round; GraphError names the first key on a non-edge, else the first
+    on an edge that an earlier key took."""
+    at = g.edge_positions(pairs[:, 0], pairs[:, 1])
+    off = np.flatnonzero(at < 0)
+    if off.size:
+        raise GraphError("stress on non-edge %d-%d" % tuple(pairs[off[0]]))
+    again = np.ones(at.size, dtype=bool)
+    again[np.unique(at, return_index=True)[1]] = False
+    if np.any(again):
+        raise GraphError("stress on edge %d-%d given twice"
+                         % tuple(np.sort(pairs[np.argmax(again)])))
+    return at
+
+
 def framework_from_dict(data: dict) -> FrameworkDocument:
     try:
         space = spaces.space_from_code(data["space"], int(data["dim"]))
         vertices = _ambient_rows(data["vertices"], space)
-        g = graph(len(vertices), [tuple(_indices(e)) for e in data["edges"]])
-        faces = [_indices(f) for f in data["faces"]] if "faces" in data else None
+        edges = _indices(data["edges"])
+        if edges.shape[1:] != (2,) and edges.shape != (0,):
+            raise ValueError("every edge must be a pair of vertex indices")
+        g = graph(len(vertices), edges)
+        faces = None
+        if "faces" in data:
+            faces = data["faces"]
+            corners = _indices(list(chain.from_iterable(faces)))
+            if corners.shape != (sum(map(len, faces)),):
+                raise ValueError("every face must be a list of vertex indices")
         exterior = data.get("exterior_face")
         exterior = None if faces is None or exterior is None else operator.index(exterior)
         stress = None
         if "stress" in data:
-            stress = {}
-            for key, w in data["stress"].items():
-                i, j = (int(t) for t in key.split("-"))
-                stress[(i, j)] = float(w)
-            _finite(list(stress.values()), "stress")
+            keys = list(data["stress"])
+            if not set(map(str.count, keys, repeat("-"))) <= {1}:
+                raise ValueError("stress keys must read i-j")
+            pairs = np.fromiter(map(int, chain.from_iterable(map(str.split, keys, repeat("-")))),
+                                dtype=int, count=2 * len(keys)).reshape(-1, 2)
+            values = _finite(np.array(list(data["stress"].values()), dtype=float), "stress")
+            if values.shape != (len(pairs),):
+                raise ValueError("stress values must be numbers")
+            stress = pairs, values
         arrays = {name: _finite(np.array(data[name], dtype=float), name)
                   for name in ("load", "field") if name in data}
     except (AttributeError, KeyError, OverflowError, ValueError, TypeError) as exc:
@@ -220,10 +259,9 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
     fw = build_framework(g, space, vertices, embedding)
     doc = FrameworkDocument(fw, description=data.get("description"))
     if stress is not None:
-        for i, j in stress:
-            if not g.has_edge(i, j):
-                raise GraphError("stress on non-edge %d-%d" % (i, j))
-        doc.stress = {canonical_edge(i, j): w for (i, j), w in stress.items()}
+        pairs, values = stress
+        at = stress_positions(g, pairs)
+        doc.stress = dict(zip(map(g.edges.__getitem__, at.tolist()), values.tolist()))
     for name, arr in arrays.items():
         if arr.shape != (fw.n, space.ambient_dim):
             raise GraphError("%s must be %d ambient (d+1)-vectors" % (name, fw.n))
@@ -231,10 +269,61 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
     return doc
 
 
-def save_framework(path, fw: Framework, **attachments):
+def json_text(data) -> str:
+    """`json.dumps(data, indent=1)` for dicts with string keys, lists, tuples,
+    strings, numbers, booleans and None, byte for byte, built by one
+    recursive `str.join` instead of the generator-based encoder."""
+    return _json_text(data, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    if isinstance(value, float):
+        # NaN and the infinities are the floats x with x - x != 0.
+        return float.__repr__(value) if value - value == 0 else _nonfinite_text(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + " "
+    # Finite plain floats and plain ints, most of what is written, are
+    # formatted in place rather than by a call per item.
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ("," + inner).join([
+            float.__repr__(v) if type(v) is float and v - v == 0
+            else int.__repr__(v) if type(v) is int
+            else _json_text(v, inner) for v in value])
+        return "[" + inner + items + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + (
+                float.__repr__(v) if type(v) is float and v - v == 0
+                else _json_text(v, inner)) for k, v in value.items()])
+        return "{" + inner + items + newline + "}"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def _nonfinite_text(x: float) -> str:
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def write_json(path, data):
+    """Write `data` as `json.dump(data, fh, indent=1)` and a newline would."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(framework_to_dict(fw, **attachments), fh, indent=1)
-        fh.write("\n")
+        fh.write(json_text(data) + "\n")
+
+
+def save_framework(path, fw: Framework, **attachments):
+    write_json(path, framework_to_dict(fw, **attachments))
 
 
 def load_framework(path) -> FrameworkDocument:

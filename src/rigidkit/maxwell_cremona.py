@@ -25,7 +25,6 @@ path-independence; residuals are kept on the returned objects, never
 discarded.
 """
 
-from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
@@ -52,7 +51,7 @@ from .errors import (
     ZeroOnEdge,
 )
 from .frameworks import Framework
-from .graphs import Graph, dual_graph, is_3_connected
+from .graphs import Graph, _ranges, dual_graph, is_3_connected
 from .spaces import cross3, signed_inner
 from .statics import Stress
 
@@ -276,56 +275,83 @@ def _base_face(fw: Framework) -> int:
     return ext if ext is not None else 0
 
 
-def _bfs_faces(fw: Framework, start: int):
-    """Yield (a, b, k, forward) walking the dual graph breadth-first.
+def _bfs_levels(fw: Framework, start: int) -> list:
+    """The breadth-first spanning tree of the dual graph from face `start`,
+    one level at a time: per level, arrays (parents, children, pairs,
+    forward) in the order a first-in first-out queue reaches the children.
 
-    Face b is reached for the first time from the known face a across dual
-    pair k; `forward` is True when a is the pair's right face (the
-    consistently oriented direction).
+    Child b is reached from the first queued face a next to it, across the
+    first dual pair k of a that joins them; `forward` is True when a is the
+    pair's right face (the consistently oriented direction).
     """
     _, _, rights, lefts = fw.embedding.dual_pairs()
-    around = [[] for _ in range(fw.embedding.face_count)]
-    for k, (a, b) in enumerate(zip(rights.tolist(), lefts.tolist())):
-        around[a].append((k, b, True))
-        around[b].append((k, a, False))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for k, b, forward in around[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            queue.append(b)
-            yield a, b, k, forward
-    if len(seen) != fw.embedding.face_count:  # pragma: no cover - dual connected
+    nf, m = fw.embedding.face_count, rights.size
+    face = np.concatenate([rights, lefts])
+    other = np.concatenate([lefts, rights])
+    pair = np.concatenate([np.arange(m), np.arange(m)])
+    forward = np.arange(2 * m) < m
+    around = np.lexsort((pair, face))  # the arcs of each face, in pair order
+    degree = np.bincount(face, minlength=nf)
+    first = np.cumsum(degree) - degree
+    seen = np.arange(nf) == start
+    frontier, levels = np.array([start]), []
+    while True:
+        arcs = around[_ranges(first[frontier], degree[frontier])]
+        arcs = arcs[~seen[other[arcs]]]
+        if not arcs.size:
+            break
+        arcs = arcs[np.sort(np.unique(other[arcs], return_index=True)[1])]
+        frontier = other[arcs]
+        seen[frontier] = True
+        levels.append((face[arcs], frontier, pair[arcs], forward[arcs]))
+    if not seen.all():  # pragma: no cover - dual connected
         raise ClosureFailure("dual graph is disconnected")
+    return levels
 
 
 def _check_no_collinear_faces(fw: Framework):
-    for a, cyc in enumerate(fw.embedding.faces):
-        pts = fw.coords[list(cyc)]
-        cutoff = 1e-12 * max(1.0, np.max(np.abs(pts)))
+    """CollinearFace for the first face whose vertices lie on one geodesic:
+    one stacked SVD per face length."""
+    bad = []
+    for faces, cycles in fw.embedding.face_groups:
+        pts = fw.coords[cycles]
+        cutoff = 1e-12 * np.maximum(1.0, np.max(np.abs(pts), axis=(1, 2)))
         if fw.space.is_euclidean:  # rank of the homogeneous points
-            rank = 1 + np.sum(_linalg.svd(pts[1:, 1:] - pts[0, 1:], compute_uv=False) > cutoff)
+            s = _linalg.svd(pts[:, 1:, 1:] - pts[:, :1, 1:], compute_uv=False)
+            rank = 1 + np.sum(s > cutoff[:, None], axis=1)
         else:
-            rank = np.sum(_linalg.svd(pts, compute_uv=False) > cutoff)
-        if rank < 3:
-            raise CollinearFace("face %d is contained in a geodesic" % a)
+            rank = np.sum(_linalg.svd(pts, compute_uv=False) > cutoff[:, None], axis=1)
+        bad.append(faces[rank < 3])
+    bad = np.concatenate(bad)
+    if bad.size:
+        raise CollinearFace("face %d is contained in a geodesic" % bad.min())
 
 
 def _fit_vertical_planes(fw: Framework, heights: np.ndarray, tol) -> np.ndarray:
     """Rows (gx, gy, b) of the planes z = gx x + gy y + b through each face's
-    lifted vertices (x, y, heights), least-squares fitted and checked planar."""
-    planes = np.zeros((fw.embedding.face_count, 3))
-    for a, cyc in enumerate(fw.embedding.faces):
-        zs = heights[list(cyc)]
-        sys = np.column_stack([fw.coords[list(cyc), 1:], np.ones(len(cyc))])
-        sol, *_ = np.linalg.lstsq(sys, zs, rcond=None)
-        resid = float(np.max(np.abs(sys @ sol - zs)))
-        if resid > tol * max(1.0, float(np.max(np.abs(zs)))) * 1e3:
-            raise NonPlanarFace("lifted face %d is not planar (residual %.3g)" % (a, resid))
-        planes[a] = sol
+    lifted vertices (x, y, heights), least-squares fitted and checked planar.
+
+    One stacked SVD per face length solves every face's system as lstsq
+    does: singular values under eps * max(rows, 3) times the largest count
+    as zero.
+    """
+    nf = fw.embedding.face_count
+    planes, resid, limit = np.zeros((nf, 3)), np.zeros(nf), np.zeros(nf)
+    for faces, cycles in fw.embedding.face_groups:
+        zs = heights[cycles]
+        sys = np.concatenate([fw.coords[cycles][:, :, 1:], np.ones(cycles.shape + (1,))], axis=2)
+        u, s, vt = _linalg.svd(sys, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(sys.shape[1:]) * s[:, :1]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        coef = inv[:, :, None] * (np.swapaxes(u, 1, 2) @ zs[:, :, None])
+        sol = (np.swapaxes(vt, 1, 2) @ coef)[:, :, 0]
+        planes[faces] = sol
+        resid[faces] = np.max(np.abs((sys @ sol[:, :, None])[:, :, 0] - zs), axis=1)
+        limit[faces] = tol * np.maximum(1.0, np.max(np.abs(zs), axis=1)) * 1e3
+    bad = np.flatnonzero(resid > limit)
+    if bad.size:
+        raise NonPlanarFace("lifted face %d is not planar (residual %.3g)"
+                            % (bad[0], resid[bad[0]]))
     return planes
 
 
@@ -356,8 +382,9 @@ def _stress_walk(fw: Framework, lam: np.ndarray, base: np.ndarray, tol):
     normals = np.zeros((fw.embedding.face_count, 3))
     start = _base_face(fw)
     normals[start] = base
-    for a, b, k, forward in _bfs_faces(fw, start):
-        normals[b] = normals[a] + (deltas[k] if forward else -deltas[k])
+    for parents, children, pairs, forward in _bfs_levels(fw, start):
+        normals[children] = normals[parents] + np.where(forward[:, None], deltas[pairs],
+                                                        -deltas[pairs])
     worst = float(np.max(np.abs(normals[lefts] - normals[rights] - deltas)))
     if worst > tol * max(float(np.max(np.abs(deltas))), 1e-300) * fw.embedding.face_count:
         raise ClosureFailure("face-vector recursion does not close (%.3g)" % worst)
@@ -414,14 +441,16 @@ def _face_vectors_from_reciprocal(fw: Framework, rec: ReciprocalDiagram) -> np.n
     start = _base_face(fw)
     normals = np.zeros((nf, 3))
     normals[start] = lines[start] + t_base * dirs[start]
-    for a, b, k, _ in _bfs_faces(fw, start):
-        i = tails[k]
-        along = signed_inner(dirs[b], fw.coords[i], fw.space)
-        if abs(along) < 1e-12:
-            raise ClosureFailure("cannot scale m_%d against vertex %d" % (b, i))
-        t = (signed_inner(normals[a], fw.coords[i], fw.space)
-             - signed_inner(lines[b], fw.coords[i], fw.space)) / along
-        normals[b] = lines[b] + t * dirs[b]
+    for parents, children, pairs, _ in _bfs_levels(fw, start):
+        p = fw.coords[tails[pairs]]
+        along = signed_inner(dirs[children], p, fw.space)
+        flat = np.flatnonzero(np.abs(along) < 1e-12)
+        if flat.size:
+            raise ClosureFailure("cannot scale m_%d against vertex %d"
+                                 % (children[flat[0]], tails[pairs[flat[0]]]))
+        t = (signed_inner(normals[parents], p, fw.space)
+             - signed_inner(lines[children], p, fw.space)) / along
+        normals[children] = lines[children] + t[:, None] * dirs[children]
     return normals
 
 
@@ -626,16 +655,20 @@ def _apply_homogeneous(m: np.ndarray, points: np.ndarray, message: str) -> np.nd
 
 
 def _fit_radial_planes(fw: Framework, points: np.ndarray) -> np.ndarray:
-    planes = np.zeros((fw.embedding.face_count, 4))
-    for a, cyc in enumerate(fw.embedding.faces):
-        pts = points[list(cyc)]
-        centered = pts - pts.mean(axis=0)
-        _, s, vt = _linalg.svd(centered)
-        if s[-1] > 1e-6 * max(s[0], 1.0):
-            raise NonPlanarFace("face %d not planar (thickness %.3g)" % (a, s[-1]))
-        n = vt[-1]
-        planes[a, :3] = n
-        planes[a, 3] = float(n @ pts.mean(axis=0))
+    """Rows (n0, n1, n2, c) of the planes <n, x> = c through each face's
+    points, from one stacked SVD of the centered points per face length."""
+    nf = fw.embedding.face_count
+    planes, thickness, limit = np.zeros((nf, 4)), np.zeros(nf), np.zeros(nf)
+    for faces, cycles in fw.embedding.face_groups:
+        pts = points[cycles]
+        center = pts.mean(axis=1)
+        _, s, vt = _linalg.svd(pts - center[:, None, :], full_matrices=False)
+        planes[faces, :3] = vt[:, -1]
+        planes[faces, 3] = _rowdot(vt[:, -1], center)
+        thickness[faces], limit[faces] = s[:, -1], 1e-6 * np.maximum(s[:, 0], 1.0)
+    bad = np.flatnonzero(thickness > limit)
+    if bad.size:
+        raise NonPlanarFace("face %d not planar (thickness %.3g)" % (bad[0], thickness[bad[0]]))
     return planes
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import _linalg, spaces
 from ._linalg import RANK_TOL
 from .errors import DegenerateEdge, GraphError
-from .frameworks import Framework
+from .frameworks import Framework, stress_positions
 from .graphs import Graph, canonical_edge
 from .kinematics import (
     VectorField,
@@ -90,20 +90,20 @@ class Stress:
         return Stress(self.edges, self.values * factor)
 
     def as_dict(self) -> dict:
-        return {e: float(w) for e, w in zip(self.edges, self.values)}
+        return dict(zip(self.edges, self.values.tolist()))
 
     def __repr__(self):
         return "Stress(%s)" % (self.as_dict(),)
 
 
 def stress_from_dict(fw: Framework, mapping: dict) -> Stress:
+    """The stress with value mapping[(i, j)] on edge ij, keys either way
+    round, and 0 on the edges not given; GraphError on a key that is no edge
+    or names an edge a second time."""
+    pairs = np.array(list(mapping), dtype=int).reshape(len(mapping), 2)
     vals = np.zeros(fw.m)
-    idx = fw.graph.edge_index()
-    for e, w in mapping.items():
-        key = canonical_edge(*e)
-        if key not in idx:
-            raise GraphError("stress on non-edge %r" % (e,))
-        vals[idx[key]] = float(w)
+    vals[stress_positions(fw.graph, pairs)] = np.fromiter(mapping.values(), dtype=float,
+                                                          count=len(mapping))
     return Stress(fw.graph, vals)
 
 

@@ -4,7 +4,8 @@ Everything here recomputes expected values through a route disjoint from the
 library: exact rational Gaussian elimination over fractions.Fraction (floats
 convert exactly), subset enumeration for sparsity counts, vertex-pair
 deletion for 3-connectivity, a directed-edge dict and per-face loops for
-planar embeddings, and finite differences for flex checks.  The matrices are
+planar embeddings (their validation included), and finite differences for
+flex checks.  The matrices are
 rebuilt from scratch from the defining formulas rather than taken from the
 library.
 """
@@ -288,6 +289,87 @@ def random_plane_graph(rng, n, deletions):
     edges = sorted({(min(c[k], c[(k + 1) % len(c)]), max(c[k], c[(k + 1) % len(c)]))
                     for c in faces for k in range(len(c))})
     return edges, faces
+
+
+# --- reference validation, one edge and one corner at a time --------------------
+
+def check_edges_reference(n, edges):
+    """Oracle: the edge checks of a graph as a loop over the edges, raising
+    the first offender's error as the library's `Graph` must."""
+    from rigidkit.errors import GraphError
+
+    seen = set()
+    for e in edges:
+        if len(e) != 2:
+            raise GraphError("edge %r is not a pair" % (e,))
+        i, j = e
+        if i == j:
+            raise GraphError("loop at vertex %d" % i)
+        if not (0 <= i < n and 0 <= j < n):
+            raise GraphError("edge %r out of range" % (e,))
+        if (min(i, j), max(i, j)) in seen:
+            raise GraphError("duplicate edge %r" % (e,))
+        seen.add((min(i, j), max(i, j)))
+
+
+def validate_embedding_reference(g, faces, exterior_face=None):
+    """Oracle: `validate_embedding` as a loop over the corners with a
+    directed-edge dict, raising the first offender's error as the library
+    must; returns True for faces that glue to a sphere."""
+    from rigidkit.errors import (
+        EdgeFaceMismatch,
+        EulerViolation,
+        GraphError,
+        OrientationInconsistent,
+    )
+
+    faces = [list(f) for f in faces]
+    n, m = g.vertex_count, g.edge_count
+    if n - m + len(faces) != 2:
+        raise EulerViolation("n - m + f = %d - %d + %d != 2" % (n, m, len(faces)))
+    edges = [(min(i, j), max(i, j)) for i, j in g.edges]
+    edge_use = {e: 0 for e in edges}
+    directed, duplicated = {}, []
+    for a, cyc in enumerate(faces):
+        if len(cyc) < 3:
+            raise EdgeFaceMismatch("face %d has fewer than 3 vertices" % a)
+        for k, i in enumerate(cyc):
+            j = cyc[(k + 1) % len(cyc)]
+            e = (min(i, j), max(i, j))
+            if e not in edge_use:
+                raise EdgeFaceMismatch("face %d uses non-edge %r" % (a, (i, j)))
+            if (i, j) in directed:
+                duplicated.append(((i, j), directed[(i, j)], a))
+            directed[(i, j)] = a
+            edge_use[e] += 1
+    bad = [e for e in edges if edge_use[e] != 2]
+    if bad:
+        raise EdgeFaceMismatch("edges not on exactly two faces: %r" % bad)
+    if duplicated:
+        (i, j), a, b = duplicated[0]
+        raise OrientationInconsistent("directed edge %r used by faces %d and %d" % ((i, j), a, b))
+    if exterior_face is not None and not (0 <= exterior_face < len(faces)):
+        raise GraphError("exterior face index out of range")
+    # Glued to a sphere: connected, and the faces around each vertex form one
+    # rotation.  Around vertex v the edge v -> j is followed by v -> k, k the
+    # vertex after v in the face of j -> v.
+    after = {(cyc[k], cyc[(k + 1) % len(cyc)]): cyc[(k + 2) % len(cyc)]
+             for cyc in faces for k in range(len(cyc))}
+    rotations, todo = 0, set(directed)
+    while todo:
+        rotations += 1
+        v, j = todo.pop()
+        while (v, after[(j, v)]) in todo:
+            j = after[(j, v)]
+            todo.remove((v, j))
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    if not (_connected_without(n, adj, ()) and rotations == n):
+        raise GraphError("the faces do not glue to a sphere: the graph is "
+                         "disconnected or some vertex has more than one rotation of faces")
+    return True
 
 
 def directed_faces(faces) -> dict:

@@ -41,6 +41,23 @@ def test_analyze_json_output(tmp_path, capsys):
     assert report["laman"] is False  # m = 6 > 2n - 3
 
 
+@pytest.mark.parametrize("name", rk.gallery.GALLERY_NAMES)
+def test_example_files_are_json_dump_with_indent_1(tmp_path, name):
+    assert run(tmp_path, "example", name, "-o", "out.json") == 0
+    _json_dump_text((tmp_path / "out.json").read_text())
+
+
+def test_mc_refuses_a_stress_given_twice_on_one_edge(tmp_path, capsys):
+    run(tmp_path, "example", "prism3-concurrent")
+    data = json.loads((tmp_path / "prism3-concurrent.json").read_text())
+    data["stress"]["1-0"] = 123.0  # beside "0-1"
+    (tmp_path / "twice.json").write_text(json.dumps(data, indent=1))
+    capsys.readouterr()
+    assert run(tmp_path, "mc", "twice.json", "--direction", "stress2rec") == 2
+    assert capsys.readouterr().err == "error: stress on edge 0-1 given twice\n"
+    assert not (tmp_path / "stress2rec.json").exists()
+
+
 def test_example_unknown_name(tmp_path, capsys):
     assert run(tmp_path, "example", "nonesuch") == 2
     err = capsys.readouterr().err
@@ -472,6 +489,14 @@ def test_mc_checks_3_connectivity_once_per_call(mc_dir, direction, monkeypatch):
     assert len(calls) == 1
 
 
+def _json_dump_text(text):
+    """The data of a written file, which must read as json.dump(data, indent=1)
+    and a newline wrote it."""
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=1) + "\n"
+    return data
+
+
 @pytest.mark.parametrize("space", ["E", "S", "H"])
 def test_mc_all_directions(mc_dir, space):
     fw, w = _prism_in(space)
@@ -480,7 +505,7 @@ def test_mc_all_directions(mc_dir, space):
     def mc(direction, source):
         assert run(mc_dir, "mc", "prism-%s.json" % space, "--direction", direction,
                    "--object", "%s-%s.json" % (source, space), "-o", "out.json") == 0
-        return json.loads((mc_dir / "out.json").read_text())
+        return _json_dump_text((mc_dir / "out.json").read_text())
 
     assert lift["kind"] in {"E": ("vertical",), "S": ("spherical-weak", "spherical-strong"),
                             "H": ("hyperbolic-minkowski",)}[space]

@@ -3,16 +3,20 @@ import pytest
 
 import rigidkit as rk
 from rigidkit.errors import EdgeFaceMismatch, EulerViolation, GraphError, OrientationInconsistent
+from test_sparse import wheel
 from rigidkit.graphs import is_23_sparse
 
 from oracles import (
     brute_force_23_sparse,
     brute_force_3_connected,
     brute_force_laman,
+    check_edges_reference,
     directed_faces,
     random_graph,
     random_plane_graph,
+    validate_embedding_reference,
 )
+from rigidkit.errors import RigidkitError
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 TETRA_FACES = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
@@ -33,6 +37,131 @@ def test_graph_validation():
         rk.graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         rk.graph(2, [(0, 5)])
+
+
+def _outcome(check, *args):
+    """(error class, message) of the RigidkitError `check` raises, else None."""
+    try:
+        check(*args)
+    except RigidkitError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _graph_outcome(n, edges):
+    return _outcome(rk.Graph, n, tuple(edges))
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 1), (2, 5)],          # a loop before an edge out of range
+    [(0, 1), (3, 0), (1, 1)],          # out of range, then a loop
+    [(0, 1), (1, 2), (-1, 2)],         # out of range below
+    [(0, 1), (1, 2), (2, 1), (0, 1)],  # a duplicate, either way round
+    [(0, 1), (1, 2, 0), (1, 1)],       # not a pair before a loop
+    [(0, 0), (1, 2, 0)],               # a loop before an edge that is not a pair
+    [(0, 1), (0, 2), (1, 2)],          # fine
+])
+def test_graph_refuses_what_the_edge_loop_refuses(edges):
+    ref = _outcome(check_edges_reference, 3, edges)
+    assert _graph_outcome(3, edges) == ref
+    assert (ref is None) == (edges == [(0, 1), (0, 2), (1, 2)])
+
+
+def test_graph_matches_the_edge_loop_on_mutated_edge_lists():
+    rng = np.random.RandomState(5)
+    refused = 0
+    for _ in range(400):
+        n = int(rng.randint(2, 9))
+        edges = random_graph(rng, n)
+        for _ in range(int(rng.randint(0, 3))):
+            k = int(rng.randint(len(edges)))
+            i, j = edges[k]
+            edges[k] = [(j, i), (i, i), (i, n + int(rng.randint(3))), (i, -1)][rng.randint(4)]
+            edges.insert(int(rng.randint(len(edges) + 1)), edges[int(rng.randint(len(edges)))])
+        ref = _outcome(check_edges_reference, n, edges)
+        assert _graph_outcome(n, edges) == ref, edges
+        refused += ref is not None
+    assert 100 < refused < 400
+
+
+def _embedding_outcome(g, faces, exterior=None):
+    ref = _outcome(validate_embedding_reference, g, faces, exterior)
+    assert _outcome(rk.validate_embedding, g, faces, exterior) == ref
+    return ref
+
+
+@pytest.mark.parametrize("faces, error, message", [
+    # a short face before a face with a non-edge, and after one
+    ([[0, 2], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 4, 5]],
+     EdgeFaceMismatch, "face 0 has fewer than 3 vertices"),
+    ([[0, 2, 1], [3, 0, 5], [0, 1, 4, 3], [1, 2], [2, 0, 3, 5]],
+     EdgeFaceMismatch, "face 1 uses non-edge (0, 5)"),
+    # a short face and a non-edge in one face: the face is short first
+    ([[0, 2, 1], [3, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 4, 5]],
+     EdgeFaceMismatch, "face 1 has fewer than 3 vertices"),
+    ([[0, 2, 1], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 4, 5]],
+     EdgeFaceMismatch, "face 4 uses non-edge (0, 4)"),
+    ([[0, 2, 1], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [2, 0, 9, 5]],
+     EdgeFaceMismatch, "face 4 uses non-edge (0, 9)"),
+    # a directed edge on two faces
+    ([[0, 2, 1], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4], [0, 2, 5, 3]],
+     OrientationInconsistent, "directed edge (0, 2) used by faces 0 and 4"),
+    # Euler's count
+    ([[0, 2, 1], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4]],
+     EulerViolation, "n - m + f = 6 - 9 + 4 != 2"),
+])
+def test_validate_embedding_refuses_what_the_corner_loop_refuses(faces, error, message):
+    g = rk.graph(6, PRISM_EDGES)
+    assert _embedding_outcome(g, faces) == (error, message)
+
+
+def test_edges_on_one_face_and_on_three_as_the_corner_loop():
+    faces = TETRA_FACES[:3] + [[0, 1, 2]]  # 0-1 and 0-2 on three faces, 1-3 and 2-3 on one
+    assert _embedding_outcome(rk.graph(4, K4_EDGES), faces) == (
+        EdgeFaceMismatch, "edges not on exactly two faces: [(0, 1), (0, 2), (1, 3), (2, 3)]")
+
+
+@pytest.mark.parametrize("exterior", [-1, 5, 7])
+def test_exterior_face_out_of_range_as_the_corner_loop(exterior):
+    g = rk.graph(6, PRISM_EDGES)
+    assert _embedding_outcome(g, PRISM_FACES, exterior) == (
+        GraphError, "exterior face index out of range")
+
+
+def test_validate_embedding_matches_the_corner_loop_on_mutated_faces():
+    rng = np.random.RandomState(11)
+    outcomes = set()
+    for _ in range(600):
+        n = int(rng.randint(4, 11))
+        edges, faces = random_plane_graph(rng, n, int(rng.randint(0, 4)))
+        faces = [list(cyc) for cyc in faces]
+        for _ in range(int(rng.randint(1, 3))):
+            mutable = [b for b, cyc in enumerate(faces) if len(cyc) >= 3]
+            if not mutable:
+                break
+            a = int(rng.choice(mutable))
+            cyc, k = faces[a], int(rng.randint(len(faces[a])))
+            kind = rng.randint(8)
+            if kind == 0:
+                cyc[k] = int(rng.randint(-1, n + 2))      # any vertex, maybe out of range
+            elif kind == 1:
+                del cyc[k]                                # a shorter face
+            elif kind == 2:
+                faces[a] = cyc[::-1]                      # the other orientation
+            elif kind == 3:
+                cyc[k], cyc[-1] = cyc[-1], cyc[k]         # two corners swapped
+            elif kind == 4:
+                faces[a] = cyc[:2]                        # a face of two vertices
+            elif kind == 5:
+                faces.append(faces.pop(a)[::-1])          # reversed and moved last
+            elif kind == 6:
+                faces[a], faces[-1] = faces[-1], faces[a]  # two faces swapped
+            else:
+                del faces[a]                              # a face fewer
+        outcome = _embedding_outcome(rk.graph(n, edges), faces, int(rng.randint(-1, 4)))
+        outcomes.add(None if outcome is None else outcome[0])
+    assert outcomes == {None, EulerViolation, EdgeFaceMismatch, OrientationInconsistent,
+                        GraphError}
 
 
 def test_validate_embedding_tetrahedron():
@@ -169,6 +298,29 @@ def test_is_3_connected_matches_brute_force_on_wheels():
         faces = [[k, (k + 1) % rim, rim] for k in range(rim)] + [list(range(rim))[::-1]]
         emb = _embedded(faces)
         assert rk.is_3_connected(emb) and _agrees_with_brute_force(emb)
+
+
+def _wheel_faces(rim):
+    return [[k, (k + 1) % rim, rim] for k in range(rim)] + [list(range(rim))[::-1]]
+
+
+def test_is_3_connected_on_wheels_without_a_spoke_or_with_a_chord():
+    for rim in range(4, 41):
+        faces = _wheel_faces(rim)
+        # without the spoke 0-hub, triangles rim-1 and 0 merge into one face
+        no_spoke = faces[1:rim - 1] + [[rim - 1, 0, 1, rim], faces[rim]]
+        emb = _embedded(no_spoke)
+        assert not rk.is_3_connected(emb) and _agrees_with_brute_force(emb)
+        # the chord 0-2 outside the rim cuts the triangle 2, 1, 0 off the exterior face
+        chord = faces[:rim] + [[2, 1, 0], list(range(rim))[:2:-1] + [2, 0]]
+        emb = _embedded(chord)
+        assert rk.is_3_connected(emb) and _agrees_with_brute_force(emb)
+
+
+def test_is_3_connected_on_the_rim_1000_wheel():
+    _, edges = wheel(np.random.default_rng(1), 1000)
+    emb = rk.validate_embedding(rk.graph(1001, edges), _wheel_faces(1000), 1000)
+    assert rk.is_3_connected(emb)
 
 
 def test_is_3_connected_matches_brute_force_on_random_plane_graphs():
