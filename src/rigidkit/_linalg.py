@@ -9,17 +9,16 @@ rows and columns that are not zero), so it can be overridden in one place.
 
 Which path decides: a matrix whose smaller non-zero side has fewer than
 :data:`SPARSE_MIN_SIDE` rows or columns gets one values-only SVD.  A larger
-one, given densely or as :class:`Entries`, is decided by shift-invert Lanczos
-(ARPACK, through scipy) on the Gram matrix of its smaller side, where the
-null space of every rigidity matrix is small (:func:`_lanczos_spectrum`);
-its `Spectrum` then holds sigma_max and the low end only.  One sparse LU
-factorization of the shifted Gram matrix (minimum degree ordering) serves
-every Lanczos call of a decision, and each call has a budget of about
-side^3 flops of solves, the order of the dense SVD's cost.  When Lanczos
-cannot certify the rank with a 100x margin on both sides of the cutoff,
-when the cutoff sits below the sqrt(eps) * sigma_max floor of squaring, when
-ARPACK or SuperLU fails or a call spends its budget, or when scipy is
-missing, the same matrix gets the dense SVD instead.
+one, given densely or as :class:`Entries`, is decided on the Gram matrix G of
+its smaller side (:func:`_sparse_spectrum`): the rank is a count, the number
+of negative pivots of one symmetric LDL^T factorization of G - c^2 I (c the
+cutoff), by Sylvester's law of inertia the number of singular values under
+the cutoff.  Its `Spectrum` holds sigma_max and the two smallest singular
+values only, from one shift-invert Lanczos call (ARPACK, through scipy) on
+a second factor.  When the cutoff sits below the sqrt(eps) * sigma_max
+floor of squaring, when SuperLU pivots off the diagonal, when a probe solve
+shows a backward error above sqrt(eps), when ARPACK or SuperLU fails, or
+when scipy is missing, the same matrix gets the dense SVD instead.
 
 The Maxwell-Cremona collinear-face test is the one geometric check that
 counts singular values against an absolute cutoff instead.  A basis is one
@@ -38,16 +37,15 @@ from .errors import NumericalError
 RANK_TOL = 1e-9
 
 #: Smallest side (non-zero rows or columns, whichever are fewer) from which
-#: `spectrum` tries shift-invert Lanczos before the dense SVD.  On E grid
+#: `spectrum` tries the sparse inertia count before the dense SVD.  On E grid
 #: operators (2 cores) the two break even near a side of 250; staying above
 #: that keeps every small framework off scipy, whose import takes ~0.4 s.
 SPARSE_MIN_SIDE = 300
 
-#: Number of smallest singular values the first Lanczos solve asks for; it
-#: doubles, up to 4x, while they all fall below the cutoff.  A null space
-#: larger than that goes to the dense SVD: ARPACK's cost grows quickly with k
-#: on a cluster of zero eigenvalues.
-_LANCZOS_K = 8
+#: Restart limit (eigsh's `maxiter`) of each ARPACK call on the sparse path;
+#: a call that reaches it fails, and the dense SVD decides.  The slowest
+#: fixture, the rim-1000 wheel, needs 35 restarts to read its two values.
+_ARPACK_MAXITER = 100
 
 
 def _as_matrix(a):
@@ -137,9 +135,9 @@ class Spectrum:
     """Singular values of one matrix (descending) with its rank decision.
 
     `method` says which path decided the rank: "dense" (one values-only
-    SVD; `values` holds every singular value) or "sparse" (shift-invert
-    Lanczos; `partial` is then true and `values` holds sigma_max followed
-    by the smallest singular values only).
+    SVD; `values` holds every singular value) or "sparse" (an inertia count;
+    `partial` is then true and `values` holds sigma_max followed by the two
+    smallest singular values only).
     """
 
     values: np.ndarray
@@ -166,12 +164,12 @@ class Spectrum:
 
 def spectrum(a, tol=RANK_TOL) -> Spectrum:
     """The singular values, cutoff and rank of `a`, a 2-d array or Entries:
-    by shift-invert Lanczos when its smaller side has at least
-    SPARSE_MIN_SIDE non-zero rows or columns and the rank can be certified,
-    else by one values-only SVD."""
+    by an inertia count when its smaller side has at least SPARSE_MIN_SIDE
+    non-zero rows or columns and the sparse path can decide, else by one
+    values-only SVD."""
     a = a if isinstance(a, Entries) else _as_matrix(a)
     if min(a.shape) >= SPARSE_MIN_SIDE:
-        spec = _lanczos_spectrum(a, tol)
+        spec = _sparse_spectrum(a, tol)
         if spec is not None:
             return spec
     if isinstance(a, Entries):
@@ -181,59 +179,36 @@ def spectrum(a, tol=RANK_TOL) -> Spectrum:
     return Spectrum(s, cutoff, rank, a.shape)
 
 
-class _OverBudget(RuntimeError):
-    """An ARPACK call asked for one operator application more than its budget."""
-
-
-def _budgeted(apply, side, nnz, k):
-    """`apply`, an operator with `nnz` non-zeros on a side x side matrix, as
-    a LinearOperator for one ARPACK call for k eigenvalues, which raises
-    _OverBudget in place of any application past its budget.
-
-    The budget is about side^3 flops, the order of the dense SVD's cost, at
-    2 nnz flops per application.  It is never below 4 ncv, ncv =
-    max(2k + 1, 20) the Krylov basis that eigsh keeps: whatever its fill, a
-    small matrix needs a first basis and a restart or two.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    budget, calls = max(4 * max(2 * k + 1, 20), side**3 // (2 * nnz)), 0
-
-    def matvec(x):
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise _OverBudget("no convergence within %d applications" % budget)
-        return apply(x)
-
-    return LinearOperator((side, side), matvec=matvec, dtype=float)
-
-
-def _lanczos_spectrum(a, tol):
+def _sparse_spectrum(a, tol):
     """The Spectrum of `a` (Entries or a 2-d array) from the Gram matrix G of
-    its smaller non-zero side, or None when it cannot be certified.
+    its smaller non-zero side, or None when the sparse path cannot decide.
 
-    sigma_max comes from the largest eigenvalue of G; the smallest k
-    singular values are those of B V, for the k eigenvectors V of G nearest
-    0 (shift-invert about -1e-8 sigma_max^2, fixed start vector).  By
-    interlacing they bound the k smallest singular values of B from above,
-    and reading them from B V instead of sqrt(eig) keeps the null ones at
-    roundoff rather than at sqrt(eps) sigma_max.  k doubles, up to
-    4 * _LANCZOS_K, while all k fall below the cutoff.  The rank is
-    certified when the first value above the cutoff clears it by 100x and
-    the last one below sits under cutoff/100.
+    sigma_max, and with it the cutoff c, comes from the largest eigenvalue of
+    G.  The rank is a count: by Sylvester's law of inertia, the negative
+    pivots of a symmetric LDL^T factorization of G - c^2 I are the
+    eigenvalues of G below c^2, that is the singular values under the cutoff
+    (spectrum slicing: Ericsson & Ruhe, Math. Comp. 35, 1980; Grimes, Lewis
+    & Simon, SIAM J. Matrix Anal. Appl. 15, 1994).  SuperLU gives that
+    factorization when it keeps to the diagonal (minimum degree ordering of
+    the symmetric pattern, no threshold pivoting): then perm_r == perm_c and
+    the diagonal of U is D.  One probe solve checks the factor's normwise
+    backward error.
 
-    G - sigma I is factored once per decision, by SuperLU with the minimum
-    degree ordering of its (symmetric) pattern, and every shift-invert call
-    reuses that factor; ARPACK's own factorization would use a column
-    ordering (COLAMD), with more fill, and repeat it for each k.  Every
-    ARPACK call stops at its budget of operator applications
-    (`_budgeted`: about side^3 flops, at 2 nnz flops per solve or
-    product), so a cluster of eigenvalues at the shift costs about a dense
-    SVD's flops before the dense SVD decides.  A value between, a null space larger
-    than ARPACK can take (k < side), a cutoff below the sqrt(eps) * sigma_max
-    floor of squaring, an ARPACK or SuperLU failure, a spent budget and a
-    missing scipy all give None.
+    `values` holds sigma_max and the two smallest singular values, those of
+    B V for the two eigenvectors V of G nearest -s, s = max(c^2, 16384 eps
+    sigma_max^2) (shift-invert Lanczos on a factor of the positive definite
+    G + s I, fixed start vector).  By interlacing they bound the two
+    smallest singular values of B from above, and reading them from B V
+    instead of sqrt(eig) keeps the null ones at roundoff rather than at
+    sqrt(eps) sigma_max.  The floor on s keeps the solves' relative error
+    along the null vectors, about eps sigma_max^2 / s, under 1e-4 when c sits
+    near the floor of squaring; at s = c^2 there, Lanczos returned null
+    vectors with |B v| up to c/10.
+
+    A cutoff below the sqrt(eps) * sigma_max floor of squaring, an
+    off-diagonal pivot, a probe backward error above sqrt(eps), an ARPACK
+    failure (no convergence within _ARPACK_MAXITER restarts included), a
+    SuperLU failure and a missing scipy all give None.
     """
     if not isinstance(a, Entries):
         rows, cols = np.nonzero(a)
@@ -246,7 +221,7 @@ def _lanczos_spectrum(a, tol):
         return None
     try:
         from scipy.sparse import csr_matrix, identity
-        from scipy.sparse.linalg import eigsh, splu
+        from scipy.sparse.linalg import LinearOperator, eigsh, splu
     except ImportError:
         return None
     b = csr_matrix((a.vals[keep], (ri, ci)), shape=(rows.size, cols.size))
@@ -254,32 +229,35 @@ def _lanczos_spectrum(a, tol):
         b = b.T.tocsr()
     gram = (b.T @ b).tocsc()
     v0 = np.random.default_rng(0).standard_normal(side)
+    eps = np.finfo(float).eps
+
+    def ldlt(shift):
+        return splu(gram + shift * identity(side, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+
     try:
-        lam_max = float(eigsh(_budgeted(gram.dot, side, gram.nnz, 1), 1, v0=v0,
+        lam_max = float(eigsh(gram, 1, v0=v0, maxiter=_ARPACK_MAXITER,
                               return_eigenvectors=False)[0])
         smax = np.sqrt(max(lam_max, 0.0))
         cutoff = tol * smax * max(rows.size, cols.size)
-        if smax == 0.0 or cutoff < np.sqrt(np.finfo(float).eps) * smax:
+        if smax == 0.0 or cutoff < np.sqrt(eps) * smax:
             return None
-        sigma = -1e-8 * lam_max
-        lu = splu(gram - sigma * identity(side, format="csc"), permc_spec="MMD_AT_PLUS_A")
-        k = min(_LANCZOS_K, side - 1)
-        while True:
-            _, vecs = eigsh(gram, k, sigma=sigma, which="LM", v0=v0,
-                            OPinv=_budgeted(lu.solve, side, lu.nnz, k))
-            low = np.linalg.svd(b @ vecs, compute_uv=False)[::-1]
-            null = int(np.count_nonzero(low <= cutoff))
-            if null < k:
-                break
-            if k >= min(4 * _LANCZOS_K, side - 1):
-                return None
-            k = min(2 * k, side - 1)
-    except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU, _OverBudget
+        lu = ldlt(-cutoff**2)
+        x = lu.solve(v0)
+        residual = np.linalg.norm(gram @ x - cutoff**2 * x - v0)
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and residual
+                <= np.sqrt(eps) * (lam_max * np.linalg.norm(x) + np.linalg.norm(v0))):
+            return None
+        null = int(np.count_nonzero(lu.U.diagonal() < 0))
+        del lu  # one factor alive at a time keeps the peak memory at one fill
+        shift = max(cutoff**2, 16384 * eps * lam_max)
+        inverse = LinearOperator((side, side), matvec=ldlt(shift).solve, dtype=float)
+        _, vecs = eigsh(gram, min(2, side - 1), sigma=-shift, which="LM", v0=v0,
+                        maxiter=_ARPACK_MAXITER, OPinv=inverse)
+        low = np.linalg.svd(b @ vecs, compute_uv=False)
+    except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU
         return None
-    if low[null] <= 100.0 * cutoff or (null and low[null - 1] >= cutoff / 100.0):
-        return None
-    values = np.concatenate([[smax], low[::-1]])
-    return Spectrum(values, cutoff, side - null, a.shape, "sparse")
+    return Spectrum(np.concatenate([[smax], low]), cutoff, side - null, a.shape, "sparse")
 
 
 def nullspace(a, rank):

@@ -101,7 +101,11 @@ def build_framework(g: Graph, space: Space, coords, embedding=None,
     `coords` may be given per vertex either as full (d+1)-vectors or, for
     Euclidean space, as d-vectors (the leading 1 is added).
     """
-    rows = _ambient_rows(coords, space)
+    return _assemble(g, space, _ambient_rows(coords, space), embedding, renormalize)
+
+
+def _assemble(g: Graph, space: Space, rows, embedding, renormalize) -> Framework:
+    """`build_framework` on coordinates already read by `_ambient_rows`."""
     if len(rows) != g.vertex_count:
         raise GraphError(
             "graph has %d vertices but %d coordinate rows given" % (g.vertex_count, len(rows))
@@ -256,7 +260,7 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
     except (AttributeError, KeyError, OverflowError, ValueError, TypeError) as exc:
         raise GraphError("malformed framework data: %s" % exc) from None
     embedding = None if faces is None else validate_embedding(g, faces, exterior)
-    fw = build_framework(g, space, vertices, embedding)
+    fw = _assemble(g, space, vertices, embedding, False)
     doc = FrameworkDocument(fw, description=data.get("description"))
     if stress is not None:
         pairs, values = stress

@@ -398,13 +398,16 @@ def _face_vectors_from_stress(fw: Framework, w: Stress, tol):
     lam = values * statics.edge_factors(fw)[0]
     base = np.array(_BASE_VECTOR[fw.space.kind.value])
     if fw.space.is_spherical:
-        # Perturb the base normal deterministically until every c_i is nonzero.
-        rng = np.random.RandomState(_BASE_SEED)
+        # Perturb the base normal deterministically until every c_i is nonzero;
+        # the generator (and numpy.random) only when a first walk fails.
+        rng = None
         for _ in range(_SPH_BASE_RETRIES + 1):
             normals, closure = _stress_walk(fw, lam, base, tol)
             c, _ = _incidence_values(fw, normals, tol)
             if np.all(np.abs(c) > 1e-8 * max(float(np.max(np.abs(normals))), 1e-300)):
                 return normals, closure, 1.0
+            if rng is None:
+                rng = np.random.RandomState(_BASE_SEED)
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             base = base + 1e-2 * max(np.linalg.norm(base), 1.0) * u

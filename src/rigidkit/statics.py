@@ -213,8 +213,9 @@ def equilibrium_entries(fw: Framework) -> _linalg.Entries:
     e_0 in E, G p_i / |G p_i| on S/H.  Scaling a row keeps the null space
     and the rank.  Unit rows keep the Gram matrix's n near-unit eigenvalues
     in one tight cluster; the rows G p_i, of lengths 1.00-1.18 on the H
-    grids, spread them, which cost shift-invert Lanczos 20-70 times more
-    solves.  Nothing of size n x n is filled.
+    grids, spread them, which cost the shift-invert Lanczos call that reads
+    the two smallest singular values 4-5 times more solves (22 against 92
+    at k = 20 and 109 at k = 45).  Nothing of size n x n is filled.
     """
     biv = bivector_map_matrix(fw)
     rows, cols = np.indices(biv.shape).reshape(2, -1)

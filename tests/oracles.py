@@ -494,3 +494,21 @@ def random_framework(rng, space, n):
             return rk.build_framework(g, space, coords)
         except rk.errors.RigidkitError:
             continue
+
+
+def convex_polytope(n):
+    """(points, edges) of a convex simplicial polytope in E^3: the convex hull
+    (scipy.spatial.ConvexHull) of n points from default_rng(0), normalized to
+    the unit sphere, so every point is a vertex and there are 3n - 6 edges.
+
+    By Dehn's theorem its edge framework is infinitesimally rigid with
+    independent edges, and so are its images in S^3 and H^3 (infinitesimal
+    rigidity is projectively invariant): exact verdicts at any n.
+    """
+    from scipy.spatial import ConvexHull
+
+    points = np.random.default_rng(0).standard_normal((n, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    triangles = ConvexHull(points).simplices
+    sides = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    return points, np.unique(sides, axis=0)

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 import rigidkit as rk
 from rigidkit.cli import main
 
+from test_mc_random_wheels import make_wheel
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 def run(tmp_path, *argv):
     cwd = os.getcwd()
@@ -203,6 +208,27 @@ def test_mc_file_roundtrip(tmp_path, capsys):
     recovered = rk.load_framework(tmp_path / "back.json").stress
     for e, w in original.items():
         assert recovered[e] == pytest.approx(w, abs=1e-10)
+
+
+def test_mc_stress2rec_on_a_spherical_wheel_never_imports_numpy_random(tmp_path):
+    # The seeded perturbation of the spherical walk's base normal is drawn
+    # only when a first walk leaves some c_i at zero; importing numpy.random
+    # costs a fresh process about 20 ms.
+    fw = make_wheel(np.random.RandomState(3), 12)
+    sph = rk.apply_map(rk.geodesic_map("S"), rk.apply_map(rk.affine_map(np.eye(2) * 0.3), fw))
+    rk.save_framework(tmp_path / "wheel.json", sph,
+                      stress=rk.static_spaces(sph).self_stress_basis[0].as_dict())
+    script = (
+        "import sys\n"
+        "from rigidkit.cli import main\n"
+        "code = main(['mc', sys.argv[1], '--direction', 'stress2rec', '-o', sys.argv[2]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "wheel.json"),
+                          str(tmp_path / "rec.json")], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_mc_missing_stress_is_input_error(tmp_path):

@@ -108,6 +108,23 @@ def test_json_roundtrip(tmp_path, prism_doc):
     assert path.read_text() == second.read_text()
 
 
+def test_a_load_reads_the_coordinate_rows_once(prism_doc, monkeypatch):
+    from rigidkit import frameworks
+
+    calls = []
+    real = frameworks._ambient_rows
+
+    def ambient_rows(coords, space):
+        calls.append(space)
+        return real(coords, space)
+
+    monkeypatch.setattr(frameworks, "_ambient_rows", ambient_rows)
+    fw = prism_doc.framework
+    doc = rk.framework_from_dict(rk.framework_to_dict(fw))
+    assert len(calls) == 1
+    assert np.array_equal(doc.framework.coords, fw.coords)
+
+
 def test_json_euclidean_vertices_may_carry_leading_one():
     data = {
         "space": "E", "dim": 2,

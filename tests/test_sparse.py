@@ -1,5 +1,8 @@
-"""The sparse rank decisions of `_linalg.spectrum` (shift-invert Lanczos on
-the small side of a large matrix) and their dense fallback.
+"""The sparse rank decisions of `_linalg.spectrum` (an inertia count on the
+Gram matrix of the small side of a large matrix: the negative pivots of one
+symmetric LDL^T factorization of G - c^2 I, c the cutoff, with the two
+smallest singular values read by shift-invert Lanczos on a second factor)
+and their dense fallback.
 
 Lowering `SPARSE_MIN_SIDE` to 0 sends every matrix whose smaller side is at
 least 2 to the sparse path; each count, verdict and exit code must then be
@@ -24,6 +27,10 @@ from conftest import scaled_into_chart
 from test_acceptance import _criterion_01_frameworks
 
 DENSE_ONLY = 10**9
+#: The rank of the rim-1000 wheel's operator by `np.linalg.svd` (2.7 s) at
+#: the default cutoff.  The exact rank is 2n - 3 = 1999: the cutoff's size
+#: factor is an open question.
+RIM_1000_DENSE_RANK = 1978
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -64,26 +71,31 @@ def wheel(rng, rim):
     return xy, edges
 
 
+class _CountingFactor:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
 def _counting_solves(monkeypatch):
     """Make every factor from `scipy.sparse.linalg.splu` count its solves:
-    one entry (solves, nnz) per factorization, in order."""
-    from types import SimpleNamespace
-
+    one _CountingFactor per factorization, in order."""
     from scipy.sparse import linalg as sla
 
     factors = []
     real = sla.splu
 
     def splu(*args, **kwargs):
-        lu = real(*args, **kwargs)
-        factor = SimpleNamespace(solves=0, nnz=lu.nnz)
-        factors.append(factor)
-
-        def solve(rhs):
-            factor.solves += 1
-            return lu.solve(rhs)
-
-        return SimpleNamespace(solve=solve, nnz=lu.nnz)
+        factors.append(_CountingFactor(real(*args, **kwargs)))
+        return factors[-1]
 
     monkeypatch.setattr(sla, "splu", splu)
     return factors
@@ -192,13 +204,15 @@ def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
         assert (s.rank, s.shape) == (d.rank, d.shape)
         assert abs(s.cutoff - d.cutoff) <= 1e-12 * d.cutoff
         if s.partial:
-            # sigma_max, then the low end: the smallest value above the cutoff
-            # is the dense one, those below it sit under cutoff/100
-            low = s.values[:0:-1]
+            # sigma_max, then the two smallest values: each one above the
+            # cutoff is the dense one, each one at or below it sits under
+            # cutoff/100
             assert abs(s.values[0] - d.values[0]) <= 1e-12 * d.values[0]
-            above = d.values[d.rank - 1]
-            assert abs(low[low > d.cutoff][0] - above) <= 1e-8 * above
-            assert np.all(low[low <= d.cutoff] < d.cutoff / 100)
+            low, dense_low = s.values[:0:-1], d.values[::-1][:2]
+            assert low.size == 2
+            above = dense_low > d.cutoff
+            assert np.all(np.abs(low - dense_low)[above] <= 1e-8 * dense_low[above])
+            assert np.all(low[~above] < d.cutoff / 100)
 
 
 @pytest.mark.parametrize("kind, k", [("S", 30), ("H", 30), ("S", 45), ("H", 45)])
@@ -220,21 +234,25 @@ def test_large_curved_grids_take_the_sparse_path(kind, k, monkeypatch):
                          [("E", 20, 36), ("S", 20, 36), ("H", 20, 36), ("H", 45, 35)])
 def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_solves,
                                                              monkeypatch):
-    # One factorization per sparse decision, reused when k doubles.  The
-    # counts are the previous code's for the operator; on H the equilibrium
-    # decision took 471 solves at k = 20 and 1461 at k = 45 while its
-    # tangency rows were G p_i of length 1.000-1.176, whose Gram matrix
-    # spreads the n near-unit eigenvalues into a cluster that shift-invert
-    # Lanczos resolves slowly.  As unit normals they take 21, as in E and S.
+    # Two factorizations per sparse decision, each made once: the count's
+    # factor of G - c^2 I, which takes one probe solve, and the values'
+    # factor, which serves the one shift-invert Lanczos call for the two
+    # smallest singular values (22 solves on every grid).  `operator_solves`
+    # is the bound of the Lanczos decisions these replaced, which took 36
+    # (k = 20) and 35 (k = 45) solves on the operator.  On H the
+    # equilibrium decision took 471 solves at k = 20 and 1461 at k = 45
+    # while its tangency rows were G p_i of length 1.000-1.176; as unit
+    # normals the values step takes 22 solves, as in E and S.
     pytest.importorskip("scipy.sparse.linalg")
     fw = grid(k, kind)
     factors = _counting_solves(monkeypatch)
     spectra = _recording_spectra(monkeypatch)
     cli.analyze_framework(fw)
     assert [s.method for s in spectra] == ["sparse", "dense", "sparse"]
-    operator, equilibrium = factors
-    assert operator.solves <= operator_solves
-    assert equilibrium.solves <= 30
+    operator_count, operator_values, equilibrium_count, equilibrium_values = factors
+    assert operator_count.solves == equilibrium_count.solves == 1
+    assert operator_values.solves <= operator_solves
+    assert equilibrium_values.solves <= 30
 
 
 def _gallery_images(kind):
@@ -293,18 +311,80 @@ def test_static_spaces_on_the_n900_grid_fill_no_dense_matrix():
     assert peak < 8e6  # one dense n x n(d+1) tangency block alone is 19 MB
 
 
-@pytest.mark.parametrize("factor, method", [(1e3, "sparse"), (2.0, "dense"), (0.5, "dense")])
-def test_a_singular_value_near_the_cutoff_goes_to_the_dense_svd(factor, method):
-    # 400 x 320 with sigma_max = 1, three zero singular values and the fourth
-    # smallest at `factor` times the cutoff 1e-9 * 1 * 400
+def _near_cutoff_matrix(factor):
+    """400 x 320 with sigma_max = 1, three zero singular values and the fourth
+    smallest at `factor` times the cutoff 1e-9 * 1 * 400."""
     rng = np.random.RandomState(3)
     u = np.linalg.qr(rng.standard_normal((400, 320)))[0]
     v = np.linalg.qr(rng.standard_normal((320, 320)))[0]
     s = np.linspace(1.0, 0.1, 320)
     s[-4:] = [factor * 4e-7, 0.0, 0.0, 0.0]
-    spec = _linalg.spectrum((u * s) @ v.T)
-    assert spec.method == method
+    return (u * s) @ v.T
+
+
+@pytest.mark.parametrize("factor", [1e3, 2.0, 0.5])
+def test_a_singular_value_near_the_cutoff_is_counted_exactly(factor):
+    # The count needs no margin: a value at 2x or 0.5x the cutoff falls on
+    # its side of it.
+    pytest.importorskip("scipy.sparse.linalg")
+    spec = _linalg.spectrum(_near_cutoff_matrix(factor))
+    assert spec.method == "sparse"
     assert spec.rank == (317 if factor > 1 else 316)
+
+
+def _dropped_grid(kind, share):
+    """The k = 30 grid without `share` of its edges, picked by default_rng(5)."""
+    fw = grid(30, kind)
+    drop = int(share * fw.m)
+    keep = np.sort(np.random.default_rng(5).permutation(fw.m)[: fw.m - drop])
+    return rk.build_framework(rk.graph(fw.n, np.asarray(fw.graph.edges)[keep]), fw.space,
+                              fw.coords)
+
+
+def _operator(fw):
+    return rk.rigidity_operator(fw).entries
+
+
+def _wheel_operator(rim):
+    xy, edges = wheel(np.random.default_rng(1), rim)
+    return _operator(rk.build_framework(rk.graph(rim + 1, edges), rk.euclidean(2), xy))
+
+
+#: label: (a function making the matrix, its rank by np.linalg.svd at the default
+#: cutoff, pinned where that SVD takes over a second, else None: computed in
+#: the test).
+_COUNT_CASES = {
+    **{"matrix %g" % f: (lambda f=f: _near_cutoff_matrix(f), None) for f in (0.5, 2.0, 1e3)},
+    **{"%s k=20 operator" % kind: (lambda kind=kind: _operator(grid(20, kind)), None)
+       for kind in "ESH"},
+    **{"%s k=20 equilibrium" % kind:
+       (lambda kind=kind: statics.equilibrium_entries(grid(20, kind)), None) for kind in "ESH"},
+    "E k=30 operator": (lambda: _operator(grid(30)), 1797),
+    "E k=30 equilibrium": (lambda: statics.equilibrium_entries(grid(30)), None),
+    "E k=45 operator": (lambda: _operator(grid(45)), 4047),
+    "E k=45 equilibrium": (lambda: statics.equilibrium_entries(grid(45)), 2028),
+    **{"%s k=30 %d%% dropped" % (kind, 100 * share):
+       (lambda kind=kind, share=share: _operator(_dropped_grid(kind, share)), rank)
+       for kind in "ESH" for share, rank in ((0.2, 1788), (0.4, 1543))},
+    **{"wheel rim %d" % rim: (lambda rim=rim: _wheel_operator(rim), rank)
+       for rim, rank in ((400, None), (500, None), (1000, RIM_1000_DENSE_RANK))},
+}
+
+
+@pytest.mark.parametrize("label", list(_COUNT_CASES))
+def test_the_count_is_the_dense_rank(label):
+    # Null spaces of 0 to 257 dimensions, and singular values within 0.3-4x
+    # of the cutoff on the wheels and at 0.5x and 2x on the matrices.
+    pytest.importorskip("scipy.sparse.linalg")
+    build, rank = _COUNT_CASES[label]
+    a = build()
+    spec = _linalg.spectrum(a)
+    assert spec.method == "sparse", label
+    if rank is None:
+        dense = a.toarray() if isinstance(a, _linalg.Entries) else a
+        s = np.linalg.svd(dense, compute_uv=False)
+        rank = _linalg._svd_rank(s, dense, _linalg.RANK_TOL)[1]
+    assert spec.rank == rank, label
 
 
 def _grid_file(tmp_path, k=18):
@@ -377,28 +457,55 @@ def test_superlu_failure_falls_back_to_dense(tmp_path, monkeypatch, capsys):
     assert [s.method for s in spectra] == ["dense"] * 3
 
 
-def test_the_rim_1000_wheel_stops_within_its_solve_budget(monkeypatch):
-    # About 24 singular values of this operator sit near the cutoff: a
-    # cluster of tiny Gram eigenvalues next to the shift.  Unbounded,
-    # shift-invert Lanczos ran for minutes before the margin check refused
-    # and the dense SVD decided.  Now the first call stops at its budget,
-    # about side^3 flops of solves at 2 nnz(L + U) flops each, and the dense
-    # SVD decides at once.  Its verdict is kept as it is, though the exact
-    # rank is 2n - 3 = 1999: the cutoff's size factor is an open question.
+class _OffDiagonalFactor(_CountingFactor):
+    """A factor whose row permutation differs from its column permutation."""
+
+    @property
+    def perm_r(self):
+        return np.roll(self.lu.perm_r, 1)
+
+
+class _InexactFactor(_CountingFactor):
+    """A factor whose solves are off by 1e-3 of their norm along the right-hand
+    side: a backward error far above sqrt(eps)."""
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        return x + 1e-3 * np.linalg.norm(x) * rhs / np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("factor", [_OffDiagonalFactor, _InexactFactor])
+def test_a_factor_that_cannot_count_falls_back_to_dense(factor, tmp_path, monkeypatch,
+                                                        capsys):
+    # Off the diagonal, U's diagonal is no longer D of a symmetric LDL^T; a
+    # probe solve with a large backward error shows a factor that is not
+    # one of G - c^2 I.  Either way the count is not taken.
+    from scipy.sparse import linalg as sla
+
+    path = _grid_file(tmp_path)
+    expected = _dense_reference(path, monkeypatch, capsys)
+    real = sla.splu
+    monkeypatch.setattr(sla, "splu", lambda *args, **kwargs: factor(real(*args, **kwargs)))
+    code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
+    assert methods == ["dense"] * 3
+    assert (code, report) == expected
+
+
+def test_the_rim_1000_wheel_is_counted_on_the_sparse_path(monkeypatch):
+    # About 24 singular values of this operator sit near the cutoff, the
+    # closest at 0.99x and 1.14x of it.  The count takes one probe solve;
+    # the values step, whose shift -c^2 sits below that cluster, took 650
+    # solves (its two values were 0.018 and 2.4e-7 times the cutoff).
     pytest.importorskip("scipy.sparse.linalg")
-    xy, edges = wheel(np.random.default_rng(1), 1000)
-    fw = rk.build_framework(rk.graph(1001, edges), rk.euclidean(2), xy)
-    a = rk.rigidity_operator(fw).entries
+    a = _wheel_operator(1000)
     factors = _counting_solves(monkeypatch)
     spec = _linalg.spectrum(a)
-    s = np.linalg.svd(a.toarray(), compute_uv=False)
-    cutoff = _linalg.RANK_TOL * s[0] * max(a.shape)
-    assert spec.method == "dense"
-    assert np.array_equal(spec.values, s)
-    assert spec.cutoff == cutoff
-    assert spec.rank == np.count_nonzero(s > cutoff) == 1978
-    [factor] = factors
-    assert 0 < factor.solves <= min(a.shape) ** 3 // (2 * factor.nnz)
+    assert spec.method == "sparse"
+    assert spec.rank == RIM_1000_DENSE_RANK
+    assert np.all(spec.smallest() <= spec.cutoff)
+    count, values = factors
+    assert count.solves == 1
+    assert values.solves <= 1000
 
 
 def test_missing_scipy_falls_back_to_dense(tmp_path, monkeypatch, capsys):
