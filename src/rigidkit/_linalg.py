@@ -5,7 +5,8 @@ converge on a matrix it retries once on the transpose, and a second failure
 raises :class:`NumericalError`.  Every rank decision of a linear map is made
 by :func:`spectrum` with the threshold convention
 sigma > tol * sigma_max * max(m, n) of :func:`_svd_rank` (m and n count the
-rows and columns that are not zero), so it can be overridden in one place.
+rows and columns that are not zero), so it can be overridden in one place;
+`statics.equilibrium_spectrum` applies it to every value of its stack.
 
 Which path decides: a matrix whose smaller non-zero side has fewer than
 :data:`SPARSE_MIN_SIDE` rows or columns gets one values-only SVD.  A larger
@@ -80,18 +81,18 @@ def svd(a, full_matrices=True, compute_uv=True):
     return np.swapaxes(vt, -1, -2), s, np.swapaxes(u, -1, -2)
 
 
-def _svd_rank(s, a, tol):
-    """(cutoff, rank) for descending singular values `s` of the matrix `a`.
+def _svd_rank(s, rows, cols, tol):
+    """(cutoff, rank) for the descending singular values `s` of a matrix with
+    `rows` rows and `cols` columns that are not identically zero.
 
-    max(m, n) counts only rows and columns that are not identically zero, so
-    zero padding, which leaves the singular values alone, leaves the rank
-    alone too: the Euclidean resolution matrix (the transposed rigidity
-    operator plus n zero rows) gets the operator's rank.
+    max(m, n) counts only those, so zero padding, which leaves the singular
+    values alone, leaves the rank alone too: the Euclidean resolution matrix
+    (the transposed rigidity operator plus n zero rows) gets the operator's
+    rank.
     """
     if s.size == 0 or s[0] == 0.0:
         return 0.0, 0
-    cutoff = tol * s[0] * max(np.count_nonzero(np.any(a, axis=1)),
-                              np.count_nonzero(np.any(a, axis=0)))
+    cutoff = tol * s[0] * max(rows, cols)
     return cutoff, int(np.sum(s > cutoff))
 
 
@@ -175,7 +176,8 @@ def spectrum(a, tol=RANK_TOL) -> Spectrum:
     if isinstance(a, Entries):
         a = a.toarray()
     s = np.zeros(0) if a.size == 0 else svd(a, compute_uv=False)
-    cutoff, rank = _svd_rank(s, a, tol)
+    cutoff, rank = _svd_rank(s, np.count_nonzero(np.any(a, axis=1)),
+                             np.count_nonzero(np.any(a, axis=0)), tol)
     return Spectrum(s, cutoff, rank, a.shape)
 
 

@@ -108,7 +108,8 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
 
     In tangent frames the resolution matrix is the transposed rigidity
     operator up to invertible factors, in every geometry, so its rank is
-    the operator's, passed on and not decided again: three spectra in all.
+    the operator's, passed on and not decided again: three spectra in all,
+    the equilibrium stack's on its small reduction, never the sparse path.
     The duality check kinematic dof == static dof then compares dim F with
     dim V0.  When they disagree, some rank decision is wrong at this
     tolerance (coordinates spread over more orders of magnitude than it

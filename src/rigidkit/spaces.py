@@ -246,6 +246,8 @@ def _reflectors(points, space: Space) -> np.ndarray:
     sends the unit normal of its tangent space to -+e_0: that normal plus
     +-e_0 (the sign of its coordinate 0), scaled to v.v = 2.  In E,
     v = sqrt(2) e_0."""
+    if space.is_euclidean:
+        return np.sqrt(2.0) * _normals(points, space)
     v = _normals(points, space)
     v = v / np.linalg.norm(v, axis=1)[:, None]
     v[:, 0] += np.where(v[:, 0] < 0.0, -1.0, 1.0)

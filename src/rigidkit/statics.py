@@ -3,7 +3,8 @@
 Equilibrium is tested through one uniform criterion in all three geometries:
 the total force bivector sum_i p_i ^ f_i must vanish.  Loads are kept in
 ambient (d+1)-coordinates with tangency enforced at construction, so the
-same code path serves E, S and H.
+same code path serves E, S and H.  Beyond tangency equilibrium is only
+C(d+1,2) bivector conditions: dim F is decided on 2 C(d+1,2) rows at most.
 """
 
 from dataclasses import dataclass, replace
@@ -27,6 +28,11 @@ from .spaces import EPS_MODEL
 
 #: Relative tolerance for the bivector equilibrium test (max-abs norm).
 EQUILIBRIUM_TOL = 1e-8
+
+#: Rows per block of the reduced equilibrium matrix's TSQR: blocks of up to
+#: 256 x 12 keep OpenBLAS on one thread.  On 2 shared cores, with 2 threads,
+#: the k = 30 grid's 2700 x 6 matrix took 1.5-3 ms unblocked, 0.3 ms blocked.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,30 +209,39 @@ def bivector_map_matrix(fw: Framework) -> np.ndarray:
     return per_column.reshape(fw.n * amb, per_column.shape[-1]).T
 
 
-def equilibrium_entries(fw: Framework) -> _linalg.Entries:
-    """The bivector map stacked over one tangency row per vertex, shape
-    (C(d+1,2) + n, n*(d+1)): its right null space is the equilibrium load
-    space F, with explicit tangency rows for non-spanning frameworks.
+def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
+    """The Spectrum of the equilibrium stack, shape (k + n, n*(d+1)),
+    k = C(d+1,2): the bivector map B (`bivector_map_matrix`) over one unit
+    tangency row per vertex (e_0 in E, G p_i / |G p_i| on S/H).  Its right
+    null space is F, with explicit tangency rows for non-spanning frameworks.
 
-    Row C(d+1,2) + i holds the unit normal of vertex i's tangent space
-    (`spaces._normals`, scaled to length 1) at that vertex's columns:
-    e_0 in E, G p_i / |G p_i| on S/H.  Scaling a row keeps the null space
-    and the rank.  Unit rows keep the Gram matrix's n near-unit eigenvalues
-    in one tight cluster; the rows G p_i, of lengths 1.00-1.18 on the H
-    grids, spread them, which cost the shift-invert Lanczos call that reads
-    the two smallest singular values 4-5 times more solves (22 against 92
-    at k = 20 and 109 at k = 45).  Nothing of size n x n is filled.
+    The tangency rows N are orthonormal (disjoint supports).  With Q the
+    reduced-QR basis of C = N B^T (n x r, r = min(n, k)), rotating N by
+    [Q, Q_perp] keeps every singular value and splits the stack into
+    [B; Q^T N] and n - r orthonormal rows orthogonal to it: the values are
+    those of [B; Q^T N], by one values-only SVD of its tall transpose (of
+    the R factors of its row blocks above `_ROW_BLOCK` rows), and n - r
+    ones.  The cutoff is the dense rule of `_linalg.spectrum`.
     """
     biv = bivector_map_matrix(fw)
-    rows, cols = np.indices(biv.shape).reshape(2, -1)
-    v = np.arange(fw.n)
-    shape = (len(biv) + fw.n, biv.shape[1])
+    amb = fw.space.ambient_dim
     normals = spaces._normals(fw.coords, fw.space)
     normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-    tangency = _linalg.block_entries(len(biv) + v, v, normals, shape)
-    return _linalg.Entries(np.concatenate([rows, tangency.rows]),
-                           np.concatenate([cols, tangency.cols]),
-                           np.concatenate([biv.ravel(), tangency.vals]), shape)
+    q = np.linalg.qr(np.einsum("kia,ia->ik", biv.reshape(len(biv), fw.n, amb), normals))[0]
+    rotated = (q.T[:, :, None] * normals).reshape(q.shape[1], fw.n * amb)
+    tall = np.concatenate([biv, rotated]).T
+    if len(tall) > _ROW_BLOCK >= tall.shape[1]:  # TSQR: its blocks' R factors, stacked
+        blocks = np.concatenate([tall, np.zeros((-len(tall) % _ROW_BLOCK, tall.shape[1]))])
+        tall = np.linalg.qr(blocks.reshape(-1, _ROW_BLOCK, tall.shape[1]), mode="r")
+        tall = tall.reshape(-1, tall.shape[-1])
+    s = _linalg.svd(tall, compute_uv=False) if tall.size else np.zeros(0)
+    values = np.sort(np.concatenate([s, np.ones(fw.n - q.shape[1])]))[::-1]
+    # every column is non-zero: column (i, a) holds p_i[x], x != a, in its
+    # bivector entries, and where these all vanish (p_i on the a-axis) its
+    # tangency entry is not 0
+    cutoff, rank = _linalg._svd_rank(values, np.count_nonzero(np.any(biv, axis=1)) + fw.n,
+                                     fw.n * amb, tol)
+    return _linalg.Spectrum(values, cutoff, rank, (len(biv) + fw.n, fw.n * amb))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +249,11 @@ class StaticSpaces:
     """The equilibrium load space F and the resolvable load space F_0.
 
     `equilibrium` and `resolution` are the spectra of the stacked
-    bivector/tangency matrix (`equilibrium_entries`) and of the resolution
-    map: dim F is the nullity of the bivector map restricted to tangent
-    loads (explicit tangency rows, unit normals, handle non-spanning
-    frameworks), dim F_0 the rank of the resolution map and the self-stress
-    count its nullity.
+    bivector/tangency matrix (`equilibrium_spectrum`: every singular value,
+    from its small reduction) and of the resolution map: dim F is the
+    nullity of the bivector map restricted to tangent loads (explicit
+    tangency rows, unit normals, handle non-spanning frameworks), dim F_0
+    the rank of the resolution map and the self-stress count its nullity.
     Written in per-vertex tangent frames, the resolution matrix is
     -R^T diag(f) in E and S, R the rigidity operator and f the edge factors
     (1 in E, d / sin d on S); on H also up to an invertible d x d block per
@@ -280,12 +295,13 @@ class StaticSpaces:
 
 
 def static_spaces(fw: Framework, tol=RANK_TOL, operator=None) -> StaticSpaces:
-    """The spectra of the stacked bivector/tangency matrix and of the
-    resolution map; no bases.  The resolution spectrum is the rigidity
-    operator's (see `StaticSpaces`): `operator`, its Spectrum at `tol` when
-    the caller has it, else decided here.
+    """The spectra of the stacked bivector/tangency matrix, by
+    `equilibrium_spectrum` at every size, and of the resolution map; no
+    bases.  The resolution spectrum is the rigidity operator's (see
+    `StaticSpaces`): `operator`, its Spectrum at `tol` when the caller has
+    it, else decided here.
     """
-    equilibrium = _linalg.spectrum(equilibrium_entries(fw), tol)
+    equilibrium = equilibrium_spectrum(fw, tol)
     if operator is None:
         operator = _linalg.spectrum(rigidity_operator(fw).entries, tol)
     return StaticSpaces(fw, equilibrium, replace(operator, shape=operator.shape[::-1]))

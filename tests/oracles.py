@@ -176,6 +176,40 @@ def rational_equilibrium_dim(fw) -> int:
     return n * amb - rational_rank(rows)
 
 
+def equilibrium_stack(fw):
+    """Reference only, for `statics.equilibrium_spectrum`: the equilibrium
+    stack itself, (C(d+1,2) + n) x n(d+1), as `_linalg.Entries`, so the
+    sparse path of `_linalg.spectrum` decides it at any size.
+
+    Built from the defining formulas: bivector row (a, b) holds
+    (p_i ^ e_c)_ab = p_i[a] [c == b] - p_i[b] [c == a] at column (i, c);
+    tangency row i holds vertex i's unit normal, e_0 in E and G p_i / |G p_i|
+    on S/H, at vertex i's columns.
+    """
+    from rigidkit import _linalg
+
+    n, amb = fw.n, fw.space.ambient_dim
+    p = fw.coords
+    pairs = list(combinations(range(amb), 2))
+    if fw.space.is_euclidean:
+        normals = np.zeros((n, amb))
+        normals[:, 0] = 1.0
+    else:
+        normals = np.array(_metric_signs(fw), dtype=float) * p
+        normals /= np.sqrt(np.sum(normals**2, axis=1))[:, None]
+    vertex = np.arange(n) * amb
+    rows, cols, vals = [], [], []
+    for row, (a, b) in enumerate(pairs):
+        rows += [np.full(2 * n, row)]
+        cols += [vertex + b, vertex + a]
+        vals += [p[:, a], -p[:, b]]
+    rows += [np.repeat(len(pairs) + np.arange(n), amb)]
+    cols += [(vertex[:, None] + np.arange(amb)).ravel()]
+    vals += [normals.ravel()]
+    return _linalg.Entries(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                           (len(pairs) + n, n * amb))
+
+
 def rational_nullspace(rows) -> list:
     """Exact basis of the nullspace (list of Fraction vectors)."""
     m = [list(r) for r in rows]

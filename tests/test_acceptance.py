@@ -7,7 +7,7 @@ All tolerances are fixed here, not tuned elsewhere.
 import numpy as np
 
 import rigidkit as rk
-from rigidkit import maxwell_cremona as mc, statics, transforms as tr
+from rigidkit import maxwell_cremona as mc, transforms as tr
 
 import oracles as oc
 
@@ -29,7 +29,7 @@ def _scaled_to_chart(fw, margin=0.45):
 
 def _random_equilibrium_load(rng, fw):
     raw = rng.standard_normal((fw.n, fw.space.ambient_dim))
-    stacked = statics.equilibrium_entries(fw).toarray()
+    stacked = oc.equilibrium_stack(fw).toarray()
     corr, *_ = np.linalg.lstsq(stacked, stacked @ raw.ravel(), rcond=None)
     return rk.load(fw, (raw.ravel() - corr).reshape(fw.n, -1), eps=1e-6)
 

@@ -356,12 +356,14 @@ def test_analyze_factors_each_matrix_once_without_vectors(kind, monkeypatch):
     if kind != "E":
         fw = rk.geodesic_project(rk.transforms.apply_map(
             rk.affine_map(np.eye(2) * 0.1), fw), rk.Space(rk.SpaceKind(kind), 2))
+    pairs = statics.bivector_map_matrix(fw).shape[0]
     expected = sorted([
         kinematics.rigidity_operator(fw).matrix.shape,
         kinematics.killing_evaluation_matrix(fw).shape,
-        (statics.bivector_map_matrix(fw).shape[0] + fw.n, fw.n * 3),
+        (fw.n * 3, pairs + min(fw.n, pairs)),  # [B; Q^T N], transposed
         fw.coords.shape,                # the spanning test
-    ])  # the resolution rank is the operator's, in every geometry
+    ])  # the resolution rank is the operator's, in every geometry; the
+    # equilibrium stack's tangency rows are rotated by a QR basis, no SVD
     real = np.linalg.svd
     calls = []
 

@@ -28,9 +28,9 @@ def _framework(points, edges, kind):
                                rk.Space(rk.SpaceKind(kind), 3))
 
 
-@pytest.mark.parametrize("kind", ["E", "S", "H"])
-def test_dehn_counts_on_a_300_vertex_polytope(polytope, kind):
-    points, edges = polytope
+def _check_dehn_counts(points, edges, kind):
+    """The polytope rigid with independent edges, minus an edge one dof,
+    plus a diagonal one self-stress; dim V0 = 6 in each."""
     n = len(points)
     assert len(edges) == 3 * n - 6
     neighbours = set(edges[edges[:, 0] == 0, 1])
@@ -44,3 +44,20 @@ def test_dehn_counts_on_a_300_vertex_polytope(polytope, kind):
         assert report["kinematic_dof"] == report["static_dof"] == dof, label
         assert report["dim_V0"] == 6, label
         assert report["self_stress_count"] == stresses, label
+
+
+@pytest.fixture(scope="module")
+def polytope_2000():
+    pytest.importorskip("scipy.spatial")
+    return oc.convex_polytope(2000)
+
+
+@pytest.mark.parametrize("kind", ["E", "S", "H"])
+def test_dehn_counts_on_a_300_vertex_polytope(polytope, kind):
+    _check_dehn_counts(*polytope, kind)
+
+
+@pytest.mark.parametrize("kind", ["E", "S", "H"])
+def test_dehn_counts_on_a_2000_vertex_polytope(polytope_2000, kind):
+    # sigma_min sits only 4.9x above the cutoff here
+    _check_dehn_counts(*polytope_2000, kind)

@@ -10,7 +10,12 @@ import importlib.util
 import inspect
 import os
 
+import pytest
+
 import rigidkit.cli  # noqa: F401  (every traced module is imported)
+from rigidkit import statics
+
+from test_sparse import grid
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -53,3 +58,21 @@ def test_traced_methods_exist():
     # `Tracer.install` wraps these by name; a missing one crashes a traced run
     for module, cls, method in _spans().TRACED_METHODS:
         assert inspect.isfunction(getattr(getattr(getattr(rigidkit, module), cls), method))
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_analyze_assembles_the_bivector_map_once(kind, monkeypatch):
+    # `statics.bivector_s` times the static side through this one span: the
+    # equilibrium spectrum must build the bivector map by calling it, once
+    calls = []
+    real = statics.bivector_map_matrix
+
+    def bivector_map_matrix(fw):
+        calls.append(fw)
+        return real(fw)
+
+    monkeypatch.setattr(statics, "bivector_map_matrix", bivector_map_matrix)
+    for fw in (rigidkit.gallery.fixture("prism3-generic").framework, grid(20, kind)):
+        del calls[:]
+        rigidkit.cli.analyze_framework(fw)
+        assert len(calls) == 1

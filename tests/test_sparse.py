@@ -103,8 +103,9 @@ def _counting_solves(monkeypatch):
 
 def _recording_spectra(monkeypatch):
     """Make `_linalg.spectrum` append each Spectrum it returns to a list: the
-    operator, Killing and equilibrium spectra of an analysis (the resolution
-    rank is the operator's, in every geometry)."""
+    operator and Killing spectra of an analysis (the resolution rank is the
+    operator's, in every geometry; the equilibrium stack is decided by
+    `statics.equilibrium_spectrum`, which never calls it)."""
     spectra = []
     real = _linalg.spectrum
 
@@ -193,7 +194,7 @@ def test_sparse_path_exit_codes_match_dense_on_the_gallery(monkeypatch, tmp_path
 def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
     fw = grid(20, kind)
     sparse, spectra = _report(fw, monkeypatch, _linalg.SPARSE_MIN_SIDE)
-    assert [s.method for s in spectra] == ["sparse", "dense", "sparse"]
+    assert [s.method for s in spectra] == ["sparse", "dense"]
     assert all(s.partial == (s.method == "sparse") for s in spectra)
     assert sparse["rigid"] and sparse["kinematic_dof"] == sparse["static_dof"] == 0
     assert sparse["dim_V0"] == 3
@@ -224,7 +225,7 @@ def test_large_curved_grids_take_the_sparse_path(kind, k, monkeypatch):
     pytest.importorskip("scipy.sparse.linalg")
     fw = grid(k, kind)
     report, spectra = _report(fw, monkeypatch, _linalg.SPARSE_MIN_SIDE)
-    assert [s.method for s in spectra] == ["sparse", "dense", "sparse"]
+    assert [s.method for s in spectra] == ["sparse", "dense"]
     assert report["rigid"] and report["kinematic_dof"] == report["static_dof"] == 0
     assert report["dim_V0"] == 3
     assert report["self_stress_count"] == fw.m - (2 * fw.n - 3)
@@ -239,19 +240,25 @@ def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_s
     # factor, which serves the one shift-invert Lanczos call for the two
     # smallest singular values (22 solves on every grid).  `operator_solves`
     # is the bound of the Lanczos decisions these replaced, which took 36
-    # (k = 20) and 35 (k = 45) solves on the operator.  On H the
-    # equilibrium decision took 471 solves at k = 20 and 1461 at k = 45
-    # while its tangency rows were G p_i of length 1.000-1.176; as unit
-    # normals the values step takes 22 solves, as in E and S.
+    # (k = 20) and 35 (k = 45) solves on the operator.  `analyze` makes the
+    # operator's two factors only: the equilibrium stack is decided by its
+    # small reduction.  Decided on the sparse path, the stack itself takes
+    # the same two; on H it took 471 solves at k = 20 and 1461 at k = 45
+    # while its tangency rows were G p_i of length 1.000-1.176, and as unit
+    # normals its values step takes 22 solves, as in E and S.
     pytest.importorskip("scipy.sparse.linalg")
     fw = grid(k, kind)
     factors = _counting_solves(monkeypatch)
     spectra = _recording_spectra(monkeypatch)
     cli.analyze_framework(fw)
-    assert [s.method for s in spectra] == ["sparse", "dense", "sparse"]
-    operator_count, operator_values, equilibrium_count, equilibrium_values = factors
-    assert operator_count.solves == equilibrium_count.solves == 1
+    assert [s.method for s in spectra] == ["sparse", "dense"]
+    operator_count, operator_values = factors
+    assert operator_count.solves == 1
     assert operator_values.solves <= operator_solves
+    del factors[:]
+    assert _linalg.spectrum(oc.equilibrium_stack(fw)).method == "sparse"
+    equilibrium_count, equilibrium_values = factors
+    assert equilibrium_count.solves == 1
     assert equilibrium_values.solves <= 30
 
 
@@ -358,11 +365,11 @@ _COUNT_CASES = {
     **{"%s k=20 operator" % kind: (lambda kind=kind: _operator(grid(20, kind)), None)
        for kind in "ESH"},
     **{"%s k=20 equilibrium" % kind:
-       (lambda kind=kind: statics.equilibrium_entries(grid(20, kind)), None) for kind in "ESH"},
+       (lambda kind=kind: oc.equilibrium_stack(grid(20, kind)), None) for kind in "ESH"},
     "E k=30 operator": (lambda: _operator(grid(30)), 1797),
-    "E k=30 equilibrium": (lambda: statics.equilibrium_entries(grid(30)), None),
+    "E k=30 equilibrium": (lambda: oc.equilibrium_stack(grid(30)), None),
     "E k=45 operator": (lambda: _operator(grid(45)), 4047),
-    "E k=45 equilibrium": (lambda: statics.equilibrium_entries(grid(45)), 2028),
+    "E k=45 equilibrium": (lambda: oc.equilibrium_stack(grid(45)), 2028),
     **{"%s k=30 %d%% dropped" % (kind, 100 * share):
        (lambda kind=kind, share=share: _operator(_dropped_grid(kind, share)), rank)
        for kind in "ESH" for share, rank in ((0.2, 1788), (0.4, 1543))},
@@ -383,7 +390,8 @@ def test_the_count_is_the_dense_rank(label):
     if rank is None:
         dense = a.toarray() if isinstance(a, _linalg.Entries) else a
         s = np.linalg.svd(dense, compute_uv=False)
-        rank = _linalg._svd_rank(s, dense, _linalg.RANK_TOL)[1]
+        rank = _linalg._svd_rank(s, np.count_nonzero(np.any(dense, axis=1)),
+                                 np.count_nonzero(np.any(dense, axis=0)), _linalg.RANK_TOL)[1]
     assert spec.rank == rank, label
 
 
@@ -435,7 +443,7 @@ def test_arpack_failure_falls_back_to_dense(error, tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(sla, "eigsh", eigsh)
     code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
-    assert methods == ["dense"] * 3
+    assert methods == ["dense"] * 2
     assert (code, report) == expected
     assert code in (0, 10, 2, 3)
 
@@ -454,7 +462,7 @@ def test_superlu_failure_falls_back_to_dense(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sla, "splu", splu)
     spectra = _recording_spectra(monkeypatch)
     assert (cli.main(["analyze", str(path), "--json"]), capsys.readouterr().out) == expected
-    assert [s.method for s in spectra] == ["dense"] * 3
+    assert [s.method for s in spectra] == ["dense"] * 2
 
 
 class _OffDiagonalFactor(_CountingFactor):
@@ -487,7 +495,7 @@ def test_a_factor_that_cannot_count_falls_back_to_dense(factor, tmp_path, monkey
     real = sla.splu
     monkeypatch.setattr(sla, "splu", lambda *args, **kwargs: factor(real(*args, **kwargs)))
     code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
-    assert methods == ["dense"] * 3
+    assert methods == ["dense"] * 2
     assert (code, report) == expected
 
 
@@ -513,7 +521,7 @@ def test_missing_scipy_falls_back_to_dense(tmp_path, monkeypatch, capsys):
     expected = _dense_reference(path, monkeypatch, capsys)
     monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
     code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
-    assert methods == ["dense"] * 3
+    assert methods == ["dense"] * 2
     assert (code, report) == expected
 
 
@@ -523,7 +531,7 @@ def test_tolerance_below_the_squaring_floor_falls_back_to_dense(tmp_path, monkey
     argv = ("--tol", "1e-14")
     expected = _dense_reference(path, monkeypatch, capsys, argv)
     code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys, argv)
-    assert methods == ["dense"] * 3
+    assert methods == ["dense"] * 2
     assert (code, report) == expected
     assert code in (0, 10, 2, 3)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rigidkit as rk
-from rigidkit import statics
+from rigidkit import _linalg, statics
 
 import oracles as oc
 
@@ -49,12 +49,66 @@ def test_static_matrices_match_per_vertex_loop(code, rng):
         fw = oc.random_framework(rng, rk.spaces.space_from_code(code, d), n)
         biv, tangency = _static_rows_by_vertex(fw)
         assert np.array_equal(statics.bivector_map_matrix(fw), biv)
-        stacked = statics.equilibrium_entries(fw).toarray()
+        stacked = oc.equilibrium_stack(fw).toarray()
         assert np.array_equal(stacked[:len(biv)], biv)
-        # the row norms of the library and the loop sum in different orders;
+        # the row norms of the oracle and the loop sum in different orders;
         # in E every tangency row is exactly e_0
         tol = 0.0 if code == "E" else 4 * np.finfo(float).eps
         assert np.max(np.abs(stacked[len(biv):] - tangency)) <= tol
+
+
+def _equilibrium_cases():
+    """(label, framework) pairs for the reduced equilibrium spectrum: random
+    frameworks (n = 0, 1 and 2 among them) and coincident vertices in E/S/H
+    for d = 1, 2, 3, the gallery and its S/H images, the k = 20 grids,
+    the n = 300 polytope and its S/H images, and the badly scaled prism."""
+    from test_polytopes import _framework
+    from test_sparse import _gallery_and_images, grid
+
+    rng = np.random.RandomState(1717)
+    for code in "ESH":
+        for d in (1, 2, 3):
+            space = rk.spaces.space_from_code(code, d)
+            for n in (0, 1, 2, 3, 5, 8, 13):
+                yield "%s%d n=%d" % (code, d, n), oc.random_framework(rng, space, n)
+            # e_0 is a point of every model: the bivector rows without
+            # coordinate 0 vanish there, and the non-zero row count matters
+            for where, point in (("random point", oc.random_framework(rng, space, 1).coords),
+                                 ("e_0", np.eye(1, d + 1))):
+                for n in (1, 5):
+                    yield "%s%d %d at one %s" % (code, d, n, where), rk.build_framework(
+                        rk.graph(n, []), space, np.repeat(point, n, axis=0))
+        yield "%s grid 20" % code, grid(20, code)
+    yield from _gallery_and_images()
+    doc = rk.gallery.fixture("prism3-concurrent")
+    for x0 in (7693, 1e5, 1e9):
+        xy = 0.2 * doc.framework.coords[:, 1:]
+        xy[0, 0] = x0
+        yield "prism at %g" % x0, rk.build_framework(doc.framework.graph, E2, xy)
+    try:
+        points, edges = oc.convex_polytope(300)
+    except ImportError:  # scipy.spatial
+        return
+    for code in "ESH":
+        yield "%s polytope 300" % code, _framework(points, edges, code)
+
+
+def test_equilibrium_spectrum_is_the_stacks_dense_spectrum():
+    # The reduction to [B; Q^T N] and n - r ones is exact up to roundoff:
+    # every value of the stack's dense SVD, its rank and its cutoff.
+    for label, fw in _equilibrium_cases():
+        spec = statics.equilibrium_spectrum(fw)
+        stack = oc.equilibrium_stack(fw).toarray()
+        s = np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros(0)
+        cutoff, rank = _linalg._svd_rank(s, np.count_nonzero(np.any(stack, axis=1)),
+                                         np.count_nonzero(np.any(stack, axis=0)),
+                                         _linalg.RANK_TOL)
+        assert spec.shape == stack.shape, label
+        assert spec.method == "dense" and spec.values.shape == s.shape, label
+        assert spec.rank == rank and spec.nullity == fw.n * fw.space.ambient_dim - rank, label
+        assert abs(spec.cutoff - cutoff) <= 1e-12 * cutoff, label
+        if s.size:
+            assert np.max(np.abs(spec.values - s)) <= 1e-13 * s[0], label
 
 
 def _segment():
@@ -111,7 +165,7 @@ def test_equilibrium_load_on_flexible_framework_unresolvable(prism_doc):
             flex = flat
             break
     assert flex is not None
-    stacked = statics.equilibrium_entries(fw).toarray()
+    stacked = oc.equilibrium_stack(fw).toarray()
     corr, *_ = np.linalg.lstsq(stacked, stacked @ flex, rcond=None)
     f_eq = rk.load(fw, (flex - corr).reshape(fw.n, 3))
     assert rk.is_equilibrium_load(fw, f_eq)
@@ -160,7 +214,7 @@ def test_virtual_work_annihilators(prism_doc, rng):
     # equilibrium loads annihilate V0
     raw = rng.standard_normal((fw.n, 3))
     raw[:, 0] = 0.0
-    stacked = statics.equilibrium_entries(fw).toarray()
+    stacked = oc.equilibrium_stack(fw).toarray()
     corr, *_ = np.linalg.lstsq(stacked, stacked @ raw.ravel(), rcond=None)
     f_eq = rk.load(fw, (raw.ravel() - corr).reshape(fw.n, 3))
     assert rk.is_equilibrium_load(fw, f_eq)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rigidkit as rk
-from rigidkit import statics, transforms as tr
+from rigidkit import transforms as tr
 from rigidkit.errors import (
     DegenerateMidpoint,
     InvalidMapSpec,
@@ -25,7 +25,7 @@ def _random_invertible(rng, n, min_det=0.1):
 
 def _random_equilibrium_load(rng, fw):
     raw = rng.standard_normal((fw.n, fw.space.ambient_dim))
-    stacked = statics.equilibrium_entries(fw).toarray()
+    stacked = oc.equilibrium_stack(fw).toarray()
     corr, *_ = np.linalg.lstsq(stacked, stacked @ raw.ravel(), rcond=None)
     return rk.load(fw, (raw.ravel() - corr).reshape(fw.n, -1), eps=1e-7)
 
