@@ -14,9 +14,11 @@ one, given densely or as :class:`Entries`, is decided on the Gram matrix G of
 its smaller side (:func:`_sparse_spectrum`): the rank is a count, the number
 of negative pivots of one symmetric LDL^T factorization of G - c^2 I (c the
 cutoff), by Sylvester's law of inertia the number of singular values under
-the cutoff.  Its `Spectrum` holds sigma_max and the two smallest singular
-values only, from one shift-invert Lanczos call (ARPACK, through scipy) on
-a second factor.  When the cutoff sits below the sqrt(eps) * sigma_max
+the cutoff.  Its `Spectrum` holds sigma_max and two upper bounds of the
+smallest singular values only: from null columns the caller knows (the
+rigidity operator's Killing fields) when they certify two null values,
+else from one shift-invert Lanczos call (ARPACK, through scipy) on a
+second factor.  When the cutoff sits below the sqrt(eps) * sigma_max
 floor of squaring, when SuperLU pivots off the diagonal, when a probe solve
 shows a backward error above sqrt(eps), when ARPACK or SuperLU fails, or
 when scipy is missing, the same matrix gets the dense SVD instead.
@@ -137,8 +139,9 @@ class Spectrum:
 
     `method` says which path decided the rank: "dense" (one values-only
     SVD; `values` holds every singular value) or "sparse" (an inertia count;
-    `partial` is then true and `values` holds sigma_max followed by the two
-    smallest singular values only).
+    `partial` is then true and `values` holds sigma_max and two upper bounds
+    of the smallest singular values, to roundoff the values themselves
+    above the cutoff; see `_sparse_spectrum`).
     """
 
     values: np.ndarray
@@ -163,14 +166,19 @@ class Spectrum:
         return np.concatenate([s, np.full(k - s.size, np.nan)])
 
 
-def spectrum(a, tol=RANK_TOL) -> Spectrum:
+def spectrum(a, tol=RANK_TOL, null_columns=None) -> Spectrum:
     """The singular values, cutoff and rank of `a`, a 2-d array or Entries:
     by an inertia count when its smaller side has at least SPARSE_MIN_SIDE
     non-zero rows or columns and the sparse path can decide, else by one
-    values-only SVD."""
+    values-only SVD.
+
+    `null_columns`, columns the caller knows to lie in the right null space
+    of `a` (one row per column of `a`), may stand in for the sparse path's
+    values step (see `_sparse_spectrum`); the dense path ignores them.
+    """
     a = a if isinstance(a, Entries) else _as_matrix(a)
     if min(a.shape) >= SPARSE_MIN_SIDE:
-        spec = _sparse_spectrum(a, tol)
+        spec = _sparse_spectrum(a, tol, null_columns)
         if spec is not None:
             return spec
     if isinstance(a, Entries):
@@ -181,7 +189,7 @@ def spectrum(a, tol=RANK_TOL) -> Spectrum:
     return Spectrum(s, cutoff, rank, a.shape)
 
 
-def _sparse_spectrum(a, tol):
+def _sparse_spectrum(a, tol, null_columns):
     """The Spectrum of `a` (Entries or a 2-d array) from the Gram matrix G of
     its smaller non-zero side, or None when the sparse path cannot decide.
 
@@ -196,16 +204,26 @@ def _sparse_spectrum(a, tol):
     the diagonal of U is D.  One probe solve checks the factor's normwise
     backward error.
 
-    `values` holds sigma_max and the two smallest singular values, those of
-    B V for the two eigenvectors V of G nearest -s, s = max(c^2, 16384 eps
-    sigma_max^2) (shift-invert Lanczos on a factor of the positive definite
-    G + s I, fixed start vector).  By interlacing they bound the two
-    smallest singular values of B from above, and reading them from B V
-    instead of sqrt(eig) keeps the null ones at roundoff rather than at
-    sqrt(eps) sigma_max.  The floor on s keeps the solves' relative error
-    along the null vectors, about eps sigma_max^2 / s, under 1e-4 when c sits
-    near the floor of squaring; at s = c^2 there, Lanczos returned null
-    vectors with |B v| up to c/10.
+    `values` holds sigma_max and two upper bounds of the smallest singular
+    values of B.  When G is the columns' (B has at least as many rows), the
+    count finds two or more values under the cutoff and `null_columns` are
+    given, the bounds are the two smallest singular values of B Q, Q the
+    reduced-QR basis of `null_columns` on B's columns: for orthonormal Q the
+    k-th smallest singular value of B Q bounds the k-th smallest of B from
+    above (Cauchy interlacing), so two of them at or under the cutoff are
+    null values, certified without a second factor.  Otherwise (fewer than
+    two columns in Q, a value of B Q above the cutoff, or a wide matrix,
+    whose smallest values are the row side's, on which right null columns
+    say nothing) the values step reads them: the values of B V for the two
+    eigenvectors V of G nearest -s, s = max(c^2, 16384 eps sigma_max^2)
+    (shift-invert Lanczos on a factor of the positive definite G + s I,
+    fixed start vector).  By interlacing these bound the two smallest
+    singular values of B from above too, and reading them from B V instead
+    of sqrt(eig) keeps the null ones at roundoff rather than at sqrt(eps)
+    sigma_max.  The floor on s keeps the solves' relative error along the
+    null vectors, about eps sigma_max^2 / s, under 1e-4 when c sits near the
+    floor of squaring; at s = c^2 there, Lanczos returned null vectors with
+    |B v| up to c/10.
 
     A cutoff below the sqrt(eps) * sigma_max floor of squaring, an
     off-diagonal pivot, a probe backward error above sqrt(eps), an ARPACK
@@ -252,11 +270,16 @@ def _sparse_spectrum(a, tol):
             return None
         null = int(np.count_nonzero(lu.U.diagonal() < 0))
         del lu  # one factor alive at a time keeps the peak memory at one fill
-        shift = max(cutoff**2, 16384 * eps * lam_max)
-        inverse = LinearOperator((side, side), matvec=ldlt(shift).solve, dtype=float)
-        _, vecs = eigsh(gram, min(2, side - 1), sigma=-shift, which="LM", v0=v0,
-                        maxiter=_ARPACK_MAXITER, OPinv=inverse)
-        low = np.linalg.svd(b @ vecs, compute_uv=False)
+        low = np.zeros(0)
+        if null >= 2 and null_columns is not None and rows.size >= cols.size:
+            q = np.linalg.qr(np.asarray(null_columns)[cols])[0]
+            low = np.linalg.svd(b @ q, compute_uv=False)[-2:]
+        if low.size < 2 or low[0] > cutoff:
+            shift = max(cutoff**2, 16384 * eps * lam_max)
+            inverse = LinearOperator((side, side), matvec=ldlt(shift).solve, dtype=float)
+            _, vecs = eigsh(gram, min(2, side - 1), sigma=-shift, which="LM", v0=v0,
+                            maxiter=_ARPACK_MAXITER, OPinv=inverse)
+            low = np.linalg.svd(b @ vecs, compute_uv=False)
     except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU
         return None
     return Spectrum(np.concatenate([[smax], low]), cutoff, side - null, a.shape, "sparse")

@@ -197,11 +197,24 @@ def nontrivial_part(basis_V0, vecs) -> np.ndarray:
     return flat
 
 
+def operator_spectrum(fw: Framework, tol=RANK_TOL, killing=None) -> _linalg.Spectrum:
+    """The rigidity operator's Spectrum at `tol`, the one decision that
+    `motion_spaces` and `statics.static_spaces` share.  The Killing fields
+    lie in its right null space, so their evaluation matrix (`killing`,
+    built here when not given) goes along as known null columns: on the
+    sparse path they bound the two smallest singular values without a
+    second factor (see `_linalg._sparse_spectrum`)."""
+    if killing is None:
+        killing = killing_evaluation_matrix(fw)
+    return _linalg.spectrum(rigidity_operator(fw).entries, tol, killing)
+
+
 def motion_spaces(fw: Framework, tol=RANK_TOL) -> MotionSpaces:
-    """The spectra of the rigidity operator and the Killing evaluation matrix,
-    one rank decision each; no bases."""
-    ms = MotionSpaces(fw, _linalg.spectrum(rigidity_operator(fw).entries, tol),
-                      _linalg.spectrum(killing_evaluation_matrix(fw), tol))
+    """The spectra of the rigidity operator (`operator_spectrum`) and the
+    Killing evaluation matrix, one rank decision each, the evaluation matrix
+    built once for both; no bases."""
+    killing = killing_evaluation_matrix(fw)
+    ms = MotionSpaces(fw, operator_spectrum(fw, tol, killing), _linalg.spectrum(killing, tol))
     if ms.kinematic_dof < 0:
         raise InternalInvariantError(
             "dim V = %d < dim V0 = %d; rank tolerance is inconsistent" % (ms.dim_V, ms.dim_V0)

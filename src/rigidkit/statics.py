@@ -19,8 +19,8 @@ from .frameworks import Framework, stress_positions
 from .graphs import Graph, canonical_edge
 from .kinematics import (
     VectorField,
+    operator_spectrum,
     require_same_framework,
-    rigidity_operator,
     validate_tangent_field,
     virtual_work_field,
 )
@@ -29,9 +29,11 @@ from .spaces import EPS_MODEL
 #: Relative tolerance for the bivector equilibrium test (max-abs norm).
 EQUILIBRIUM_TOL = 1e-8
 
-#: Rows per block of the reduced equilibrium matrix's TSQR: blocks of up to
+#: Rows per block of the TSQRs in `equilibrium_spectrum`: blocks of up to
 #: 256 x 12 keep OpenBLAS on one thread.  On 2 shared cores, with 2 threads,
-#: the k = 30 grid's 2700 x 6 matrix took 1.5-3 ms unblocked, 0.3 ms blocked.
+#: the k = 30 grid's 2700 x 6 matrix took 1.5-3 ms unblocked, 0.3 ms blocked,
+#: and the n = 2000 polytope's 2000 x 6 matrix N B^T up to 8.6 ms unblocked,
+#: under 0.5 ms blocked.
 _ROW_BLOCK = 256
 
 
@@ -209,6 +211,23 @@ def bivector_map_matrix(fw: Framework) -> np.ndarray:
     return per_column.reshape(fw.n * amb, per_column.shape[-1]).T
 
 
+def _blocked_q(c) -> np.ndarray:
+    """The Q factor of a reduced QR of `c`, with orthonormal columns spanning
+    its range: above `_ROW_BLOCK` rows by TSQR, Q = blockdiag(Q_i) Q_2 for
+    the QR factors Q_i R_i of its row blocks and Q_2 of the stacked R_i, so
+    that no QR sees more than `_ROW_BLOCK` rows."""
+    k = c.shape[1]
+    if len(c) <= _ROW_BLOCK or k > _ROW_BLOCK:
+        return np.linalg.qr(c)[0]
+    split = len(c) - len(c) % _ROW_BLOCK
+    q1, r1 = np.linalg.qr(c[:split].reshape(-1, _ROW_BLOCK, k))
+    q_last, r_last = (np.linalg.qr(c[split:]) if split < len(c)
+                      else (np.zeros((0, 0)), np.zeros((0, k))))
+    q2 = np.linalg.qr(np.concatenate([*r1, r_last]))[0]
+    top = q1 @ q2[:r1.size // k].reshape(r1.shape)
+    return np.concatenate([top.reshape(split, k), q_last @ q2[r1.size // k:]])
+
+
 def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
     """The Spectrum of the equilibrium stack, shape (k + n, n*(d+1)),
     k = C(d+1,2): the bivector map B (`bivector_map_matrix`) over one unit
@@ -216,18 +235,18 @@ def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
     null space is F, with explicit tangency rows for non-spanning frameworks.
 
     The tangency rows N are orthonormal (disjoint supports).  With Q the
-    reduced-QR basis of C = N B^T (n x r, r = min(n, k)), rotating N by
-    [Q, Q_perp] keeps every singular value and splits the stack into
-    [B; Q^T N] and n - r orthonormal rows orthogonal to it: the values are
-    those of [B; Q^T N], by one values-only SVD of its tall transpose (of
-    the R factors of its row blocks above `_ROW_BLOCK` rows), and n - r
-    ones.  The cutoff is the dense rule of `_linalg.spectrum`.
+    reduced-QR basis of C = N B^T (n x r, r = min(n, k); `_blocked_q`),
+    rotating N by [Q, Q_perp] keeps every singular value and splits the
+    stack into [B; Q^T N] and n - r orthonormal rows orthogonal to it: the
+    values are those of [B; Q^T N], by one values-only SVD of its tall
+    transpose (of the R factors of its row blocks above `_ROW_BLOCK` rows),
+    and n - r ones.  The cutoff is the dense rule of `_linalg.spectrum`.
     """
     biv = bivector_map_matrix(fw)
     amb = fw.space.ambient_dim
     normals = spaces._normals(fw.coords, fw.space)
     normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-    q = np.linalg.qr(np.einsum("kia,ia->ik", biv.reshape(len(biv), fw.n, amb), normals))[0]
+    q = _blocked_q(np.einsum("kia,ia->ik", biv.reshape(len(biv), fw.n, amb), normals))
     rotated = (q.T[:, :, None] * normals).reshape(q.shape[1], fw.n * amb)
     tall = np.concatenate([biv, rotated]).T
     if len(tall) > _ROW_BLOCK >= tall.shape[1]:  # TSQR: its blocks' R factors, stacked
@@ -299,11 +318,12 @@ def static_spaces(fw: Framework, tol=RANK_TOL, operator=None) -> StaticSpaces:
     `equilibrium_spectrum` at every size, and of the resolution map; no
     bases.  The resolution spectrum is the rigidity operator's (see
     `StaticSpaces`): `operator`, its Spectrum at `tol` when the caller has
-    it, else decided here.
+    it, else decided here by `kinematics.operator_spectrum`, as in
+    `motion_spaces`.
     """
     equilibrium = equilibrium_spectrum(fw, tol)
     if operator is None:
-        operator = _linalg.spectrum(rigidity_operator(fw).entries, tol)
+        operator = operator_spectrum(fw, tol)
     return StaticSpaces(fw, equilibrium, replace(operator, shape=operator.shape[::-1]))
 
 

@@ -220,8 +220,8 @@ def test_a_tampered_operator_rank_on_S_is_an_internal_error(monkeypatch):
     real = _linalg.spectrum
     calls = []
 
-    def spectrum(a, tol=_linalg.RANK_TOL):
-        spec = real(a, tol)
+    def spectrum(*args, **kwargs):
+        spec = real(*args, **kwargs)
         calls.append(spec)
         if len(calls) == 1:  # motion_spaces decides the operator first
             spec = replace(spec, rank=spec.rank + 1, shape=(spec.shape[0], spec.shape[1] + 1))

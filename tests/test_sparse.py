@@ -1,8 +1,9 @@
 """The sparse rank decisions of `_linalg.spectrum` (an inertia count on the
 Gram matrix of the small side of a large matrix: the negative pivots of one
 symmetric LDL^T factorization of G - c^2 I, c the cutoff, with the two
-smallest singular values read by shift-invert Lanczos on a second factor)
-and their dense fallback.
+smallest singular values bounded by the operator's Killing columns where
+they certify two null values, else read by shift-invert Lanczos on a second
+factor) and their dense fallback.
 
 Lowering `SPARSE_MIN_SIDE` to 0 sends every matrix whose smaller side is at
 least 2 to the sparse path; each count, verdict and exit code must then be
@@ -109,8 +110,8 @@ def _recording_spectra(monkeypatch):
     spectra = []
     real = _linalg.spectrum
 
-    def spectrum(a, tol=_linalg.RANK_TOL):
-        spectra.append(real(a, tol))
+    def spectrum(*args, **kwargs):
+        spectra.append(real(*args, **kwargs))
         return spectra[-1]
 
     monkeypatch.setattr(_linalg, "spectrum", spectrum)
@@ -231,35 +232,59 @@ def test_large_curved_grids_take_the_sparse_path(kind, k, monkeypatch):
     assert report["self_stress_count"] == fw.m - (2 * fw.n - 3)
 
 
+def _counting_eigsh(monkeypatch):
+    """Make `scipy.sparse.linalg.eigsh` count its calls: a list that grows by
+    one per call."""
+    from scipy.sparse import linalg as sla
+
+    calls = []
+    real = sla.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs.get("sigma"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", eigsh)
+    return calls
+
+
 @pytest.mark.parametrize("kind, k, operator_solves",
-                         [("E", 20, 36), ("S", 20, 36), ("H", 20, 36), ("H", 45, 35)])
+                         [("E", 20, 36), ("S", 20, 36), ("H", 20, 36), ("E", 30, 36),
+                          ("H", 45, 35)])
 def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_solves,
                                                              monkeypatch):
-    # Two factorizations per sparse decision, each made once: the count's
-    # factor of G - c^2 I, which takes one probe solve, and the values'
-    # factor, which serves the one shift-invert Lanczos call for the two
-    # smallest singular values (22 solves on every grid).  `operator_solves`
-    # is the bound of the Lanczos decisions these replaced, which took 36
-    # (k = 20) and 35 (k = 45) solves on the operator.  `analyze` makes the
-    # operator's two factors only: the equilibrium stack is decided by its
-    # small reduction.  Decided on the sparse path, the stack itself takes
-    # the same two; on H it took 471 solves at k = 20 and 1461 at k = 45
-    # while its tangency rows were G p_i of length 1.000-1.176, and as unit
-    # normals its values step takes 22 solves, as in E and S.
+    # `analyze` makes one factorization, the count's factor of G - c^2 I,
+    # which takes one probe solve, and one Lanczos call, for sigma_max: the
+    # operator's two smallest singular values are read off its Killing
+    # columns, which lie in its null space.  The equilibrium stack is
+    # decided by its small reduction.  Without null columns a sparse
+    # decision takes a second factor, which serves the one shift-invert
+    # Lanczos call of the values step (21 solves on every grid).
+    # `operator_solves` bounds that step on the operator by the Lanczos
+    # decisions the count replaced, which took 36 (k = 20) and 35 (k = 45)
+    # solves; k = 30 keeps the k = 20 bound.  Decided on the sparse path,
+    # the stack takes the same two factors; on H it took 471 solves at
+    # k = 20 and 1461 at k = 45 while its tangency rows were G p_i of length
+    # 1.000-1.176, and as unit normals its values step takes 21 solves, as
+    # in E and S.
     pytest.importorskip("scipy.sparse.linalg")
     fw = grid(k, kind)
     factors = _counting_solves(monkeypatch)
+    eigsh_calls = _counting_eigsh(monkeypatch)
     spectra = _recording_spectra(monkeypatch)
     cli.analyze_framework(fw)
     assert [s.method for s in spectra] == ["sparse", "dense"]
-    operator_count, operator_values = factors
+    (operator_count,) = factors
     assert operator_count.solves == 1
-    assert operator_values.solves <= operator_solves
-    del factors[:]
-    assert _linalg.spectrum(oc.equilibrium_stack(fw)).method == "sparse"
-    equilibrium_count, equilibrium_values = factors
-    assert equilibrium_count.solves == 1
-    assert equilibrium_values.solves <= 30
+    assert eigsh_calls == [None]  # sigma_max only, no shift-invert call
+    assert np.all(spectra[0].smallest() <= spectra[0].cutoff / 100)
+    for matrix, bound in ((_operator(fw), operator_solves), (oc.equilibrium_stack(fw), 30)):
+        del factors[:], eigsh_calls[:]
+        assert _linalg.spectrum(matrix).method == "sparse"
+        count, values = factors
+        assert count.solves == 1
+        assert values.solves <= bound
+        assert len(eigsh_calls) == 2
 
 
 def _gallery_images(kind):
@@ -279,8 +304,9 @@ def test_the_resolution_spectrum_is_the_operators(kind):
     # spectrum from the operator R.  The reference is the ambient resolution
     # matrix, decided on its own.  In E (f = 1, plus n zero rows) its
     # spectrum must be the operator's: the same bits on the sparse path,
-    # whose Gram matrices are the same, and equal to roundoff on the dense
-    # path, whose SVDs factor R and -R^T.  On S/H the singular values differ,
+    # whose Gram matrices are the same (sigma_max and the cutoff, and null
+    # lows), and equal to roundoff on the dense path, whose SVDs factor R
+    # and -R^T.  On S/H the singular values differ,
     # but the rank and the nullity must not.
     methods = set()
     for label, fw in list(_gallery_images(kind)) + [("grid 20", grid(20, kind))]:
@@ -296,8 +322,13 @@ def test_the_resolution_spectrum_is_the_operators(kind):
             assert spec.method == reference.method, label
             assert spec.values.shape == reference.values.shape, label
             if spec.method == "sparse":
-                assert np.array_equal(spec.values, reference.values), label
+                # sigma_max and the cutoff are the same bits; the two lows,
+                # the operator's from its Killing columns and the
+                # reference's from Lanczos, are null values on both sides
+                assert spec.values[0] == reference.values[0], label
                 assert spec.cutoff == reference.cutoff, label
+                assert np.all(spec.smallest() <= spec.cutoff / 100), label
+                assert np.all(reference.smallest() <= spec.cutoff / 100), label
             else:
                 assert np.all(np.abs(spec.values - reference.values)
                               <= 1e-14 * reference.values[0]), label
@@ -393,6 +424,89 @@ def test_the_count_is_the_dense_rank(label):
         rank = _linalg._svd_rank(s, np.count_nonzero(np.any(dense, axis=1)),
                                  np.count_nonzero(np.any(dense, axis=0)), _linalg.RANK_TOL)[1]
     assert spec.rank == rank, label
+
+
+def _line(components, n=400):
+    """n random points on the line in `components` equal chains, each vertex
+    joined to the next two of its chain: a tall d = 1 operator of nullity
+    `components`, one Killing column."""
+    x = np.random.default_rng(2).uniform(0, 1, n)
+    size = n // components
+    edges = [(c * size + i, c * size + j) for c in range(components)
+             for i in range(size) for j in (i + 1, i + 2) if j < size]
+    return rk.build_framework(rk.graph(n, edges), rk.euclidean(1), x[:, None])
+
+
+def _same_spectrum(a, b):
+    assert (a.cutoff, a.rank, a.shape, a.method) == (b.cutoff, b.rank, b.shape, b.method)
+    assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("kind", ["E", "S", "H"])
+def test_killing_columns_give_the_lows_of_a_tall_flexible_operator(kind, monkeypatch):
+    # 12 dimensions of motion, 3 of them Killing fields: the count finds
+    # more than two null values, so the Killing columns bound the two
+    # smallest, and the decision takes the count's factor only.
+    pytest.importorskip("scipy.sparse.linalg")
+    fw = _dropped_grid(kind, 0.2)
+    assert fw.m >= fw.n * fw.dim
+    factors = _counting_solves(monkeypatch)
+    spec = rk.motion_spaces(fw).operator
+    assert spec.method == "sparse"
+    assert spec.rank == _COUNT_CASES["%s k=30 20%% dropped" % kind][1] == 1788
+    assert len(factors) == 1
+    assert np.all(spec.smallest() <= spec.cutoff / 100)
+
+
+@pytest.mark.parametrize("label", ["wheel rim 500", "polytope 300"])
+def test_wide_operators_keep_the_values_step(label, monkeypatch):
+    # With fewer edges than n d columns the Gram matrix is the rows', and
+    # its smallest values are the m row-side ones, on which the Killing
+    # fields say nothing: the values step runs as without them.
+    pytest.importorskip("scipy.sparse.linalg")
+    if label == "polytope 300":
+        from test_polytopes import _framework
+
+        pytest.importorskip("scipy.spatial")
+        fw = _framework(*oc.convex_polytope(300), "E")
+    else:
+        xy, edges = wheel(np.random.default_rng(1), 500)
+        fw = rk.build_framework(rk.graph(501, edges), rk.euclidean(2), xy)
+    assert fw.m < fw.n * fw.dim
+    reference = _linalg.spectrum(_operator(fw))
+    factors = _counting_solves(monkeypatch)
+    spec = rk.motion_spaces(fw).operator
+    assert len(factors) == 2
+    _same_spectrum(spec, reference)
+
+
+def test_null_columns_that_are_not_null_change_nothing():
+    pytest.importorskip("scipy.sparse.linalg")
+    a = _operator(grid(20))
+    columns = np.random.default_rng(4).standard_normal((a.shape[1], 3))
+    _same_spectrum(_linalg.spectrum(a, null_columns=columns), _linalg.spectrum(a))
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_one_killing_column_leaves_the_lows_to_lanczos(components, monkeypatch):
+    # d = 1 has one Killing field: the columns' QR has one column, too few
+    # to bound two values, also where the count finds two null values.
+    pytest.importorskip("scipy.sparse.linalg")
+    fw = _line(components)
+    monkeypatch.setattr(_linalg, "SPARSE_MIN_SIDE", DENSE_ONLY)
+    dense = rk.motion_spaces(fw).operator
+    monkeypatch.undo()
+    factors = _counting_solves(monkeypatch)
+    spec = rk.motion_spaces(fw).operator
+    assert spec.method == "sparse" and dense.method == "dense"
+    assert min(spec.shape) >= _linalg.SPARSE_MIN_SIDE
+    assert spec.rank == dense.rank == fw.n - components
+    assert len(factors) == 2
+    low, dense_low = spec.smallest(), dense.smallest()
+    above = dense_low > dense.cutoff
+    assert np.count_nonzero(above) == 2 - components
+    assert np.all(np.abs(low - dense_low)[above] <= 1e-8 * dense_low[above])
+    assert np.all(low[~above] <= dense.cutoff / 100)
 
 
 def _grid_file(tmp_path, k=18):
