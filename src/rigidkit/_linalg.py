@@ -14,7 +14,9 @@ one, given densely or as :class:`Entries`, is decided on the Gram matrix G of
 its smaller side (:func:`_sparse_spectrum`): the rank is a count, the number
 of negative pivots of one symmetric LDL^T factorization of G - c^2 I (c the
 cutoff), by Sylvester's law of inertia the number of singular values under
-the cutoff.  Its `Spectrum` holds sigma_max and two upper bounds of the
+the cutoff.  sigma_max comes first, from one Lanczos call on G stopped at a
+sqrt(eps) relative residual, the backward error the count's probe solve
+accepts.  The `Spectrum` holds sigma_max and two upper bounds of the
 smallest singular values only: from null columns the caller knows (the
 rigidity operator's Killing fields) when they certify two null values,
 else from one shift-invert Lanczos call (ARPACK, through scipy) on a
@@ -41,8 +43,9 @@ RANK_TOL = 1e-9
 
 #: Smallest side (non-zero rows or columns, whichever are fewer) from which
 #: `spectrum` tries the sparse inertia count before the dense SVD.  On E grid
-#: operators (2 cores) the two break even near a side of 250; staying above
-#: that keeps every small framework off scipy, whose import takes ~0.4 s.
+#: operators (2 cores, Killing columns given) the two break even near a side
+#: of 150; staying well above that keeps every small framework off scipy,
+#: whose import takes ~0.4 s.
 SPARSE_MIN_SIDE = 300
 
 #: Restart limit (eigsh's `maxiter`) of each ARPACK call on the sparse path;
@@ -139,9 +142,11 @@ class Spectrum:
 
     `method` says which path decided the rank: "dense" (one values-only
     SVD; `values` holds every singular value) or "sparse" (an inertia count;
-    `partial` is then true and `values` holds sigma_max and two upper bounds
-    of the smallest singular values, to roundoff the values themselves
-    above the cutoff; see `_sparse_spectrum`).
+    `partial` is then true and `values` holds sigma_max, from a Lanczos
+    Rayleigh quotient certified to sqrt(eps) relative and in practice at
+    roundoff, and two upper bounds of the smallest singular values, to
+    roundoff the values themselves above the cutoff; see
+    `_sparse_spectrum`).
     """
 
     values: np.ndarray
@@ -189,12 +194,32 @@ def spectrum(a, tol=RANK_TOL, null_columns=None) -> Spectrum:
     return Spectrum(s, cutoff, rank, a.shape)
 
 
+def _compact(index, size):
+    """The distinct values of `index` (integers in [0, size)), ascending, and
+    each entry's position among them."""
+    used = np.bincount(index, minlength=size) > 0
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[index]
+
+
 def _sparse_spectrum(a, tol, null_columns):
     """The Spectrum of `a` (Entries or a 2-d array) from the Gram matrix G of
     its smaller non-zero side, or None when the sparse path cannot decide.
 
     sigma_max, and with it the cutoff c, comes from the largest eigenvalue of
-    G.  The rank is a count: by Sylvester's law of inertia, the negative
+    G: one Lanczos call (ARPACK) stopped at tol = sqrt(eps), where its Ritz
+    estimate certifies lambda_max to sqrt(eps) relative.  That is the
+    backward error the probe solve below accepts for the counted factor; it
+    moves c^2 by about 2 sqrt(eps) c^2, far under the sqrt(eps) lambda_max
+    the probe allows, so the count's weakest certificate is unchanged.  The
+    value is a Rayleigh quotient, whose error is quadratic in the residual
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4), so in practice it is
+    at roundoff: 41 products on the 400- and 900-vertex grids, where a stop
+    at machine precision took 61 and 71.  G is built once, with sorted
+    indices.  Symmetric to the bit, it has the same CSR and CSC arrays:
+    Lanczos takes its row-wise products, SuperLU its columns, and each
+    factor shifts G's stored diagonal in place.
+
+    The rank is a count: by Sylvester's law of inertia, the negative
     pivots of a symmetric LDL^T factorization of G - c^2 I are the
     eigenvalues of G below c^2, that is the singular values under the cutoff
     (spectrum slicing: Ericsson & Ruhe, Math. Comp. 35, 1980; Grimes, Lewis
@@ -217,46 +242,62 @@ def _sparse_spectrum(a, tol, null_columns):
     say nothing) the values step reads them: the values of B V for the two
     eigenvectors V of G nearest -s, s = max(c^2, 16384 eps sigma_max^2)
     (shift-invert Lanczos on a factor of the positive definite G + s I,
-    fixed start vector).  By interlacing these bound the two smallest
-    singular values of B from above too, and reading them from B V instead
+    fixed start vector, run to machine precision, as the values are read
+    through B V).  By interlacing these bound the two smallest singular
+    values of B from above too, and reading them from B V instead
     of sqrt(eig) keeps the null ones at roundoff rather than at sqrt(eps)
     sigma_max.  The floor on s keeps the solves' relative error along the
     null vectors, about eps sigma_max^2 / s, under 1e-4 when c sits near the
     floor of squaring; at s = c^2 there, Lanczos returned null vectors with
     |B v| up to c/10.
 
-    A cutoff below the sqrt(eps) * sigma_max floor of squaring, an
-    off-diagonal pivot, a probe backward error above sqrt(eps), an ARPACK
-    failure (no convergence within _ARPACK_MAXITER restarts included), a
-    SuperLU failure and a missing scipy all give None.
+    A diagonal entry of G that underflows to zero, a cutoff below the
+    sqrt(eps) * sigma_max floor of squaring, an off-diagonal pivot, a probe
+    backward error above sqrt(eps), an ARPACK failure (no convergence
+    within _ARPACK_MAXITER restarts included), a SuperLU failure and a
+    missing scipy all give None.
     """
     if not isinstance(a, Entries):
         rows, cols = np.nonzero(a)
         a = Entries(rows, cols, a[rows, cols], a.shape)
     keep = a.vals != 0
-    rows, ri = np.unique(a.rows[keep], return_inverse=True)
-    cols, ci = np.unique(a.cols[keep], return_inverse=True)
+    rows, ri = _compact(a.rows[keep], a.shape[0])
+    cols, ci = _compact(a.cols[keep], a.shape[1])
     side = min(rows.size, cols.size)
     if side < max(SPARSE_MIN_SIDE, 2):
         return None
     try:
-        from scipy.sparse import csr_matrix, identity
+        from scipy.sparse import csc_matrix, csr_matrix
         from scipy.sparse.linalg import LinearOperator, eigsh, splu
     except ImportError:
         return None
-    b = csr_matrix((a.vals[keep], (ri, ci)), shape=(rows.size, cols.size))
-    if rows.size < cols.size:
-        b = b.T.tocsr()
-    gram = (b.T @ b).tocsc()
+    tall = rows.size >= cols.size
+    b = csr_matrix((a.vals[keep], (ri, ci) if tall else (ci, ri)),
+                   shape=(max(rows.size, cols.size), side))
+    # tocsr sorts the product's indices; G is symmetric to the bit, so these
+    # CSR arrays are its CSC arrays too
+    by_rows = (b.T @ b).tocsr()
+    gram = csc_matrix((by_rows.data, by_rows.indices, by_rows.indptr), shape=by_rows.shape)
+    diagonal = np.flatnonzero(gram.indices == np.repeat(np.arange(side), np.diff(gram.indptr)))
+    if diagonal.size < side:  # the product drops a diagonal that underflows
+        return None
+    g_ii = gram.data[diagonal]
     v0 = np.random.default_rng(0).standard_normal(side)
     eps = np.finfo(float).eps
 
     def ldlt(shift):
-        return splu(gram + shift * identity(side, format="csc"), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+        """The LDL^T factor of G + shift I, shifted in place on G's stored
+        diagonal for the factorization only."""
+        gram.data[diagonal] = g_ii + shift
+        try:
+            return splu(gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                        options=dict(SymmetricMode=True))
+        finally:
+            gram.data[diagonal] = g_ii
 
     try:
-        lam_max = float(eigsh(gram, 1, v0=v0, maxiter=_ARPACK_MAXITER,
+        lam_max = float(eigsh(LinearOperator(gram.shape, matvec=by_rows.__matmul__, dtype=float),
+                              1, v0=v0, tol=np.sqrt(eps), maxiter=_ARPACK_MAXITER,
                               return_eigenvectors=False)[0])
         smax = np.sqrt(max(lam_max, 0.0))
         cutoff = tol * smax * max(rows.size, cols.size)
@@ -264,14 +305,14 @@ def _sparse_spectrum(a, tol, null_columns):
             return None
         lu = ldlt(-cutoff**2)
         x = lu.solve(v0)
-        residual = np.linalg.norm(gram @ x - cutoff**2 * x - v0)
+        residual = np.linalg.norm(by_rows @ x - cutoff**2 * x - v0)
         if not (np.array_equal(lu.perm_r, lu.perm_c) and residual
                 <= np.sqrt(eps) * (lam_max * np.linalg.norm(x) + np.linalg.norm(v0))):
             return None
         null = int(np.count_nonzero(lu.U.diagonal() < 0))
         del lu  # one factor alive at a time keeps the peak memory at one fill
         low = np.zeros(0)
-        if null >= 2 and null_columns is not None and rows.size >= cols.size:
+        if null >= 2 and null_columns is not None and tall:
             q = np.linalg.qr(np.asarray(null_columns)[cols])[0]
             low = np.linalg.svd(b @ q, compute_uv=False)[-2:]
         if low.size < 2 or low[0] > cutoff:

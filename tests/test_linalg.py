@@ -134,6 +134,15 @@ def test_entries_matvec_is_the_dense_product(rng):
     assert out.dtype == float and np.array_equal(out, np.zeros(3))
 
 
+def test_compact_is_np_unique(rng):
+    for size, count in ((1, 5), (50, 20), (50, 400), (7, 0)):
+        index = rng.randint(0, size, count)
+        values, inverse = _linalg._compact(index, size)
+        reference = np.unique(index, return_inverse=True)
+        assert np.array_equal(values, reference[0])
+        assert np.array_equal(inverse, reference[1])
+
+
 def test_zero_rows_do_not_move_the_rank():
     a = np.diag([1.0, 5e-9, 1e-20])
     padded = np.vstack([a, np.zeros((9, 3))])

@@ -287,6 +287,61 @@ def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_s
         assert len(eigsh_calls) == 2
 
 
+def _counting_products(monkeypatch):
+    """Make `scipy.sparse.linalg.eigsh` count the products with its operator
+    A: a list that grows by one count per call (0 for a shift-invert call,
+    which applies its OPinv only)."""
+    from scipy.sparse import linalg as sla
+
+    products = []
+    real = sla.eigsh
+
+    def eigsh(a, *args, **kwargs):
+        a = sla.aslinearoperator(a)
+        products.append(0)
+        call = len(products) - 1
+
+        def matvec(x):
+            products[call] += 1
+            return a.matvec(x)
+
+        return real(sla.LinearOperator(a.shape, matvec=matvec, dtype=a.dtype), *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", eigsh)
+    return products
+
+
+@pytest.mark.parametrize("kind, k", [("E", 20), ("S", 20), ("H", 20), ("E", 30)])
+def test_sigma_max_stops_at_the_probes_sqrt_eps(kind, k, monkeypatch):
+    # sigma_max's Lanczos call stops once its Ritz estimate is under
+    # sqrt(eps) theta, the backward error the probe solve accepts: 41
+    # products on each grid of perfbench's grid-analyze, where a stop at
+    # machine precision took 61 (k = 20) and 71 (k = 30).
+    pytest.importorskip("scipy.sparse.linalg")
+    fw = grid(k, kind)
+    eigsh_calls = _counting_eigsh(monkeypatch)
+    products = _counting_products(monkeypatch)
+    cli.analyze_framework(fw)
+    assert eigsh_calls == [None]
+    assert products[0] <= 45
+
+
+def test_the_sparse_path_converts_no_sparse_format():
+    # Each scipy call gets the format it works on: a CSR <-> CSC conversion
+    # inside splu or a product would warn.
+    pytest.importorskip("scipy.sparse.linalg")
+    import warnings
+
+    from scipy.sparse import SparseEfficiencyWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SparseEfficiencyWarning)
+        for kind in "ESH":
+            assert cli.analyze_framework(grid(20, kind)).rigid
+        spec = _linalg.spectrum(_wheel_operator(500))  # wide: the values step too
+        assert spec.method == "sparse"
+
+
 def _gallery_images(kind):
     """The gallery fixtures (all Euclidean); for kind S/H their images after
     the shrink into the chart, in every dimension."""
@@ -370,6 +425,15 @@ def test_a_singular_value_near_the_cutoff_is_counted_exactly(factor):
     assert spec.rank == (317 if factor > 1 else 316)
 
 
+def test_a_gram_diagonal_that_underflows_falls_back_to_dense():
+    # The squares of a column of 1e-170 underflow, so G = B^T B stores no
+    # diagonal entry there to shift in place: the dense SVD decides.
+    pytest.importorskip("scipy.sparse.linalg")
+    a = _near_cutoff_matrix(2.0)
+    a[:, 0] = 1e-170
+    assert _linalg.spectrum(a).method == "dense"
+
+
 def _dropped_grid(kind, share):
     """The k = 30 grid without `share` of its edges, picked by default_rng(5)."""
     fw = grid(30, kind)
@@ -421,8 +485,13 @@ def test_the_count_is_the_dense_rank(label):
     if rank is None:
         dense = a.toarray() if isinstance(a, _linalg.Entries) else a
         s = np.linalg.svd(dense, compute_uv=False)
-        rank = _linalg._svd_rank(s, np.count_nonzero(np.any(dense, axis=1)),
-                                 np.count_nonzero(np.any(dense, axis=0)), _linalg.RANK_TOL)[1]
+        cutoff, rank = _linalg._svd_rank(s, np.count_nonzero(np.any(dense, axis=1)),
+                                         np.count_nonzero(np.any(dense, axis=0)),
+                                         _linalg.RANK_TOL)
+        # sigma_max and the cutoff: ARPACK stops at a sqrt(eps) residual,
+        # which leaves the Rayleigh quotient sigma_max^2 at roundoff
+        assert abs(spec.values[0] - s[0]) <= 1e-12 * s[0], label
+        assert abs(spec.cutoff - cutoff) <= 1e-12 * cutoff, label
     assert spec.rank == rank, label
 
 
