@@ -254,17 +254,22 @@ def _reflectors(points, space: Space) -> np.ndarray:
     return v / np.sqrt(np.abs(v[:, :1]))  # v.v = 2 |v_0| before the scaling
 
 
-def _to_frames(points, space: Space, vecs, at=slice(None)) -> np.ndarray:
+def _reflect(points, space: Space, vecs, at=slice(None)) -> np.ndarray:
     """Ambient vectors (..., k, d+1), vecs[..., t, :] at the point
-    points[at][t], in the tangent frames of their points: (..., k, d).
-
-    Coordinates 1..d of the reflected vector (`_reflectors`); coordinate 0,
-    the normal component, is dropped, so a vector that is not tangent loses
-    its normal part.  In E this is exactly vecs[..., 1:].  The reflectors
-    are computed once per call, so a whole matrix is framed in one call.
-    """
+    points[at][t], reflected by the Householder reflection of their point
+    (`_reflectors`): coordinate 0 is -+ the component along the unit normal,
+    coordinates 1..d are the tangent frame coordinates.  The reflectors are
+    computed once per call, so a whole matrix is reflected in one call."""
     v = _reflectors(points, space)[at]
-    return vecs[..., 1:] - np.einsum("...a,...a->...", v, vecs)[..., None] * v[..., 1:]
+    return vecs - np.einsum("...a,...a->...", v, vecs)[..., None] * v
+
+
+def _to_frames(points, space: Space, vecs, at=slice(None)) -> np.ndarray:
+    """Ambient vectors (..., k, d+1) in the tangent frames of their points:
+    (..., k, d), coordinates 1..d of `_reflect`.  Coordinate 0, the normal
+    component, is dropped, so a vector that is not tangent loses its normal
+    part.  In E this is exactly vecs[..., 1:]."""
+    return _reflect(points, space, vecs, at)[..., 1:]
 
 
 def _from_frames(points, space: Space, coords) -> np.ndarray:

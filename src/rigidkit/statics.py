@@ -29,11 +29,10 @@ from .spaces import EPS_MODEL
 #: Relative tolerance for the bivector equilibrium test (max-abs norm).
 EQUILIBRIUM_TOL = 1e-8
 
-#: Rows per block of the TSQRs in `equilibrium_spectrum`: blocks of up to
-#: 256 x 12 keep OpenBLAS on one thread.  On 2 shared cores, with 2 threads,
-#: the k = 30 grid's 2700 x 6 matrix took 1.5-3 ms unblocked, 0.3 ms blocked,
-#: and the n = 2000 polytope's 2000 x 6 matrix N B^T up to 8.6 ms unblocked,
-#: under 0.5 ms blocked.
+#: Rows per block of `_tall_r`'s TSQR: blocks of up to 256 x 12 keep
+#: OpenBLAS on one thread.  On 2 shared cores, with 2 threads, one QR of
+#: the k = 30 grid's 1803 x 6 reduced stack took 2.3-8 ms, the blocked
+#: TSQR 0.08 ms.
 _ROW_BLOCK = 256
 
 
@@ -211,21 +210,15 @@ def bivector_map_matrix(fw: Framework) -> np.ndarray:
     return per_column.reshape(fw.n * amb, per_column.shape[-1]).T
 
 
-def _blocked_q(c) -> np.ndarray:
-    """The Q factor of a reduced QR of `c`, with orthonormal columns spanning
-    its range: above `_ROW_BLOCK` rows by TSQR, Q = blockdiag(Q_i) Q_2 for
-    the QR factors Q_i R_i of its row blocks and Q_2 of the stacked R_i, so
-    that no QR sees more than `_ROW_BLOCK` rows."""
-    k = c.shape[1]
-    if len(c) <= _ROW_BLOCK or k > _ROW_BLOCK:
-        return np.linalg.qr(c)[0]
-    split = len(c) - len(c) % _ROW_BLOCK
-    q1, r1 = np.linalg.qr(c[:split].reshape(-1, _ROW_BLOCK, k))
-    q_last, r_last = (np.linalg.qr(c[split:]) if split < len(c)
-                      else (np.zeros((0, 0)), np.zeros((0, k))))
-    q2 = np.linalg.qr(np.concatenate([*r1, r_last]))[0]
-    top = q1 @ q2[:r1.size // k].reshape(r1.shape)
-    return np.concatenate([top.reshape(split, k), q_last @ q2[r1.size // k:]])
+def _tall_r(a) -> np.ndarray:
+    """The R factor of a QR of `a`, shape (min(rows, cols), cols).  Above
+    `_ROW_BLOCK` rows, with at most as many columns, by TSQR: the R factor
+    of the stacked R factors of its zero-padded `_ROW_BLOCK`-row blocks."""
+    rows, cols = a.shape
+    if rows > _ROW_BLOCK >= cols:
+        blocks = np.concatenate([a, np.zeros((-rows % _ROW_BLOCK, cols))])
+        a = np.linalg.qr(blocks.reshape(-1, _ROW_BLOCK, cols), mode="r").reshape(-1, cols)
+    return np.linalg.qr(a, mode="r")
 
 
 def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
@@ -234,27 +227,31 @@ def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
     tangency row per vertex (e_0 in E, G p_i / |G p_i| on S/H).  Its right
     null space is F, with explicit tangency rows for non-spanning frameworks.
 
-    The tangency rows N are orthonormal (disjoint supports).  With Q the
-    reduced-QR basis of C = N B^T (n x r, r = min(n, k); `_blocked_q`),
-    rotating N by [Q, Q_perp] keeps every singular value and splits the
-    stack into [B; Q^T N] and n - r orthonormal rows orthogonal to it: the
-    values are those of [B; Q^T N], by one values-only SVD of its tall
-    transpose (of the R factors of its row blocks above `_ROW_BLOCK` rows),
-    and n - r ones.  The cutoff is the dense rule of `_linalg.spectrum`.
+    Per vertex, the Householder reflection of `spaces._reflect` is
+    orthogonal and sends the unit normal to -+e_0 and the tangent frame to
+    e_1..e_d.  So [B; N] has the singular values of [[B_nu, B_T], [I_n, 0]]:
+    B_nu (k x n) holds the normal components of B's per-vertex columns (up
+    to a sign per vertex), B_T (k x n d) their frame coordinates, the
+    `spaces._to_frames` of those columns.  With R the R factor of B_nu^T
+    (r x k, r = min(n, k)), this has the row Gram matrix of
+    [[R^T, B_T], [I_r, 0]] plus n - r unit rows orthogonal to them.  So the
+    values are those of that small matrix, by one values-only SVD of its
+    (r + n d) x (k + r) transpose (of the transpose's R factor above
+    `_ROW_BLOCK` rows), and n - r ones.  Both R factors come from
+    `_tall_r`; no Q factor is formed.  The cutoff is the dense rule of
+    `_linalg.spectrum`.
     """
     biv = bivector_map_matrix(fw)
     amb = fw.space.ambient_dim
-    normals = spaces._normals(fw.coords, fw.space)
-    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-    q = _blocked_q(np.einsum("kia,ia->ik", biv.reshape(len(biv), fw.n, amb), normals))
-    rotated = (q.T[:, :, None] * normals).reshape(q.shape[1], fw.n * amb)
-    tall = np.concatenate([biv, rotated]).T
-    if len(tall) > _ROW_BLOCK >= tall.shape[1]:  # TSQR: its blocks' R factors, stacked
-        blocks = np.concatenate([tall, np.zeros((-len(tall) % _ROW_BLOCK, tall.shape[1]))])
-        tall = np.linalg.qr(blocks.reshape(-1, _ROW_BLOCK, tall.shape[1]), mode="r")
-        tall = tall.reshape(-1, tall.shape[-1])
+    reflected = spaces._reflect(fw.coords, fw.space, biv.reshape(len(biv), fw.n, amb))
+    r = _tall_r(reflected[..., 0].T)
+    tall = np.zeros((len(r) + fw.n * fw.dim, len(biv) + len(r)))
+    tall[:len(r)] = np.concatenate([r, np.eye(len(r))], axis=1)
+    tall[len(r):, :len(biv)] = reflected[..., 1:].reshape(len(biv), -1).T
+    if len(tall) > _ROW_BLOCK:
+        tall = _tall_r(tall)
     s = _linalg.svd(tall, compute_uv=False) if tall.size else np.zeros(0)
-    values = np.sort(np.concatenate([s, np.ones(fw.n - q.shape[1])]))[::-1]
+    values = np.sort(np.concatenate([s, np.ones(fw.n - len(r))]))[::-1]
     # every column is non-zero: column (i, a) holds p_i[x], x != a, in its
     # bivector entries, and where these all vanish (p_i on the a-axis) its
     # tangency entry is not 0

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import WrongDimension
 from .frameworks import Framework
+from .transforms import require_upper_hemisphere
 
 _SIZE = 640.0
 _PAD = 40.0
@@ -113,9 +114,13 @@ class _Canvas:
 
 def render_framework(fw: Framework, model="chart", flex=None, reciprocal=None,
                      lift=None) -> str:
-    """SVG of a d = 2 framework with optional flex/reciprocal/lift overlays."""
+    """SVG of a d = 2 framework with optional flex/reciprocal/lift overlays;
+    OutsideChart for a vertex of S outside the open upper hemisphere, which
+    the chart cannot draw."""
     if fw.dim != 2:
         raise WrongDimension("rendering needs d = 2")
+    if fw.space.is_spherical:
+        require_upper_hemisphere(fw.coords)
     pts = chart_xy(fw.coords)
     extent = [pts]
     rec_pts = None

@@ -127,7 +127,7 @@ def map_spec_from_dict(data: dict) -> MapSpec:
         if kind == "projective":
             return projective_map(data["M"])
         if kind == "geodesic":
-            return geodesic_map(data["to"])
+            return geodesic_map(SpaceKind(data["to"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise InvalidMapSpec("malformed map spec: %s" % exc) from None
     raise InvalidMapSpec("unknown map kind %r" % kind)
@@ -166,6 +166,14 @@ def _covectors(points, space: Space) -> np.ndarray:
     return nu / np.einsum("ia,ia->i", nu, points)[:, None]
 
 
+def require_upper_hemisphere(coords) -> None:
+    """OutsideChart unless every point of S has x0 > `_EPS_INF`: the open
+    upper hemisphere, where the chart x -> x / x0 is defined and one-to-one."""
+    bad = np.flatnonzero(coords[:, 0] <= _EPS_INF)
+    if bad.size:
+        raise OutsideChart("vertex %d not in the open upper hemisphere" % bad[0])
+
+
 class FrameworkMap:
     """A map spec bound to a source framework, with stacked per-vertex transport.
 
@@ -191,9 +199,7 @@ class FrameworkMap:
                 "map matrix is numerically singular (condition %.3g)" % self.condition
             )
         if spec.kind == "geodesic" and fw.space.is_spherical:
-            if np.any(fw.coords[:, 0] <= _EPS_INF):
-                bad = int(np.nonzero(fw.coords[:, 0] <= _EPS_INF)[0][0])
-                raise OutsideChart("vertex %d not in the open upper hemisphere" % bad)
+            require_upper_hemisphere(fw.coords)
         # Normalization so the static factor at the chart origin e0 is 1;
         # only a global positive scalar, harmless if e0 maps to infinity.
         origin_n = float(self.linear[0, 0])

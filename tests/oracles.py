@@ -2,12 +2,12 @@
 
 Everything here recomputes expected values through a route disjoint from the
 library: exact rational Gaussian elimination over fractions.Fraction (floats
-convert exactly), subset enumeration for sparsity counts, vertex-pair
-deletion for 3-connectivity, a directed-edge dict and per-face loops for
-planar embeddings (their validation included), and finite differences for
-flex checks.  The matrices are
-rebuilt from scratch from the defining formulas rather than taken from the
-library.
+convert exactly), elimination modulo a prime of the exact integer matrix
+where Fractions are too slow, subset enumeration for sparsity counts,
+vertex-pair deletion for 3-connectivity, a directed-edge dict and per-face
+loops for planar embeddings (their validation included), and finite
+differences for flex checks.  The matrices are rebuilt from scratch from the
+defining formulas rather than taken from the library.
 """
 
 from fractions import Fraction
@@ -55,6 +55,55 @@ def rational_nullity(rows) -> int:
     if not m:
         return 0
     return len(m[0]) - rational_rank(m)
+
+
+#: A prime under 2^31: products of two residues fit in int64.
+MOD_P = 2147483629
+
+
+def echelon_rank_mod_p(m, p=MOD_P) -> int:
+    """Row-echelon rank over GF(p) of an int64 matrix of residues in [0, p);
+    each step updates only the rows with a non-zero in the pivot column."""
+    m = np.array(m, dtype=np.int64)
+    rank = 0
+    for col in range(m.shape[1]):
+        if rank == len(m):
+            break
+        nonzero = rank + np.flatnonzero(m[rank:, col])
+        if nonzero.size == 0:
+            continue
+        m[[rank, nonzero[0]]] = m[[nonzero[0], rank]]
+        pivot = m[rank, col:] * pow(int(m[rank, col]), p - 2, p) % p
+        below = nonzero[1:]
+        m[below, col:] = (m[below, col:] - m[below, col, None] * pivot) % p
+        rank += 1
+    return rank
+
+
+def _dyadic_residues(x, p=MOD_P) -> np.ndarray:
+    """The floats `x` times one common power of two, which makes each of them
+    exactly an integer, reduced mod p."""
+    ratios = [float(v).as_integer_ratio() for v in np.ravel(x)]
+    scale = max((den for _, den in ratios), default=1)
+    return np.array([num * (scale // den) % p for num, den in ratios],
+                    dtype=np.int64).reshape(np.shape(x))
+
+
+def rank_mod_p(fw, p=MOD_P) -> int:
+    """Rank over GF(p) of the Euclidean rigidity operator, scaled to an
+    integer matrix: rows p_i - p_j at vertex i and p_j - p_i at vertex j,
+    from the exact dyadic coordinates (never the rounded float differences,
+    whose rounding can break the rotation's exact null vector).  A lower
+    bound on the rational rank, so reaching n d - C(d+1,2) proves rigidity.
+    About 0.06 s on the n = 300 Henneberg framework."""
+    assert fw.space.is_euclidean
+    x = _dyadic_residues(fw.coords[:, 1:], p)
+    i, j = np.array(fw.graph.edges, dtype=int).reshape(-1, 2).T
+    rows = np.zeros((fw.m, fw.n, fw.dim), dtype=np.int64)
+    k = np.arange(fw.m)
+    rows[k, i] = (x[i] - x[j]) % p
+    rows[k, j] = (x[j] - x[i]) % p
+    return echelon_rank_mod_p(rows.reshape(fw.m, fw.n * fw.dim), p)
 
 
 # --- exact matrix constructions (independent of the library) -----------------

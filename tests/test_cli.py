@@ -184,6 +184,18 @@ def test_transform_non_finite_map_is_input_error(tmp_path, capsys, fixture, spec
     assert not (tmp_path / "img.json").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    '{"kind": "geodesic", "to": ["S"]}', '{"kind": "geodesic", "to": 7}', '{"a": 1}', 'true',
+], ids=["to-list", "to-number", "no-kind", "not-an-object"])
+def test_transform_malformed_map_spec_is_input_error(tmp_path, capsys, spec):
+    run(tmp_path, "example", "prism3-generic", "-o", "fw.json")
+    (tmp_path / "map.json").write_text(spec)
+    capsys.readouterr()
+    assert run(tmp_path, "transform", "fw.json", "--map", "map.json", "-o", "img.json") == 2
+    assert capsys.readouterr().err.startswith("error: malformed map spec")
+    assert not (tmp_path / "img.json").exists()
+
+
 def test_transform_carry_stress(tmp_path):
     run(tmp_path, "example", "prism3-concurrent")
     data = json.loads((tmp_path / "prism3-concurrent.json").read_text())
@@ -328,6 +340,18 @@ def test_render_hemisphere_model(tmp_path):
     assert "<circle" in text and "stroke-dasharray" in text
 
 
+@pytest.mark.parametrize("first", [[0, 1, 0], [-0.6, 0.8, 0]], ids=["equator", "lower"])
+def test_render_refuses_s_vertices_off_the_upper_hemisphere(tmp_path, capsys, first):
+    # The chart x / x0 has no point for x0 = 0 (the SVG was all nan) and
+    # draws x0 < 0 at its antipode's point.
+    (tmp_path / "s.json").write_text(json.dumps({
+        "space": "S", "dim": 2, "vertices": [first, [0.6, 0, 0.8], [0.6, 0.8, 0]],
+        "edges": [[0, 1], [1, 2], [0, 2]]}))
+    assert run(tmp_path, "render", "s.json", "-o", "s.svg") == 2
+    assert "vertex 0 not in the open upper hemisphere" in capsys.readouterr().err
+    assert not (tmp_path / "s.svg").exists()
+
+
 def test_render_a_framework_without_vertices(tmp_path):
     # A file `analyze` and `transform` accept: `render` draws an empty
     # canvas, with no min/max over the empty point array.
@@ -360,10 +384,10 @@ def test_analyze_factors_each_matrix_once_without_vectors(kind, monkeypatch):
     expected = sorted([
         kinematics.rigidity_operator(fw).matrix.shape,
         kinematics.killing_evaluation_matrix(fw).shape,
-        (fw.n * 3, pairs + min(fw.n, pairs)),  # [B; Q^T N], transposed
+        (min(fw.n, pairs) + fw.n * 2, pairs + min(fw.n, pairs)),  # [[R^T, B_T], [I, 0]]^T
         fw.coords.shape,                # the spanning test
     ])  # the resolution rank is the operator's, in every geometry; the
-    # equilibrium stack's tangency rows are rotated by a QR basis, no SVD
+    # equilibrium stack is reduced by an R-only QR before its one SVD
     real = np.linalg.svd
     calls = []
 

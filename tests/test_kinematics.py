@@ -160,6 +160,12 @@ def test_numerical_ranks_match_rational_oracle():
         assert len(rk.motion_spaces(fw).basis_V0) == oc.rational_killing_rank(fw)
 
 
+def test_rank_mod_p_is_the_rational_rank_on_exact_fixtures():
+    for name in rk.gallery.EXACT_RATIONAL:
+        fw = rk.gallery.fixture(name).framework
+        assert oc.rank_mod_p(fw) == oc.rational_rank(oc.rational_rigidity_matrix(fw)), name
+
+
 def test_prism_rank_frozen_values(prism_doc):
     # exact values from the rational oracle: rank 8, dim V 4, dim V0 3
     fw = prism_doc.framework

@@ -32,6 +32,10 @@ DENSE_ONLY = 10**9
 #: the default cutoff.  The exact rank is 2n - 3 = 1999: the cutoff's size
 #: factor is an open question.
 RIM_1000_DENSE_RANK = 1978
+#: The library's operator rank of the n = 300 Henneberg framework at the
+#: default cutoff.  Its rank mod p is 2n - 3 = 597, so it is rigid: two
+#: singular values fall under the cutoff's size factor (ROADMAP item 15).
+HENNEBERG_300_RANK = 595
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -445,6 +449,31 @@ def _dropped_grid(kind, share):
 
 def _operator(fw):
     return rk.rigidity_operator(fw).entries
+
+
+def henneberg(rng, n):
+    """The edges of a Laman graph on n vertices from Henneberg type I and II
+    steps: the generator of perfbench/workloads.py."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for v in range(3, n):
+        if rng.random() < 0.5:
+            a, b = (int(x) for x in rng.choice(v, 2, replace=False))
+            edges |= {(a, v), (b, v)}
+        else:
+            a, b = sorted(edges)[int(rng.integers(len(edges)))]
+            c = int(rng.choice([u for u in range(v) if u not in (a, b)]))
+            edges.discard((a, b))
+            edges |= {(a, v), (b, v), (c, v)}
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("n, library_rank", [(100, 197), (300, HENNEBERG_300_RANK)])
+def test_the_rank_mod_p_proves_the_henneberg_frameworks_rigid(n, library_rank):
+    # A Laman graph at generic coordinates is rigid: rank 2n - 3.
+    fw = rk.build_framework(rk.graph(n, henneberg(np.random.default_rng(0), n)),
+                            rk.euclidean(2), np.random.default_rng(1).random((n, 2)))
+    assert oc.rank_mod_p(fw) == 2 * n - 3
+    assert rk.motion_spaces(fw).operator.rank == library_rank
 
 
 def _wheel_operator(rim):
