@@ -4,7 +4,7 @@ Every SVD in the package goes through :func:`svd`: when LAPACK does not
 converge on a matrix it retries once on the transpose, and a second failure
 raises :class:`NumericalError`.  Every rank decision of a linear map is made
 by :func:`spectrum` with the threshold convention
-sigma > tol * sigma_max * max(m, n) of :func:`_svd_rank` (m and n count the
+sigma > tol * sigma_max * max(m, n) of :func:`_cutoff` (m and n count the
 rows and columns that are not zero), so it can be overridden in one place;
 `statics.equilibrium_spectrum` applies it to every value of its stack.
 
@@ -97,8 +97,14 @@ def _svd_rank(s, rows, cols, tol):
     """
     if s.size == 0 or s[0] == 0.0:
         return 0.0, 0
-    cutoff = tol * s[0] * max(rows, cols)
+    cutoff = _cutoff(s[0], rows, cols, tol)
     return cutoff, int(np.sum(s > cutoff))
+
+
+def _cutoff(smax, rows, cols, tol):
+    """The rank cutoff of both paths for the largest singular value `smax` of
+    a matrix with `rows` rows and `cols` columns that are not all zero."""
+    return tol * smax * max(rows, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +171,9 @@ class Spectrum:
         return self.shape[1] - self.rank
 
     def smallest(self, k=2) -> np.ndarray:
-        """The k smallest singular values, padded with nan when there are fewer."""
+        """The k smallest of the min(rows, columns) singular values (upper
+        bounds on the sparse path), nan-padded: right null values for a tall
+        matrix, else row-side ones, whose zeros are left null vectors."""
         low = self.values[1:] if self.partial else self.values
         s = low[::-1][:k]
         return np.concatenate([s, np.full(k - s.size, np.nan)])
@@ -300,7 +308,7 @@ def _sparse_spectrum(a, tol, null_columns):
                               1, v0=v0, tol=np.sqrt(eps), maxiter=_ARPACK_MAXITER,
                               return_eigenvectors=False)[0])
         smax = np.sqrt(max(lam_max, 0.0))
-        cutoff = tol * smax * max(rows.size, cols.size)
+        cutoff = _cutoff(smax, rows.size, cols.size, tol)
         if smax == 0.0 or cutoff < np.sqrt(eps) * smax:
             return None
         lu = ldlt(-cutoff**2)

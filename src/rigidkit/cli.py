@@ -58,7 +58,9 @@ def default_tol() -> float:
 @dataclass
 class AnalysisReport:
     """Everything cmd_analyze prints; kinematic and static dof must agree
-    (static-kinematic duality), enforced as an internal self-check."""
+    (static-kinematic duality), enforced as an internal self-check.
+    `smallest_sigma` holds the two smallest of the rigidity operator's
+    min(m, n*d) singular values (see `MotionSpaces.smallest_sigma`)."""
 
     n: int
     m: int

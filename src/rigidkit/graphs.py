@@ -192,12 +192,9 @@ class _PebbleGame23:
             if self.pebbles[j] < 2 and self._find_pebble_path(j, (i,)):
                 continue
             return False
-        if self.pebbles[i] > 0:
-            self.pebbles[i] -= 1
-            self.out[i].add(j)
-        else:
-            self.pebbles[j] -= 1
-            self.out[j].add(i)
+        # A vertex never holds more than 2 pebbles, so both ends hold 2 here.
+        self.pebbles[i] -= 1
+        self.out[i].add(j)
         return True
 
 

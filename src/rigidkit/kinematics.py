@@ -13,7 +13,6 @@ exactly the motion space V, mapped back to ambient (d+1)-vectors by
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -31,7 +30,8 @@ def _same_framework(a: Framework, b: Framework) -> bool:
 
 
 def validate_tangent_field(fw: Framework, vecs, eps=EPS_MODEL) -> np.ndarray:
-    """Check per-vertex tangency of an (n, d+1) array of ambient vectors."""
+    """Check per-vertex tangency of an (n, d+1) array of ambient vectors v:
+    |<nu_i, v_i>| <= eps max(1, max |v|) max(1, max |nu_i|), nu = `spaces._normals`."""
     vecs = np.array(vecs, dtype=float)
     if vecs.shape != (fw.n, fw.space.ambient_dim):
         raise NotTangent(
@@ -40,13 +40,9 @@ def validate_tangent_field(fw: Framework, vecs, eps=EPS_MODEL) -> np.ndarray:
     if not np.all(np.isfinite(vecs)):
         raise NotTangent("vectors must be finite")
     scale = max(1.0, float(np.max(np.abs(vecs))) if vecs.size else 0.0)
-    if fw.space.is_euclidean:
-        bad = np.abs(vecs[:, 0]) > eps * scale
-    else:
-        g = fw.space.metric_signs
-        bad = np.abs(np.einsum("ia,a,ia->i", fw.coords, g, vecs)) > eps * scale * np.maximum(
-            1.0, np.max(np.abs(fw.coords), axis=1)
-        )
+    nu = spaces._normals(fw.coords, fw.space)
+    bad = np.abs(np.einsum("ia,ia->i", nu, vecs)) > eps * scale * np.maximum(
+        1.0, np.max(np.abs(nu), axis=1))
     if np.any(bad):
         raise NotTangent("vectors at vertices %s are not tangent" % np.nonzero(bad)[0].tolist())
     vecs.flags.writeable = False
@@ -119,20 +115,16 @@ def rigidity_operator(fw: Framework) -> RigidityOperator:
 
 
 def killing_evaluation_matrix(fw: Framework) -> np.ndarray:
-    """Columns: the Killing fields q_i = B p_i at the vertices, in tangent
-    frames and flattened, for the ambient matrices B of a basis of the
-    Killing algebra.
-
-    Euclidean: translations plus spatial rotations, as the affine subalgebra
-    of gl(d+1) with zero first row.  Spherical: skew matrices.  Hyperbolic:
-    G A with A skew (the Lorentz algebra, B^T G = -G B).
+    """Columns: the Killing fields at the vertices, in tangent frames and
+    flattened, one per axis pair t = (a, b), a < b (`spaces.wedges` order).
+    Column t at vertex i is -G (p_i ^ e_c)_t over the axes c, the force
+    bivectors of `statics.bivector_map_matrix` read through the metric G: in
+    E and S minus the frame part of that map.  On the chart x_0 = 1 of E the
+    pairs (0, k) are the translations along -e_k, the others rotations; on S
+    they are the skew matrices, on H the Lorentz algebra.
     """
-    amb, euclidean = fw.space.ambient_dim, fw.space.is_euclidean
-    e, g = np.eye(amb), np.diag(fw.space.metric_signs)
-    mats = [np.outer(e[k], e[0]) for k in range(1, amb)] if euclidean else []
-    for a, b in combinations(range(1 if euclidean else 0, amb), 2):
-        mats.append(g @ (np.outer(e[a], e[b]) - np.outer(e[b], e[a])))
-    return _flatten(fw, np.stack([(m @ fw.coords.T).T for m in mats])).T
+    fields = spaces.wedges(fw.coords[:, None, :], -np.diag(fw.space.metric_signs))  # (n, c, t)
+    return _flatten(fw, np.moveaxis(fields, 2, 0)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +153,9 @@ class MotionSpaces:
 
     @property
     def smallest_sigma(self) -> np.ndarray:
+        """The two smallest of the operator's min(m, n*d) singular values: for
+        m >= n*d, on a spanning framework, null values of trivial motions; for
+        fewer edges row-side values, zero exactly when there is a self-stress."""
         return self.operator.smallest()
 
     @property

@@ -612,8 +612,10 @@ def _projective_exchange(a: np.ndarray) -> np.ndarray:
 def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
                             tol=MC_TOL) -> PolyhedralLift:
     """Exchange vertical and radial lifts through the projective map with
-    pr_a = pr_perp o Phi; vertical lifts are auto-shifted off the critical
-    plane z = a_z when necessary."""
+    pr_a = pr_perp o Phi, Phi = `_projective_exchange(a)`.  Vertical lifts
+    are shifted off the plane z = -a_z, which Phi^-1 sends to infinity, when
+    necessary; their fitted planes (gx, gy, -1, b) map as covectors to the
+    radial planes (gx, gy, -1, b) Phi, scaled to unit normals."""
     _require_mc_framework(fw)
     a = np.asarray(a, dtype=float)
     if a.shape != (3,) or abs(a[2]) < 1e-12:
@@ -623,14 +625,17 @@ def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
         spread = max(float(np.max(np.abs(lift.vertex_points[:, 2]))), 1.0)
         for shift in (0.0, 0.5 * spread, -0.5 * spread, spread, -spread, 1.37 * spread):
             z = lift.vertex_points[:, 2] + shift
-            if np.all(np.abs(z - a[2]) > 1e-9 * max(1.0, abs(a[2]))):
+            if np.all(np.abs(z + a[2]) > 1e-9 * max(1.0, abs(a[2]))):
                 break
         else:
-            raise UnremovableIncidence("no vertical shift avoids the plane z = a_z")
+            raise UnremovableIncidence("no vertical shift avoids the plane z = -a_z")
         pts = lift.vertex_points.copy()
         pts[:, 2] += shift
         out = _apply_homogeneous(np.linalg.inv(phi), pts, "lifted vertex %d maps to infinity")
-        planes = _fit_radial_planes(fw, out)
+        fitted = _fit_vertical_planes(fw, pts[:, 2], tol)
+        covectors = np.column_stack([fitted[:, :2], -np.ones(len(fitted)), fitted[:, 2]]) @ phi
+        planes = np.column_stack([covectors[:, :3], -covectors[:, 3]])
+        planes /= np.linalg.norm(covectors[:, :3], axis=1)[:, None]
         res = PolyhedralLift(fw, LiftKind.RADIAL, out, planes, radial_center=a,
                              stress_scale=lift.stress_scale)
     elif lift.kind is LiftKind.RADIAL:
@@ -655,24 +660,6 @@ def _apply_homogeneous(m: np.ndarray, points: np.ndarray, message: str) -> np.nd
     if bad.size:
         raise UnremovableIncidence(message % bad[0])
     return h[:, :3] / h[:, 3:]
-
-
-def _fit_radial_planes(fw: Framework, points: np.ndarray) -> np.ndarray:
-    """Rows (n0, n1, n2, c) of the planes <n, x> = c through each face's
-    points, from one stacked SVD of the centered points per face length."""
-    nf = fw.embedding.face_count
-    planes, thickness, limit = np.zeros((nf, 4)), np.zeros(nf), np.zeros(nf)
-    for faces, cycles in fw.embedding.face_groups:
-        pts = points[cycles]
-        center = pts.mean(axis=1)
-        _, s, vt = _linalg.svd(pts - center[:, None, :], full_matrices=False)
-        planes[faces, :3] = vt[:, -1]
-        planes[faces, 3] = _rowdot(vt[:, -1], center)
-        thickness[faces], limit[faces] = s[:, -1], 1e-6 * np.maximum(s[:, 0], 1.0)
-    bad = np.flatnonzero(thickness > limit)
-    if bad.size:
-        raise NonPlanarFace("face %d not planar (thickness %.3g)" % (bad[0], thickness[bad[0]]))
-    return planes
 
 
 def _projection_residual(fw: Framework, lift: PolyhedralLift) -> float:

@@ -244,10 +244,8 @@ def _normals(points, space: Space) -> np.ndarray:
 def _reflectors(points, space: Space) -> np.ndarray:
     """Per point, the vector v of the Householder reflection I - v v^T that
     sends the unit normal of its tangent space to -+e_0: that normal plus
-    +-e_0 (the sign of its coordinate 0), scaled to v.v = 2.  In E,
-    v = sqrt(2) e_0."""
-    if space.is_euclidean:
-        return np.sqrt(2.0) * _normals(points, space)
+    +-e_0 (the sign of its coordinate 0), scaled to v.v = 2.  In E, v is
+    2 / sqrt(2) e_0, exactly zero in coordinates 1..d."""
     v = _normals(points, space)
     v = v / np.linalg.norm(v, axis=1)[:, None]
     v[:, 0] += np.where(v[:, 0] < 0.0, -1.0, 1.0)

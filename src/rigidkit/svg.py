@@ -7,9 +7,9 @@ the Beltrami-Cayley-Klein disk for H^2 (clipped to the unit disk).
 
 import numpy as np
 
-from .errors import WrongDimension
+from .errors import OutsideChart, WrongDimension
 from .frameworks import Framework
-from .transforms import require_upper_hemisphere
+from .transforms import _EPS_INF, require_upper_hemisphere
 
 _SIZE = 640.0
 _PAD = 40.0
@@ -116,7 +116,11 @@ def render_framework(fw: Framework, model="chart", flex=None, reciprocal=None,
                      lift=None) -> str:
     """SVG of a d = 2 framework with optional flex/reciprocal/lift overlays;
     OutsideChart for a vertex of S outside the open upper hemisphere, which
-    the chart cannot draw."""
+    the chart cannot draw.
+
+    Reciprocal positions m on S/H are drawn projectively, at m / m_0 (m and -m
+    are perpendicular to the same edges; the sign, `strength`, lives in the
+    file); OutsideChart for |m_0| <= `_EPS_INF`, which has no chart point."""
     if fw.dim != 2:
         raise WrongDimension("rendering needs d = 2")
     if fw.space.is_spherical:
@@ -126,7 +130,13 @@ def render_framework(fw: Framework, model="chart", flex=None, reciprocal=None,
     rec_pts = None
     if reciprocal is not None:
         rp = np.asarray(reciprocal.positions, dtype=float)
-        rec_pts = rp if rp.shape[1] == 2 else chart_xy(rp)
+        rec_pts = rp
+        if rp.shape[1] == 3:
+            bad = np.flatnonzero(np.abs(rp[:, 0]) <= _EPS_INF)
+            if bad.size:
+                raise OutsideChart("reciprocal position of face %d has x0 = 0, which the "
+                                   "chart x / x0 cannot draw" % bad[0])
+            rec_pts = chart_xy(rp)
         extent.append(rec_pts)
     draw_circle = (model in ("klein", "hemisphere") or not fw.space.is_euclidean)
     if draw_circle:

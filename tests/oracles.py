@@ -176,6 +176,22 @@ def rational_killing_rank(fw) -> int:
     return rational_rank(rows)
 
 
+def lie_algebra_killing_fields(fw) -> np.ndarray:
+    """The Killing fields B p_i at the vertices, (C(d+1,2), n, d+1) ambient
+    vectors, from one Lie-algebra basis per geometry: in E the affine
+    subalgebra of gl(d+1) with zero first row (translations e_k e_0^T, then
+    rotations), on S the skew matrices, on H the Lorentz algebra G A, A skew.
+    This is the construction that `kinematics.killing_evaluation_matrix`
+    takes from the force bivectors instead; the fields agree up to the sign
+    of the E translations."""
+    amb, euclidean = fw.space.ambient_dim, fw.space.is_euclidean
+    e, g = np.eye(amb), np.diag(fw.space.metric_signs)
+    mats = [np.outer(e[k], e[0]) for k in range(1, amb)] if euclidean else []
+    for a, b in combinations(range(1 if euclidean else 0, amb), 2):
+        mats.append(g @ (np.outer(e[a], e[b]) - np.outer(e[b], e[a])))
+    return np.stack([(m @ fw.coords.T).T for m in mats]).reshape(len(mats), fw.n, amb)
+
+
 def rational_resolution_matrix(fw) -> list:
     """Columns: stress -> load, exact (Euclidean only: entries p_j - p_i)."""
     assert fw.space.is_euclidean

@@ -352,6 +352,32 @@ def test_render_refuses_s_vertices_off_the_upper_hemisphere(tmp_path, capsys, fi
     assert not (tmp_path / "s.svg").exists()
 
 
+@pytest.mark.parametrize("equator", [False, True], ids=["as-written", "equator"])
+def test_render_draws_a_spherical_reciprocal_projectively(tmp_path, capsys, equator):
+    # Four of the five positions have x0 < 0 and are drawn at the chart point
+    # of -m, which is perpendicular to the same primal edges.  x0 = 0 has no
+    # chart point (the SVG was drawn with nan coordinates).
+    run(tmp_path, "example", "prism3-concurrent")
+    assert run(tmp_path, "transform", "prism3-concurrent.json", "--to-space", "S",
+               "--carry", "stress", "-o", "s.json") == 0
+    assert run(tmp_path, "mc", "s.json", "--direction", "stress2rec", "-o", "rec.json") == 0
+    rec = json.loads((tmp_path / "rec.json").read_text())
+    assert sum(p[0] < 0 for p in rec["positions"]) == 4
+    if equator:
+        rec["positions"][1] = [0.0, 0.6, 0.8]
+        (tmp_path / "rec.json").write_text(json.dumps(rec))
+    capsys.readouterr()
+    code = run(tmp_path, "render", "s.json", "--reciprocal", "rec.json", "-o", "out.svg")
+    if equator:
+        assert code == 2
+        assert "error: reciprocal position of face 1 has x0 = 0" in capsys.readouterr().err
+        assert not (tmp_path / "out.svg").exists()
+    else:
+        assert code == 0
+        text = (tmp_path / "out.svg").read_text()
+        assert "nan" not in text and len(_parse_svg_lines(text, "#27b")) == 9
+
+
 def test_render_a_framework_without_vertices(tmp_path):
     # A file `analyze` and `transform` accept: `render` draws an empty
     # canvas, with no min/max over the empty point array.

@@ -177,8 +177,43 @@ def test_prism_rank_frozen_values(prism_doc):
 def test_smallest_singular_values_reported(prism_doc):
     ms = rk.motion_spaces(prism_doc.framework)
     assert ms.smallest_sigma.shape == (2,)
-    assert ms.smallest_sigma[0] < 1e-12  # the flex direction
+    assert ms.smallest_sigma[0] < 1e-12  # the self-stress: the operator is 9 x 12
     assert ms.smallest_sigma[1] > 1e-3
+
+
+def _killing_cases():
+    from test_sparse import _gallery_and_images, grid
+
+    yield from _gallery_and_images()
+    for code in "SH":
+        yield "%s grid 20" % code, grid(20, code)
+
+
+def test_killing_matrix_is_minus_the_frame_part_of_the_bivector_map():
+    # Column t at vertex i is -G (p_i ^ e_c)_t: in E and S (G = I) exactly
+    # the negated frame coordinates B_T that `equilibrium_spectrum` reads.
+    for label, fw in _killing_cases():
+        biv = rk.statics.bivector_map_matrix(fw)
+        framed = rk.spaces._to_frames(fw.coords, fw.space,
+                                      biv.reshape(len(biv), fw.n, fw.space.ambient_dim))
+        b_t = framed.reshape(len(biv), -1).T
+        killing = kinematics.killing_evaluation_matrix(fw)
+        if fw.space.is_hyperbolic:
+            assert not np.allclose(killing, -b_t), label
+        else:
+            assert np.array_equal(killing, -b_t), label
+
+
+def test_killing_matrix_is_the_lie_algebra_basis_up_to_sign():
+    # Same columns in the same order; only the E translations (the pairs
+    # (0, k), first) change sign.
+    for label, fw in _killing_cases():
+        killing = kinematics.killing_evaluation_matrix(fw)
+        lie = kinematics._flatten(fw, oc.lie_algebra_killing_fields(fw)).T
+        sign = np.ones(lie.shape[1])
+        if fw.space.is_euclidean:
+            sign[:fw.dim] = -1.0
+        assert np.array_equal(killing, sign * lie), label
 
 
 def test_vector_field_validation(right_triangle):

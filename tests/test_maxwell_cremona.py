@@ -167,11 +167,25 @@ def test_radial_vertical_roundtrip(prism):
 def test_radial_vertical_autoshift(prism):
     fw, w = prism
     lift = mc.convert(fw, w, to="lift")
-    # place the center's plane exactly at one lifted vertex: needs the shift
+    # place the critical plane z = -a_z, which the exchange map sends to
+    # infinity, exactly at one lifted vertex: needs the shift
     heights = lift.heights()
     z = float(heights[np.argmax(np.abs(heights))])
-    radial = mc.radial_vertical_convert(fw, lift, np.array([0.0, 0.0, z]))
+    radial = mc.radial_vertical_convert(fw, lift, np.array([0.0, 0.0, -z]))
     assert radial.residuals["projection"] <= 1e-9
+
+
+def test_radial_planes_pass_through_the_lifted_points(prism):
+    fw, w = prism
+    lift = mc.convert(fw, w, to="lift")
+    for a in ([0.5, 0.25, 7.0], [0.0, 0.0, 0.3], [-2.0, 1.0, -0.5]):
+        radial = mc.radial_vertical_convert(fw, lift, np.array(a))
+        assert np.max(radial.incidence_residuals()) <= 1e-10
+        np.testing.assert_allclose(np.linalg.norm(radial.face_planes[:, :3], axis=1), 1.0)
+    bent = mc.PolyhedralLift(fw, lift.kind, lift.vertex_points.copy(), lift.face_planes)
+    bent.vertex_points[4, 2] += 1e-3  # vertex 4 lies on two quadrilaterals
+    with pytest.raises(mc.NonPlanarFace):
+        mc.radial_vertical_convert(fw, bent, np.array([0.5, 0.25, 7.0]))
 
 
 def test_convexity_classification_k4(k4):
@@ -320,6 +334,34 @@ def test_sph_lambda_matches_stress_extraction():
         assert lam == pytest.approx(expected, rel=1e-9)
 
 
+def test_sph_base_is_perturbed_off_a_vertex_of_the_base_face():
+    # Rim vertex 0, on the exterior (base) face, lies on the plane of the
+    # base face vector: <p_0, (1, 0.25, -0.4)> = 0, so c_0 = 0 on the first
+    # walk and the base is perturbed before a lift can be built.
+    rim = 6
+    angles = np.pi + 2 * np.pi * np.arange(rim) / rim + np.array([0, .1, -.05, .08, -.1, .05])
+    radii = np.array([4, 1, 1.1, 0.9, 1.2, 1.0])
+    xy = np.vstack([radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]),
+                    [0.05, 0.02]])
+    pts = np.column_stack([np.ones(rim + 1), xy])
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts[0] = np.array([1.0, -4.0, 0.0]) / np.sqrt(17.0)
+    edges = [(k, (k + 1) % rim) for k in range(rim)] + [(k, rim) for k in range(rim)]
+    faces = [[k, (k + 1) % rim, rim] for k in range(rim)] + [list(reversed(range(rim)))]
+    g = rk.graph(rim + 1, edges)
+    fw = rk.build_framework(g, rk.spherical(2), pts,
+                            rk.validate_embedding(g, faces, exterior_face=rim))
+    base = np.array(mc._BASE_VECTOR["S"])
+    assert fw.coords[0] @ base == 0.0
+    w = rk.static_spaces(fw).self_stress_basis[0]
+    assert np.min(np.abs(w.values)) > 1e-2
+    lift = mc.convert(fw, w, to="lift")
+    assert lift.kind is mc.LiftKind.SPHERICAL_WEAK
+    assert not np.allclose(lift.face_planes[rim], base)
+    assert lift.residuals["incidence"] <= 1e-12
+    assert np.max(np.abs(mc.convert(fw, lift, to="stress").values - w.values)) <= 1e-12
+
+
 # --- hyperbolic --------------------------------------------------------------------
 
 def test_hyp_lift_space_like_faces():
@@ -333,6 +375,18 @@ def test_hyp_lift_space_like_faces():
               rk.signed_inner(fw.coords[i], fw.coords[i], fw.space)
               for i in range(fw.n)]
     assert all(a > 0 for a in a_vals)
+
+
+@pytest.mark.parametrize("factor, scale", [(100.0, 0.0625), (1e6, 2.0 ** -18)])
+def test_hyp_stress_is_halved_into_the_upper_cone(factor, scale):
+    # A large stress puts face normals outside the upper cone; it is halved
+    # until all are in it, and the stress read back is the halved one.
+    fw, w = _curved_prism("H")
+    big = w.scaled(factor)
+    lift = mc.convert(fw, big, to="lift")
+    assert lift.stress_scale == scale
+    np.testing.assert_allclose(mc.convert(fw, lift, to="stress").values,
+                               scale * big.values, rtol=1e-12)
 
 
 def test_hyp_roundtrips():
