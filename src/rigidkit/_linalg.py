@@ -304,8 +304,7 @@ def _sparse_spectrum(a, tol, null_columns):
             gram.data[diagonal] = g_ii
 
     try:
-        lam_max = float(eigsh(LinearOperator(gram.shape, matvec=by_rows.__matmul__, dtype=float),
-                              1, v0=v0, tol=np.sqrt(eps), maxiter=_ARPACK_MAXITER,
+        lam_max = float(eigsh(by_rows, 1, v0=v0, tol=np.sqrt(eps), maxiter=_ARPACK_MAXITER,
                               return_eigenvectors=False)[0])
         smax = np.sqrt(max(lam_max, 0.0))
         cutoff = _cutoff(smax, rows.size, cols.size, tol)

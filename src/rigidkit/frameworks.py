@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     GraphError,
     GraphMismatch,
+    RigidkitError,
 )
 from .graphs import Graph, PlanarEmbedding, canonical_edge, graph, validate_embedding
 from .spaces import EPS_MODEL, Space
@@ -206,9 +207,9 @@ def _indices(values) -> np.ndarray:
 
 
 def _finite(values, what: str):
-    """`values` unchanged; NaN or infinity raises ValueError."""
+    """`values` unchanged; NaN or infinity raises RigidkitError."""
     if not np.all(np.isfinite(values)):
-        raise ValueError("%s must be finite" % what)
+        raise RigidkitError("%s must be finite" % what)
     return values
 
 

@@ -218,7 +218,9 @@ def motion_spaces(fw: Framework, tol=RANK_TOL) -> MotionSpaces:
 
 
 def kinematic_dof(fw: Framework, tol=RANK_TOL) -> int:
-    """dim V - dim V_0, both at the same rank tolerance."""
+    """dim V - dim V_0, both at the same rank tolerance.  Independent of
+    `statics.static_dof`, which can differ on badly scaled input; only
+    `cli.analyze_framework` compares them (NumericalError)."""
     return motion_spaces(fw, tol).kinematic_dof
 
 

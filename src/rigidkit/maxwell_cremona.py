@@ -50,7 +50,7 @@ from .errors import (
     WrongDimension,
     ZeroOnEdge,
 )
-from .frameworks import Framework
+from .frameworks import Framework, _finite
 from .graphs import Graph, _ranges, dual_graph, is_3_connected
 from .spaces import cross3, signed_inner
 from .statics import Stress
@@ -195,9 +195,16 @@ def _numeric(data: dict, key: str, shape: tuple) -> np.ndarray:
         raise DimensionMismatch("%r is not a numeric array" % key) from None
     if arr.shape != shape:
         raise DimensionMismatch("%r has shape %r, expected %r" % (key, arr.shape, shape))
-    if not np.all(np.isfinite(arr)):
-        raise RigidkitError("%r has non-finite entries" % key)
-    return arr
+    return _finite(arr, key)
+
+
+def _require_finite_object(obj):
+    """`frameworks._finite` on every number of a stress, reciprocal or lift,
+    as `_numeric` checks files: a residual test `worst > limit` passes NaN."""
+    for key in ("values", "positions", "base_scale", "vertex_points", "face_planes",
+                "radial_center", "stress_scale"):
+        if getattr(obj, key, None) is not None:
+            _finite(getattr(obj, key), key)
 
 
 def _require_object(fw: Framework, data, what: str):
@@ -578,10 +585,12 @@ def convert(fw: Framework, obj, to: str, tol=MC_TOL):
     every face normal in the upper light cone on H.  A stress on H is halved until the cone
     condition holds: the lift records the factor as stress_scale, and the
     stress recovered from that lift or its reciprocal is the scaled one.
+    A NaN or an infinity anywhere in `obj` raises RigidkitError.
     """
     if to not in ("stress", "reciprocal", "lift"):
         raise ValueError("unknown conversion target %r" % (to,))
     _require_mc_framework(fw)
+    _require_finite_object(obj)
     closure, scale = None, 1.0
     if isinstance(obj, Stress) and to != "stress":
         normals, closure, scale = _face_vectors_from_stress(fw, obj, tol)
@@ -615,9 +624,12 @@ def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
     pr_a = pr_perp o Phi, Phi = `_projective_exchange(a)`.  Vertical lifts
     are shifted off the plane z = -a_z, which Phi^-1 sends to infinity, when
     necessary; their fitted planes (gx, gy, -1, b) map as covectors to the
-    radial planes (gx, gy, -1, b) Phi, scaled to unit normals."""
+    radial planes (gx, gy, -1, b) Phi, scaled to unit normals.  A NaN or
+    an infinity in `lift` or `a` raises RigidkitError."""
     _require_mc_framework(fw)
+    _require_finite_object(lift)
     a = np.asarray(a, dtype=float)
+    _finite(a, "projection center")
     if a.shape != (3,) or abs(a[2]) < 1e-12:
         raise WrongDimension("projection center must be a 3-point off the base plane")
     phi = _projective_exchange(a)

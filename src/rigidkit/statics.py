@@ -29,12 +29,6 @@ from .spaces import EPS_MODEL
 #: Relative tolerance for the bivector equilibrium test (max-abs norm).
 EQUILIBRIUM_TOL = 1e-8
 
-#: Rows per block of `_tall_r`'s TSQR: blocks of up to 256 x 12 keep
-#: OpenBLAS on one thread.  On 2 shared cores, with 2 threads, one QR of
-#: the k = 30 grid's 1803 x 6 reduced stack took 2.3-8 ms, the blocked
-#: TSQR 0.08 ms.
-_ROW_BLOCK = 256
-
 
 @dataclass(frozen=True, eq=False)
 class Load:
@@ -210,17 +204,6 @@ def bivector_map_matrix(fw: Framework) -> np.ndarray:
     return per_column.reshape(fw.n * amb, per_column.shape[-1]).T
 
 
-def _tall_r(a) -> np.ndarray:
-    """The R factor of a QR of `a`, shape (min(rows, cols), cols).  Above
-    `_ROW_BLOCK` rows, with at most as many columns, by TSQR: the R factor
-    of the stacked R factors of its zero-padded `_ROW_BLOCK`-row blocks."""
-    rows, cols = a.shape
-    if rows > _ROW_BLOCK >= cols:
-        blocks = np.concatenate([a, np.zeros((-rows % _ROW_BLOCK, cols))])
-        a = np.linalg.qr(blocks.reshape(-1, _ROW_BLOCK, cols), mode="r").reshape(-1, cols)
-    return np.linalg.qr(a, mode="r")
-
-
 def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
     """The Spectrum of the equilibrium stack, shape (k + n, n*(d+1)),
     k = C(d+1,2): the bivector map B (`bivector_map_matrix`) over one unit
@@ -236,20 +219,17 @@ def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
     (r x k, r = min(n, k)), this has the row Gram matrix of
     [[R^T, B_T], [I_r, 0]] plus n - r unit rows orthogonal to them.  So the
     values are those of that small matrix, by one values-only SVD of its
-    (r + n d) x (k + r) transpose (of the transpose's R factor above
-    `_ROW_BLOCK` rows), and n - r ones.  Both R factors come from
-    `_tall_r`; no Q factor is formed.  The cutoff is the dense rule of
-    `_linalg.spectrum`.
+    (r + n d) x (k + r) transpose, and n - r ones.  R comes from one R-only
+    QR; no Q factor is formed, and LAPACK's SVD QR-factors the tall
+    transpose itself.  The cutoff is the dense rule of `_linalg.spectrum`.
     """
     biv = bivector_map_matrix(fw)
     amb = fw.space.ambient_dim
     reflected = spaces._reflect(fw.coords, fw.space, biv.reshape(len(biv), fw.n, amb))
-    r = _tall_r(reflected[..., 0].T)
+    r = np.linalg.qr(reflected[..., 0].T, mode="r")
     tall = np.zeros((len(r) + fw.n * fw.dim, len(biv) + len(r)))
     tall[:len(r)] = np.concatenate([r, np.eye(len(r))], axis=1)
     tall[len(r):, :len(biv)] = reflected[..., 1:].reshape(len(biv), -1).T
-    if len(tall) > _ROW_BLOCK:
-        tall = _tall_r(tall)
     s = _linalg.svd(tall, compute_uv=False) if tall.size else np.zeros(0)
     values = np.sort(np.concatenate([s, np.ones(fw.n - len(r))]))[::-1]
     # every column is non-zero: column (i, a) holds p_i[x], x != a, in its
@@ -304,7 +284,9 @@ class StaticSpaces:
 
     @cached_property
     def self_stress_basis(self) -> tuple:
-        """Orthonormal basis of the stresses resolving the zero load."""
+        """Orthonormal basis of the stresses resolving the zero load.  It
+        stays dense, also where the rank came from the sparse path: it is the
+        large side's null space (784 vectors on the 900-vertex grid)."""
         fw = self.framework
         rows = _linalg.nullspace(resolution_matrix(fw), self.resolution.rank)
         return tuple(Stress(fw.graph, row) for row in rows)
@@ -325,6 +307,9 @@ def static_spaces(fw: Framework, tol=RANK_TOL, operator=None) -> StaticSpaces:
 
 
 def static_dof(fw: Framework, tol=RANK_TOL) -> int:
+    """dim F - dim F_0, both at the same rank tolerance.  Independent of
+    `kinematics.kinematic_dof`, which can differ on badly scaled input; only
+    `cli.analyze_framework` compares them (NumericalError)."""
     return static_spaces(fw, tol).static_dof
 
 

@@ -7,6 +7,8 @@ import rigidkit as rk
 from rigidkit import _linalg, cli
 from rigidkit import transforms as tr
 
+import oracles as oc
+
 
 def _grid_sphere(k=20):
     """The k x k triangulated grid (edges right, up, up-right), coordinates
@@ -168,3 +170,29 @@ def test_badly_scaled_framework_has_one_dof_count(tmp_path, x0, code, capsys):
     assert cli.main(["analyze", str(path)]) == code
     if code == cli.EXIT_INPUT:
         assert "rank decisions disagree" in capsys.readouterr().err
+
+
+#: Map 45 of test_criterion_02_projective_invariance's sequence on
+#: prism3-concurrent; it sends vertex 2 to (31631.83, -26597.26).
+_FAR_PROJECTIVE = [[-0.6324467781513172, -0.02820137792128181, -0.37256345585654677],
+                   [0.29933415367566985, -1.9566617070880181, -1.7806863894598102],
+                   [0.7386220088782393, -0.4937262287964043, -2.285498589046725]]
+
+
+@pytest.mark.parametrize("tol", ["1e-8", "1e-9", "1e-10"])
+def test_analyze_refuses_a_far_projective_image(tmp_path, tol, capsys):
+    # On these float coordinates the rational oracle finds dim V = 3 and
+    # Killing rank 3: the framework is rigid, and no numerical verdict is
+    # the right answer.  In E the duality check compares the equilibrium
+    # stack with the Killing matrix, not with the rigidity operator, whose
+    # rank both sides share: the stack has a value of 5.9e-5 under its
+    # cutoff of 7.4e-4, the Killing values are 4.1e4, 2.45 and 2.24.
+    # Deciding dim F on B_T alone (ROADMAP item 13), which is -K in E,
+    # would make the two sides agree and turn this refusal into "flexible".
+    fw = rk.apply_projective(rk.gallery.fixture("prism3-concurrent").framework,
+                             np.array(_FAR_PROJECTIVE))
+    assert oc.rational_motion_dim(fw) == 3 and oc.rational_killing_rank(fw) == 3
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(rk.framework_to_dict(fw)))
+    assert cli.main(["analyze", str(path), "--tol", tol]) == cli.EXIT_INPUT
+    assert "kinematic dof 1 != static dof 2" in capsys.readouterr().err

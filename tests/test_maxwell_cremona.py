@@ -10,6 +10,7 @@ from rigidkit.errors import (
     NotEmbedded,
     NotPerpendicular,
     NotSelfStress,
+    RigidkitError,
     ZeroOnEdge,
 )
 
@@ -516,3 +517,67 @@ def test_lift_conversion_checks_the_planes_it_fits(prism):
     flat = np.column_stack([fw.coords[:, 1:], np.full(fw.n, 2.0)])
     with pytest.raises(mc.NonPlanarFace, match="one plane"):
         mc.convert(fw, mc.PolyhedralLift(fw, lift.kind, flat, lift.face_planes), to="stress")
+
+
+# --- non-finite objects built in Python ----------------------------------------
+#
+# Files are checked by `_numeric`; objects built in Python are checked by
+# `convert` and `radial_vertical_convert` before any arithmetic.  Unchecked,
+# NaN passes every residual test `worst > limit` and comes out as NaN.
+
+@pytest.mark.parametrize("to", ["lift", "reciprocal"])
+def test_stress_with_nan_is_refused(prism, to):
+    fw, w = prism
+    values = w.values.copy()
+    values[0] = np.nan
+    with pytest.raises(RigidkitError, match="values must be finite"):
+        mc.convert(fw, rk.Stress(fw.graph, values), to=to)
+
+
+def test_reciprocal_with_nan_is_refused(prism):
+    fw, w = prism
+    rec = mc.convert(fw, w, to="reciprocal")
+    rec.positions[1, 0] = np.nan
+    with pytest.raises(RigidkitError, match="positions must be finite"):
+        mc.convert(fw, rec, to="stress")
+    rec = mc.convert(fw, w, to="reciprocal")
+    rec.base_scale = np.inf
+    with pytest.raises(RigidkitError, match="base_scale must be finite"):
+        mc.convert(fw, rec, to="lift")
+
+
+@pytest.mark.parametrize("a", [[np.nan, 0, 1], [np.inf, 0, 1], [0, 0, np.nan]])
+def test_non_finite_projection_center_is_refused(prism, a):
+    # unchecked: a NaN lift with a NaN projection residual, a RuntimeWarning,
+    # and a misleading UnremovableIncidence
+    fw, w = prism
+    lift = mc.convert(fw, w, to="lift")
+    with pytest.raises(RigidkitError, match="projection center must be finite"):
+        mc.radial_vertical_convert(fw, lift, a)
+
+
+def _with_nan(obj, key):
+    """`obj` with NaN in the first entry of its field `key`."""
+    if np.ndim(getattr(obj, key)):
+        getattr(obj, key)[0] = np.nan
+    else:
+        setattr(obj, key, np.nan)
+    return obj
+
+
+@pytest.mark.parametrize("key", ["vertex_points", "face_planes", "stress_scale"])
+def test_lift_with_nan_is_refused(prism, key):
+    fw, w = prism
+    lift = _with_nan(mc.convert(fw, w, to="lift"), key)
+    with pytest.raises(RigidkitError, match="%s must be finite" % key):
+        mc.convert(fw, lift, to="stress")
+    with pytest.raises(RigidkitError, match="%s must be finite" % key):
+        mc.radial_vertical_convert(fw, lift, [0.5, 0.25, 7.0])
+
+
+def test_radial_lift_with_nan_center_is_refused(prism):
+    fw, w = prism
+    radial = mc.radial_vertical_convert(fw, mc.convert(fw, w, to="lift"), [0.5, 0.25, 7.0])
+    _with_nan(radial, "radial_center")
+    with pytest.raises(RigidkitError, match="radial_center must be finite"):
+        mc.radial_vertical_convert(fw, radial, [0.5, 0.25, 7.0])

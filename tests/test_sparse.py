@@ -438,6 +438,24 @@ def test_a_gram_diagonal_that_underflows_falls_back_to_dense():
     assert _linalg.spectrum(a).method == "dense"
 
 
+def test_zero_columns_do_not_count_toward_the_size_gate(monkeypatch):
+    # K_25 plus 126 isolated vertices: the 300 x 302 operator passes the
+    # gate on its shape, but only its 50 columns at the K_25 vertices are
+    # non-zero, so the sparse path's side check leaves it to the dense SVD.
+    k25 = [(i, j) for i in range(25) for j in range(i + 1, 25)]
+    fw = rk.build_framework(rk.graph(151, k25), rk.euclidean(2),
+                            np.random.default_rng(0).random((151, 2)))
+    operator = _operator(fw)
+    spec = _linalg.spectrum(operator)
+    assert operator.shape == (300, 302) and min(operator.shape) >= _linalg.SPARSE_MIN_SIDE
+    assert spec.method == "dense" and spec.rank == 2 * 25 - 3
+    monkeypatch.setattr(_linalg, "SPARSE_MIN_SIDE", DENSE_ONLY)
+    assert np.array_equal(_linalg.spectrum(operator).values, spec.values)
+    monkeypatch.undo()
+    report = cli.analyze_framework(fw)
+    assert report.kinematic_dof == report.static_dof == 2 * 151 - 47 - 3 == 252
+
+
 def _dropped_grid(kind, share):
     """The k = 30 grid without `share` of its edges, picked by default_rng(5)."""
     fw = grid(30, kind)

@@ -259,6 +259,20 @@ def test_deaverage_flex_gives_isometric_pair(prism_doc):
     assert np.max(np.abs(lp - lm)) <= 1e-12
 
 
+def test_deaverage_retries_with_the_next_c_of_its_schedule():
+    # q_j = (p_i - p_j)/c on the first edge (i, j) and zero elsewhere moves
+    # p_j onto p_i at c: that edge collapses, so the pair comes from 0.9 c,
+    # the schedule's second entry.
+    fw = rk.gallery.fixture("square4bar").framework
+    c = 0.5
+    i, j = fw.graph.edges[0]
+    vecs = np.zeros((fw.n, 3))
+    vecs[j] = (fw.coords[i] - fw.coords[j]) / c
+    plus, minus = tr.deaverage(fw, rk.vector_field(fw, vecs), c)
+    assert np.array_equal(plus.coords, fw.coords + 0.9 * c * vecs)
+    assert np.array_equal(minus.coords, fw.coords - 0.9 * c * vecs)
+
+
 def test_average_deaverage_roundtrip(prism_doc):
     fw = prism_doc.framework
     flex = rk.motion_spaces(fw).basis_V[2]
