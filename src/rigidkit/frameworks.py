@@ -22,7 +22,7 @@ from .errors import (
     GraphMismatch,
     RigidkitError,
 )
-from .graphs import Graph, PlanarEmbedding, canonical_edge, graph, validate_embedding
+from .graphs import EdgeValues, Graph, PlanarEmbedding, graph, validate_embedding
 from .spaces import EPS_MODEL, Space
 
 
@@ -54,22 +54,8 @@ class Framework:
         return "Framework(%s, n=%d, m=%d)" % (self.space, self.n, self.m)
 
 
-class EdgeLengthMap:
-    """Edge-indexed positive lengths, aligned with the graph's edge order."""
-
-    def __init__(self, edges, values):
-        self.edges = tuple(edges)
-        self.values = np.asarray(values, dtype=float)
-        self._index = {canonical_edge(i, j): k for k, (i, j) in enumerate(self.edges)}
-
-    def __getitem__(self, edge):
-        return float(self.values[self._index[canonical_edge(*edge)]])
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
+class EdgeLengthMap(EdgeValues):
+    """Positive edge lengths, one per edge of `graph`."""
 
 
 def _ambient_rows(coords, space: Space) -> np.ndarray:
@@ -132,7 +118,7 @@ def _assemble(g: Graph, space: Space, rows, embedding, renormalize) -> Framework
 def edge_lengths(fw: Framework) -> EdgeLengthMap:
     i, j = fw.graph.ends
     lengths = spaces.distances(fw.coords[i], fw.coords[j], fw.space)
-    return EdgeLengthMap(fw.graph.edges, lengths)
+    return EdgeLengthMap(fw.graph, lengths)
 
 
 def is_isometric(fw1: Framework, fw2: Framework, tol=1e-9) -> bool:

@@ -19,7 +19,6 @@ linear in the corners rather than quadratic in the vertex degrees.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from types import MappingProxyType
 
 import numpy as np
 
@@ -29,10 +28,6 @@ from .errors import (
     GraphError,
     OrientationInconsistent,
 )
-
-
-def canonical_edge(i: int, j: int) -> tuple:
-    return (i, j) if i < j else (j, i)
 
 
 @dataclass(frozen=True)
@@ -76,18 +71,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _edge_index(self) -> MappingProxyType:
-        canonical = np.sort(np.column_stack(self.ends), axis=1).tolist()
-        return MappingProxyType(dict(zip(map(tuple, canonical), range(self.edge_count))))
-
-    def edge_index(self) -> MappingProxyType:
-        """Canonical edge tuple -> position in the edge order.
-
-        Built once per graph and shared by every caller, hence read-only.
-        """
-        return self._edge_index
-
-    @cached_property
     def ends(self) -> tuple:
         """(tails, heads): the edge order as two index arrays, built once."""
         flat = np.fromiter(chain.from_iterable(self.edges), dtype=int, count=2 * len(self.edges))
@@ -115,7 +98,7 @@ class Graph:
         return np.where(keys[at] == key, positions[at], -1)
 
     def has_edge(self, i, j) -> bool:
-        return canonical_edge(i, j) in self.edge_index()
+        return bool(self.edge_positions(i, j) >= 0)
 
 
 def graph(n: int, edges) -> Graph:
@@ -126,6 +109,50 @@ def graph(n: int, edges) -> Graph:
     if ends.ndim != 2 or ends.shape[1] != 2:
         raise GraphError("every edge must be a pair of vertices")
     return Graph(n, tuple(map(tuple, np.sort(ends, axis=1).tolist())))
+
+
+class EdgeValues:
+    """One value per edge of a graph, in its edge order, read by edge either
+    way round.
+
+    An edge list given instead of a Graph becomes graph(1 + largest vertex,
+    edges), so a repeated edge or a loop raises GraphError.
+    """
+
+    def __init__(self, g, values):
+        if not isinstance(g, Graph):
+            pairs = list(g)
+            g = graph(1 + max(chain.from_iterable(pairs), default=-1), pairs)
+        self.graph = g
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != (g.edge_count,):
+            raise GraphError("expected one value per edge")
+
+    @property
+    def edges(self) -> tuple:
+        return self.graph.edges
+
+    def __getitem__(self, edge):
+        at = int(self.graph.edge_positions(*edge))
+        if at < 0:
+            raise KeyError(edge)
+        return float(self.values[at])
+
+    def __len__(self):
+        return self.graph.edge_count
+
+    def __iter__(self):
+        return iter(self.graph.edges)
+
+    def values_on(self, g: Graph) -> np.ndarray:
+        """The values in the edge order of `g`, read by edge; GraphError unless
+        there is one value on each edge of `g` and on no other."""
+        if g == self.graph:
+            return self.values
+        at = self.graph.edge_positions(*g.ends)
+        if g.edge_count != self.graph.edge_count or np.any(at < 0):
+            raise GraphError("edges do not match the graph's edges")
+        return self.values[at]
 
 
 def _is_connected(g: Graph) -> bool:

@@ -16,7 +16,7 @@ from . import _linalg, spaces
 from ._linalg import RANK_TOL
 from .errors import DegenerateEdge, GraphError
 from .frameworks import Framework, stress_positions
-from .graphs import Graph, canonical_edge
+from .graphs import EdgeValues
 from .kinematics import (
     VectorField,
     operator_spectrum,
@@ -52,43 +52,11 @@ def zero_load(fw: Framework) -> Load:
     return Load(fw, np.zeros((fw.n, fw.space.ambient_dim)))
 
 
-class Stress:
-    """Symmetric edge weights w_ij = w_ji, stored per undirected edge.
-
-    `edges` is a sequence of vertex pairs, or a Graph: then the stress takes
-    the graph's canonical edges in edge order and reuses its cached edge
-    index instead of building its own.
-    """
-
-    def __init__(self, edges, values):
-        if isinstance(edges, Graph):
-            self._index = edges.edge_index()
-            self.edges = tuple(self._index)
-        else:
-            self.edges = tuple(canonical_edge(i, j) for i, j in edges)
-            self._index = {e: k for k, e in enumerate(self.edges)}
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != (len(self.edges),):
-            raise GraphError("stress needs one value per edge")
-
-    def __getitem__(self, edge):
-        return float(self.values[self._index[canonical_edge(*edge)]])
-
-    def __len__(self):
-        return len(self.edges)
-
-    def values_on(self, g: Graph) -> np.ndarray:
-        """The values in the edge order of `g`, read by edge; GraphError unless
-        the stress has one value on each edge of `g` and on no other."""
-        index = g.edge_index()
-        if self._index is index:
-            return self.values
-        if len(self.edges) != len(index) or self._index.keys() != index.keys():
-            raise GraphError("stress edges do not match the graph's edges")
-        return self.values[[self._index[e] for e in index]]
+class Stress(EdgeValues):
+    """Symmetric edge weights w_ij = w_ji, one per edge of `graph`."""
 
     def scaled(self, factor: float) -> "Stress":
-        return Stress(self.edges, self.values * factor)
+        return Stress(self.graph, self.values * factor)
 
     def as_dict(self) -> dict:
         return dict(zip(self.edges, self.values.tolist()))

@@ -122,6 +122,60 @@ def test_render_flex_reads_the_env_tolerance(tmp_path, monkeypatch, capsys, env,
     assert tols == ([] if code else [1e-3])
 
 
+def test_render_flex_on_a_rigid_framework_draws_no_arrows(tmp_path, capsys):
+    run(tmp_path, "example", "triangle")
+    capsys.readouterr()
+    assert run(tmp_path, "render", "triangle.json", "-o", "tri.svg", "--flex") == 0
+    assert capsys.readouterr().err == (
+        "note: framework is infinitesimally rigid; no flex arrows drawn\n")
+
+
+@pytest.mark.parametrize("first, code", [([0, 0.1, 0], 0), ([1, 0.1, 0], 2)],
+                         ids=["tangent", "not tangent"])
+def test_render_flex_draws_the_field_attachment(tmp_path, capsys, first, code):
+    run(tmp_path, "example", "square4bar")
+    data = json.loads((tmp_path / "square4bar.json").read_text())
+    data["field"] = [first, [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    (tmp_path / "field.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(tmp_path, "render", "field.json", "-o", "field.svg", "--flex") == code
+    assert capsys.readouterr().err == (
+        "" if code == 0 else "error: vectors at vertices [0] are not tangent\n")
+
+
+def test_analyze_warns_when_all_vertices_coincide(tmp_path, capsys):
+    (tmp_path / "dot.json").write_text(json.dumps(
+        {"space": "E", "dim": 2, "vertices": [[0, 0], [0, 0], [0, 0]], "edges": []}))
+    assert run(tmp_path, "analyze", "dot.json", "--json") == 10
+    report = json.loads(capsys.readouterr().out)
+    assert (report["dim_V"], report["dim_V0"]) == (6, 2)
+    assert report["warnings"] == [
+        "vertices lie in a proper geodesic subspace; dim V0 computed from the evaluation rank",
+        "all vertices coincide"]
+
+
+def test_small_cli_calls_never_import_scipy(tmp_path):
+    # Below _linalg.SPARSE_MIN_SIDE the rank is one dense SVD; importing
+    # scipy would cost a fresh process about 0.4 s.
+    for name in ("triangle", "prism3-concurrent", "k4-centroid", "square4bar"):
+        run(tmp_path, "example", name)
+    script = (
+        "import sys\n"
+        "from rigidkit.cli import main\n"
+        "codes = [main(['analyze', 'triangle.json', '--json']),\n"
+        "         main(['transform', 'prism3-concurrent.json', '--to-space', 'S',\n"
+        "               '--carry', 'stress', '-o', 'sph.json']),\n"
+        "         main(['mc', 'k4-centroid.json', '--direction', 'stress2rec',\n"
+        "               '-o', 'rec.json']),\n"
+        "         main(['render', 'square4bar.json', '--flex', '-o', 'sq.svg'])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
 @pytest.mark.parametrize("command", ["mc", "render"])
 def test_mc_and_render_tolerance_checked(tmp_path, capsys, command):
     run(tmp_path, "example", "prism3-concurrent")
@@ -246,6 +300,13 @@ def test_mc_stress2rec_on_a_spherical_wheel_never_imports_numpy_random(tmp_path)
 def test_mc_missing_stress_is_input_error(tmp_path):
     run(tmp_path, "example", "triangle")
     assert run(tmp_path, "mc", "triangle.json", "--direction", "stress2rec") == 2
+
+
+def test_mc_from_a_reciprocal_needs_the_object(tmp_path, capsys):
+    run(tmp_path, "example", "square4bar")
+    capsys.readouterr()
+    assert run(tmp_path, "mc", "square4bar.json", "--direction", "rec2lift") == 2
+    assert capsys.readouterr().err == "error: direction rec2lift needs --object\n"
 
 
 def test_mc_conversion_failure_exit_code(tmp_path):

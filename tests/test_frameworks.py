@@ -172,6 +172,11 @@ def test_is_isometric_under_spherical_rotation(rng):
     assert rk.is_isometric(fw, moved, tol=1e-9)
 
 
+def test_edge_lengths_on_a_repeated_edge_are_refused():
+    with pytest.raises(rk.errors.GraphError, match=r"duplicate edge \(0, 1\)"):
+        rk.EdgeLengthMap([(0, 1), (1, 0)], [1.0, 2.0])
+
+
 def test_bad_attachments_rejected():
     data = {"space": "E", "dim": 2, "vertices": [[0, 0], [1, 0]],
             "edges": [[0, 1]], "stress": {"0-5": 1.0}}

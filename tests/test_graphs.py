@@ -252,7 +252,7 @@ def test_face_right_left():
     emb = rk.validate_embedding(g, PRISM_FACES)
     # quad [0,1,4,3] contains directed (0,1): it lies left of 0->1.
     tails, heads, rights, lefts = emb.dual_pairs()
-    k = g.edge_index()[(0, 1)]
+    k = int(g.edge_positions(0, 1))
     assert (tails[k], heads[k]) == (0, 1)
     assert lefts[k] == 2
     assert rights[k] == 0  # exterior triangle [0,2,1]
@@ -444,6 +444,14 @@ def test_pebble_game_matches_brute_force(rng):
         n = int(rng.randint(3, 8))
         edges = random_graph(rng, n)
         assert is_23_sparse(rk.graph(n, edges)) == brute_force_23_sparse(n, edges)
+
+
+def test_has_edge_reads_either_orientation_and_refuses_the_rest():
+    g = rk.graph(6, PRISM_EDGES)
+    assert g.has_edge(0, 2) and g.has_edge(2, 0)
+    assert not g.has_edge(0, 4)
+    assert not g.has_edge(0, 9)  # leaves the vertex range
+    assert not g.has_edge(2, 2)
 
 
 def test_generic_dof_count():

@@ -36,6 +36,9 @@ RIM_1000_DENSE_RANK = 1978
 #: default cutoff.  Its rank mod p is 2n - 3 = 597, so it is rigid: two
 #: singular values fall under the cutoff's size factor (ROADMAP item 15).
 HENNEBERG_300_RANK = 595
+#: The same at n = 500: its rank mod p is 2n - 3 = 997, the library's 996, so
+#: `analyze` calls this rigid framework flexible with dof 1 (ROADMAP item 15).
+HENNEBERG_500_RANK = 996
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -485,7 +488,8 @@ def henneberg(rng, n):
     return sorted(edges)
 
 
-@pytest.mark.parametrize("n, library_rank", [(100, 197), (300, HENNEBERG_300_RANK)])
+@pytest.mark.parametrize("n, library_rank", [(100, 197), (300, HENNEBERG_300_RANK),
+                                             (500, HENNEBERG_500_RANK)])
 def test_the_rank_mod_p_proves_the_henneberg_frameworks_rigid(n, library_rank):
     # A Laman graph at generic coordinates is rigid: rank 2n - 3.
     fw = rk.build_framework(rk.graph(n, henneberg(np.random.default_rng(0), n)),

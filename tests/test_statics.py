@@ -126,6 +126,23 @@ def test_equilibrium_examples():
     assert not rk.is_equilibrium_load(fw, couple)
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 0), (1, 2)], r"duplicate edge \(0, 1\)"),
+    ([(0, 0), (1, 2), (0, 2)], "loop at vertex 0"),
+], ids=["repeated edge", "loop"])
+def test_a_stress_on_a_repeated_edge_or_a_loop_is_refused(edges, message):
+    with pytest.raises(rk.errors.GraphError, match=message):
+        rk.Stress(edges, [1.0, 2.0, 3.0])
+
+
+def test_a_stress_reads_by_edge_and_refuses_a_non_edge():
+    w = rk.Stress([(1, 0), (2, 1)], [1.0, 2.0])
+    assert w.edges == ((0, 1), (1, 2))
+    assert w[(0, 1)] == w[(1, 0)] == 1.0
+    with pytest.raises(KeyError):
+        w[(0, 2)]
+
+
 def test_apply_stress_segment():
     fw = _segment()
     w = rk.Stress(fw.graph.edges, [1.0])
