@@ -14,16 +14,21 @@ one, given densely or as :class:`Entries`, is decided on the Gram matrix G of
 its smaller side (:func:`_sparse_spectrum`): the rank is a count, the number
 of negative pivots of one symmetric LDL^T factorization of G - c^2 I (c the
 cutoff), by Sylvester's law of inertia the number of singular values under
-the cutoff.  sigma_max comes first, from one Lanczos call on G stopped at a
-sqrt(eps) relative residual, the backward error the count's probe solve
-accepts.  The `Spectrum` holds sigma_max and two upper bounds of the
-smallest singular values only: from null columns the caller knows (the
-rigidity operator's Killing fields) when they certify two null values,
-else from one shift-invert Lanczos call (ARPACK, through scipy) on a
-second factor.  When the cutoff sits below the sqrt(eps) * sigma_max
-floor of squaring, when SuperLU pivots off the diagonal, when a probe solve
-shows a backward error above sqrt(eps), when ARPACK or SuperLU fails, or
-when scipy is missing, the same matrix gets the dense SVD instead.
+the cutoff.  With null columns the caller knows (the rigidity operator's
+Killing fields) on a tall matrix, the count is first made at the ends of a
+bracket [c_lo, c_hi] of the cutoff read from G's entries (Gershgorin): when
+no singular value lies inside it, the rank holds on the whole bracket, the
+exact cutoff included.  Otherwise sigma_max comes first, from one Lanczos
+call on G stopped at a sqrt(eps) relative residual, the backward error the
+count's probe solve accepts, and the count is made at the exact cutoff.
+The `Spectrum` holds sigma_max (on the bracket, an upper bound of it) and
+two upper bounds of the smallest singular values only: from the null
+columns when they certify two null values, else from one shift-invert
+Lanczos call (ARPACK, through scipy) on a second factor.  When the cutoff
+sits below the sqrt(eps) * sigma_max floor of squaring, when SuperLU pivots
+off the diagonal, when a probe solve shows a backward error above
+sqrt(eps), when ARPACK or SuperLU fails, or when scipy is missing, the same
+matrix gets the dense SVD instead.
 
 The Maxwell-Cremona collinear-face test is the one geometric check that
 counts singular values against an absolute cutoff instead.  A basis is one
@@ -147,12 +152,18 @@ class Spectrum:
     """Singular values of one matrix (descending) with its rank decision.
 
     `method` says which path decided the rank: "dense" (one values-only
-    SVD; `values` holds every singular value) or "sparse" (an inertia count;
-    `partial` is then true and `values` holds sigma_max, from a Lanczos
+    SVD; `values` holds every singular value, `cutoff` is the rule's
+    tol * sigma_max * max(m, n)) or "sparse" (an inertia count; `partial`
+    is then true and `values` holds three numbers: first sigma_max or a
+    bound of it, then two upper bounds of the smallest singular values, to
+    roundoff the values themselves above the cutoff).  What the first value
+    and `cutoff` are depends on where the sparse count was made (see
+    `_sparse_spectrum`).  On the cutoff's bracket they are the upper bound
+    sqrt(max_i sum_j |G_ij|) of sigma_max and the bracket's top c_hi, the
+    rule's cutoff for that bound, at which the rank is the same as at the
+    exact cutoff.  At the exact cutoff they are sigma_max, a Lanczos
     Rayleigh quotient certified to sqrt(eps) relative and in practice at
-    roundoff, and two upper bounds of the smallest singular values, to
-    roundoff the values themselves above the cutoff; see
-    `_sparse_spectrum`).
+    roundoff, and the rule's cutoff.
     """
 
     values: np.ndarray
@@ -213,16 +224,37 @@ def _sparse_spectrum(a, tol, null_columns):
     """The Spectrum of `a` (Entries or a 2-d array) from the Gram matrix G of
     its smaller non-zero side, or None when the sparse path cannot decide.
 
-    sigma_max, and with it the cutoff c, comes from the largest eigenvalue of
-    G: one Lanczos call (ARPACK) stopped at tol = sqrt(eps), where its Ritz
-    estimate certifies lambda_max to sqrt(eps) relative.  That is the
-    backward error the probe solve below accepts for the counted factor; it
-    moves c^2 by about 2 sqrt(eps) c^2, far under the sqrt(eps) lambda_max
-    the probe allows, so the count's weakest certificate is unchanged.  The
-    value is a Rayleigh quotient, whose error is quadratic in the residual
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 4), so in practice it is
-    at roundoff: 41 products on the 400- and 900-vertex grids, where a stop
-    at machine precision took 61 and 71.  G is built once, with sorted
+    The cutoff c = tol * sigma_max * max(m, n) needs sigma_max, but the rank
+    needs only to know which singular values lie under c.  G's diagonal and
+    Gershgorin's bound bracket sigma_max^2 = lambda_max: lambda_lo =
+    max_i G_ii <= lambda_max <= max_i sum_j |G_ij| = lambda_hi, and the
+    same rule turns these into a bracket [c_lo, c_hi] of c (c_hi / c was
+    1.24-1.31 on the triangulated grids).  The bracket is tried when G is
+    the columns' (B has at least as many rows), `null_columns` are given
+    and c_lo clears the floor of squaring, sqrt(eps lambda_hi).  With Q the
+    reduced-QR basis of `null_columns` on B's columns, when all k >= 2
+    singular values of B Q are at or under c_lo, B has at least k values
+    at or under every cutoff in the bracket (Cauchy interlacing, below): a
+    certificate made before any factor.  A count at c_hi that finds k
+    values under it then gives the rank side - k for every cutoff in the
+    bracket, c included; one that finds more is repeated at c_lo, and
+    equal counts decide as well.  `values` then holds sqrt(lambda_hi) and
+    the two smallest values of B Q, and `cutoff` is c_hi.  Both probes are
+    checked against lambda_lo, at least as strictly as against lambda_max.
+
+    Everything else (a value inside the bracket, a failed certificate, a
+    wide matrix, one null column, no `null_columns`) is decided at the
+    exact cutoff.  sigma_max, and with it c, comes from the largest
+    eigenvalue of G: one Lanczos call (ARPACK) stopped at tol = sqrt(eps),
+    where its Ritz estimate certifies lambda_max to sqrt(eps) relative.
+    That is the backward error the probe solve below accepts for the
+    counted factor; it moves c^2 by about 2 sqrt(eps) c^2, far under the
+    sqrt(eps) lambda_max the probe allows, so the count's weakest
+    certificate is unchanged.  The value is a Rayleigh quotient, whose
+    error is quadratic in the residual (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4), so in practice it is at roundoff: 41 products on the
+    400- and 900-vertex grids, where a stop at machine precision took 61
+    and 71.  G is built once, with sorted
     indices.  Symmetric to the bit, it has the same CSR and CSC arrays:
     Lanczos takes its row-wise products, SuperLU its columns, and each
     factor shifts G's stored diagonal in place.
@@ -237,14 +269,13 @@ def _sparse_spectrum(a, tol, null_columns):
     the diagonal of U is D.  One probe solve checks the factor's normwise
     backward error.
 
-    `values` holds sigma_max and two upper bounds of the smallest singular
-    values of B.  When G is the columns' (B has at least as many rows), the
-    count finds two or more values under the cutoff and `null_columns` are
-    given, the bounds are the two smallest singular values of B Q, Q the
-    reduced-QR basis of `null_columns` on B's columns: for orthonormal Q the
-    k-th smallest singular value of B Q bounds the k-th smallest of B from
-    above (Cauchy interlacing), so two of them at or under the cutoff are
-    null values, certified without a second factor.  Otherwise (fewer than
+    At the exact cutoff `values` holds sigma_max and two upper bounds of
+    the smallest singular values of B.  When G is the columns', the count
+    finds two or more values under the cutoff and `null_columns` are given,
+    the bounds are the two smallest singular values of B Q: for orthonormal
+    Q the k-th smallest singular value of B Q bounds the k-th smallest of B
+    from above (Cauchy interlacing), so two of them at or under the cutoff
+    are null values, certified without a second factor.  Otherwise (fewer than
     two columns in Q, a value of B Q above the cutoff, or a wide matrix,
     whose smallest values are the row side's, on which right null columns
     say nothing) the values step reads them: the values of B V for the two
@@ -303,32 +334,50 @@ def _sparse_spectrum(a, tol, null_columns):
         finally:
             gram.data[diagonal] = g_ii
 
+    def count(cutoff, lam):
+        """The number of eigenvalues of G under cutoff^2: the negative pivots
+        of the LDL^T factor of G - cutoff^2 I.  LinAlgError when that factor
+        cannot count: SuperLU left the diagonal, or the probe's backward
+        error exceeds sqrt(eps) for a lambda_max of at least `lam`.  The
+        factor dies on return, so one is alive at a time and the peak memory
+        stays at one fill."""
+        lu = ldlt(-cutoff**2)
+        x = lu.solve(v0)
+        residual = np.linalg.norm(by_rows @ x - cutoff**2 * x - v0)
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and residual
+                <= np.sqrt(eps) * (lam * np.linalg.norm(x) + np.linalg.norm(v0))):
+            raise np.linalg.LinAlgError("the factor cannot count")
+        return int(np.count_nonzero(lu.U.diagonal() < 0))
+
     try:
+        low = np.zeros(0)
+        if tall and null_columns is not None:
+            q = np.linalg.qr(np.asarray(null_columns)[cols])[0]
+            low = np.linalg.svd(b @ q, compute_uv=False)
+        # Gershgorin: max_i G_ii <= lambda_max <= max_i sum_j |G_ij|
+        lam_lo = float(g_ii.max())
+        lam_hi = float(np.add.reduceat(np.abs(by_rows.data), by_rows.indptr[:-1]).max())
+        c_lo, c_hi = (_cutoff(np.sqrt(lam), rows.size, cols.size, tol) for lam in (lam_lo, lam_hi))
+        if low.size >= 2 and low[0] <= c_lo and c_lo >= np.sqrt(eps * lam_hi):
+            null = count(c_hi, lam_lo)
+            if null == low.size or (null > low.size and count(c_lo, lam_lo) == null):
+                return Spectrum(np.concatenate([[np.sqrt(lam_hi)], low[-2:]]), c_hi,
+                                side - null, a.shape, "sparse")
         lam_max = float(eigsh(by_rows, 1, v0=v0, tol=np.sqrt(eps), maxiter=_ARPACK_MAXITER,
                               return_eigenvectors=False)[0])
         smax = np.sqrt(max(lam_max, 0.0))
         cutoff = _cutoff(smax, rows.size, cols.size, tol)
         if smax == 0.0 or cutoff < np.sqrt(eps) * smax:
             return None
-        lu = ldlt(-cutoff**2)
-        x = lu.solve(v0)
-        residual = np.linalg.norm(by_rows @ x - cutoff**2 * x - v0)
-        if not (np.array_equal(lu.perm_r, lu.perm_c) and residual
-                <= np.sqrt(eps) * (lam_max * np.linalg.norm(x) + np.linalg.norm(v0))):
-            return None
-        null = int(np.count_nonzero(lu.U.diagonal() < 0))
-        del lu  # one factor alive at a time keeps the peak memory at one fill
-        low = np.zeros(0)
-        if null >= 2 and null_columns is not None and tall:
-            q = np.linalg.qr(np.asarray(null_columns)[cols])[0]
-            low = np.linalg.svd(b @ q, compute_uv=False)[-2:]
+        null = count(cutoff, lam_max)
+        low = low[-2:] if null >= 2 else np.zeros(0)
         if low.size < 2 or low[0] > cutoff:
             shift = max(cutoff**2, 16384 * eps * lam_max)
             inverse = LinearOperator((side, side), matvec=ldlt(shift).solve, dtype=float)
             _, vecs = eigsh(gram, min(2, side - 1), sigma=-shift, which="LM", v0=v0,
                             maxiter=_ARPACK_MAXITER, OPinv=inverse)
             low = np.linalg.svd(b @ vecs, compute_uv=False)
-    except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU
+    except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU, count
         return None
     return Spectrum(np.concatenate([[smax], low]), cutoff, side - null, a.shape, "sparse")
 

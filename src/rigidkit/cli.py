@@ -112,9 +112,10 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     operator up to invertible factors, in every geometry, so its rank is
     the operator's, passed on and not decided again: three spectra in all,
     the equilibrium stack's on its small reduction, never the sparse path.
-    On the sparse path the operator's Killing columns bound its two smallest
-    singular values, so a tall operator with two or more null values takes
-    one SuperLU factor and one Lanczos call, for sigma_max.
+    On the sparse path the operator's Killing columns certify its null
+    values and bound its two smallest singular values, so a tall operator
+    with no singular value inside its cutoff's bracket takes one SuperLU
+    factor (a rigid grid) or two (a flexible one) and no Lanczos call.
     The duality check kinematic dof == static dof then compares dim F with
     dim V0.  When they disagree, some rank decision is wrong at this
     tolerance (coordinates spread over more orders of magnitude than it

@@ -7,6 +7,7 @@ interchange format used by the CLI and the example gallery.
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -49,6 +50,16 @@ class Framework:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @cached_property
+    def reflectors(self) -> np.ndarray:
+        """Per vertex, the Householder vector of its tangent frame
+        (`spaces._reflectors`), computed on first access: the rigidity
+        operator, the Killing columns and the equilibrium stack of one
+        analysis all read their frames through it."""
+        v = spaces._reflectors(self.coords, self.space)
+        v.flags.writeable = False
+        return v
 
     def __repr__(self):
         return "Framework(%s, n=%d, m=%d)" % (self.space, self.n, self.m)

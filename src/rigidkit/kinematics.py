@@ -70,7 +70,7 @@ def vector_field(fw: Framework, vecs, eps=EPS_MODEL) -> VectorField:
 def _flatten(fw: Framework, vecs: np.ndarray) -> np.ndarray:
     """Ambient fields (..., n, d+1) in tangent frames, flattened: (..., n*d)."""
     vecs = np.asarray(vecs)
-    framed = spaces._to_frames(fw.coords, fw.space, vecs)
+    framed = spaces._to_frames(fw.coords, fw.space, vecs, reflectors=fw.reflectors)
     return framed.reshape(vecs.shape[:-2] + (fw.n * fw.dim,))
 
 
@@ -78,7 +78,7 @@ def _unflatten(fw: Framework, flat: np.ndarray) -> np.ndarray:
     """Inverse of `_flatten`: (..., n*d) back to ambient fields (..., n, d+1)."""
     flat = np.asarray(flat)
     return spaces._from_frames(fw.coords, fw.space,
-                               flat.reshape(flat.shape[:-1] + (fw.n, fw.dim)))
+                               flat.reshape(flat.shape[:-1] + (fw.n, fw.dim)), fw.reflectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +109,8 @@ def rigidity_operator(fw: Framework) -> RigidityOperator:
     k = np.arange(fw.m)
     at = np.concatenate([i, j])
     diff = fw.space.metric_signs * (fw.coords[i] - fw.coords[j])
-    rows = spaces._to_frames(fw.coords, fw.space, np.concatenate([diff, -diff]), at)
+    rows = spaces._to_frames(fw.coords, fw.space, np.concatenate([diff, -diff]), at,
+                             fw.reflectors)
     return RigidityOperator(fw, _linalg.block_entries(
         np.concatenate([k, k]), at, rows, (fw.m, fw.n * fw.dim)))
 

@@ -32,6 +32,11 @@ from .errors import DimensionMismatch, OffModel, WrongDimension, WrongSheet
 #: on unit-scale data is appropriate.
 EPS_MODEL = 1e-9
 
+#: Largest space dimension d.  Killing fields and force bivectors have
+#: C(d+1, 2) components, so an analysis holds (d+1) C(d+1, 2) floats even
+#: for a framework without vertices: 4 MB at d = 100, 4 GB at d = 1000.
+MAX_DIM = 100
+
 
 class SpaceKind(Enum):
     EUCLIDEAN = "E"
@@ -41,14 +46,16 @@ class SpaceKind(Enum):
 
 @dataclass(frozen=True)
 class Space:
-    """A constant-curvature model space: kind (E/S/H) and dimension d >= 1."""
+    """A constant-curvature model space: kind (E/S/H) and dimension
+    1 <= d <= MAX_DIM."""
 
     kind: SpaceKind
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise WrongDimension("space dimension must be >= 1, got %d" % self.dim)
+        if not 1 <= self.dim <= MAX_DIM:
+            raise WrongDimension("space dimension must be in 1..%d, got %d"
+                                 % (MAX_DIM, self.dim))
 
     @property
     def ambient_dim(self) -> int:
@@ -252,28 +259,30 @@ def _reflectors(points, space: Space) -> np.ndarray:
     return v / np.sqrt(np.abs(v[:, :1]))  # v.v = 2 |v_0| before the scaling
 
 
-def _reflect(points, space: Space, vecs, at=slice(None)) -> np.ndarray:
+def _reflect(points, space: Space, vecs, at=slice(None), reflectors=None) -> np.ndarray:
     """Ambient vectors (..., k, d+1), vecs[..., t, :] at the point
     points[at][t], reflected by the Householder reflection of their point
     (`_reflectors`): coordinate 0 is -+ the component along the unit normal,
     coordinates 1..d are the tangent frame coordinates.  The reflectors are
-    computed once per call, so a whole matrix is reflected in one call."""
-    v = _reflectors(points, space)[at]
+    computed once per call, so a whole matrix is reflected in one call, or
+    not at all when the caller passes the points' `reflectors`
+    (`Framework.reflectors`)."""
+    v = (_reflectors(points, space) if reflectors is None else reflectors)[at]
     return vecs - np.einsum("...a,...a->...", v, vecs)[..., None] * v
 
 
-def _to_frames(points, space: Space, vecs, at=slice(None)) -> np.ndarray:
+def _to_frames(points, space: Space, vecs, at=slice(None), reflectors=None) -> np.ndarray:
     """Ambient vectors (..., k, d+1) in the tangent frames of their points:
     (..., k, d), coordinates 1..d of `_reflect`.  Coordinate 0, the normal
     component, is dropped, so a vector that is not tangent loses its normal
     part.  In E this is exactly vecs[..., 1:]."""
-    return _reflect(points, space, vecs, at)[..., 1:]
+    return _reflect(points, space, vecs, at, reflectors)[..., 1:]
 
 
-def _from_frames(points, space: Space, coords) -> np.ndarray:
+def _from_frames(points, space: Space, coords, reflectors=None) -> np.ndarray:
     """Inverse of `_to_frames` on tangent vectors: frame coordinates
     (..., n, d) at the n points back to ambient (..., n, d+1).  In E this is
     exactly coordinate 0 set to 0 before the d given ones."""
-    v = _reflectors(points, space)
+    v = _reflectors(points, space) if reflectors is None else reflectors
     vecs = np.concatenate([np.zeros(coords.shape[:-1] + (1,)), coords], axis=-1)
     return vecs - np.einsum("...a,...a->...", v[:, 1:], coords)[..., None] * v

@@ -802,3 +802,27 @@ def test_mutated_framework_exit_codes(mutation_dir, data):
         argv = ["transform", "mutated.json", "--to-space", data.draw(st.sampled_from("SH")),
                 "--carry", "load", "--carry", "field", "--carry", "stress", "-o", "out.json"]
     assert run(mutation_dir, *argv) in (0, 10, 2, 3)
+
+
+@pytest.mark.parametrize("dim", [rk.spaces.MAX_DIM + 1, 3000, 100000])
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["transform", "--to-space", "S"],
+                                  ["transform", "--to-space", "H"],
+                                  ["render", "--flex", "-o", "out.svg"]],
+                         ids=["analyze", "transform-S", "transform-H", "render"])
+def test_a_large_dimension_is_an_input_error(tmp_path, capsys, dim, argv):
+    # Killing fields and force bivectors have C(d+1, 2) components: without
+    # the bound, an empty framework in E^3000 asked for (d+1) C(d+1, 2)
+    # floats (101 GiB) and ended in a MemoryError traceback.
+    (tmp_path / "wide.json").write_text(json.dumps(
+        {"space": "E", "dim": dim, "vertices": [], "edges": []}))
+    assert run(tmp_path, argv[0], "wide.json", *argv[1:]) == 2
+    assert capsys.readouterr().err == "error: space dimension must be in 1..%d, got %d\n" % (
+        rk.spaces.MAX_DIM, dim)
+
+
+def test_an_empty_framework_at_the_largest_dimension_is_analyzed(tmp_path, capsys):
+    (tmp_path / "wide.json").write_text(json.dumps(
+        {"space": "E", "dim": rk.spaces.MAX_DIM, "vertices": [], "edges": []}))
+    assert run(tmp_path, "analyze", "wide.json", "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["space"], report["n"], report["dim_V"]) == ("E^%d" % rk.spaces.MAX_DIM, 0, 0)

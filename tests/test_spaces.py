@@ -206,3 +206,29 @@ def test_frame_map_is_orthogonal_on_tangent_vectors(code, d, rng):
         assert np.array_equal(framed, vecs[..., 1:])
         back = spaces._from_frames(pts, space, framed)
         assert np.array_equal(back[..., 1:], vecs[..., 1:]) and not np.any(back[..., 0])
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_analyze_computes_the_frame_reflectors_once(kind, monkeypatch):
+    # The rigidity operator, the Killing columns and the equilibrium stack
+    # all read their tangent frames through `Framework.reflectors`.
+    from rigidkit import cli
+    from test_sparse import grid
+
+    fw = grid(30, kind)
+    calls = []
+    real = spaces._reflectors
+
+    def _reflectors(points, space):
+        calls.append(space)
+        return real(points, space)
+
+    monkeypatch.setattr(spaces, "_reflectors", _reflectors)
+    cli.analyze_framework(fw)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [0, spaces.MAX_DIM + 1])
+def test_a_dimension_outside_1_to_max_dim_is_refused(d):
+    with pytest.raises(rk.errors.WrongDimension):
+        rk.Space(rk.SpaceKind.EUCLIDEAN, d)

@@ -39,6 +39,9 @@ HENNEBERG_300_RANK = 595
 #: The same at n = 500: its rank mod p is 2n - 3 = 997, the library's 996, so
 #: `analyze` calls this rigid framework flexible with dof 1 (ROADMAP item 15).
 HENNEBERG_500_RANK = 996
+#: The same at n = 1000: its rank mod p is 1997, the library's 1993, so
+#: `analyze` calls it flexible with dof 4 (ROADMAP item 15).
+HENNEBERG_1000_RANK = 1993
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -211,12 +214,15 @@ def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
     _same_verdicts(dense, sparse, dense_spectra[0].cutoff)
     for s, d in zip(spectra, dense_spectra):
         assert (s.rank, s.shape) == (d.rank, d.shape)
-        assert abs(s.cutoff - d.cutoff) <= 1e-12 * d.cutoff
+        # the operator's rank holds on a bracket of the cutoff read from its
+        # Gram matrix's entries: the Spectrum keeps the bracket's top, from
+        # an upper bound of sigma_max
+        assert d.cutoff <= s.cutoff <= 1.5 * d.cutoff
         if s.partial:
-            # sigma_max, then the two smallest values: each one above the
-            # cutoff is the dense one, each one at or below it sits under
-            # cutoff/100
-            assert abs(s.values[0] - d.values[0]) <= 1e-12 * d.values[0]
+            # that bound of sigma_max, then the two smallest values: each one
+            # above the cutoff is the dense one, each one at or below it sits
+            # under cutoff/100
+            assert d.values[0] <= s.values[0] <= 1.5 * d.values[0]
             low, dense_low = s.values[:0:-1], d.values[::-1][:2]
             assert low.size == 2
             above = dense_low > d.cutoff
@@ -260,13 +266,15 @@ def _counting_eigsh(monkeypatch):
                           ("H", 45, 35)])
 def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_solves,
                                                              monkeypatch):
-    # `analyze` makes one factorization, the count's factor of G - c^2 I,
-    # which takes one probe solve, and one Lanczos call, for sigma_max: the
-    # operator's two smallest singular values are read off its Killing
-    # columns, which lie in its null space.  The equilibrium stack is
-    # decided by its small reduction.  Without null columns a sparse
-    # decision takes a second factor, which serves the one shift-invert
-    # Lanczos call of the values step (21 solves on every grid).
+    # `analyze` makes one factorization, the count's factor of G - c_hi^2 I
+    # at the top of the cutoff's bracket, which takes one probe solve, and
+    # no Lanczos call: the operator's Killing columns, which lie in its null
+    # space, certify three null values, the count finds no others under
+    # c_hi, and the Killing columns give the two smallest singular values.
+    # The equilibrium stack is decided by its small reduction.  Without
+    # null columns a sparse decision takes a Lanczos call for sigma_max and
+    # a second factor, which serves the one shift-invert Lanczos call of
+    # the values step (21 solves on every grid).
     # `operator_solves` bounds that step on the operator by the Lanczos
     # decisions the count replaced, which took 36 (k = 20) and 35 (k = 45)
     # solves; k = 30 keeps the k = 20 bound.  Decided on the sparse path,
@@ -283,7 +291,7 @@ def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_s
     assert [s.method for s in spectra] == ["sparse", "dense"]
     (operator_count,) = factors
     assert operator_count.solves == 1
-    assert eigsh_calls == [None]  # sigma_max only, no shift-invert call
+    assert eigsh_calls == []
     assert np.all(spectra[0].smallest() <= spectra[0].cutoff / 100)
     for matrix, bound in ((_operator(fw), operator_solves), (oc.equilibrium_stack(fw), 30)):
         del factors[:], eigsh_calls[:]
@@ -323,13 +331,15 @@ def test_sigma_max_stops_at_the_probes_sqrt_eps(kind, k, monkeypatch):
     # sigma_max's Lanczos call stops once its Ritz estimate is under
     # sqrt(eps) theta, the backward error the probe solve accepts: 41
     # products on each grid of perfbench's grid-analyze, where a stop at
-    # machine precision took 61 (k = 20) and 71 (k = 30).
+    # machine precision took 61 (k = 20) and 71 (k = 30).  Without its
+    # Killing columns the operator's rank is not decided on the cutoff's
+    # bracket, so sigma_max is read first.
     pytest.importorskip("scipy.sparse.linalg")
     fw = grid(k, kind)
     eigsh_calls = _counting_eigsh(monkeypatch)
     products = _counting_products(monkeypatch)
-    cli.analyze_framework(fw)
-    assert eigsh_calls == [None]
+    assert _linalg.spectrum(_operator(fw)).method == "sparse"
+    assert eigsh_calls[0] is None
     assert products[0] <= 45
 
 
@@ -365,10 +375,12 @@ def test_the_resolution_spectrum_is_the_operators(kind):
     # to an invertible d x d block per vertex), so static_spaces takes its
     # spectrum from the operator R.  The reference is the ambient resolution
     # matrix, decided on its own.  In E (f = 1, plus n zero rows) its
-    # spectrum must be the operator's: the same bits on the sparse path,
-    # whose Gram matrices are the same (sigma_max and the cutoff, and null
-    # lows), and equal to roundoff on the dense path, whose SVDs factor R
-    # and -R^T.  On S/H the singular values differ,
+    # spectrum must be the operator's: on the sparse path, whose Gram
+    # matrices are the same, the reference's cutoff lies in the bracket
+    # [c_lo, c_hi] on which the operator's rank was decided (with its
+    # Killing columns; the reference has none) and the lows are null on
+    # both sides; on the dense path, whose SVDs factor R and -R^T, the
+    # values are equal to roundoff.  On S/H the singular values differ,
     # but the rank and the nullity must not.
     methods = set()
     for label, fw in list(_gallery_images(kind)) + [("grid 20", grid(20, kind))]:
@@ -384,11 +396,16 @@ def test_the_resolution_spectrum_is_the_operators(kind):
             assert spec.method == reference.method, label
             assert spec.values.shape == reference.values.shape, label
             if spec.method == "sparse":
-                # sigma_max and the cutoff are the same bits; the two lows,
-                # the operator's from its Killing columns and the
-                # reference's from Lanczos, are null values on both sides
-                assert spec.values[0] == reference.values[0], label
-                assert spec.cutoff == reference.cutoff, label
+                # c_lo from the largest diagonal entry of G, a lower bound of
+                # sigma_max^2; c_hi, the operator's cutoff, from an upper
+                # bound; the two lows, the operator's from its Killing
+                # columns and the reference's from Lanczos, are null values
+                # on both sides
+                columns = _operator(fw).toarray()
+                c_lo = _linalg._cutoff(np.sqrt(np.max(np.sum(columns**2, axis=0))),
+                                       *columns.shape, _linalg.RANK_TOL)
+                assert c_lo <= reference.cutoff <= spec.cutoff, label
+                assert reference.values[0] <= spec.values[0], label
                 assert np.all(spec.smallest() <= spec.cutoff / 100), label
                 assert np.all(reference.smallest() <= spec.cutoff / 100), label
             else:
@@ -430,6 +447,38 @@ def test_a_singular_value_near_the_cutoff_is_counted_exactly(factor):
     spec = _linalg.spectrum(_near_cutoff_matrix(factor))
     assert spec.method == "sparse"
     assert spec.rank == (317 if factor > 1 else 316)
+
+
+def _near_cutoff_null_columns():
+    """The three right null vectors of every `_near_cutoff_matrix`: the last
+    columns of its V, drawn from the same stream."""
+    rng = np.random.RandomState(3)
+    rng.standard_normal((400, 320))
+    return np.linalg.qr(rng.standard_normal((320, 320)))[0][:, -3:]
+
+
+@pytest.mark.parametrize("factor, rank, factors, lanczos",
+                         [(1e3, 317, 1, 0), (0.5, 316, 2, 0), (2.0, 317, 3, 1)])
+def test_the_cutoffs_bracket_decides_where_no_value_lies_in_it(factor, rank, factors, lanczos,
+                                                               monkeypatch):
+    # Gershgorin brackets the cutoff 4e-7 between c_lo = 0.68x and
+    # c_hi = 2.28x of it, and the null columns certify three null values
+    # under c_lo.  The count at c_hi alone decides when it finds only those
+    # three (the fourth value at 1000x); a count at c_lo that agrees with it
+    # decides when the fourth value lies under c_lo (0.5x).  A value inside
+    # the bracket (2x) leaves the decision to sigma_max's Lanczos call and
+    # a count at the exact cutoff.
+    pytest.importorskip("scipy.sparse.linalg")
+    a = _near_cutoff_matrix(factor)
+    made = _counting_solves(monkeypatch)
+    eigsh_calls = _counting_eigsh(monkeypatch)
+    spec = _linalg.spectrum(a, null_columns=_near_cutoff_null_columns())
+    assert spec.method == "sparse"
+    assert spec.rank == rank
+    assert (len(made), len(eigsh_calls)) == (factors, lanczos)
+    assert np.all(spec.smallest() <= 1e-12)
+    monkeypatch.undo()
+    assert spec.rank == _linalg.spectrum(a).rank
 
 
 def test_a_gram_diagonal_that_underflows_falls_back_to_dense():
@@ -489,7 +538,8 @@ def henneberg(rng, n):
 
 
 @pytest.mark.parametrize("n, library_rank", [(100, 197), (300, HENNEBERG_300_RANK),
-                                             (500, HENNEBERG_500_RANK)])
+                                             (500, HENNEBERG_500_RANK),
+                                             (1000, HENNEBERG_1000_RANK)])
 def test_the_rank_mod_p_proves_the_henneberg_frameworks_rigid(n, library_rank):
     # A Laman graph at generic coordinates is rigid: rank 2n - 3.
     fw = rk.build_framework(rk.graph(n, henneberg(np.random.default_rng(0), n)),
@@ -564,17 +614,21 @@ def _same_spectrum(a, b):
 
 @pytest.mark.parametrize("kind", ["E", "S", "H"])
 def test_killing_columns_give_the_lows_of_a_tall_flexible_operator(kind, monkeypatch):
-    # 12 dimensions of motion, 3 of them Killing fields: the count finds
-    # more than two null values, so the Killing columns bound the two
-    # smallest, and the decision takes the count's factor only.
+    # 12 dimensions of motion, 3 of them Killing fields: the count at the
+    # top of the cutoff's bracket finds more than the three null values
+    # the Killing columns certify, and the count at its bottom finds as
+    # many, so the rank holds on the whole bracket.  The Killing columns
+    # bound the two smallest values: two factors and no Lanczos call.
     pytest.importorskip("scipy.sparse.linalg")
     fw = _dropped_grid(kind, 0.2)
     assert fw.m >= fw.n * fw.dim
     factors = _counting_solves(monkeypatch)
+    eigsh_calls = _counting_eigsh(monkeypatch)
     spec = rk.motion_spaces(fw).operator
     assert spec.method == "sparse"
     assert spec.rank == _COUNT_CASES["%s k=30 20%% dropped" % kind][1] == 1788
-    assert len(factors) == 1
+    assert len(factors) == 2
+    assert eigsh_calls == []
     assert np.all(spec.smallest() <= spec.cutoff / 100)
 
 
@@ -635,6 +689,14 @@ def _grid_file(tmp_path, k=18):
     return path
 
 
+def _wheel_file(tmp_path, rim=400):
+    path = tmp_path / "wheel.json"
+    xy, edges = wheel(np.random.default_rng(1), rim)
+    path.write_text(json.dumps(rk.framework_to_dict(
+        rk.build_framework(rk.graph(rim + 1, edges), rk.euclidean(2), xy))))
+    return path
+
+
 def test_sparse_output_is_the_same_bytes_every_run(tmp_path, capsys):
     path = _grid_file(tmp_path)
     outputs = []
@@ -665,10 +727,17 @@ def _dense_reference(path, monkeypatch, capsys, argv=()):
 
 @pytest.mark.parametrize("error", ["no-convergence", "arpack-error"])
 def test_arpack_failure_falls_back_to_dense(error, tmp_path, monkeypatch, capsys):
+    # The rim-400 wheel's operator is wide, so its decision calls ARPACK,
+    # for sigma_max and for the values step; a grid's is decided without it.
     from scipy.sparse import linalg as sla
 
-    path = _grid_file(tmp_path)
+    path = _wheel_file(tmp_path)
     expected = _dense_reference(path, monkeypatch, capsys)
+    eigsh_calls = _counting_eigsh(monkeypatch)
+    assert cli.main(["analyze", str(path), "--json"]) == expected[0]
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert eigsh_calls
 
     def eigsh(*args, **kwargs):
         if error == "no-convergence":
