@@ -14,11 +14,21 @@ one, given densely or as :class:`Entries`, is decided on the Gram matrix G of
 its smaller side (:func:`_sparse_spectrum`): the rank is a count, the number
 of negative pivots of one symmetric LDL^T factorization of G - c^2 I (c the
 cutoff), by Sylvester's law of inertia the number of singular values under
-the cutoff.  With null columns the caller knows (the rigidity operator's
-Killing fields) on a tall matrix, the count is first made at the ends of a
-bracket [c_lo, c_hi] of the cutoff read from G's entries (Gershgorin): when
-no singular value lies inside it, the rank holds on the whole bracket, the
-exact cutoff included.  Otherwise sigma_max comes first, from one Lanczos
+the cutoff.  With k >= 2 null columns the caller knows (the rigidity
+operator's Killing fields) on a tall matrix, the rank is first settled on a
+bracket [c_lo, c_hi] of the cutoff read from G's entries (Gershgorin), by
+two theorems and no count.  Cauchy interlacing for the orthonormal basis Q
+of the null columns: when the k values of B Q are at or under c_lo, so are
+k values of B.  Interlacing for principal submatrices: lambda_{k+1}(G) >=
+lambda_min(G_SS), G_SS being G without k coordinates pinned by pivoted QR
+of Q^T, so one banded Cholesky factor (LAPACK dpbtrf, reverse Cuthill-McKee
+order) that shows G_SS - c_hi^2 I positive definite, with a shift for its
+backward error, leaves no other value under c_hi.  The rank is then side -
+k on the whole bracket, the exact cutoff included.  Where that factor
+fails (a flexible operator) or its band would hold more than twice its
+envelope (a hub vertex), the count is made at the ends of the bracket, and
+when no singular value lies inside it, the rank holds on the whole bracket
+too.  Otherwise sigma_max comes first, from one Lanczos
 call on G stopped at a sqrt(eps) relative residual, the backward error the
 count's probe solve accepts, and the count is made at the exact cutoff.
 The `Spectrum` holds sigma_max (on the bracket, an upper bound of it) and
@@ -72,23 +82,30 @@ def svd(a, full_matrices=True, compute_uv=True):
 
     gesdd can fail on a matrix whose transpose it factors without trouble;
     the factors of the transpose are transposed back, so callers see the
-    same contract either way.
+    same contract either way.  A MemoryError becomes a NumericalError that
+    names the matrix's shape.
     """
     try:
-        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
-    except np.linalg.LinAlgError:
-        pass
-    try:
+        try:
+            return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        except np.linalg.LinAlgError:
+            pass
         out = np.linalg.svd(np.swapaxes(a, -1, -2), full_matrices=full_matrices,
                             compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "SVD of a %d x %d matrix did not converge, also on its transpose" % a.shape[-2:]
         ) from exc
+    except MemoryError as exc:
+        raise _out_of_memory(a.shape) from exc
     if not compute_uv:
         return out
     u, s, vt = out
     return np.swapaxes(vt, -1, -2), s, np.swapaxes(u, -1, -2)
+
+
+def _out_of_memory(shape):
+    return NumericalError("out of memory for the dense SVD of a %d x %d matrix" % shape[-2:])
 
 
 def _svd_rank(s, rows, cols, tol):
@@ -206,7 +223,10 @@ def spectrum(a, tol=RANK_TOL, null_columns=None) -> Spectrum:
         if spec is not None:
             return spec
     if isinstance(a, Entries):
-        a = a.toarray()
+        try:
+            a = a.toarray()
+        except MemoryError as exc:
+            raise _out_of_memory(a.shape) from exc
     s = np.zeros(0) if a.size == 0 else svd(a, compute_uv=False)
     cutoff, rank = _svd_rank(s, np.count_nonzero(np.any(a, axis=1)),
                              np.count_nonzero(np.any(a, axis=0)), tol)
@@ -235,12 +255,28 @@ def _sparse_spectrum(a, tol, null_columns):
     reduced-QR basis of `null_columns` on B's columns, when all k >= 2
     singular values of B Q are at or under c_lo, B has at least k values
     at or under every cutoff in the bracket (Cauchy interlacing, below): a
-    certificate made before any factor.  A count at c_hi that finds k
-    values under it then gives the rank side - k for every cutoff in the
-    bracket, c included; one that finds more is repeated at c_lo, and
-    equal counts decide as well.  `values` then holds sqrt(lambda_hi) and
-    the two smallest values of B Q, and `cutoff` is c_hi.  Both probes are
-    checked against lambda_lo, at least as strictly as against lambda_max.
+    certificate made before any factor.  The other side needs at most k
+    eigenvalues of G under c_hi^2.  For G_SS, G without k coordinates S,
+    Cauchy interlacing for principal submatrices gives lambda_{k+1}(G) >=
+    lambda_min(G_SS) (Parlett, The Symmetric Eigenvalue Problem, 10.1),
+    so G_SS - c_hi^2 I positive definite is enough.  S is where pivoted
+    QR of Q^T pins the null columns, so that no null vector survives on
+    the other coordinates.  One banded Cholesky factor of G_SS in reverse
+    Cuthill-McKee order decides it (`_pinned_gram_exceeds`, which derives
+    the shift that covers the factor's backward error); on the benchmark
+    grids lambda_min(G_SS) was at least 7.6e-6 lambda_max, the shifted
+    c_hi^2 at most 1.7e-11 lambda_max.  The rank is then side - k for
+    every cutoff in the bracket, c included, with no SuperLU factor.
+    Where the factor fails (a flexible operator), its band would hold more
+    than twice its envelope (1.35-1.47 on the rigid grids and a d = 3
+    lattice, 26-104 on braced wheels of rim 150-600, whose hub joins every
+    vertex) or cannot be allocated, the rank is
+    counted instead: a count at c_hi that finds k values under it gives
+    the rank side - k on the bracket; one that finds more is repeated at
+    c_lo, and equal counts decide as well.  `values` then holds
+    sqrt(lambda_hi) and the two smallest values of B Q, and `cutoff` is
+    c_hi.  Both probes are checked against lambda_lo, at least as strictly
+    as against lambda_max.
 
     Everything else (a value inside the bracket, a failed certificate, a
     wide matrix, one null column, no `null_columns`) is decided at the
@@ -254,9 +290,9 @@ def _sparse_spectrum(a, tol, null_columns):
     error is quadratic in the residual (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4), so in practice it is at roundoff: 41 products on the
     400- and 900-vertex grids, where a stop at machine precision took 61
-    and 71.  G is built once, with sorted
-    indices.  Symmetric to the bit, it has the same CSR and CSC arrays:
-    Lanczos takes its row-wise products, SuperLU its columns, and each
+    and 71.  G is built once, with sorted indices.  Symmetric to the bit,
+    it has the same CSR and CSC arrays: Lanczos takes its row-wise
+    products, the band its rows, SuperLU its columns, and each SuperLU
     factor shifts G's stored diagonal in place.
 
     The rank is a count: by Sylvester's law of inertia, the negative
@@ -359,7 +395,10 @@ def _sparse_spectrum(a, tol, null_columns):
         lam_hi = float(np.add.reduceat(np.abs(by_rows.data), by_rows.indptr[:-1]).max())
         c_lo, c_hi = (_cutoff(np.sqrt(lam), rows.size, cols.size, tol) for lam in (lam_lo, lam_hi))
         if low.size >= 2 and low[0] <= c_lo and c_lo >= np.sqrt(eps * lam_hi):
-            null = count(c_hi, lam_lo)
+            if _pinned_gram_exceeds(by_rows, g_ii, q, c_hi**2):
+                null = low.size
+            else:
+                null = count(c_hi, lam_lo)
             if null == low.size or (null > low.size and count(c_lo, lam_lo) == null):
                 return Spectrum(np.concatenate([[np.sqrt(lam_hi)], low[-2:]]), c_hi,
                                 side - null, a.shape, "sparse")
@@ -380,6 +419,58 @@ def _sparse_spectrum(a, tol, null_columns):
     except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU, count
         return None
     return Spectrum(np.concatenate([[smax], low]), cutoff, side - null, a.shape, "sparse")
+
+
+def _pinned_gram_exceeds(gram, g_ii, q, floor):
+    """Whether lambda_min(G_SS) > `floor`: G_SS is the CSR Gram matrix `gram`
+    (diagonal `g_ii`) without the k coordinates S that pivoted QR of q^T
+    pins, q the orthonormal side x k null basis.  False, so the caller
+    counts instead, when G_SS - floor I is not positive definite, when its
+    band in reverse Cuthill-McKee order holds more than twice its envelope
+    (a hub vertex), or when the band cannot be allocated.
+
+    One banded Cholesky factor (LAPACK dpbtrf) decides it, of G_SS - s I
+    with s = floor + delta and delta = (w + 2) eps trace(G_SS) at bandwidth
+    w.  delta covers the factor's backward error.  Where dpbtrf succeeds,
+    its R satisfies R^T R = G_SS - s I + E with |E| <= gamma |R^T| |R|,
+    gamma = gamma_{w+1} = (w + 1) u / (1 - (w + 1) u), u = eps / 2, since
+    no inner product in a band is longer than w + 1 (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3).  With rho_i the norm of
+    column i of R, |R^T| |R| <= rho rho^T entrywise (Cauchy-Schwarz), so
+    ||E||_2 <= gamma sum_i rho_i^2 = gamma trace(R^T R) <= gamma / (1 -
+    gamma) trace(G_SS), the diagonal of E being at most gamma times that
+    of R^T R.  The rounding of the shifted diagonal adds at most u (max_i
+    G_ii + s) more, and s < lambda_min(G_SS) <= trace(G_SS) / (side - k)
+    wherever the factor succeeds; both together stay under (w + 2) eps
+    trace(G_SS) = delta.  R^T R is positive definite, so lambda_min(G_SS)
+    > s - ||E||_2 >= floor.
+    """
+    from scipy.linalg import qr
+    from scipy.linalg.lapack import dpbtrf
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    side, k = q.shape
+    pins = qr(q.T, mode="r", pivoting=True)[1][:k]
+    order = reverse_cuthill_mckee(gram, symmetric_mode=True)
+    order = order[~np.isin(order, pins)]
+    position = np.full(side, -1)
+    position[order] = np.arange(order.size)
+    r = np.repeat(position, np.diff(gram.indptr))
+    c = position[gram.indices]
+    lower = (c >= 0) & (r >= c)
+    r, c, offset = r[lower], c[lower], (r - c)[lower]
+    width = int(offset.max())
+    first = np.arange(order.size)
+    np.minimum.at(first, r, c)
+    if (width + 1) * order.size > 2 * int(np.sum(np.arange(order.size) - first + 1)):
+        return False
+    try:
+        band = np.zeros((width + 1, order.size), order="F")
+    except MemoryError:
+        return False
+    band[offset, c] = gram.data[lower]
+    band[0] -= floor + (width + 2) * np.finfo(float).eps * g_ii[order].sum()
+    return dpbtrf(band, lower=1, overwrite_ab=1)[1] == 0
 
 
 def nullspace(a, rank):

@@ -114,8 +114,9 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     the equilibrium stack's on its small reduction, never the sparse path.
     On the sparse path the operator's Killing columns certify its null
     values and bound its two smallest singular values, so a tall operator
-    with no singular value inside its cutoff's bracket takes one SuperLU
-    factor (a rigid grid) or two (a flexible one) and no Lanczos call.
+    with no singular value inside its cutoff's bracket takes no Lanczos
+    call: one banded Cholesky factor (a rigid grid), or that and two
+    SuperLU factors (a flexible one).
     The duality check kinematic dof == static dof then compares dim F with
     dim V0.  When they disagree, some rank decision is wrong at this
     tolerance (coordinates spread over more orders of magnitude than it

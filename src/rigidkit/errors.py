@@ -153,7 +153,11 @@ class BasePerturbationExhausted(MaxwellCremonaError):
 
 class NumericalError(RigidkitError):
     """A LAPACK factorization failed to converge, also on the fallback route,
-    or two independent rank computations disagree."""
+    ran out of memory, or two independent rank computations disagree."""
+
+
+class TooLarge(RigidkitError):
+    """A dense matrix that the input asks for exceeds a fixed size budget."""
 
 
 # --- reports ---------------------------------------------------------------

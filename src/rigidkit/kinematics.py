@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _linalg, spaces
 from ._linalg import RANK_TOL
-from .errors import FrameworkMismatch, InternalInvariantError, NotTangent
+from .errors import FrameworkMismatch, InternalInvariantError, NotTangent, TooLarge
 from .frameworks import Framework, is_spanning
 from .spaces import EPS_MODEL
 
@@ -115,6 +115,14 @@ def rigidity_operator(fw: Framework) -> RigidityOperator:
         np.concatenate([k, k]), at, rows, (fw.m, fw.n * fw.dim)))
 
 
+#: Most entries, n d C(d+1, 2), of a Killing evaluation matrix.  The
+#: bivector map of the statics has about as many, and both grow as n d^3: a
+#: 20-vertex framework in E^100 (10.1 million) took 7.6 s and 444 MB in
+#: `analyze`.  2^22 entries (32 MB) take 700000 vertices in E^2, or 8 in
+#: E^100, whose `analyze` took 2.3 s and 228 MB.
+KILLING_BUDGET = 2**22
+
+
 def killing_evaluation_matrix(fw: Framework) -> np.ndarray:
     """Columns: the Killing fields at the vertices, in tangent frames and
     flattened, one per axis pair t = (a, b), a < b (`spaces.wedges` order).
@@ -123,7 +131,13 @@ def killing_evaluation_matrix(fw: Framework) -> np.ndarray:
     E and S minus the frame part of that map.  On the chart x_0 = 1 of E the
     pairs (0, k) are the translations along -e_k, the others rotations; on S
     they are the skew matrices, on H the Lorentz algebra.
+
+    TooLarge when the matrix would have more than KILLING_BUDGET entries.
     """
+    rows, cols = fw.n * fw.dim, fw.dim * (fw.dim + 1) // 2
+    if rows * cols > KILLING_BUDGET:
+        raise TooLarge("%d vertices in dimension %d need a %d x %d Killing matrix, over the "
+                       "budget of %d entries" % (fw.n, fw.dim, rows, cols, KILLING_BUDGET))
     fields = spaces.wedges(fw.coords[:, None, :], -np.diag(fw.space.metric_signs))  # (n, c, t)
     return _flatten(fw, np.moveaxis(fields, 2, 0)).T
 

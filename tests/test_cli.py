@@ -826,3 +826,31 @@ def test_an_empty_framework_at_the_largest_dimension_is_analyzed(tmp_path, capsy
     assert run(tmp_path, "analyze", "wide.json", "--json") == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["space"], report["n"], report["dim_V"]) == ("E^%d" % rk.spaces.MAX_DIM, 0, 0)
+
+
+def test_an_svd_out_of_memory_is_an_input_error_naming_the_shape(tmp_path, capsys,
+                                                                   monkeypatch):
+    # A MemoryError from LAPACK's SVD, here raised by a stand-in before any
+    # allocation, ends in exit 2 and one `error:` line, not a traceback.
+    def svd(a, *args, **kwargs):
+        raise MemoryError
+
+    run(tmp_path, "example", "triangle")
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert run(tmp_path, "analyze", "triangle.json", "--json") == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory for the dense SVD of a 3 x 6 matrix\n")
+
+
+def test_a_killing_matrix_over_the_budget_is_an_input_error(tmp_path, capsys):
+    # 20 vertices and 60 edges in E^100 (a 40 KB file) ask for a 2000 x 5050
+    # Killing matrix and as large a bivector map: refused before either is
+    # built, where `analyze` took 7.6 s and 444 MB.
+    edges = [(i, j) for i in range(20) for j in range(i + 1, 20)][:60]
+    (tmp_path / "tall.json").write_text(json.dumps(
+        {"space": "E", "dim": 100,
+         "vertices": np.random.default_rng(0).random((20, 100)).tolist(), "edges": edges}))
+    assert run(tmp_path, "analyze", "tall.json", "--json") == 2
+    assert capsys.readouterr().err == (
+        "error: 20 vertices in dimension 100 need a 2000 x 5050 Killing matrix, over the "
+        "budget of %d entries\n" % rk.kinematics.KILLING_BUDGET)

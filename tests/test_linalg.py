@@ -196,3 +196,18 @@ def test_analyze_refuses_a_far_projective_image(tmp_path, tol, capsys):
     path.write_text(json.dumps(rk.framework_to_dict(fw)))
     assert cli.main(["analyze", str(path), "--tol", tol]) == cli.EXIT_INPUT
     assert "kinematic dof 1 != static dof 2" in capsys.readouterr().err
+
+
+def test_an_out_of_memory_dense_fallback_is_a_numerical_error(monkeypatch):
+    # Neither stand-in allocates: the MemoryError comes before any work.
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.linalg, "svd", no_memory)
+    with pytest.raises(rk.errors.NumericalError, match="SVD of a 4 x 3 matrix"):
+        _linalg.svd(np.ones((4, 3)), compute_uv=False)
+    monkeypatch.undo()
+    monkeypatch.setattr(_linalg.Entries, "toarray", no_memory)
+    entries = _linalg.Entries(np.arange(3), np.arange(3), np.ones(3), (5, 3))
+    with pytest.raises(rk.errors.NumericalError, match="SVD of a 5 x 3 matrix"):
+        _linalg.spectrum(entries)
