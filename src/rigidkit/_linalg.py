@@ -24,13 +24,11 @@ lambda_min(G_SS), G_SS being G without k coordinates pinned by pivoted QR
 of Q^T, so one banded Cholesky factor (LAPACK dpbtrf, reverse Cuthill-McKee
 order) that shows G_SS - c_hi^2 I positive definite, with a shift for its
 backward error, leaves no other value under c_hi.  The rank is then side -
-k on the whole bracket, the exact cutoff included.  Where that factor
-fails (a flexible operator) or its band would hold more than twice its
-envelope (a hub vertex), the count is made at the ends of the bracket, and
-when no singular value lies inside it, the rank holds on the whole bracket
-too.  Otherwise sigma_max comes first, from one Lanczos
-call on G stopped at a sqrt(eps) relative residual, the backward error the
-count's probe solve accepts, and the count is made at the exact cutoff.
+k on the whole bracket, the exact cutoff included.  Otherwise (that factor
+fails on a flexible operator, or its band would hold more than twice its
+envelope at a hub vertex) sigma_max comes first, from one Lanczos call on
+G stopped at a sqrt(eps) relative residual, the backward error the count's
+probe solve accepts, and the count is made at the exact cutoff.
 The `Spectrum` holds sigma_max (on the bracket, an upper bound of it) and
 two upper bounds of the smallest singular values only: from the null
 columns when they certify two null values, else from one shift-invert
@@ -170,17 +168,17 @@ class Spectrum:
 
     `method` says which path decided the rank: "dense" (one values-only
     SVD; `values` holds every singular value, `cutoff` is the rule's
-    tol * sigma_max * max(m, n)) or "sparse" (an inertia count; `partial`
-    is then true and `values` holds three numbers: first sigma_max or a
-    bound of it, then two upper bounds of the smallest singular values, to
+    tol * sigma_max * max(m, n)) or "sparse" (the banded certificate or an
+    inertia count; `values` holds three numbers: first sigma_max or a bound
+    of it, then two upper bounds of the smallest singular values, to
     roundoff the values themselves above the cutoff).  What the first value
-    and `cutoff` are depends on where the sparse count was made (see
-    `_sparse_spectrum`).  On the cutoff's bracket they are the upper bound
-    sqrt(max_i sum_j |G_ij|) of sigma_max and the bracket's top c_hi, the
-    rule's cutoff for that bound, at which the rank is the same as at the
-    exact cutoff.  At the exact cutoff they are sigma_max, a Lanczos
-    Rayleigh quotient certified to sqrt(eps) relative and in practice at
-    roundoff, and the rule's cutoff.
+    and `cutoff` are depends on which of the two decided (see
+    `_sparse_spectrum`).  After the certificate they are the upper bound
+    sqrt(max_i sum_j |G_ij|) of sigma_max and the top c_hi of the cutoff's
+    bracket, the rule's cutoff for that bound, at which the rank is the
+    same as at the exact cutoff.  After the count they are sigma_max, a
+    Lanczos Rayleigh quotient certified to sqrt(eps) relative and in
+    practice at roundoff, and the rule's cutoff.
     """
 
     values: np.ndarray
@@ -188,10 +186,6 @@ class Spectrum:
     rank: int
     shape: tuple
     method: str = "dense"
-
-    @property
-    def partial(self) -> bool:
-        return self.method == "sparse"
 
     @property
     def nullity(self) -> int:
@@ -202,7 +196,7 @@ class Spectrum:
         """The k smallest of the min(rows, columns) singular values (upper
         bounds on the sparse path), nan-padded: right null values for a tall
         matrix, else row-side ones, whose zeros are left null vectors."""
-        low = self.values[1:] if self.partial else self.values
+        low = self.values[1:] if self.method == "sparse" else self.values
         s = low[::-1][:k]
         return np.concatenate([s, np.full(k - s.size, np.nan)])
 
@@ -266,23 +260,19 @@ def _sparse_spectrum(a, tol, null_columns):
     the shift that covers the factor's backward error); on the benchmark
     grids lambda_min(G_SS) was at least 7.6e-6 lambda_max, the shifted
     c_hi^2 at most 1.7e-11 lambda_max.  The rank is then side - k for
-    every cutoff in the bracket, c included, with no SuperLU factor.
-    Where the factor fails (a flexible operator), its band would hold more
-    than twice its envelope (1.35-1.47 on the rigid grids and a d = 3
-    lattice, 26-104 on braced wheels of rim 150-600, whose hub joins every
-    vertex) or cannot be allocated, the rank is
-    counted instead: a count at c_hi that finds k values under it gives
-    the rank side - k on the bracket; one that finds more is repeated at
-    c_lo, and equal counts decide as well.  `values` then holds
-    sqrt(lambda_hi) and the two smallest values of B Q, and `cutoff` is
-    c_hi.  Both probes are checked against lambda_lo, at least as strictly
-    as against lambda_max.
+    every cutoff in the bracket, c included, with no SuperLU factor;
+    `values` holds sqrt(lambda_hi) and the two smallest values of B Q, and
+    `cutoff` is c_hi.
 
-    Everything else (a value inside the bracket, a failed certificate, a
-    wide matrix, one null column, no `null_columns`) is decided at the
-    exact cutoff.  sigma_max, and with it c, comes from the largest
-    eigenvalue of G: one Lanczos call (ARPACK) stopped at tol = sqrt(eps),
-    where its Ritz estimate certifies lambda_max to sqrt(eps) relative.
+    Everything else is decided at the exact cutoff: a value of B Q above
+    c_lo, a failed certificate (the factor fails on a flexible operator;
+    the band would hold more than twice its envelope, 26-104 times on
+    braced wheels of rim 150-600, whose hub joins every vertex, against
+    1.35-1.47 on the rigid grids and a d = 3 lattice; or it cannot be
+    allocated), a wide matrix, one null column, no `null_columns`.
+    sigma_max, and with it c, comes from the largest eigenvalue of G: one
+    Lanczos call (ARPACK) stopped at tol = sqrt(eps), where its Ritz
+    estimate certifies lambda_max to sqrt(eps) relative.
     That is the backward error the probe solve below accepts for the
     counted factor; it moves c^2 by about 2 sqrt(eps) c^2, far under the
     sqrt(eps) lambda_max the probe allows, so the count's weakest
@@ -370,18 +360,17 @@ def _sparse_spectrum(a, tol, null_columns):
         finally:
             gram.data[diagonal] = g_ii
 
-    def count(cutoff, lam):
+    def count(cutoff):
         """The number of eigenvalues of G under cutoff^2: the negative pivots
         of the LDL^T factor of G - cutoff^2 I.  LinAlgError when that factor
         cannot count: SuperLU left the diagonal, or the probe's backward
-        error exceeds sqrt(eps) for a lambda_max of at least `lam`.  The
-        factor dies on return, so one is alive at a time and the peak memory
-        stays at one fill."""
+        error exceeds sqrt(eps) for lambda_max.  The factor dies on return,
+        so one is alive at a time and the peak memory stays at one fill."""
         lu = ldlt(-cutoff**2)
         x = lu.solve(v0)
         residual = np.linalg.norm(by_rows @ x - cutoff**2 * x - v0)
         if not (np.array_equal(lu.perm_r, lu.perm_c) and residual
-                <= np.sqrt(eps) * (lam * np.linalg.norm(x) + np.linalg.norm(v0))):
+                <= np.sqrt(eps) * (lam_max * np.linalg.norm(x) + np.linalg.norm(v0))):
             raise np.linalg.LinAlgError("the factor cannot count")
         return int(np.count_nonzero(lu.U.diagonal() < 0))
 
@@ -394,21 +383,17 @@ def _sparse_spectrum(a, tol, null_columns):
         lam_lo = float(g_ii.max())
         lam_hi = float(np.add.reduceat(np.abs(by_rows.data), by_rows.indptr[:-1]).max())
         c_lo, c_hi = (_cutoff(np.sqrt(lam), rows.size, cols.size, tol) for lam in (lam_lo, lam_hi))
-        if low.size >= 2 and low[0] <= c_lo and c_lo >= np.sqrt(eps * lam_hi):
-            if _pinned_gram_exceeds(by_rows, g_ii, q, c_hi**2):
-                null = low.size
-            else:
-                null = count(c_hi, lam_lo)
-            if null == low.size or (null > low.size and count(c_lo, lam_lo) == null):
-                return Spectrum(np.concatenate([[np.sqrt(lam_hi)], low[-2:]]), c_hi,
-                                side - null, a.shape, "sparse")
+        if (low.size >= 2 and low[0] <= c_lo and c_lo >= np.sqrt(eps * lam_hi)
+                and _pinned_gram_exceeds(by_rows, g_ii, q, c_hi**2)):
+            return Spectrum(np.concatenate([[np.sqrt(lam_hi)], low[-2:]]), c_hi,
+                            side - low.size, a.shape, "sparse")
         lam_max = float(eigsh(by_rows, 1, v0=v0, tol=np.sqrt(eps), maxiter=_ARPACK_MAXITER,
                               return_eigenvectors=False)[0])
         smax = np.sqrt(max(lam_max, 0.0))
         cutoff = _cutoff(smax, rows.size, cols.size, tol)
         if smax == 0.0 or cutoff < np.sqrt(eps) * smax:
             return None
-        null = count(cutoff, lam_max)
+        null = count(cutoff)
         low = low[-2:] if null >= 2 else np.zeros(0)
         if low.size < 2 or low[0] > cutoff:
             shift = max(cutoff**2, 16384 * eps * lam_max)

@@ -27,6 +27,7 @@ from .frameworks import (
     is_spanning,
     json_text,
     load_framework,
+    read_json,
     write_json,
 )
 from .graphs import laman_check
@@ -114,9 +115,8 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     the equilibrium stack's on its small reduction, never the sparse path.
     On the sparse path the operator's Killing columns certify its null
     values and bound its two smallest singular values, so a tall operator
-    with no singular value inside its cutoff's bracket takes no Lanczos
-    call: one banded Cholesky factor (a rigid grid), or that and two
-    SuperLU factors (a flexible one).
+    takes one banded Cholesky factor (a rigid grid), or where that fails
+    one Lanczos call and one SuperLU factor (a flexible one).
     The duality check kinematic dof == static dof then compares dim F with
     dim V0.  When they disagree, some rank decision is wrong at this
     tolerance (coordinates spread over more orders of magnitude than it
@@ -160,8 +160,7 @@ def cmd_analyze(args) -> int:
 
 def _map_spec_from_args(args) -> transforms.MapSpec:
     if args.map:
-        with open(args.map, encoding="utf-8") as fh:
-            return transforms.map_spec_from_dict(json.load(fh))
+        return transforms.map_spec_from_dict(read_json(args.map))
     if args.to_space:
         return transforms.geodesic_map(args.to_space)
     raise RigidkitError("transform needs --map or --to-space")
@@ -234,8 +233,7 @@ def cmd_mc(args) -> int:
     else:
         if not args.object:
             raise RigidkitError("direction %s needs --object" % args.direction)
-        with open(args.object, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(args.object)
         if not isinstance(data, dict) or data.get("type") != source:
             raise RigidkitError("direction %s needs a %s object" % (args.direction, source))
         parse = mc.reciprocal_from_dict if source == "reciprocal" else mc.lift_from_dict
@@ -291,12 +289,10 @@ def cmd_render(args) -> int:
                   file=sys.stderr)
     reciprocal = None
     if args.reciprocal:
-        with open(args.reciprocal, encoding="utf-8") as fh:
-            reciprocal = mc.reciprocal_from_dict(fw, json.load(fh))
+        reciprocal = mc.reciprocal_from_dict(fw, read_json(args.reciprocal))
     lift = None
     if args.lift:
-        with open(args.lift, encoding="utf-8") as fh:
-            lift = mc.lift_from_dict(fw, json.load(fh))
+        lift = mc.lift_from_dict(fw, read_json(args.lift))
     text = svg.render_framework(fw, model=args.model, flex=flex,
                                 reciprocal=reciprocal, lift=lift)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -362,10 +358,6 @@ def main(argv=None) -> int:
         return EXIT_CONVERSION
     except (RigidkitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print("error: invalid JSON at line %d column %d: %s"
-              % (exc.lineno, exc.colno, exc.msg), file=sys.stderr)
         return EXIT_INPUT
 
 

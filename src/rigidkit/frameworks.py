@@ -328,6 +328,19 @@ def save_framework(path, fw: Framework, **attachments):
     write_json(path, framework_to_dict(fw, **attachments))
 
 
-def load_framework(path) -> FrameworkDocument:
+def read_json(path):
+    """The JSON value in the file at `path`.  A file that is not valid JSON,
+    not UTF-8 text, nested deeper than the parser's recursion limit or
+    holding an integer too long to convert raises RigidkitError."""
     with open(path, encoding="utf-8") as fh:
-        return framework_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RigidkitError("invalid JSON at line %d column %d: %s"
+                                % (exc.lineno, exc.colno, exc.msg)) from None
+        except (RecursionError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise RigidkitError("%s cannot be read as JSON: %s" % (path, exc)) from None
+
+
+def load_framework(path) -> FrameworkDocument:
+    return framework_from_dict(read_json(path))

@@ -854,3 +854,34 @@ def test_a_killing_matrix_over_the_budget_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: 20 vertices in dimension 100 need a 2000 x 5050 Killing matrix, over the "
         "budget of %d entries\n" % rk.kinematics.KILLING_BUDGET)
+
+
+_UNREADABLE = {"syntax": b"{broken", "not-utf8": b'{"space": "E\xff"}',
+               "nested-100000": b"[" * 100000 + b"]" * 100000,
+               "int-5000-digits": b"[" + b"9" * 5000 + b"]"}
+_READ_SITES = {
+    "analyze": ("analyze", "{}"),
+    "transform --map": ("transform", "fw.json", "--map", "{}"),
+    "mc --object": ("mc", "fw.json", "--direction", "rec2lift", "--object", "{}"),
+    "render --reciprocal": ("render", "fw.json", "-o", "fw.svg", "--reciprocal", "{}"),
+    "render --lift": ("render", "fw.json", "-o", "fw.svg", "--lift", "{}"),
+}
+
+
+@pytest.mark.parametrize("content", list(_UNREADABLE))
+@pytest.mark.parametrize("site", list(_READ_SITES))
+def test_an_unreadable_json_file_is_an_input_error(tmp_path, capsys, site, content):
+    # A file that is not UTF-8 raised UnicodeDecodeError, one nested 100000
+    # deep RecursionError and an integer past Python's 4300-digit limit for
+    # converting strings ValueError, each a traceback with exit 1, wherever
+    # a JSON file is read.
+    if content == "int-5000-digits" and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    run(tmp_path, "example", "square4bar", "-o", "fw.json")
+    (tmp_path / "bad.json").write_bytes(_UNREADABLE[content])
+    capsys.readouterr()
+    argv = [arg.format("bad.json") for arg in _READ_SITES[site]]
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "fw.svg").exists()

@@ -209,7 +209,6 @@ def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
     fw = grid(20, kind)
     sparse, spectra = _report(fw, monkeypatch, _linalg.SPARSE_MIN_SIDE)
     assert [s.method for s in spectra] == ["sparse", "dense"]
-    assert all(s.partial == (s.method == "sparse") for s in spectra)
     assert sparse["rigid"] and sparse["kinematic_dof"] == sparse["static_dof"] == 0
     assert sparse["dim_V0"] == 3
     assert sparse["self_stress_count"] == fw.m - (2 * fw.n - 3) == 324
@@ -221,7 +220,7 @@ def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
         # Gram matrix's entries: the Spectrum keeps the bracket's top, from
         # an upper bound of sigma_max
         assert d.cutoff <= s.cutoff <= 1.5 * d.cutoff
-        if s.partial:
+        if s.method == "sparse":
             # that bound of sigma_max, then the two smallest values: each one
             # above the cutoff is the dense one, each one at or below it sits
             # under cutoff/100
@@ -479,18 +478,17 @@ def _near_cutoff_null_columns():
 
 
 @pytest.mark.parametrize("factor, rank, factors, lanczos",
-                         [(1e3, 317, 0, 0), (0.5, 316, 2, 0), (2.0, 317, 3, 1)])
+                         [(1e3, 317, 0, 0), (0.5, 316, 1, 1), (2.0, 317, 1, 1)])
 def test_the_cutoffs_bracket_decides_where_no_value_lies_in_it(factor, rank, factors, lanczos,
                                                                monkeypatch):
     # Gershgorin brackets the cutoff 4e-7 between c_lo = 0.68x and
     # c_hi = 2.28x of it, and the null columns certify three null values
     # under c_lo.  A banded Cholesky factor of G without three pinned
     # coordinates, shifted by c_hi^2, alone decides when no fourth value
-    # lies under c_hi (at 1000x), with no SuperLU factor.  Otherwise the
-    # SuperLU counts do: a count at c_lo that agrees with the one at c_hi
-    # decides when the fourth value lies under c_lo (0.5x); a value inside
-    # the bracket (2x) leaves the decision to sigma_max's Lanczos call and
-    # a count at the exact cutoff.
+    # lies under c_hi (at 1000x), with no SuperLU factor.  Otherwise, with
+    # the fourth value under c_lo (0.5x) or inside the bracket (2x), that
+    # factor fails and sigma_max's Lanczos call and one count at the exact
+    # cutoff decide.
     pytest.importorskip("scipy.sparse.linalg")
     a = _near_cutoff_matrix(factor)
     made = _counting_solves(monkeypatch)
@@ -663,8 +661,9 @@ def test_the_count_is_the_dense_rank(label):
             assert abs(spec.values[0] - s[0]) <= 1e-12 * s[0], label
             assert abs(spec.cutoff - cutoff) <= 1e-12 * cutoff, label
         else:
-            # on the cutoff's bracket: a Gershgorin bound of sigma_max, and
-            # the rule's cutoff for it
+            # after the banded certificate a Gershgorin bound of sigma_max
+            # and the rule's cutoff for it, after the count (the braced
+            # wheel) the exact ones to roundoff
             assert s[0] <= spec.values[0] * (1 + 1e-12), label
             assert cutoff <= spec.cutoff * (1 + 1e-12), label
     assert spec.rank == rank, label
@@ -678,12 +677,15 @@ def test_the_banded_certificate_or_the_count_decides(label, band_rows, factors, 
     # pinned Gram matrix's band holds far more than twice its envelope: no
     # band is allocated and the SuperLU count decides.  The shuffled grid
     # gets the band of the grid in its own order (bandwidth 91), and the
-    # d = 3 lattice pins its six Killing fields' coordinates.
+    # d = 3 lattice pins its six Killing fields' coordinates.  The count
+    # follows sigma_max's Lanczos call.
     pytest.importorskip("scipy.sparse.linalg")
     a, null_columns = _COUNT_CASES[label][0]()
     made, shapes = _counting_solves(monkeypatch), _counting_bands(monkeypatch)
+    eigsh_calls = _counting_eigsh(monkeypatch)
     spec = _linalg.spectrum(a, null_columns=null_columns)
     assert ([rows for rows, _ in shapes], len(made)) == (band_rows, factors)
+    assert eigsh_calls == [None] * factors  # sigma_max's Lanczos call before the count
     assert spec.rank == a.shape[1] - null_columns.shape[1]
     assert all(order == spec.rank for _, order in shapes)
 
@@ -692,17 +694,25 @@ def test_a_band_that_cannot_be_allocated_leaves_the_rank_to_the_count(monkeypatc
     pytest.importorskip("scipy.sparse.linalg")
     a, null_columns = _with_killing(grid(20))
     reference = _linalg.spectrum(a, null_columns=null_columns)
-    real = np.zeros
+    real, refused = np.zeros, []
 
     def zeros(shape, *args, order="C", **kwargs):
-        if order == "F":
+        # the band is the first Fortran-order array; ARPACK's come after it
+        if order == "F" and not refused:
+            refused.append(shape)
             raise MemoryError
         return real(shape, *args, order=order, **kwargs)
 
     made, shapes = _counting_solves(monkeypatch), _counting_bands(monkeypatch)
+    eigsh_calls = _counting_eigsh(monkeypatch)
     monkeypatch.setattr(np, "zeros", zeros)
-    _same_spectrum(_linalg.spectrum(a, null_columns=null_columns), reference)
-    assert (len(shapes), len(made)) == (0, 1)
+    spec = _linalg.spectrum(a, null_columns=null_columns)
+    # the count at the exact cutoff gives the certified rank, and the
+    # Killing columns the same two lows
+    assert (spec.rank, spec.method) == (reference.rank, reference.method)
+    assert np.array_equal(spec.values[1:], reference.values[1:])
+    assert (len(made), len(eigsh_calls), len(shapes)) == (1, 1, 0)
+    assert refused[0][1] == reference.rank  # the band has one column per unpinned coordinate
 
 
 def _line(components, n=400):
@@ -723,11 +733,10 @@ def _same_spectrum(a, b):
 
 @pytest.mark.parametrize("kind", ["E", "S", "H"])
 def test_killing_columns_give_the_lows_of_a_tall_flexible_operator(kind, monkeypatch):
-    # 12 dimensions of motion, 3 of them Killing fields: the count at the
-    # top of the cutoff's bracket finds more than the three null values
-    # the Killing columns certify, and the count at its bottom finds as
-    # many, so the rank holds on the whole bracket.  The Killing columns
-    # bound the two smallest values: two factors and no Lanczos call.
+    # 12 dimensions of motion, 3 of them Killing fields: the banded
+    # certificate fails, so sigma_max's Lanczos call and one count at the
+    # exact cutoff decide.  The Killing columns bound the two smallest
+    # values: one factor and no shift-invert Lanczos call.
     pytest.importorskip("scipy.sparse.linalg")
     fw = _dropped_grid(kind, 0.2)
     assert fw.m >= fw.n * fw.dim
@@ -736,8 +745,8 @@ def test_killing_columns_give_the_lows_of_a_tall_flexible_operator(kind, monkeyp
     spec = rk.motion_spaces(fw).operator
     assert spec.method == "sparse"
     assert spec.rank == _COUNT_CASES["%s k=30 20%% dropped" % kind][1] == 1788
-    assert len(factors) == 2
-    assert eigsh_calls == []
+    assert len(factors) == 1
+    assert eigsh_calls == [None]
     assert np.all(spec.smallest() <= spec.cutoff / 100)
 
 
