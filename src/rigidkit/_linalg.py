@@ -32,9 +32,9 @@ probe solve accepts, and the count is made at the exact cutoff.
 The `Spectrum` holds sigma_max (on the bracket, an upper bound of it) and
 two upper bounds of the smallest singular values only: from the null
 columns when they certify two null values, else from one shift-invert
-Lanczos call (ARPACK, through scipy) on a second factor.  When the cutoff
-sits below the sqrt(eps) * sigma_max floor of squaring, when SuperLU pivots
-off the diagonal, when a probe solve shows a backward error above
+Lanczos call (ARPACK, through scipy) on the count's own factor.  When the
+cutoff sits below the sqrt(eps) * sigma_max floor of squaring, when SuperLU
+pivots off the diagonal, when a probe solve shows a backward error above
 sqrt(eps), when ARPACK or SuperLU fails, or when scipy is missing, the same
 matrix gets the dense SVD instead.
 
@@ -63,7 +63,8 @@ SPARSE_MIN_SIDE = 300
 
 #: Restart limit (eigsh's `maxiter`) of each ARPACK call on the sparse path;
 #: a call that reaches it fails, and the dense SVD decides.  The slowest
-#: fixture, the rim-1000 wheel, needs 35 restarts to read its two values.
+#: fixture, the rim-2000 wheel, needs 4 restarts to read its 83 values under
+#: the cutoff on the count's factor.
 _ARPACK_MAXITER = 100
 
 
@@ -282,7 +283,7 @@ def _sparse_spectrum(a, tol, null_columns):
     400- and 900-vertex grids, where a stop at machine precision took 61
     and 71.  G is built once, with sorted indices.  Symmetric to the bit,
     it has the same CSR and CSC arrays: Lanczos takes its row-wise
-    products, the band its rows, SuperLU its columns, and each SuperLU
+    products, the band its rows, SuperLU its columns, and the SuperLU
     factor shifts G's stored diagonal in place.
 
     The rank is a count: by Sylvester's law of inertia, the negative
@@ -301,20 +302,20 @@ def _sparse_spectrum(a, tol, null_columns):
     the bounds are the two smallest singular values of B Q: for orthonormal
     Q the k-th smallest singular value of B Q bounds the k-th smallest of B
     from above (Cauchy interlacing), so two of them at or under the cutoff
-    are null values, certified without a second factor.  Otherwise (fewer than
+    are null values, certified with no Lanczos call.  Otherwise (fewer than
     two columns in Q, a value of B Q above the cutoff, or a wide matrix,
     whose smallest values are the row side's, on which right null columns
-    say nothing) the values step reads them: the values of B V for the two
-    eigenvectors V of G nearest -s, s = max(c^2, 16384 eps sigma_max^2)
-    (shift-invert Lanczos on a factor of the positive definite G + s I,
-    fixed start vector, run to machine precision, as the values are read
-    through B V).  By interlacing these bound the two smallest singular
-    values of B from above too, and reading them from B V instead
-    of sqrt(eig) keeps the null ones at roundoff rather than at sqrt(eps)
-    sigma_max.  The floor on s keeps the solves' relative error along the
-    null vectors, about eps sigma_max^2 / s, under 1e-4 when c sits near the
-    floor of squaring; at s = c^2 there, Lanczos returned null vectors with
-    |B v| up to c/10.
+    say nothing) the values step reads them on the count's own factor, as
+    spectrum slicing does: one Lanczos call on (G - c^2 I)^-1 (fixed start
+    vector, run to machine precision, as the values are read through B V)
+    for max(null, 2) eigenvectors V of G, null being the count: the two
+    above c^2 at null = 0 ("LA"), one below and one above at 1 ("BE"), all
+    null below at null >= 2 ("SA": the two nearest c^2 need not be the
+    smallest).  By interlacing the two smallest values of B V bound those
+    of B from above too, and as values of B V, not sqrt(eig), null ones
+    stay at roundoff.  ARPACK keeps 2k + 1 vectors for k, so many values
+    under c cost time: 200 disjoint K4 blocks (200 values) take 0.24 s,
+    against 0.012 s for two vectors on a second factor at -c^2.
 
     A diagonal entry of G that underflows to zero, a cutoff below the
     sqrt(eps) * sigma_max floor of squaring, an off-diagonal pivot, a probe
@@ -350,29 +351,25 @@ def _sparse_spectrum(a, tol, null_columns):
     v0 = np.random.default_rng(0).standard_normal(side)
     eps = np.finfo(float).eps
 
-    def ldlt(shift):
-        """The LDL^T factor of G + shift I, shifted in place on G's stored
-        diagonal for the factorization only."""
-        gram.data[diagonal] = g_ii + shift
+    def count(cutoff):
+        """The LDL^T factor of G - cutoff^2 I (shifted in place on G's stored
+        diagonal for the factorization only) and the number of eigenvalues
+        of G under cutoff^2, its negative pivots.  LinAlgError when that
+        factor cannot count: SuperLU left the diagonal, or the probe's
+        backward error exceeds sqrt(eps) for lambda_max.  The values step
+        reuses the factor: one is alive, the peak memory stays at one fill."""
+        gram.data[diagonal] = g_ii - cutoff**2
         try:
-            return splu(gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                        options=dict(SymmetricMode=True))
+            lu = splu(gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options=dict(SymmetricMode=True))
         finally:
             gram.data[diagonal] = g_ii
-
-    def count(cutoff):
-        """The number of eigenvalues of G under cutoff^2: the negative pivots
-        of the LDL^T factor of G - cutoff^2 I.  LinAlgError when that factor
-        cannot count: SuperLU left the diagonal, or the probe's backward
-        error exceeds sqrt(eps) for lambda_max.  The factor dies on return,
-        so one is alive at a time and the peak memory stays at one fill."""
-        lu = ldlt(-cutoff**2)
         x = lu.solve(v0)
         residual = np.linalg.norm(by_rows @ x - cutoff**2 * x - v0)
         if not (np.array_equal(lu.perm_r, lu.perm_c) and residual
                 <= np.sqrt(eps) * (lam_max * np.linalg.norm(x) + np.linalg.norm(v0))):
             raise np.linalg.LinAlgError("the factor cannot count")
-        return int(np.count_nonzero(lu.U.diagonal() < 0))
+        return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
     try:
         low = np.zeros(0)
@@ -393,14 +390,14 @@ def _sparse_spectrum(a, tol, null_columns):
         cutoff = _cutoff(smax, rows.size, cols.size, tol)
         if smax == 0.0 or cutoff < np.sqrt(eps) * smax:
             return None
-        null = count(cutoff)
+        lu, null = count(cutoff)
         low = low[-2:] if null >= 2 else np.zeros(0)
         if low.size < 2 or low[0] > cutoff:
-            shift = max(cutoff**2, 16384 * eps * lam_max)
-            inverse = LinearOperator((side, side), matvec=ldlt(shift).solve, dtype=float)
-            _, vecs = eigsh(gram, min(2, side - 1), sigma=-shift, which="LM", v0=v0,
+            inverse = LinearOperator((side, side), matvec=lu.solve, dtype=float)
+            _, vecs = eigsh(gram, min(max(null, 2), side - 1), sigma=cutoff**2,
+                            which=("LA", "BE", "SA")[min(null, 2)], v0=v0,
                             maxiter=_ARPACK_MAXITER, OPinv=inverse)
-            low = np.linalg.svd(b @ vecs, compute_uv=False)
+            low = np.linalg.svd(b @ vecs, compute_uv=False)[-2:]
     except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU, count
         return None
     return Spectrum(np.concatenate([[smax], low]), cutoff, side - null, a.shape, "sparse")

@@ -113,10 +113,10 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     operator up to invertible factors, in every geometry, so its rank is
     the operator's, passed on and not decided again: three spectra in all,
     the equilibrium stack's on its small reduction, never the sparse path.
-    On the sparse path the operator's Killing columns certify its null
-    values and bound its two smallest singular values, so a tall operator
-    takes one banded Cholesky factor (a rigid grid), or where that fails
-    one Lanczos call and one SuperLU factor (a flexible one).
+    On the sparse path the Killing columns certify the operator's null
+    values and bound its two lows: a tall operator takes one banded Cholesky
+    factor (a rigid grid), else, as every other sparse decision, one Lanczos
+    call and one SuperLU factor, which any values step reuses.
     The duality check kinematic dof == static dof then compares dim F with
     dim V0.  When they disagree, some rank decision is wrong at this
     tolerance (coordinates spread over more orders of magnitude than it
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="rigidity report; exit 0 rigid, 10 flexible")
     pa.add_argument("path")
-    pa.add_argument("--tol", type=tolerance, default=None)
+    pa.add_argument("--tol", type=tolerance, help="rank tolerance (default RIGIDKIT_TOL or 1e-9)")
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--direction", required=True, choices=_MC_DIRECTIONS)
     pm.add_argument("--object", help="reciprocal/lift JSON input for rec2*/lift2*")
     pm.add_argument("-o", "--output")
-    pm.add_argument("--tol", type=tolerance, default=None)
+    pm.add_argument("--tol", type=tolerance, help="absolute Maxwell-Cremona construction "
+                    "tolerance (default 1e-9; RIGIDKIT_TOL is not read)")
     pm.set_defaults(func=cmd_mc)
 
     pe = sub.add_parser("example", help="write a named example framework file")
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--flex", action="store_true")
     pr.add_argument("--reciprocal")
     pr.add_argument("--lift")
-    pr.add_argument("--tol", type=tolerance, default=None)
+    pr.add_argument("--tol", type=tolerance, help="--flex rank tolerance (RIGIDKIT_TOL or 1e-9)")
     pr.set_defaults(func=cmd_render)
     return p
 

@@ -212,8 +212,8 @@ def operator_spectrum(fw: Framework, tol=RANK_TOL, killing=None) -> _linalg.Spec
     `motion_spaces` and `statics.static_spaces` share.  The Killing fields
     lie in its right null space, so their evaluation matrix (`killing`,
     built here when not given) goes along as known null columns: on the
-    sparse path they bound the two smallest singular values without a
-    second factor (see `_linalg._sparse_spectrum`)."""
+    sparse path they bound the two smallest singular values without the
+    values step's Lanczos call (see `_linalg._sparse_spectrum`)."""
     if killing is None:
         killing = killing_evaluation_matrix(fw)
     return _linalg.spectrum(rigidity_operator(fw).entries, tol, killing)

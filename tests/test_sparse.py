@@ -4,7 +4,8 @@ pinned coordinates where the operator's Killing columns certify its null
 values, else an inertia count, the negative pivots of one symmetric LDL^T
 factorization of G - c^2 I, c the cutoff; the two smallest singular values
 are bounded by the Killing columns where they certify two null values, else
-read by shift-invert Lanczos on a second factor) and their dense fallback.
+read by shift-invert Lanczos on the count's own factor) and their dense
+fallback.
 
 Lowering `SPARSE_MIN_SIDE` to 0 sends every matrix whose smaller side is at
 least 2 to the sparse path; each count, verdict and exit code must then be
@@ -33,6 +34,10 @@ DENSE_ONLY = 10**9
 #: the default cutoff.  The exact rank is 2n - 3 = 1999: the cutoff's size
 #: factor is an open question.
 RIM_1000_DENSE_RANK = 1978
+#: The same for the rim-2000 wheel (`np.linalg.svd`, about 17 s).  The exact
+#: rank is 2n - 3 = 3999, so the default cutoff calls this rigid wheel
+#: flexible with dof 82 (ROADMAP item 15).
+RIM_2000_DENSE_RANK = 3917
 #: The library's operator rank of the n = 300 Henneberg framework at the
 #: default cutoff.  Its rank mod p is 2n - 3 = 597, so it is rigid: two
 #: singular values fall under the cutoff's size factor (ROADMAP item 15).
@@ -292,8 +297,9 @@ def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_s
     # Killing columns give the two smallest singular values.  The
     # equilibrium stack is decided by its small reduction.  Without
     # null columns a sparse decision takes a Lanczos call for sigma_max and
-    # a second factor, which serves the one shift-invert Lanczos call of
-    # the values step (21 solves on every grid).
+    # one SuperLU factor of G - c^2 I: its probe solve checks the count, and
+    # it serves the one shift-invert Lanczos call of the values step, at the
+    # shift c^2 (21 solves on every grid).
     # `operator_solves` bounds that step on the operator by the Lanczos
     # decisions the count replaced, which took 36 (k = 20) and 35 (k = 45)
     # solves; k = 30 keeps the k = 20 bound.  Decided on the sparse path,
@@ -313,12 +319,12 @@ def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_s
     assert np.all(spectra[0].smallest() <= spectra[0].cutoff / 100)
     for matrix, bound in ((_operator(fw), operator_solves), (oc.equilibrium_stack(fw), 30)):
         del factors[:], eigsh_calls[:], bands[:]
-        assert _linalg.spectrum(matrix).method == "sparse"
+        spec = _linalg.spectrum(matrix)
+        assert spec.method == "sparse"
         assert bands == []
-        count, values = factors
-        assert count.solves == 1
-        assert values.solves <= bound
-        assert len(eigsh_calls) == 2
+        (factor,) = factors
+        assert factor.solves <= 1 + bound  # the probe, then the values step
+        assert eigsh_calls == [None, spec.cutoff**2]
 
 
 def _counting_products(monkeypatch):
@@ -610,6 +616,16 @@ def lattice(k):
                               xyz + 0.01 * np.random.default_rng(0).standard_normal(xyz.shape))
 
 
+def k4_blocks(blocks):
+    """`blocks` disjoint K4s in E^2 at generic points from default_rng(3):
+    a wide operator (6 edges, 8 columns a block) with one self-stress a
+    block, so `blocks` values lie under the cutoff."""
+    edges = [(4 * b + i, 4 * b + j) for b in range(blocks)
+             for i in range(4) for j in range(i + 1, 4)]
+    return rk.build_framework(rk.graph(4 * blocks, edges), rk.euclidean(2),
+                              np.random.default_rng(3).random((4 * blocks, 2)))
+
+
 def _with_killing(fw):
     """The operator of `fw` and its Killing columns, as `analyze` decides it."""
     return _operator(fw), kinematics.killing_evaluation_matrix(fw)
@@ -636,13 +652,18 @@ _COUNT_CASES = {
     "braced wheel rim 400": (lambda: _with_killing(braced_wheel(400)), None),
     "shuffled E k=45 operator": (lambda: _with_killing(shuffled_grid(45)), 4047),
     "E^3 lattice k=7 operator": (lambda: _with_killing(lattice(7)), None),
+    "100 K4 blocks": (lambda: _operator(k4_blocks(100)), None),
 }
 
 
 @pytest.mark.parametrize("label", list(_COUNT_CASES))
 def test_the_count_is_the_dense_rank(label):
     # Null spaces of 0 to 257 dimensions, and singular values within 0.3-4x
-    # of the cutoff on the wheels and at 0.5x and 2x on the matrices.
+    # of the cutoff on the wheels and at 0.5x and 2x on the matrices.  Where
+    # the dense SVD runs here, each low is its value within 1e-8 relative,
+    # or under cutoff/100 where that value is (a null value; the rim-500
+    # wheel's second, 0.3x the cutoff, is none), also where the values step
+    # reads 100 values under the cutoff (the K4 blocks).
     pytest.importorskip("scipy.sparse.linalg")
     build, rank = _COUNT_CASES[label]
     a = build()
@@ -666,6 +687,10 @@ def test_the_count_is_the_dense_rank(label):
             # wheel) the exact ones to roundoff
             assert s[0] <= spec.values[0] * (1 + 1e-12), label
             assert cutoff <= spec.cutoff * (1 + 1e-12), label
+        low, dense_low = spec.smallest(), s[::-1][:2]
+        null = dense_low < cutoff / 100
+        assert np.all(np.abs(low - dense_low)[~null] <= 1e-8 * dense_low[~null]), label
+        assert np.all(low[null] < cutoff / 100), label
     assert spec.rank == rank, label
 
 
@@ -750,17 +775,22 @@ def test_killing_columns_give_the_lows_of_a_tall_flexible_operator(kind, monkeyp
     assert np.all(spec.smallest() <= spec.cutoff / 100)
 
 
+def _polytope_300():
+    from test_polytopes import _framework
+
+    pytest.importorskip("scipy.spatial")
+    return _framework(*oc.convex_polytope(300), "E")
+
+
 @pytest.mark.parametrize("label", ["wheel rim 500", "polytope 300"])
 def test_wide_operators_keep_the_values_step(label, monkeypatch):
     # With fewer edges than n d columns the Gram matrix is the rows', and
     # its smallest values are the m row-side ones, on which the Killing
-    # fields say nothing: the values step runs as without them.
+    # fields say nothing: the values step runs as without them, on the
+    # count's factor.
     pytest.importorskip("scipy.sparse.linalg")
     if label == "polytope 300":
-        from test_polytopes import _framework
-
-        pytest.importorskip("scipy.spatial")
-        fw = _framework(*oc.convex_polytope(300), "E")
+        fw = _polytope_300()
     else:
         xy, edges = wheel(np.random.default_rng(1), 500)
         fw = rk.build_framework(rk.graph(501, edges), rk.euclidean(2), xy)
@@ -768,7 +798,7 @@ def test_wide_operators_keep_the_values_step(label, monkeypatch):
     reference = _linalg.spectrum(_operator(fw))
     factors = _counting_solves(monkeypatch)
     spec = rk.motion_spaces(fw).operator
-    assert len(factors) == 2
+    assert len(factors) == 1
     _same_spectrum(spec, reference)
 
 
@@ -782,7 +812,8 @@ def test_null_columns_that_are_not_null_change_nothing():
 @pytest.mark.parametrize("components", [1, 2])
 def test_one_killing_column_leaves_the_lows_to_lanczos(components, monkeypatch):
     # d = 1 has one Killing field: the columns' QR has one column, too few
-    # to bound two values, also where the count finds two null values.
+    # to bound two values, also where the count finds two null values.  The
+    # values step reads them on the count's factor.
     pytest.importorskip("scipy.sparse.linalg")
     fw = _line(components)
     monkeypatch.setattr(_linalg, "SPARSE_MIN_SIDE", DENSE_ONLY)
@@ -793,12 +824,40 @@ def test_one_killing_column_leaves_the_lows_to_lanczos(components, monkeypatch):
     assert spec.method == "sparse" and dense.method == "dense"
     assert min(spec.shape) >= _linalg.SPARSE_MIN_SIDE
     assert spec.rank == dense.rank == fw.n - components
-    assert len(factors) == 2
+    assert len(factors) == 1
     low, dense_low = spec.smallest(), dense.smallest()
     above = dense_low > dense.cutoff
     assert np.count_nonzero(above) == 2 - components
     assert np.all(np.abs(low - dense_low)[above] <= 1e-8 * dense_low[above])
     assert np.all(low[~above] <= dense.cutoff / 100)
+
+
+@pytest.mark.parametrize("label, null, k, which", [
+    ("polytope 300", 0, 2, "LA"), ("one chain", 1, 2, "BE"), ("two chains", 2, 2, "SA"),
+    ("100 K4 blocks", 100, 100, "SA")])
+def test_the_values_step_reads_the_lows_on_the_counts_factor(label, null, k, which,
+                                                             monkeypatch):
+    # The values step is one shift-invert Lanczos call on the count's
+    # factor of G - c^2 I.  It asks for max(null, 2) eigenvectors of G: the
+    # two just above c^2 when none lies under it, the one below and the one
+    # above at null = 1, and every one below at null >= 2, where the two
+    # nearest c^2 need not be the smallest.
+    sla = pytest.importorskip("scipy.sparse.linalg")
+    fw = {"polytope 300": _polytope_300, "one chain": lambda: _line(1),
+          "two chains": lambda: _line(2), "100 K4 blocks": lambda: k4_blocks(100)}[label]()
+    calls, real = [], sla.eigsh
+
+    def eigsh(a, k=6, **kwargs):
+        calls.append((k, kwargs.get("sigma"), kwargs.get("which")))
+        return real(a, k, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", eigsh)
+    factors = _counting_solves(monkeypatch)
+    spec = rk.motion_spaces(fw).operator
+    assert spec.method == "sparse"
+    assert min(spec.shape) - spec.rank == null
+    assert len(factors) == 1
+    assert calls[1:] == [(k, spec.cutoff**2, which)]
 
 
 def _grid_file(tmp_path, k=18):
@@ -930,9 +989,9 @@ def test_a_factor_that_cannot_count_falls_back_to_dense(factor, tmp_path, monkey
 
 def test_the_rim_1000_wheel_is_counted_on_the_sparse_path(monkeypatch):
     # About 24 singular values of this operator sit near the cutoff, the
-    # closest at 0.99x and 1.14x of it.  The count takes one probe solve;
-    # the values step, whose shift -c^2 sits below that cluster, took 650
-    # solves (its two values were 0.018 and 2.4e-7 times the cutoff).
+    # closest at 0.99x and 1.14x of it.  The count takes one probe solve,
+    # and the values step reads all 22 eigenvectors under c^2 on the same
+    # factor in 60 more.
     pytest.importorskip("scipy.sparse.linalg")
     a = _wheel_operator(1000)
     factors = _counting_solves(monkeypatch)
@@ -940,9 +999,22 @@ def test_the_rim_1000_wheel_is_counted_on_the_sparse_path(monkeypatch):
     assert spec.method == "sparse"
     assert spec.rank == RIM_1000_DENSE_RANK
     assert np.all(spec.smallest() <= spec.cutoff)
-    count, values = factors
-    assert count.solves == 1
-    assert values.solves <= 1000
+    (factor,) = factors
+    assert factor.solves <= 100
+
+
+def test_the_rim_2000_wheel_is_counted_on_the_sparse_path(monkeypatch):
+    # 83 values lie under the cutoff; the values step reads them on the
+    # count's factor within _ARPACK_MAXITER restarts (4, 292 solves), so
+    # the rank needs no dense SVD.
+    pytest.importorskip("scipy.sparse.linalg")
+    a = _wheel_operator(2000)
+    factors = _counting_solves(monkeypatch)
+    spec = _linalg.spectrum(a)
+    assert spec.method == "sparse"
+    assert spec.rank == RIM_2000_DENSE_RANK
+    assert np.all(spec.smallest() <= spec.cutoff)
+    assert len(factors) == 1
 
 
 def test_missing_scipy_falls_back_to_dense(tmp_path, monkeypatch, capsys):
@@ -963,6 +1035,29 @@ def test_tolerance_below_the_squaring_floor_falls_back_to_dense(tmp_path, monkey
     assert methods == ["dense"] * 2
     assert (code, report) == expected
     assert code in (0, 10, 2, 3)
+
+
+def test_a_dense_fallback_out_of_memory_is_one_error_line(tmp_path):
+    # At --tol 1e-12 the k = 60 grid's cutoff lies under the floor of
+    # squaring, so its 10561 x 7200 operator (608 MB) goes to the dense SVD.
+    # Under a 1.2 GB address-space limit, set in the child process only,
+    # LAPACK's workspace cannot be allocated: exit 2 with rigidkit's error
+    # as the last line (numpy's C code may print its own line before it).
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(rk.framework_to_dict(grid(60))))
+    limit = 1200 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "rigidkit.cli", "analyze", str(path),
+                          "--tol", "1e-12"], env=env, preexec_fn=cap, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.splitlines()[-1] == \
+        "error: out of memory for the dense SVD of a 10561 x 7200 matrix"
 
 
 def test_analyze_below_the_size_gate_never_imports_scipy(tmp_path):
