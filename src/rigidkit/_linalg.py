@@ -10,33 +10,10 @@ rows and columns that are not zero), so it can be overridden in one place;
 
 Which path decides: a matrix whose smaller non-zero side has fewer than
 :data:`SPARSE_MIN_SIDE` rows or columns gets one values-only SVD.  A larger
-one, given densely or as :class:`Entries`, is decided on the Gram matrix G of
-its smaller side (:func:`_sparse_spectrum`): the rank is a count, the number
-of negative pivots of one symmetric LDL^T factorization of G - c^2 I (c the
-cutoff), by Sylvester's law of inertia the number of singular values under
-the cutoff.  With k >= 2 null columns the caller knows (the rigidity
-operator's Killing fields) on a tall matrix, the rank is first settled on a
-bracket [c_lo, c_hi] of the cutoff read from G's entries (Gershgorin), by
-two theorems and no count.  Cauchy interlacing for the orthonormal basis Q
-of the null columns: when the k values of B Q are at or under c_lo, so are
-k values of B.  Interlacing for principal submatrices: lambda_{k+1}(G) >=
-lambda_min(G_SS), G_SS being G without k coordinates pinned by pivoted QR
-of Q^T, so one banded Cholesky factor (LAPACK dpbtrf, reverse Cuthill-McKee
-order) that shows G_SS - c_hi^2 I positive definite, with a shift for its
-backward error, leaves no other value under c_hi.  The rank is then side -
-k on the whole bracket, the exact cutoff included.  Otherwise (that factor
-fails on a flexible operator, or its band would hold more than twice its
-envelope at a hub vertex) sigma_max comes first, from one Lanczos call on
-G stopped at a sqrt(eps) relative residual, the backward error the count's
-probe solve accepts, and the count is made at the exact cutoff.
-The `Spectrum` holds sigma_max (on the bracket, an upper bound of it) and
-two upper bounds of the smallest singular values only: from the null
-columns when they certify two null values, else from one shift-invert
-Lanczos call (ARPACK, through scipy) on the count's own factor.  When the
-cutoff sits below the sqrt(eps) * sigma_max floor of squaring, when SuperLU
-pivots off the diagonal, when a probe solve shows a backward error above
-sqrt(eps), when ARPACK or SuperLU fails, or when scipy is missing, the same
-matrix gets the dense SVD instead.
+one, given densely or as :class:`Entries`, is decided on the Gram matrix of
+its smaller side by :func:`_sparse_spectrum`, which sets out its routes (a
+banded Cholesky certificate, else an inertia count of one LDL^T factor) and
+when the same matrix gets the dense SVD instead.
 
 The Maxwell-Cremona collinear-face test is the one geometric check that
 counts singular values against an absolute cutoff instead.  A basis is one
@@ -169,17 +146,11 @@ class Spectrum:
 
     `method` says which path decided the rank: "dense" (one values-only
     SVD; `values` holds every singular value, `cutoff` is the rule's
-    tol * sigma_max * max(m, n)) or "sparse" (the banded certificate or an
-    inertia count; `values` holds three numbers: first sigma_max or a bound
-    of it, then two upper bounds of the smallest singular values, to
-    roundoff the values themselves above the cutoff).  What the first value
-    and `cutoff` are depends on which of the two decided (see
-    `_sparse_spectrum`).  After the certificate they are the upper bound
-    sqrt(max_i sum_j |G_ij|) of sigma_max and the top c_hi of the cutoff's
-    bracket, the rule's cutoff for that bound, at which the rank is the
-    same as at the exact cutoff.  After the count they are sigma_max, a
-    Lanczos Rayleigh quotient certified to sqrt(eps) relative and in
-    practice at roundoff, and the rule's cutoff.
+    tol * sigma_max * max(m, n)) or "sparse" (`_sparse_spectrum`; `values`
+    holds three numbers: first sigma_max or an upper bound of it, then two
+    upper bounds of the smallest singular values, to roundoff the values
+    themselves above the cutoff; `cutoff` is the rule's cutoff for that
+    first value, and `rank` is the rank at the exact cutoff).
     """
 
     values: np.ndarray
@@ -314,8 +285,7 @@ def _sparse_spectrum(a, tol, null_columns):
     smallest).  By interlacing the two smallest values of B V bound those
     of B from above too, and as values of B V, not sqrt(eig), null ones
     stay at roundoff.  ARPACK keeps 2k + 1 vectors for k, so many values
-    under c cost time: 200 disjoint K4 blocks (200 values) take 0.24 s,
-    against 0.012 s for two vectors on a second factor at -c^2.
+    under c cost time: 200 disjoint K4 blocks (200 values) take 0.24 s.
 
     A diagonal entry of G that underflows to zero, a cutoff below the
     sqrt(eps) * sigma_max floor of squaring, an off-diagonal pivot, a probe

@@ -113,14 +113,11 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     operator up to invertible factors, in every geometry, so its rank is
     the operator's, passed on and not decided again: three spectra in all,
     the equilibrium stack's on its small reduction, never the sparse path.
-    On the sparse path the Killing columns certify the operator's null
-    values and bound its two lows: a tall operator takes one banded Cholesky
-    factor (a rigid grid), else, as every other sparse decision, one Lanczos
-    call and one SuperLU factor, which any values step reuses.
-    The duality check kinematic dof == static dof then compares dim F with
-    dim V0.  When they disagree, some rank decision is wrong at this
-    tolerance (coordinates spread over more orders of magnitude than it
-    resolves): no verdict.
+    A large operator takes the sparse path with its Killing columns
+    (`_linalg._sparse_spectrum`).  The duality check kinematic dof ==
+    static dof then compares dim F with dim V0.  When they disagree, some
+    rank decision is wrong at this tolerance (coordinates spread over more
+    orders of magnitude than it resolves): no verdict.
     """
     tol = default_tol() if tol is None else tol
     ms = kinematics.motion_spaces(fw, tol)

@@ -5,7 +5,6 @@ interchange format used by the CLI and the example gallery.
 """
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -195,10 +194,19 @@ def framework_to_dict(fw: Framework, stress=None, load=None, field=None,
     return d
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer as an int; a boolean, float, string or other value
+    raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError("%s must be an integer, not %s" % (what, json.dumps(value, default=repr)))
+    return int(value)
+
+
 def _indices(values) -> np.ndarray:
-    """JSON integers as an int array; a float, string or other value raises TypeError."""
+    """JSON integers as an int array; booleans, a float, string or other
+    value raise TypeError."""
     arr = np.array(values)
-    if arr.size and arr.dtype.kind not in "bi":
+    if arr.size and arr.dtype.kind != "i":
         raise TypeError("indices must be integers, not %s" % arr.dtype)
     return arr.astype(int)
 
@@ -228,7 +236,7 @@ def stress_positions(g: Graph, pairs: np.ndarray) -> np.ndarray:
 
 def framework_from_dict(data: dict) -> FrameworkDocument:
     try:
-        space = spaces.space_from_code(data["space"], int(data["dim"]))
+        space = spaces.space_from_code(data["space"], _integer(data["dim"], "dim"))
         vertices = _ambient_rows(data["vertices"], space)
         edges = _indices(data["edges"])
         if edges.shape[1:] != (2,) and edges.shape != (0,):
@@ -241,7 +249,8 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
             if corners.shape != (sum(map(len, faces)),):
                 raise ValueError("every face must be a list of vertex indices")
         exterior = data.get("exterior_face")
-        exterior = None if faces is None or exterior is None else operator.index(exterior)
+        exterior = (None if faces is None or exterior is None
+                    else _integer(exterior, "exterior_face"))
         stress = None
         if "stress" in data:
             keys = list(data["stress"])

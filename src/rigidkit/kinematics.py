@@ -70,15 +70,14 @@ def vector_field(fw: Framework, vecs, eps=EPS_MODEL) -> VectorField:
 def _flatten(fw: Framework, vecs: np.ndarray) -> np.ndarray:
     """Ambient fields (..., n, d+1) in tangent frames, flattened: (..., n*d)."""
     vecs = np.asarray(vecs)
-    framed = spaces._to_frames(fw.coords, fw.space, vecs, reflectors=fw.reflectors)
+    framed = spaces._to_frames(fw.reflectors, vecs)
     return framed.reshape(vecs.shape[:-2] + (fw.n * fw.dim,))
 
 
 def _unflatten(fw: Framework, flat: np.ndarray) -> np.ndarray:
     """Inverse of `_flatten`: (..., n*d) back to ambient fields (..., n, d+1)."""
     flat = np.asarray(flat)
-    return spaces._from_frames(fw.coords, fw.space,
-                               flat.reshape(flat.shape[:-1] + (fw.n, fw.dim)), fw.reflectors)
+    return spaces._from_frames(fw.reflectors, flat.reshape(flat.shape[:-1] + (fw.n, fw.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +108,7 @@ def rigidity_operator(fw: Framework) -> RigidityOperator:
     k = np.arange(fw.m)
     at = np.concatenate([i, j])
     diff = fw.space.metric_signs * (fw.coords[i] - fw.coords[j])
-    rows = spaces._to_frames(fw.coords, fw.space, np.concatenate([diff, -diff]), at,
-                             fw.reflectors)
+    rows = spaces._to_frames(fw.reflectors, np.concatenate([diff, -diff]), at)
     return RigidityOperator(fw, _linalg.block_entries(
         np.concatenate([k, k]), at, rows, (fw.m, fw.n * fw.dim)))
 
@@ -211,9 +209,8 @@ def operator_spectrum(fw: Framework, tol=RANK_TOL, killing=None) -> _linalg.Spec
     """The rigidity operator's Spectrum at `tol`, the one decision that
     `motion_spaces` and `statics.static_spaces` share.  The Killing fields
     lie in its right null space, so their evaluation matrix (`killing`,
-    built here when not given) goes along as known null columns: on the
-    sparse path they bound the two smallest singular values without the
-    values step's Lanczos call (see `_linalg._sparse_spectrum`)."""
+    built here when not given) goes along as the known null columns that
+    the sparse path reads (`_linalg._sparse_spectrum`)."""
     if killing is None:
         killing = killing_evaluation_matrix(fw)
     return _linalg.spectrum(rigidity_operator(fw).entries, tol, killing)

@@ -259,30 +259,29 @@ def _reflectors(points, space: Space) -> np.ndarray:
     return v / np.sqrt(np.abs(v[:, :1]))  # v.v = 2 |v_0| before the scaling
 
 
-def _reflect(points, space: Space, vecs, at=slice(None), reflectors=None) -> np.ndarray:
-    """Ambient vectors (..., k, d+1), vecs[..., t, :] at the point
-    points[at][t], reflected by the Householder reflection of their point
-    (`_reflectors`): coordinate 0 is -+ the component along the unit normal,
-    coordinates 1..d are the tangent frame coordinates.  The reflectors are
-    computed once per call, so a whole matrix is reflected in one call, or
-    not at all when the caller passes the points' `reflectors`
-    (`Framework.reflectors`)."""
-    v = (_reflectors(points, space) if reflectors is None else reflectors)[at]
+def _reflect(reflectors, vecs, at=slice(None)) -> np.ndarray:
+    """Ambient vectors (..., k, d+1), vecs[..., t, :] at the point of
+    reflectors[at][t], reflected by the Householder reflection of that point
+    (`_reflectors`, read once per framework as `Framework.reflectors`):
+    coordinate 0 is -+ the component along the unit normal, coordinates
+    1..d are the tangent frame coordinates.  A whole matrix is reflected in
+    one call."""
+    v = reflectors[at]
     return vecs - np.einsum("...a,...a->...", v, vecs)[..., None] * v
 
 
-def _to_frames(points, space: Space, vecs, at=slice(None), reflectors=None) -> np.ndarray:
+def _to_frames(reflectors, vecs, at=slice(None)) -> np.ndarray:
     """Ambient vectors (..., k, d+1) in the tangent frames of their points:
     (..., k, d), coordinates 1..d of `_reflect`.  Coordinate 0, the normal
     component, is dropped, so a vector that is not tangent loses its normal
     part.  In E this is exactly vecs[..., 1:]."""
-    return _reflect(points, space, vecs, at, reflectors)[..., 1:]
+    return _reflect(reflectors, vecs, at)[..., 1:]
 
 
-def _from_frames(points, space: Space, coords, reflectors=None) -> np.ndarray:
+def _from_frames(reflectors, coords) -> np.ndarray:
     """Inverse of `_to_frames` on tangent vectors: frame coordinates
-    (..., n, d) at the n points back to ambient (..., n, d+1).  In E this is
-    exactly coordinate 0 set to 0 before the d given ones."""
-    v = _reflectors(points, space) if reflectors is None else reflectors
+    (..., n, d) at the n points of `reflectors` back to ambient
+    (..., n, d+1).  In E this is exactly coordinate 0 set to 0 before the d
+    given ones."""
     vecs = np.concatenate([np.zeros(coords.shape[:-1] + (1,)), coords], axis=-1)
-    return vecs - np.einsum("...a,...a->...", v[:, 1:], coords)[..., None] * v
+    return vecs - np.einsum("...a,...a->...", reflectors[:, 1:], coords)[..., None] * reflectors

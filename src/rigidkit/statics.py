@@ -193,8 +193,7 @@ def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
     """
     biv = bivector_map_matrix(fw)
     amb = fw.space.ambient_dim
-    reflected = spaces._reflect(fw.coords, fw.space, biv.reshape(len(biv), fw.n, amb),
-                                reflectors=fw.reflectors)
+    reflected = spaces._reflect(fw.reflectors, biv.reshape(len(biv), fw.n, amb))
     r = np.linalg.qr(reflected[..., 0].T, mode="r")
     tall = np.zeros((len(r) + fw.n * fw.dim, len(biv) + len(r)))
     tall[:len(r)] = np.concatenate([r, np.eye(len(r))], axis=1)

@@ -41,51 +41,37 @@ _EPS_INF = 1e-12
 
 @dataclass(frozen=True)
 class MapSpec:
-    """An applicable map: affine (A, b), projective (M), or geodesic chart."""
+    """An applicable map: projective (M, which an affine (A, b) also is) or
+    geodesic chart."""
 
-    kind: str                 # "affine" | "projective" | "geodesic"
-    matrix: np.ndarray = None  # A (d x d) or M ((d+1) x (d+1))
-    offset: np.ndarray = None  # affine translation b
+    kind: str                 # "projective" | "geodesic"
+    matrix: np.ndarray = None  # M ((d+1) x (d+1))
     target: SpaceKind = None   # geodesic target kind
 
     def homogeneous(self, source: Space) -> np.ndarray:
         """The (d+1)x(d+1) linear representative acting on embedded points."""
         d = source.dim
-        if self.kind == "affine":
-            a = np.asarray(self.matrix, dtype=float)
-            b = np.zeros(d) if self.offset is None else np.asarray(self.offset, dtype=float)
-            if a.shape != (d, d) or b.shape != (d,):
-                raise InvalidMapSpec("affine map needs a d x d matrix and d-vector")
-            m = np.zeros((d + 1, d + 1))
-            m[0, 0] = 1.0
-            m[1:, 0] = b
-            m[1:, 1:] = a
-        elif self.kind == "projective":
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (d + 1, d + 1):
-                raise InvalidMapSpec("projective map needs a (d+1) x (d+1) matrix")
-            # cM is the map M: scale it exactly by 2^k to max |entry| in [1, 2).
-            m = np.ldexp(m, 1 - np.frexp(np.max(np.abs(m)))[1])
-        elif self.kind == "geodesic":
+        if self.kind == "geodesic":
             return np.eye(d + 1)
-        else:
+        if self.kind != "projective":
             raise InvalidMapSpec("unknown map kind %r" % self.kind)
+        m = np.asarray(self.matrix, dtype=float)
+        if m.shape != (d + 1, d + 1):
+            raise InvalidMapSpec(
+                "a map of E^%d needs a %d x %d matrix M (or a %d x %d matrix A and b of "
+                "length %d), got M of shape %s" % (d, d + 1, d + 1, d, d, d, m.shape))
+        # cM is the map M: scale it exactly by 2^k to max |entry| in [1, 2).
+        m = np.ldexp(m, 1 - np.frexp(np.max(np.abs(m)))[1])
         if not np.all(np.isfinite(m)):
             raise InvalidMapSpec("map matrix has non-finite entries")
         return m
 
     def target_space(self, source: Space) -> Space:
-        if self.kind in ("affine", "projective"):
+        if self.kind == "projective":
             if not source.is_euclidean:
                 raise InvalidMapSpec("affine/projective maps act on Euclidean frameworks")
             return source
-        pairs = {
-            (SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL),
-            (SpaceKind.EUCLIDEAN, SpaceKind.HYPERBOLIC),
-            (SpaceKind.SPHERICAL, SpaceKind.EUCLIDEAN),
-            (SpaceKind.HYPERBOLIC, SpaceKind.EUCLIDEAN),
-        }
-        if (source.kind, self.target) not in pairs:
+        if source.is_euclidean == (self.target is SpaceKind.EUCLIDEAN):
             raise InvalidMapSpec(
                 "geodesic projection only maps between E and S/H (got %s -> %s)"
                 % (source.kind.value, self.target.value if self.target else None)
@@ -93,20 +79,27 @@ class MapSpec:
         return Space(self.target, source.dim)
 
     def to_dict(self) -> dict:
-        if self.kind == "affine":
-            return {
-                "kind": "affine",
-                "A": np.asarray(self.matrix).tolist(),
-                "b": (np.asarray(self.offset).tolist() if self.offset is not None else None),
-            }
-        if self.kind == "projective":
-            return {"kind": "projective", "M": np.asarray(self.matrix).tolist()}
-        return {"kind": "geodesic", "to": self.target.value}
+        if self.kind == "geodesic":
+            return {"kind": "geodesic", "to": self.target.value}
+        return {"kind": "projective", "M": np.asarray(self.matrix).tolist()}
 
 
 def affine_map(a, b=None) -> MapSpec:
-    return MapSpec("affine", matrix=np.asarray(a, dtype=float),
-                   offset=None if b is None else np.asarray(b, dtype=float))
+    """x -> A x + b on E^d: the projective map M = [[1, 0], [b, A]]."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidMapSpec("affine map needs a square matrix A, got A of shape %s"
+                             % (a.shape,))
+    d = len(a)
+    b = np.zeros(d) if b is None else np.asarray(b, dtype=float)
+    if b.shape != (d,):
+        raise InvalidMapSpec("affine map with a %d x %d matrix A needs b of length %d, "
+                             "got b of shape %s" % (d, d, d, b.shape))
+    m = np.zeros((d + 1, d + 1))
+    m[0, 0] = 1.0
+    m[1:, 0] = b
+    m[1:, 1:] = a
+    return projective_map(m)
 
 
 def projective_map(m) -> MapSpec:
@@ -292,40 +285,40 @@ class AveragingResult:
 
 
 def _model_normalize(vecs: np.ndarray, space: Space, what: str):
-    """The rows of `vecs` scaled onto the model surface, and the scales (ones
-    in E); DegenerateMidpoint names the first row, by `what` % its index,
-    that cannot be scaled."""
+    """The rows of `vecs` scaled onto the model surface, and the scales N:
+    x0 in E, |<x, x>|^(1/2) on S/H.  DegenerateMidpoint names the first row,
+    by `what` % its index, that cannot be scaled."""
     if space.is_euclidean:
-        return vecs, np.ones(len(vecs))
-    q = signed_inner(vecs, vecs, space)
-    if space.is_spherical:
-        bad, why = q <= EPS_MODEL, "has vanishing norm"
+        n = vecs[:, 0]
+        bad, why = n <= EPS_MODEL, "lies at infinity"
     else:
-        bad, why = (q >= -EPS_MODEL) | (vecs[:, 0] <= 0), "is not normalizable to the upper sheet"
+        q = signed_inner(vecs, vecs, space)
+        n = np.sqrt(np.abs(q))
+        if space.is_spherical:
+            bad, why = q <= EPS_MODEL, "has vanishing norm"
+        else:
+            bad = (q >= -EPS_MODEL) | (vecs[:, 0] <= 0)
+            why = "is not normalizable to the upper sheet"
     if np.any(bad):
         raise DegenerateMidpoint("%s %s" % (what % np.flatnonzero(bad)[0], why))
-    n = np.sqrt(np.abs(q))
     return vecs / n[:, None], n
 
 
 def average(fw1: Framework, fw2: Framework, tol=1e-7) -> AveragingResult:
     """Midpoint framework and the candidate flex of two isometric frameworks.
 
-    Euclidean: p = (p' + p'')/2, q = (p' - p'')/2; on S/H both are divided by
-    ||p' + p''||.  The field is flagged non-trivial when it has a component
-    outside V_0 of the midpoint framework.
+    p = (p' + p'') / N and q = (p' - p'') / N, N the radial normalizer of
+    p' + p'' (`_model_normalize`): in E, N = 2.  The field is flagged
+    non-trivial when it has a component outside V_0 of the midpoint
+    framework.
     """
     if fw1.graph != fw2.graph or fw1.space != fw2.space:
         raise GraphMismatch("averaging needs the same graph and space")
     if not is_isometric(fw1, fw2, tol):
         raise NotIsometric("averaging requires isometric frameworks")
     space = fw1.space
-    total, diff = fw1.coords + fw2.coords, fw1.coords - fw2.coords
-    if space.is_euclidean:
-        coords, qvecs = total / 2.0, diff / 2.0
-    else:
-        coords, n = _model_normalize(total, space, "vertex %d midpoint")
-        qvecs = diff / n[:, None]
+    coords, n = _model_normalize(fw1.coords + fw2.coords, space, "vertex %d midpoint")
+    qvecs = (fw1.coords - fw2.coords) / n[:, None]
     mid = build_framework(fw1.graph, space, coords, fw1.embedding)
     field = VectorField(mid, qvecs)
     nontrivial = False

@@ -238,6 +238,25 @@ def test_transform_non_finite_map_is_input_error(tmp_path, capsys, fixture, spec
     assert not (tmp_path / "img.json").exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"A": np.eye(3).tolist()}, "a map of E^2 needs a 3 x 3 matrix M (or a 2 x 2 matrix A "
+     "and b of length 2), got M of shape (4, 4)"),
+    ({"A": np.eye(2).tolist(), "b": [0, 0, 0]},
+     "affine map with a 2 x 2 matrix A needs b of length 2, got b of shape (3,)"),
+    ({"A": 2.0}, "affine map needs a square matrix A, got A of shape ()"),
+    ({"A": [1.0, 2.0]}, "affine map needs a square matrix A, got A of shape (2,)"),
+    ({"A": np.eye(2).tolist(), "b": 1.0},
+     "affine map with a 2 x 2 matrix A needs b of length 2, got b of shape ()"),
+], ids=["A-3x3-on-E2", "b-of-3", "A-scalar", "A-1d", "b-scalar"])
+def test_a_misshapen_affine_map_is_one_error_line(tmp_path, capsys, spec, message):
+    run(tmp_path, "example", "prism3-generic", "-o", "fw.json")
+    (tmp_path / "map.json").write_text(json.dumps(dict(spec, kind="affine")))
+    capsys.readouterr()
+    assert run(tmp_path, "transform", "fw.json", "--map", "map.json", "-o", "img.json") == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "img.json").exists()
+
+
 @pytest.mark.parametrize("spec", [
     '{"kind": "geodesic", "to": ["S"]}', '{"kind": "geodesic", "to": 7}', '{"a": 1}', 'true',
 ], ids=["to-list", "to-number", "no-kind", "not-an-object"])
@@ -362,13 +381,57 @@ def test_render_klein_clips_to_disk(tmp_path):
     assert "clipPath" in text and 'clip-path="url(#disk)"' in text
 
 
+def _small_prism_stress_file(path, space, scale=1.0):
+    """prism3-concurrent scaled by 0.1 and mapped to `space`, saved at `path`
+    with its self-stress times `scale`; returns that stress."""
+    fw = rk.apply_map(rk.geodesic_map(space), rk.apply_map(
+        rk.affine_map(np.eye(2) * 0.1), rk.gallery.fixture("prism3-concurrent").framework))
+    w = rk.static_spaces(fw).self_stress_basis[0].scaled(scale)
+    rk.save_framework(path, fw, stress=w.as_dict())
+    return w
+
+
 def test_render_lift_shading(tmp_path):
-    run(tmp_path, "example", "prism3-concurrent")
-    run(tmp_path, "mc", "prism3-concurrent.json", "--direction", "stress2lift",
-        "-o", "lift.json")
-    assert run(tmp_path, "render", "prism3-concurrent.json", "-o", "lift.svg",
-               "--lift", "lift.json") == 0
-    assert "<polygon" in (tmp_path / "lift.svg").read_text()
+    # a vertical lift in E, a spherical and a hyperbolic one on S and H
+    run(tmp_path, "example", "prism3-concurrent", "-o", "E.json")
+    for space in "SH":
+        _small_prism_stress_file(tmp_path / ("%s.json" % space), space)
+    for space in "ESH":
+        assert run(tmp_path, "mc", "%s.json" % space, "--direction", "stress2lift",
+                   "-o", "lift.json") == 0
+        assert run(tmp_path, "render", "%s.json" % space, "-o", "lift.svg",
+                   "--lift", "lift.json") == 0
+        assert (tmp_path / "lift.svg").read_text().count("<polygon") == 5, space  # per face
+
+
+def test_mc_scales_a_large_hyperbolic_stress_for_cone_admissibility(tmp_path, capsys):
+    w = _small_prism_stress_file(tmp_path / "fw.json", "H", 1e4)
+    capsys.readouterr()
+    assert run(tmp_path, "mc", "fw.json", "--direction", "stress2lift", "-o", "lift.json") == 0
+    scale = json.loads((tmp_path / "lift.json").read_text())["stress_scale"]
+    assert 0 < scale < 1 and np.log2(scale) == np.round(np.log2(scale))
+    assert ("stress scaled by %.6g for cone admissibility\n" % scale
+            in capsys.readouterr().out)
+    assert run(tmp_path, "mc", "fw.json", "--direction", "lift2stress",
+               "--object", "lift.json", "-o", "back.json") == 0
+    back = rk.load_framework(tmp_path / "back.json").stress
+    for edge, value in w.as_dict().items():
+        assert back[edge] == pytest.approx(scale * value, rel=1e-9)
+
+
+def test_mc_on_a_drawing_with_a_reflex_face_classifies_no_convexity(tmp_path, capsys):
+    # A wheel with one rim vertex near the hub: a reflex corner of the rim.
+    fw = make_wheel(np.random.RandomState(0), 6)
+    angles = np.pi / 3 * np.arange(6)
+    xy = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [0.0, 0.0]])
+    xy[0] *= 0.3
+    dented = rk.build_framework(fw.graph, fw.space, xy, fw.embedding)
+    rk.save_framework(tmp_path / "dented.json", dented,
+                      stress=rk.static_spaces(dented).self_stress_basis[0].as_dict())
+    capsys.readouterr()
+    assert run(tmp_path, "mc", "dented.json", "--direction", "stress2rec", "-o", "rec.json") == 0
+    assert ("convex classification: not applicable (face 6 is not a convex polygon in the "
+            "drawing)\n" in capsys.readouterr().out)
 
 
 def test_transform_carry_load_and_field(tmp_path):
@@ -676,16 +739,27 @@ def _stress_with(key, value):
     _with("exterior_face", "a"),
     _with("vertices", "abcdef"),
     _with("load", "x"),
+    # integer fields take JSON integers only: no float, string or boolean
+    _with("dim", 2.5),
+    _with("dim", "2"),
+    _with("dim", 2.0),
+    _with("dim", True),
+    _with("exterior_face", True),
+    _with("edges", [[False, True]]),
 ], ids=["stress-list", "stress-key-0-x", "stress-key-0-1-2", "stress-value-list",
-        "faces-of-ints", "exterior-face-string", "vertices-string", "load-string"])
+        "faces-of-ints", "exterior-face-string", "vertices-string", "load-string",
+        "dim-2.5", "dim-string", "dim-2.0", "dim-true", "exterior-face-true",
+        "edges-of-booleans"])
 def test_malformed_framework_is_input_error(tmp_path, command, corrupt, capsys):
     run(tmp_path, "example", "prism3-concurrent")
     data = json.loads((tmp_path / "prism3-concurrent.json").read_text())
     (tmp_path / "bad.json").write_text(json.dumps(corrupt(data)))
     argv = [command, "bad.json"] + (["--to-space", "S", "-o", "out.json"]
                                     if command == "transform" else [])
+    capsys.readouterr()
     assert run(tmp_path, *argv) == 2
-    assert "malformed framework data" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed framework data: ") and err.count("\n") == 1
 
 
 def _small_prism_with_attachments():

@@ -194,7 +194,7 @@ def test_killing_matrix_is_minus_the_frame_part_of_the_bivector_map():
     # the negated frame coordinates B_T that `equilibrium_spectrum` reads.
     for label, fw in _killing_cases():
         biv = rk.statics.bivector_map_matrix(fw)
-        framed = rk.spaces._to_frames(fw.coords, fw.space,
+        framed = rk.spaces._to_frames(rk.spaces._reflectors(fw.coords, fw.space),
                                       biv.reshape(len(biv), fw.n, fw.space.ambient_dim))
         b_t = framed.reshape(len(biv), -1).T
         killing = kinematics.killing_evaluation_matrix(fw)

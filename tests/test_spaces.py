@@ -194,17 +194,18 @@ def test_frame_map_is_orthogonal_on_tangent_vectors(code, d, rng):
     unit = normals / np.linalg.norm(normals, axis=1)[:, None]
     vecs = rng.standard_normal((2, 6, d + 1))
     tangent = vecs - np.sum(vecs * unit, axis=-1)[..., None] * unit
-    framed = spaces._to_frames(pts, space, vecs)
+    reflectors = spaces._reflectors(pts, space)
+    framed = spaces._to_frames(reflectors, vecs)
     assert framed.shape == (2, 6, d)
-    assert np.allclose(framed, spaces._to_frames(pts, space, tangent), rtol=0, atol=1e-14)
+    assert np.allclose(framed, spaces._to_frames(reflectors, tangent), rtol=0, atol=1e-14)
     assert np.allclose(np.sum(framed[0] * framed[1], axis=-1),
                        np.sum(tangent[0] * tangent[1], axis=-1), rtol=0, atol=1e-14)
-    assert np.allclose(spaces._from_frames(pts, space, framed), tangent, rtol=0, atol=1e-14)
-    rows = spaces._to_frames(pts, space, vecs[0][[4, 1]], at=[4, 1])
+    assert np.allclose(spaces._from_frames(reflectors, framed), tangent, rtol=0, atol=1e-14)
+    rows = spaces._to_frames(reflectors, vecs[0][[4, 1]], at=[4, 1])
     assert np.array_equal(rows, framed[0][[4, 1]])
     if code == "E":
         assert np.array_equal(framed, vecs[..., 1:])
-        back = spaces._from_frames(pts, space, framed)
+        back = spaces._from_frames(reflectors, framed)
         assert np.array_equal(back[..., 1:], vecs[..., 1:]) and not np.any(back[..., 0])
 
 

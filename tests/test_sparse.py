@@ -1,11 +1,5 @@
-"""The sparse rank decisions of `_linalg.spectrum` (on the Gram matrix G of
-the small side of a large matrix: a banded Cholesky certificate on G without
-pinned coordinates where the operator's Killing columns certify its null
-values, else an inertia count, the negative pivots of one symmetric LDL^T
-factorization of G - c^2 I, c the cutoff; the two smallest singular values
-are bounded by the Killing columns where they certify two null values, else
-read by shift-invert Lanczos on the count's own factor) and their dense
-fallback.
+"""The sparse rank decisions of `_linalg.spectrum`, whose routes
+`_linalg._sparse_spectrum` sets out, and their dense fallback.
 
 Lowering `SPARSE_MIN_SIDE` to 0 sends every matrix whose smaller side is at
 least 2 to the sparse path; each count, verdict and exit code must then be

@@ -168,6 +168,19 @@ def test_resolve_load_roundtrip():
     assert isinstance(zero, rk.Stress) and zero.values == pytest.approx([0.0])
 
 
+@pytest.mark.parametrize("code", ["E", "S", "H"])
+def test_an_edgeless_framework_moves_freely_and_resolves_only_the_zero_load(code):
+    fw = rk.build_framework(rk.graph(3, []), E2, [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3)])
+    if code != "E":
+        fw = rk.geodesic_project(fw, rk.Space(rk.SpaceKind(code), 2))
+    assert len(rk.motion_spaces(fw).basis_V) == fw.n * fw.dim
+    vecs = np.zeros((fw.n, 3))
+    vecs[0, 1] = 1.0  # vertex 0 sits at e_0 in all three models
+    assert isinstance(rk.resolve_load(fw, rk.load(fw, vecs)), rk.Unresolvable)
+    zero = rk.resolve_load(fw, statics.zero_load(fw))
+    assert isinstance(zero, rk.Stress) and zero.values.shape == (0,)
+
+
 def test_equilibrium_load_on_flexible_framework_unresolvable(prism_doc):
     # Project the flex onto the equilibrium load space: it pairs nonzero
     # with itself, so by the virtual-work principle it cannot be resolved.
