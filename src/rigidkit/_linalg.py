@@ -18,8 +18,7 @@ when the same matrix gets the dense SVD instead.
 The Maxwell-Cremona collinear-face test is the one geometric check that
 counts singular values against an absolute cutoff instead.  A basis is one
 SVD with vectors cut at a rank already decided (:func:`nullspace`,
-:func:`column_space`); the plane fits of the Maxwell-Cremona lifts are the
-only other SVDs with vectors.
+:func:`column_space`).
 """
 
 from dataclasses import dataclass

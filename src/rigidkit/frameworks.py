@@ -6,9 +6,10 @@ interchange format used by the CLI and the example gallery.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import getitem
 
 import numpy as np
 
@@ -208,6 +209,10 @@ def _indices(values) -> np.ndarray:
     arr = np.array(values)
     if arr.size and arr.dtype.kind != "i":
         raise TypeError("indices must be integers, not %s" % arr.dtype)
+    # numpy reads a boolean among integers as 0 or 1: only those items can be one
+    for at in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        if type(reduce(getitem, at, values)) is bool:
+            raise TypeError("indices must be integers, not booleans")
     return arr.astype(int)
 
 
@@ -254,8 +259,10 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
         stress = None
         if "stress" in data:
             keys = list(data["stress"])
-            if not set(map(str.count, keys, repeat("-"))) <= {1}:
-                raise ValueError("stress keys must read i-j")
+            text = "".join(keys)  # int() then reads each side, and raises on ""
+            if keys and not (set(map(str.count, keys, repeat("-"))) == {1} and text.isascii()
+                             and text.encode().translate(None, b"-").isdigit()):
+                raise ValueError("stress keys must read i-j in ASCII digits")
             pairs = np.fromiter(map(int, chain.from_iterable(map(str.split, keys, repeat("-")))),
                                 dtype=int, count=2 * len(keys)).reshape(-1, 2)
             values = _finite(np.array(list(data["stress"].values()), dtype=float), "stress")

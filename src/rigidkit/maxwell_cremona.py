@@ -14,9 +14,9 @@ vertical lift; on S and H it is the normal of the lifted face plane
 with lambda = w in E and lambda = w d / sin d on S/H (d the edge length).
 One walk builds M from a stress or from a reciprocal diagram, and one
 decomposition of the jumps recovers the stress.  Geometry enters only at the
-ends: lambda <-> w, M <-> reciprocal point, the lifted vertices from
-c_i = <M_a, p_i>, the spherical base perturbation and the hyperbolic stress
-halving.
+ends: lambda <-> w, M <-> reciprocal point, M <-> stored lift plane, the
+lifted vertices from c_i = <M_a, p_i>, the spherical base perturbation and
+the hyperbolic stress halving.
 
 Both walks go breadth-first over the dual graph from a base face (the
 exterior face when identified, else face 0) and then re-check the defining
@@ -142,6 +142,9 @@ class PolyhedralLift:
     face_planes rows: vertical lift (gx, gy, b) meaning z = gx x + gy y + b;
     radial lift (n0, n1, n2, c) meaning <n, x> = c; spherical/hyperbolic the
     vector m with <m, x> = kappa (kappa = +1 on S, -1 on H).
+
+    The planes are authoritative: conversions read the lift by them, and
+    refuse (NonPlanarFace) a lifted vertex off the plane of a face around it.
     """
 
     framework: Framework
@@ -317,49 +320,30 @@ def _bfs_levels(fw: Framework, start: int) -> list:
 
 
 def _check_no_collinear_faces(fw: Framework):
-    """CollinearFace for the first face whose vertices lie on one geodesic:
-    one stacked SVD per face length."""
+    """CollinearFace for the first face on one geodesic, whose ambient points
+    ((1, x, y) in E) have rank below 3: one stacked SVD per face length."""
     bad = []
     for faces, cycles in fw.embedding.face_groups:
         pts = fw.coords[cycles]
         cutoff = 1e-12 * np.maximum(1.0, np.max(np.abs(pts), axis=(1, 2)))
-        if fw.space.is_euclidean:  # rank of the homogeneous points
-            s = _linalg.svd(pts[:, 1:, 1:] - pts[:, :1, 1:], compute_uv=False)
-            rank = 1 + np.sum(s > cutoff[:, None], axis=1)
-        else:
-            rank = np.sum(_linalg.svd(pts, compute_uv=False) > cutoff[:, None], axis=1)
+        rank = np.sum(_linalg.svd(pts, compute_uv=False) > cutoff[:, None], axis=1)
         bad.append(faces[rank < 3])
     bad = np.concatenate(bad)
     if bad.size:
         raise CollinearFace("face %d is contained in a geodesic" % bad.min())
 
 
-def _fit_vertical_planes(fw: Framework, heights: np.ndarray, tol) -> np.ndarray:
-    """Rows (gx, gy, b) of the planes z = gx x + gy y + b through each face's
-    lifted vertices (x, y, heights), least-squares fitted and checked planar.
-
-    One stacked SVD per face length solves every face's system as lstsq
-    does: singular values under eps * max(rows, 3) times the largest count
-    as zero.
-    """
-    nf = fw.embedding.face_count
-    planes, resid, limit = np.zeros((nf, 3)), np.zeros(nf), np.zeros(nf)
-    for faces, cycles in fw.embedding.face_groups:
-        zs = heights[cycles]
-        sys = np.concatenate([fw.coords[cycles][:, :, 1:], np.ones(cycles.shape + (1,))], axis=2)
-        u, s, vt = _linalg.svd(sys, full_matrices=False)
-        keep = s > np.finfo(float).eps * max(sys.shape[1:]) * s[:, :1]
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        coef = inv[:, :, None] * (np.swapaxes(u, 1, 2) @ zs[:, :, None])
-        sol = (np.swapaxes(vt, 1, 2) @ coef)[:, :, 0]
-        planes[faces] = sol
-        resid[faces] = np.max(np.abs((sys @ sol[:, :, None])[:, :, 0] - zs), axis=1)
-        limit[faces] = tol * np.maximum(1.0, np.max(np.abs(zs), axis=1)) * 1e3
-    bad = np.flatnonzero(resid > limit)
-    if bad.size:
-        raise NonPlanarFace("lifted face %d is not planar (residual %.3g)"
-                            % (bad[0], resid[bad[0]]))
-    return planes
+def _require_incident(lift: PolyhedralLift, tol):
+    """NonPlanarFace for the first lifted vertex off the stored plane of a
+    face around it (`PolyhedralLift.incidence_residuals`)."""
+    res = lift.incidence_residuals()
+    off = res > tol * 1e3 * (max(1.0, np.max(np.abs(lift.face_planes))) *
+                             max(1.0, np.max(np.abs(lift.vertex_points))))
+    if np.any(off):
+        a, i, _, _ = lift.framework.embedding.corners
+        k = np.argmax(off)
+        raise NonPlanarFace("lifted vertex %d is off the plane of face %d (residual %.3g)"
+                            % (i[k], a[k], res[k]))
 
 
 def _incidence_values(fw: Framework, normals: np.ndarray, tol):
@@ -381,14 +365,14 @@ def _incidence_values(fw: Framework, normals: np.ndarray, tol):
 
 # --- face vectors from a stress, a reciprocal or a lift ------------------------
 
-def _stress_walk(fw: Framework, lam: np.ndarray, base: np.ndarray, tol):
-    """M from M_left - M_right = lam_ij (p_i x p_j), anchored at the base face
-    and closure-checked on every dual pair; returns (M, closure residual)."""
+def _stress_walk(fw: Framework, lam: np.ndarray, tol):
+    """W from W_left - W_right = lam_ij (p_i x p_j) with W = 0 on the base
+    face, closure-checked on every dual pair; returns (W, closure residual).
+    The stress s lam on base vector b has the face vectors b + s W."""
     tails, heads, rights, lefts = fw.embedding.dual_pairs()
     deltas = lam[:, None] * cross3(fw.coords[tails], fw.coords[heads], fw.space)
     normals = np.zeros((fw.embedding.face_count, 3))
     start = _base_face(fw)
-    normals[start] = base
     for parents, children, pairs, forward in _bfs_levels(fw, start):
         normals[children] = normals[parents] + np.where(forward[:, None], deltas[pairs],
                                                         -deltas[pairs])
@@ -402,14 +386,14 @@ def _face_vectors_from_stress(fw: Framework, w: Stress, tol):
     """(M, closure residual, stress scale) of a nowhere-zero self-stress."""
     values = w.values_on(fw.graph)
     _require_self_stress(fw, values, tol)
-    lam = values * statics.edge_factors(fw)[0]
+    walk, closure = _stress_walk(fw, values * statics.edge_factors(fw)[0], tol)
     base = np.array(_BASE_VECTOR[fw.space.kind.value])
     if fw.space.is_spherical:
         # Perturb the base normal deterministically until every c_i is nonzero;
-        # the generator (and numpy.random) only when a first walk fails.
+        # the generator (and numpy.random) only when the first base fails.
         rng = None
         for _ in range(_SPH_BASE_RETRIES + 1):
-            normals, closure = _stress_walk(fw, lam, base, tol)
+            normals = base + walk
             c, _ = _incidence_values(fw, normals, tol)
             if np.all(np.abs(c) > 1e-8 * max(float(np.max(np.abs(normals))), 1e-300)):
                 return normals, closure, 1.0
@@ -423,14 +407,13 @@ def _face_vectors_from_stress(fw: Framework, w: Stress, tol):
         # Halve the stress until every face normal is time-like on the upper sheet.
         scale = 1.0
         for _ in range(_HYP_SCALE_STEPS):
-            normals, closure = _stress_walk(fw, scale * lam, base, tol)
+            normals = base + scale * walk
             q = signed_inner(normals, normals, fw.space)
             if np.all(q < -1e-10) and np.all(normals[:, 0] > 0):
-                return normals, closure, scale
+                return normals, scale * closure, scale
             scale *= 0.5
         raise ConeFailure("no stress scale places all face normals in the upper cone")
-    normals, closure = _stress_walk(fw, lam, base, tol)
-    return normals, closure, 1.0
+    return base + walk, closure, 1.0
 
 
 def _face_vectors_from_reciprocal(fw: Framework, rec: ReciprocalDiagram) -> np.ndarray:
@@ -465,22 +448,22 @@ def _face_vectors_from_reciprocal(fw: Framework, rec: ReciprocalDiagram) -> np.n
 
 
 def _face_vectors_from_lift(fw: Framework, lift: PolyhedralLift, tol) -> np.ndarray:
-    """M of a lift: its face normals on S/H; in E (b, gx, gy) of the planes
-    fitted to the vertices of a vertical lift."""
+    """M of a lift whose vertices lie on its planes, read from the planes:
+    (b, gx, gy) of a vertical lift in E, the face normals on S/H."""
     if lift.kind not in _LIFT_KINDS[fw.space.kind.value]:
         raise WrongDimension("a %s lift cannot be converted in %s"
                              % (lift.kind.value, fw.space))
-    if not fw.space.is_euclidean:
-        return lift.face_planes
-    planes = _fit_vertical_planes(fw, lift.vertex_points[:, 2], tol)
+    _require_incident(lift, tol)
+    planes = lift.face_planes
+    normals = np.column_stack([planes[:, 2], planes[:, :2]]) if fw.space.is_euclidean else planes
     # Adjacent faces must have distinct planes, else the dual edge collapses
     # and the perpendicularity test is meaningless noise.
     _, _, rights, lefts = fw.embedding.dual_pairs()
-    same = np.all(np.isclose(planes[rights], planes[lefts], atol=tol), axis=1)
+    same = np.all(np.isclose(normals[rights], normals[lefts], atol=tol), axis=1)
     if np.any(same):
         k = np.flatnonzero(same)[0]
         raise NonPlanarFace("adjacent faces %d, %d lifted to one plane" % (rights[k], lefts[k]))
-    return np.column_stack([planes[:, 2], planes[:, :2]])
+    return normals
 
 
 # --- the ends: lift, reciprocal and stress from face vectors ------------------
@@ -621,17 +604,20 @@ def _projective_exchange(a: np.ndarray) -> np.ndarray:
 def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
                             tol=MC_TOL) -> PolyhedralLift:
     """Exchange vertical and radial lifts through the projective map with
-    pr_a = pr_perp o Phi, Phi = `_projective_exchange(a)`.  Vertical lifts
-    are shifted off the plane z = -a_z, which Phi^-1 sends to infinity, when
-    necessary; their fitted planes (gx, gy, -1, b) map as covectors to the
-    radial planes (gx, gy, -1, b) Phi, scaled to unit normals.  A NaN or
-    an infinity in `lift` or `a` raises RigidkitError."""
+    pr_a = pr_perp o Phi, Phi = `_projective_exchange(a)`: vertices move by
+    Phi^-1 (vertical to radial) or Phi, planes as covectors by Phi or Phi^-1.
+    Vertical lifts are shifted off the plane z = -a_z, which Phi^-1 sends to
+    infinity, when necessary.  Vertices off their planes raise NonPlanarFace,
+    a NaN or an infinity in `lift` or `a` RigidkitError."""
     _require_mc_framework(fw)
     _require_finite_object(lift)
     a = np.asarray(a, dtype=float)
     _finite(a, "projection center")
     if a.shape != (3,) or abs(a[2]) < 1e-12:
         raise WrongDimension("projection center must be a 3-point off the base plane")
+    if lift.kind not in (LiftKind.VERTICAL, LiftKind.RADIAL):
+        raise WrongDimension("radial/vertical conversion applies to Euclidean lifts")
+    _require_incident(lift, tol)
     phi = _projective_exchange(a)
     if lift.kind is LiftKind.VERTICAL:
         spread = max(float(np.max(np.abs(lift.vertex_points[:, 2]))), 1.0)
@@ -641,23 +627,24 @@ def radial_vertical_convert(fw: Framework, lift: PolyhedralLift, a,
                 break
         else:
             raise UnremovableIncidence("no vertical shift avoids the plane z = -a_z")
-        pts = lift.vertex_points.copy()
-        pts[:, 2] += shift
+        pts = lift.vertex_points + [0.0, 0.0, shift]
         out = _apply_homogeneous(np.linalg.inv(phi), pts, "lifted vertex %d maps to infinity")
-        fitted = _fit_vertical_planes(fw, pts[:, 2], tol)
-        covectors = np.column_stack([fitted[:, :2], -np.ones(len(fitted)), fitted[:, 2]]) @ phi
+        gx, gy, b = lift.face_planes.T
+        covectors = np.column_stack([gx, gy, -np.ones(b.size), b + shift]) @ phi
         planes = np.column_stack([covectors[:, :3], -covectors[:, 3]])
         planes /= np.linalg.norm(covectors[:, :3], axis=1)[:, None]
         res = PolyhedralLift(fw, LiftKind.RADIAL, out, planes, radial_center=a,
                              stress_scale=lift.stress_scale)
-    elif lift.kind is LiftKind.RADIAL:
+    else:
         out = _apply_homogeneous(phi, lift.vertex_points,
                                  "radial vertex %d lies on the critical plane")
-        planes = _fit_vertical_planes(fw, out[:, 2], tol)
+        n, c = lift.face_planes[:, :3], lift.face_planes[:, 3]
+        covectors = np.column_stack([n, -c]) @ np.linalg.inv(phi)
+        if np.any(np.abs(covectors[:, 2]) <= 1e-12 * np.linalg.norm(covectors, axis=1)):
+            raise NonPlanarFace("a radial face plane maps to a vertical plane")
+        planes = covectors[:, [0, 1, 3]] / -covectors[:, 2:3]
         res = PolyhedralLift(fw, LiftKind.VERTICAL, out, planes,
                              stress_scale=lift.stress_scale)
-    else:
-        raise WrongDimension("radial/vertical conversion applies to Euclidean lifts")
     res.residuals["projection"] = _projection_residual(fw, res)
     if res.residuals["projection"] > 1e-7:
         raise ClosureFailure("converted lift does not project back onto the framework")

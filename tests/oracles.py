@@ -6,7 +6,8 @@ convert exactly), elimination modulo a prime of the exact integer matrix
 where Fractions are too slow, subset enumeration for sparsity counts,
 vertex-pair deletion for 3-connectivity, a directed-edge dict and per-face
 loops for planar embeddings (their validation included), and finite
-differences for flex checks.  The matrices are rebuilt from scratch from the
+differences for flex checks, and per-face least-squares fits for the planes
+of Maxwell-Cremona lifts.  The matrices are rebuilt from scratch from the
 defining formulas rather than taken from the library.
 """
 
@@ -540,6 +541,36 @@ def convexity_classify(fw, stress=None, reciprocal=None, planes=None):
 
 
 # --- numeric oracles ------------------------------------------------------------
+
+def fitted_face_planes(lift) -> np.ndarray:
+    """Reference for `lift.face_planes`: each face's plane fitted by least
+    squares to its lifted vertices, one face at a time, in the lift's rows.
+
+    Vertical rows (gx, gy, b) solve [x y 1] (gx, gy, b) = z; spherical and
+    hyperbolic rows m solve <m, x> = kappa (kappa = +1 on S, -1 on H, the
+    Minkowski product on H); a radial row (n, c) is the smallest right
+    singular vector of the rows (x, y, z, -1) scaled to |n| = 1, with the
+    sign of the lift's own row, since a radial plane's sign is free.
+    """
+    kind, faces = lift.kind.value, lift.framework.embedding.faces
+    planes = []
+    for a, cyc in enumerate(faces):
+        pts = lift.vertex_points[list(cyc)]
+        ones = np.ones(len(cyc))
+        if kind == "vertical":
+            planes.append(np.linalg.lstsq(np.column_stack([pts[:, :2], ones]), pts[:, 2],
+                                          rcond=None)[0])
+        elif kind == "radial":
+            v = np.linalg.svd(np.column_stack([pts, -ones]))[2][-1]
+            v = v / np.linalg.norm(v[:3])
+            planes.append(v if v @ lift.face_planes[a] >= 0 else -v)
+        else:
+            hyperbolic = kind == "hyperbolic-minkowski"
+            kappa = -1.0 if hyperbolic else 1.0
+            metric = np.array([-1.0 if hyperbolic else 1.0, 1.0, 1.0])
+            planes.append(np.linalg.lstsq(pts * metric, kappa * ones, rcond=None)[0])
+    return np.array(planes)
+
 
 def edge_length_derivative_residual(fw, field_vecs, h=1e-6):
     """Max |len(p + h q) - len(p - h q)| / (2h): first-order length invariance.

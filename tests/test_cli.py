@@ -729,6 +729,22 @@ def _stress_with(key, value):
     return lambda d: dict(d, stress=dict(d["stress"], **{key: value}))
 
 
+def _stress_key_as(key):
+    """The stress with its key "0-1" written as `key`: each key below was
+    read as edge 0-1 by int() on its two sides."""
+    def corrupt(d):
+        stress = dict(d["stress"])
+        stress[key] = stress.pop("0-1")
+        return dict(d, stress=stress)
+    return corrupt
+
+
+def _ones_as_true(key):
+    """Every vertex index 1 in the rows of d[key] written as JSON true,
+    which numpy reads as 1 among integers."""
+    return lambda d: dict(d, **{key: [[True if v == 1 else v for v in row] for row in d[key]]})
+
+
 @pytest.mark.parametrize("command", ["analyze", "transform"])
 @pytest.mark.parametrize("corrupt", [
     _with("stress", [1, 2]),
@@ -746,10 +762,19 @@ def _stress_with(key, value):
     _with("dim", True),
     _with("exterior_face", True),
     _with("edges", [[False, True]]),
+    _ones_as_true("edges"),
+    _ones_as_true("faces"),
+    # stress keys are ASCII digits i-j: no sign, space, underscore or other digit
+    _stress_key_as(" +0_0-\u0661"),
+    _stress_key_as("+0-1"),
+    _stress_key_as("0_0-1"),
+    _stress_key_as(" 0-1"),
 ], ids=["stress-list", "stress-key-0-x", "stress-key-0-1-2", "stress-value-list",
         "faces-of-ints", "exterior-face-string", "vertices-string", "load-string",
         "dim-2.5", "dim-string", "dim-2.0", "dim-true", "exterior-face-true",
-        "edges-of-booleans"])
+        "edges-of-booleans", "edges-with-true", "faces-with-true",
+        "stress-key-arabic-indic-digit", "stress-key-plus", "stress-key-underscore",
+        "stress-key-space"])
 def test_malformed_framework_is_input_error(tmp_path, command, corrupt, capsys):
     run(tmp_path, "example", "prism3-concurrent")
     data = json.loads((tmp_path / "prism3-concurrent.json").read_text())

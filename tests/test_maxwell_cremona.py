@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import rigidkit as rk
-from rigidkit import maxwell_cremona as mc, transforms as tr
+from rigidkit import cli, maxwell_cremona as mc, transforms as tr
 from rigidkit.errors import (
     ClosureFailure,
     CollinearFace,
@@ -15,7 +17,7 @@ from rigidkit.errors import (
 )
 
 from conftest import scaled_into_chart
-from oracles import directed_faces
+from oracles import directed_faces, fitted_face_planes
 
 
 @pytest.fixture
@@ -38,6 +40,18 @@ def _curved_prism(kind):
     fwx = tr.geodesic_project(fw, target)
     w = rk.static_spaces(fwx).self_stress_basis[0]
     return fwx, w
+
+
+def _count_walks(monkeypatch) -> list:
+    """A list that gets one entry per `_stress_walk` call from now on."""
+    calls, walk = [], mc._stress_walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(mc, "_stress_walk", counted)
+    return calls
 
 
 # --- Euclidean -----------------------------------------------------------------
@@ -189,6 +203,25 @@ def test_radial_planes_pass_through_the_lifted_points(prism):
         mc.radial_vertical_convert(fw, bent, np.array([0.5, 0.25, 7.0]))
 
 
+def test_radial_plane_through_the_center_is_refused(k4):
+    # Vertex 3 on edge 0-1 puts face [0, 1, 3] on the line y = 0.  A radial
+    # lift may carry that face on a plane through the center a, which Phi^-1
+    # sends to the vertical plane y = 0, where no row (gx, gy, b) exists.
+    fw, _ = k4
+    coords = fw.coords[:, 1:].copy()
+    coords[3] = (0.5, 0.0)
+    flat = rk.build_framework(fw.graph, fw.space, coords, fw.embedding)
+    a = np.array([0.5, 0.25, 7.0])
+    level = mc.PolyhedralLift(flat, mc.LiftKind.VERTICAL, np.column_stack([coords, np.zeros(4)]),
+                              np.zeros((4, 3)))
+    radial = mc.radial_vertical_convert(flat, level, a)
+    covector = np.array([0.0, 1.0, 0.0, 0.0]) @ mc._projective_exchange(a)
+    radial.face_planes[0] = np.append(covector[:3], -covector[3]) / np.linalg.norm(covector[:3])
+    assert np.max(radial.incidence_residuals()) <= 1e-15
+    with pytest.raises(mc.NonPlanarFace, match="vertical plane"):
+        mc.radial_vertical_convert(flat, radial, a)
+
+
 def test_convexity_classification_k4(k4):
     fw, w = k4
     rec = mc.convert(fw, w, to="reciprocal")
@@ -335,7 +368,7 @@ def test_sph_lambda_matches_stress_extraction():
         assert lam == pytest.approx(expected, rel=1e-9)
 
 
-def test_sph_base_is_perturbed_off_a_vertex_of_the_base_face():
+def test_sph_base_is_perturbed_off_a_vertex_of_the_base_face(monkeypatch):
     # Rim vertex 0, on the exterior (base) face, lies on the plane of the
     # base face vector: <p_0, (1, 0.25, -0.4)> = 0, so c_0 = 0 on the first
     # walk and the base is perturbed before a lift can be built.
@@ -356,7 +389,9 @@ def test_sph_base_is_perturbed_off_a_vertex_of_the_base_face():
     assert fw.coords[0] @ base == 0.0
     w = rk.static_spaces(fw).self_stress_basis[0]
     assert np.min(np.abs(w.values)) > 1e-2
+    walks = _count_walks(monkeypatch)
     lift = mc.convert(fw, w, to="lift")
+    assert len(walks) == 1  # each perturbed base b reads b + W off the one walk W
     assert lift.kind is mc.LiftKind.SPHERICAL_WEAK
     assert not np.allclose(lift.face_planes[rim], base)
     assert lift.residuals["incidence"] <= 1e-12
@@ -379,12 +414,14 @@ def test_hyp_lift_space_like_faces():
 
 
 @pytest.mark.parametrize("factor, scale", [(100.0, 0.0625), (1e6, 2.0 ** -18)])
-def test_hyp_stress_is_halved_into_the_upper_cone(factor, scale):
+def test_hyp_stress_is_halved_into_the_upper_cone(factor, scale, monkeypatch):
     # A large stress puts face normals outside the upper cone; it is halved
     # until all are in it, and the stress read back is the halved one.
     fw, w = _curved_prism("H")
     big = w.scaled(factor)
+    walks = _count_walks(monkeypatch)
     lift = mc.convert(fw, big, to="lift")
+    assert len(walks) == 1  # each scale s reads b + s W off the one walk W
     assert lift.stress_scale == scale
     np.testing.assert_allclose(mc.convert(fw, lift, to="stress").values,
                                scale * big.values, rtol=1e-12)
@@ -504,19 +541,76 @@ def test_stress_on_other_edges_is_refused(prism):
             tr.FrameworkMap(tr.geodesic_map("S"), scaled_into_chart(fw)).stress(bad)
 
 
-def test_lift_conversion_checks_the_planes_it_fits(prism):
-    # The conversion fits the face planes to the lifted vertices; the stored
-    # face_planes must not decide the adjacent-plane check.
-    fw, w = prism
-    lift = mc.convert(fw, w, to="lift")
-    expected = mc.convert(fw, lift, to="stress").values
+def test_lift_conversion_refuses_vertices_off_its_planes(prism, tmp_path, capsys):
+    # A lift is read by its stored face planes, in E, S and H alike, so
+    # stored planes or vertex points that disagree are refused, not refitted.
     rng = np.random.RandomState(0)
-    for planes in (np.zeros_like(lift.face_planes), rng.standard_normal(lift.face_planes.shape)):
-        stored = mc.PolyhedralLift(fw, lift.kind, lift.vertex_points, planes)
-        assert np.array_equal(mc.convert(fw, stored, to="stress").values, expected)
-    flat = np.column_stack([fw.coords[:, 1:], np.full(fw.n, 2.0)])
-    with pytest.raises(mc.NonPlanarFace, match="one plane"):
-        mc.convert(fw, mc.PolyhedralLift(fw, lift.kind, flat, lift.face_planes), to="stress")
+    for space in "ESH":
+        fw, w = prism if space == "E" else _curved_prism(space)
+        lift = mc.convert(fw, w, to="lift")
+        moved = lift.vertex_points + rng.standard_normal(lift.vertex_points.shape)
+        for planes, points in ((np.zeros_like(lift.face_planes), lift.vertex_points),
+                               (rng.standard_normal(lift.face_planes.shape), lift.vertex_points),
+                               (lift.face_planes, moved)):
+            stored = mc.PolyhedralLift(fw, lift.kind, points, planes)
+            for to in ("stress", "reciprocal"):
+                with pytest.raises(mc.NonPlanarFace, match="off the plane"):
+                    mc.convert(fw, stored, to=to)
+        # Incident, but every face on the base face's plane: the dual edges
+        # collapse.
+        m = lift.face_planes[mc._base_face(fw)]
+        if space == "E":
+            flat = np.column_stack([fw.coords[:, 1:], fw.coords[:, 1:] @ m[:2] + m[2]])
+        else:
+            kappa = 1.0 if space == "S" else -1.0
+            flat = fw.coords * (kappa / rk.signed_inner(np.tile(m, (fw.n, 1)), fw.coords,
+                                                        fw.space))[:, None]
+        one = mc.PolyhedralLift(fw, lift.kind, flat, np.tile(m, (len(lift.face_planes), 1)))
+        with pytest.raises(mc.NonPlanarFace, match="one plane"):
+            mc.convert(fw, one, to="stress")
+        # The command line: one vertex moved off its planes exits 3.
+        rk.save_framework(tmp_path / "fw.json", fw)
+        bent = lift.to_dict()
+        bent["vertex_points"][4][2] += 1e-3
+        (tmp_path / "lift.json").write_text(json.dumps(bent))
+        capsys.readouterr()
+        assert cli.main(["mc", str(tmp_path / "fw.json"), "--direction", "lift2stress",
+                         "--object", str(tmp_path / "lift.json"),
+                         "-o", str(tmp_path / "out.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("conversion failed: lifted vertex 4 is off the plane of face")
+        assert err.count("\n") == 1
+
+
+def _gallery_stress(name, space):
+    """A gallery fixture with its stress in E, or on S or H: the image of the
+    fixture shrunk by 0.1, with the stress carried by the map."""
+    doc = rk.gallery.fixture(name)
+    fw = doc.framework
+    w = rk.stress_from_dict(fw, doc.stress)
+    if space == "E":
+        return fw, w
+    fmap = tr.FrameworkMap(tr.geodesic_map(space), scaled_into_chart(fw, 0.1))
+    return fmap.image, fmap.stress(w)
+
+
+@pytest.mark.parametrize("space", ["E", "S", "H"])
+@pytest.mark.parametrize("name", ["k4-centroid", "prism3-concurrent"])
+def test_written_lift_planes_are_the_least_squares_fit(name, space):
+    # Lifts are built from their face vectors, never fitted; each plane
+    # written must still be the fit through the face's lifted vertices.
+    fw, w = _gallery_stress(name, space)
+    lifts = [mc.convert(fw, w, to="lift"),
+             mc.convert(fw, mc.convert(fw, w, to="reciprocal"), to="lift")]
+    if space == "E":
+        heights = lifts[0].heights()
+        autoshift = [0.0, 0.0, -float(heights[np.argmax(np.abs(heights))])]
+        for a in ([0.5, 0.25, 7.0], [0.0, 0.0, 0.3], [-2.0, 1.0, -0.5], autoshift):
+            radial = mc.radial_vertical_convert(fw, lifts[0], a)
+            lifts += [radial, mc.radial_vertical_convert(fw, radial, a)]
+    for lift in lifts:
+        fit = fitted_face_planes(lift)
+        assert np.max(np.abs(lift.face_planes - fit)) <= 1e-9 * np.max(np.abs(fit))
 
 
 # --- non-finite objects built in Python ----------------------------------------
