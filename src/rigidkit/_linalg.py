@@ -2,17 +2,18 @@
 
 Every SVD in the package goes through :func:`svd`: when LAPACK does not
 converge on a matrix it retries once on the transpose, and a second failure
-raises :class:`NumericalError`.  Every rank decision of a linear map is made
-by :func:`spectrum` with the threshold convention
-sigma > tol * sigma_max * max(m, n) of :func:`_cutoff` (m and n count the
-rows and columns that are not zero), so it can be overridden in one place;
-`statics.equilibrium_spectrum` applies it to every value of its stack.
+raises :class:`NumericalError`.  Every rank decision of a linear map is a
+:class:`Spectrum` made by :func:`svd_spectrum` or :func:`_sparse_spectrum`
+with the threshold convention sigma > tol * sigma_max * max(m, n) of
+:func:`_cutoff` (m and n count the rows and columns that are not zero), so
+it can be overridden in one place.
 
-Which path decides: a matrix whose smaller non-zero side has fewer than
-:data:`SPARSE_MIN_SIDE` rows or columns gets one values-only SVD.  A larger
-one, given densely or as :class:`Entries`, is decided on the Gram matrix of
-its smaller side by :func:`_sparse_spectrum`, which sets out its routes (a
-banded Cholesky certificate, else an inertia count of one LDL^T factor) and
+Which route decides (`Spectrum.route`): in :func:`spectrum`, a matrix whose
+smaller non-zero side has fewer than :data:`SPARSE_MIN_SIDE` rows or columns
+gets one values-only SVD ("svd").  A larger one, given densely or as
+:class:`Entries`, is decided on the Gram matrix of its smaller side by
+:func:`_sparse_spectrum`, which sets out its routes (a banded Cholesky
+certificate, "band", else an inertia count of one LDL^T factor, "count") and
 when the same matrix gets the dense SVD instead.
 
 The Maxwell-Cremona collinear-face test is the one geometric check that
@@ -83,21 +84,6 @@ def _out_of_memory(shape):
     return NumericalError("out of memory for the dense SVD of a %d x %d matrix" % shape[-2:])
 
 
-def _svd_rank(s, rows, cols, tol):
-    """(cutoff, rank) for the descending singular values `s` of a matrix with
-    `rows` rows and `cols` columns that are not identically zero.
-
-    max(m, n) counts only those, so zero padding, which leaves the singular
-    values alone, leaves the rank alone too: the Euclidean resolution matrix
-    (the transposed rigidity operator plus n zero rows) gets the operator's
-    rank.
-    """
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0, 0
-    cutoff = _cutoff(s[0], rows, cols, tol)
-    return cutoff, int(np.sum(s > cutoff))
-
-
 def _cutoff(smax, rows, cols, tol):
     """The rank cutoff of both paths for the largest singular value `smax` of
     a matrix with `rows` rows and `cols` columns that are not all zero."""
@@ -141,42 +127,53 @@ def block_entries(rows, vertices, blocks, shape) -> Entries:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Singular values of one matrix (descending) with its rank decision.
+    """The rank decision of one matrix, named by the `route` that made it.
 
-    `method` says which path decided the rank: "dense" (one values-only
-    SVD; `values` holds every singular value, `cutoff` is the rule's
-    tol * sigma_max * max(m, n)) or "sparse" (`_sparse_spectrum`; `values`
-    holds three numbers: first sigma_max or an upper bound of it, then two
-    upper bounds of the smallest singular values, to roundoff the values
-    themselves above the cutoff; `cutoff` is the rule's cutoff for that
-    first value, and `rank` is the rank at the exact cutoff).
+    "svd": one values-only SVD; `values` holds every singular value,
+    descending (None on the other routes).  "band": the banded Cholesky
+    certificate of `_sparse_spectrum`; `sigma_max` is an upper bound, and
+    the rank holds at every cutoff up to `cutoff`, the rule's for it.
+    "count": its inertia count at the exact cutoff.  `smallest` holds the
+    two smallest of the min(rows, columns) singular values, ascending and
+    nan-padded (upper bounds off "svd", to roundoff the values above the
+    cutoff): right null values for a tall matrix, else row-side ones, whose
+    zeros are left null vectors.
     """
 
-    values: np.ndarray
-    cutoff: float
     rank: int
+    cutoff: float
     shape: tuple
-    method: str = "dense"
+    route: str
+    sigma_max: float
+    smallest: np.ndarray
+    values: np.ndarray = None
 
     @property
     def nullity(self) -> int:
         """Dimension of the right null space: columns minus rank."""
         return self.shape[1] - self.rank
 
-    def smallest(self, k=2) -> np.ndarray:
-        """The k smallest of the min(rows, columns) singular values (upper
-        bounds on the sparse path), nan-padded: right null values for a tall
-        matrix, else row-side ones, whose zeros are left null vectors."""
-        low = self.values[1:] if self.method == "sparse" else self.values
-        s = low[::-1][:k]
-        return np.concatenate([s, np.full(k - s.size, np.nan)])
+
+def _lows(s):
+    """The two smallest of the descending values `s`, ascending, nan-padded."""
+    return np.concatenate([s[::-1], [np.nan, np.nan]])[:2]
+
+
+def svd_spectrum(s, rows, cols, shape, tol) -> Spectrum:
+    """The "svd" Spectrum of a matrix of shape `shape` from its descending
+    singular values `s`.  max(m, n) counts only its `rows` rows and `cols`
+    columns that are not all zero, so zero padding, which leaves the values
+    alone, leaves the rank alone too: the Euclidean resolution matrix (the
+    transposed operator plus n zero rows) gets the operator's rank."""
+    smax = float(s[0]) if s.size else 0.0
+    cutoff = _cutoff(smax, rows, cols, tol)
+    return Spectrum(int(np.sum(s > cutoff)), cutoff, shape, "svd", smax, _lows(s), s)
 
 
 def spectrum(a, tol=RANK_TOL, null_columns=None) -> Spectrum:
-    """The singular values, cutoff and rank of `a`, a 2-d array or Entries:
-    by an inertia count when its smaller side has at least SPARSE_MIN_SIDE
-    non-zero rows or columns and the sparse path can decide, else by one
-    values-only SVD.
+    """The rank decision of `a`, a 2-d array or Entries: on the sparse path
+    when its smaller side has at least SPARSE_MIN_SIDE non-zero rows or
+    columns and that path can decide, else by one values-only SVD.
 
     `null_columns`, columns the caller knows to lie in the right null space
     of `a` (one row per column of `a`), may stand in for the sparse path's
@@ -193,9 +190,8 @@ def spectrum(a, tol=RANK_TOL, null_columns=None) -> Spectrum:
         except MemoryError as exc:
             raise _out_of_memory(a.shape) from exc
     s = np.zeros(0) if a.size == 0 else svd(a, compute_uv=False)
-    cutoff, rank = _svd_rank(s, np.count_nonzero(np.any(a, axis=1)),
-                             np.count_nonzero(np.any(a, axis=0)), tol)
-    return Spectrum(s, cutoff, rank, a.shape)
+    return svd_spectrum(s, np.count_nonzero(np.any(a, axis=1)),
+                        np.count_nonzero(np.any(a, axis=0)), a.shape, tol)
 
 
 def _compact(index, size):
@@ -231,9 +227,9 @@ def _sparse_spectrum(a, tol, null_columns):
     the shift that covers the factor's backward error); on the benchmark
     grids lambda_min(G_SS) was at least 7.6e-6 lambda_max, the shifted
     c_hi^2 at most 1.7e-11 lambda_max.  The rank is then side - k for
-    every cutoff in the bracket, c included, with no SuperLU factor;
-    `values` holds sqrt(lambda_hi) and the two smallest values of B Q, and
-    `cutoff` is c_hi.
+    every cutoff in the bracket, c included, with no SuperLU factor: route
+    "band", with `sigma_max` sqrt(lambda_hi), `cutoff` c_hi and `smallest`
+    the two smallest values of B Q.
 
     Everything else is decided at the exact cutoff: a value of B Q above
     c_lo, a failed certificate (the factor fails on a flexible operator;
@@ -266,8 +262,8 @@ def _sparse_spectrum(a, tol, null_columns):
     the diagonal of U is D.  One probe solve checks the factor's normwise
     backward error.
 
-    At the exact cutoff `values` holds sigma_max and two upper bounds of
-    the smallest singular values of B.  When G is the columns', the count
+    Route "count", at the exact cutoff, keeps sigma_max and in `smallest`
+    two upper bounds of the smallest singular values of B.  When G is the columns', the count
     finds two or more values under the cutoff and `null_columns` are given,
     the bounds are the two smallest singular values of B Q: for orthonormal
     Q the k-th smallest singular value of B Q bounds the k-th smallest of B
@@ -351,8 +347,7 @@ def _sparse_spectrum(a, tol, null_columns):
         c_lo, c_hi = (_cutoff(np.sqrt(lam), rows.size, cols.size, tol) for lam in (lam_lo, lam_hi))
         if (low.size >= 2 and low[0] <= c_lo and c_lo >= np.sqrt(eps * lam_hi)
                 and _pinned_gram_exceeds(by_rows, g_ii, q, c_hi**2)):
-            return Spectrum(np.concatenate([[np.sqrt(lam_hi)], low[-2:]]), c_hi,
-                            side - low.size, a.shape, "sparse")
+            return Spectrum(side - low.size, c_hi, a.shape, "band", np.sqrt(lam_hi), _lows(low))
         lam_max = float(eigsh(by_rows, 1, v0=v0, tol=np.sqrt(eps), maxiter=_ARPACK_MAXITER,
                               return_eigenvectors=False)[0])
         smax = np.sqrt(max(lam_max, 0.0))
@@ -369,7 +364,7 @@ def _sparse_spectrum(a, tol, null_columns):
             low = np.linalg.svd(b @ vecs, compute_uv=False)[-2:]
     except (RuntimeError, np.linalg.LinAlgError):  # ArpackError, SuperLU, count
         return None
-    return Spectrum(np.concatenate([[smax], low]), cutoff, side - null, a.shape, "sparse")
+    return Spectrum(side - null, cutoff, a.shape, "count", smax, _lows(low))
 
 
 def _pinned_gram_exceeds(gram, g_ii, q, floor):

@@ -6,7 +6,7 @@ interchange format used by the CLI and the example gallery.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import getitem
@@ -79,8 +79,8 @@ def _ambient_rows(coords, space: Space) -> np.ndarray:
     if isinstance(coords, np.ndarray):
         coords = coords.tolist()
     widths = np.fromiter(map(len, coords), dtype=int, count=len(coords))
-    flat = np.array(list(chain.from_iterable(coords)))
-    if flat.shape != (widths.sum(),) or flat.dtype.kind not in "biuf":
+    flat = _numbers(list(chain.from_iterable(coords)), "coordinates")
+    if flat.shape != (widths.sum(),):
         raise TypeError("coordinates must be numbers")
     short = widths == space.dim if space.is_euclidean else np.zeros(widths.size, bool)
     if np.any((widths != amb) & ~short):
@@ -209,11 +209,32 @@ def _indices(values) -> np.ndarray:
     arr = np.array(values)
     if arr.size and arr.dtype.kind != "i":
         raise TypeError("indices must be integers, not %s" % arr.dtype)
-    # numpy reads a boolean among integers as 0 or 1: only those items can be one
-    for at in np.argwhere((arr == 0) | (arr == 1)).tolist():
-        if type(reduce(getitem, at, values)) is bool:
-            raise TypeError("indices must be integers, not booleans")
+    _no_booleans(values, arr, "indices")
     return arr.astype(int)
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    """JSON numbers, in nested lists of equal lengths, as a float array; a
+    boolean, string or other value raises TypeError, ragged lists ValueError."""
+    arr = np.array(values)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError("%s must be numbers" % what)
+    _no_booleans(values, arr, what)
+    return arr.astype(float)
+
+
+def _no_booleans(values, arr, what: str):
+    """TypeError when a boolean is among `values`, which numpy read as `arr`.
+    Among numbers it reads one as 0 or 1, so only the items equal to 0 or 1
+    are looked up, one index level at a time."""
+    if arr.ndim == 0:
+        values, arr = [values], arr[None]
+    at = np.nonzero((arr == 0) | (arr == 1))
+    items = repeat(values, at[0].size)
+    for index in at:
+        items = map(getitem, items, index.tolist())
+    if not {bool, np.bool_}.isdisjoint(map(type, items)):
+        raise TypeError("%s must be numbers, not booleans" % what)
 
 
 def _finite(values, what: str):
@@ -265,11 +286,11 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
                 raise ValueError("stress keys must read i-j in ASCII digits")
             pairs = np.fromiter(map(int, chain.from_iterable(map(str.split, keys, repeat("-")))),
                                 dtype=int, count=2 * len(keys)).reshape(-1, 2)
-            values = _finite(np.array(list(data["stress"].values()), dtype=float), "stress")
+            values = _finite(_numbers(list(data["stress"].values()), "stress"), "stress")
             if values.shape != (len(pairs),):
                 raise ValueError("stress values must be numbers")
             stress = pairs, values
-        arrays = {name: _finite(np.array(data[name], dtype=float), name)
+        arrays = {name: _finite(_numbers(data[name], name), name)
                   for name in ("load", "field") if name in data}
     except (AttributeError, KeyError, OverflowError, ValueError, TypeError) as exc:
         raise GraphError("malformed framework data: %s" % exc) from None

@@ -169,7 +169,7 @@ class MotionSpaces:
         """The two smallest of the operator's min(m, n*d) singular values: for
         m >= n*d, on a spanning framework, null values of trivial motions; for
         fewer edges row-side values, zero exactly when there is a self-stress."""
-        return self.operator.smallest()
+        return self.operator.smallest
 
     @property
     def kinematic_dof(self) -> int:

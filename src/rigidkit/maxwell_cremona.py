@@ -50,7 +50,7 @@ from .errors import (
     WrongDimension,
     ZeroOnEdge,
 )
-from .frameworks import Framework, _finite
+from .frameworks import Framework, _finite, _numbers
 from .graphs import Graph, _ranges, dual_graph, is_3_connected
 from .spaces import cross3, signed_inner
 from .statics import Stress
@@ -193,7 +193,7 @@ def _numeric(data: dict, key: str, shape: tuple) -> np.ndarray:
     if key not in data:
         raise RigidkitError("object has no %r" % key)
     try:
-        arr = np.array(data[key], dtype=float)
+        arr = _numbers(data[key], key)
     except (TypeError, ValueError, OverflowError):
         raise DimensionMismatch("%r is not a numeric array" % key) from None
     if arr.shape != shape:

@@ -189,7 +189,7 @@ def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
     values are those of that small matrix, by one values-only SVD of its
     (r + n d) x (k + r) transpose, and n - r ones.  R comes from one R-only
     QR; no Q factor is formed, and LAPACK's SVD QR-factors the tall
-    transpose itself.  The cutoff is the dense rule of `_linalg.spectrum`.
+    transpose itself.  `_linalg.svd_spectrum` decides the rank from them.
     """
     biv = bivector_map_matrix(fw)
     amb = fw.space.ambient_dim
@@ -203,9 +203,8 @@ def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
     # every column is non-zero: column (i, a) holds p_i[x], x != a, in its
     # bivector entries, and where these all vanish (p_i on the a-axis) its
     # tangency entry is not 0
-    cutoff, rank = _linalg._svd_rank(values, np.count_nonzero(np.any(biv, axis=1)) + fw.n,
-                                     fw.n * amb, tol)
-    return _linalg.Spectrum(values, cutoff, rank, (len(biv) + fw.n, fw.n * amb))
+    return _linalg.svd_spectrum(values, np.count_nonzero(np.any(biv, axis=1)) + fw.n,
+                                fw.n * amb, (len(biv) + fw.n, fw.n * amb), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +223,11 @@ class StaticSpaces:
     vertex, the Minkowski form read in the Euclidean frames.  The frames,
     diag(f) and the blocks are invertible, so `resolution` is the operator's
     spectrum with its shape swapped: one rank decision serves R and R^T in
-    every geometry.  Its values are R's singular values, those of the
-    resolution matrix in E only.  The self-stress basis is built on first
-    access, by one SVD with vectors of the rebuilt ambient resolution
-    matrix cut at the stored rank; no matrix is kept.
+    every geometry.  Its `sigma_max`, `smallest` and `values` are R's
+    singular values, those of the resolution matrix in E only.  The
+    self-stress basis is built on first access, by one SVD with vectors of
+    the rebuilt ambient resolution matrix cut at the stored rank; no matrix
+    is kept.
     """
 
     framework: Framework

@@ -25,7 +25,7 @@ from .errors import (
     OutsideChart,
     VertexAtInfinity,
 )
-from .frameworks import Framework, build_framework, is_isometric
+from .frameworks import Framework, _numbers, build_framework, is_isometric
 from .kinematics import (
     VectorField,
     killing_evaluation_matrix,
@@ -116,9 +116,10 @@ def map_spec_from_dict(data: dict) -> MapSpec:
     try:
         kind = data["kind"]
         if kind == "affine":
-            return affine_map(data["A"], data.get("b"))
+            b = data.get("b")
+            return affine_map(_numbers(data["A"], "A"), None if b is None else _numbers(b, "b"))
         if kind == "projective":
-            return projective_map(data["M"])
+            return projective_map(_numbers(data["M"], "M"))
         if kind == "geodesic":
             return geodesic_map(SpaceKind(data["to"]))
     except (KeyError, ValueError, TypeError) as exc:

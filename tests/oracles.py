@@ -17,6 +17,29 @@ from itertools import combinations
 import numpy as np
 
 
+#: The documented default rank tolerance (README: relative, singular-value
+#: threshold tol * sigma_max * max(m, n)).
+RANK_TOL = 1e-9
+
+
+def rule_cutoff(a, smax, tol=RANK_TOL) -> float:
+    """The documented rank cutoff tol * smax * max(m, n) of the dense array
+    `a`, m and n the numbers of its rows and columns that are not all zero,
+    for `smax` its largest singular value or a bound of it."""
+    a = np.asarray(a)
+    return tol * smax * max(np.count_nonzero(np.any(a, axis=1)),
+                            np.count_nonzero(np.any(a, axis=0)))
+
+
+def svd_rank(a, tol=RANK_TOL):
+    """The singular values of the dense array `a` by np.linalg.svd
+    (descending), the documented cutoff for them and the number of values
+    above it."""
+    s = np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)
+    cutoff = rule_cutoff(a, s[0] if s.size else 0.0, tol)
+    return s, cutoff, int(np.sum(s > cutoff))
+
+
 def fraction_rows(array) -> list:
     return [[Fraction(float(x)) for x in row] for row in np.atleast_2d(array)]
 

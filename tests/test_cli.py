@@ -259,7 +259,13 @@ def test_a_misshapen_affine_map_is_one_error_line(tmp_path, capsys, spec, messag
 
 @pytest.mark.parametrize("spec", [
     '{"kind": "geodesic", "to": ["S"]}', '{"kind": "geodesic", "to": 7}', '{"a": 1}', 'true',
-], ids=["to-list", "to-number", "no-kind", "not-an-object"])
+    # numpy reads JSON true and false as 1 and 0 among numbers
+    '{"kind": "affine", "A": [[true, 0], [0, 1]], "b": [0, 0]}',
+    '{"kind": "affine", "A": [[1, 0], [0, 1]], "b": [0, false]}',
+    '{"kind": "projective", "M": [[1, 0, 0], [0, 1, 0], [0, 0, true]]}',
+    '{"kind": "affine", "A": [["1", "0"], ["0", "1"]]}',
+], ids=["to-list", "to-number", "no-kind", "not-an-object", "A-with-true", "b-with-false",
+        "M-with-true", "A-of-strings"])
 def test_transform_malformed_map_spec_is_input_error(tmp_path, capsys, spec):
     run(tmp_path, "example", "prism3-generic", "-o", "fw.json")
     (tmp_path / "map.json").write_text(spec)
@@ -621,8 +627,14 @@ def _without(data, key):
     ("lift", lambda d: _without(d, "face_planes")),
     ("lift", lambda d: dict(d, vertex_points=d["vertex_points"][:2])),
     ("rec", lambda d: [d]),
+    # numpy reads JSON true and false as 1 and 0 among numbers
+    ("rec", lambda d: dict(d, positions=[[True] + d["positions"][0][1:]] + d["positions"][1:])),
+    ("lift", lambda d: dict(d, face_planes=[[False] + d["face_planes"][0][1:]]
+                            + d["face_planes"][1:])),
+    ("lift", lambda d: dict(d, stress_scale=True)),
 ], ids=["no-positions", "positions-2-rows", "positions-rows-of-1", "bogus-kind",
-        "no-face-planes", "vertex-points-2-rows", "top-level-list"])
+        "no-face-planes", "vertex-points-2-rows", "top-level-list", "positions-with-true",
+        "face-planes-with-false", "stress-scale-true"])
 def test_mc_malformed_object_is_input_error(mc_dir, source, corrupt, capsys):
     (mc_dir / "bad.json").write_text(json.dumps(corrupt(_object(mc_dir, source))))
     assert run(mc_dir, "mc", "prism-E.json", "--direction", "%s2stress" % source,
@@ -745,6 +757,20 @@ def _ones_as_true(key):
     return lambda d: dict(d, **{key: [[True if v == 1 else v for v in row] for row in d[key]]})
 
 
+def _first_number_as(key, value, rows=None):
+    """d[key] (or `rows`, when given) with its first number written as
+    `value`: JSON true or false, which numpy reads as 1 or 0 among numbers."""
+    def corrupt(d):
+        data = [list(row) for row in (d[key] if rows is None else rows(d))]
+        data[0][0] = value
+        return dict(d, **{key: data})
+    return corrupt
+
+
+def _zero_vectors(d):
+    return [[0.0] * 3] * len(d["vertices"])
+
+
 @pytest.mark.parametrize("command", ["analyze", "transform"])
 @pytest.mark.parametrize("corrupt", [
     _with("stress", [1, 2]),
@@ -764,6 +790,12 @@ def _ones_as_true(key):
     _with("edges", [[False, True]]),
     _ones_as_true("edges"),
     _ones_as_true("faces"),
+    # numbers take no JSON booleans or strings either
+    _first_number_as("vertices", True),
+    _first_number_as("load", False, _zero_vectors),
+    _first_number_as("field", True, _zero_vectors),
+    _stress_with("0-1", True),
+    _first_number_as("load", "0", _zero_vectors),
     # stress keys are ASCII digits i-j: no sign, space, underscore or other digit
     _stress_key_as(" +0_0-\u0661"),
     _stress_key_as("+0-1"),
@@ -772,7 +804,8 @@ def _ones_as_true(key):
 ], ids=["stress-list", "stress-key-0-x", "stress-key-0-1-2", "stress-value-list",
         "faces-of-ints", "exterior-face-string", "vertices-string", "load-string",
         "dim-2.5", "dim-string", "dim-2.0", "dim-true", "exterior-face-true",
-        "edges-of-booleans", "edges-with-true", "faces-with-true",
+        "edges-of-booleans", "edges-with-true", "faces-with-true", "vertices-with-true",
+        "load-with-false", "field-with-true", "stress-value-true", "load-with-string",
         "stress-key-arabic-indic-digit", "stress-key-plus", "stress-key-underscore",
         "stress-key-space"])
 def test_malformed_framework_is_input_error(tmp_path, command, corrupt, capsys):

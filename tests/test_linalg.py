@@ -101,9 +101,10 @@ def test_spectrum_counts_and_margins():
     spec = _linalg.spectrum(a)
     assert spec.rank == 2
     assert spec.cutoff == pytest.approx(1e-9 * 3.0 * 3)
-    assert np.allclose(spec.smallest(2), [1e-13, 1.0])
+    assert spec.route == "svd" and spec.sigma_max == 3.0
+    assert np.allclose(spec.smallest, [1e-13, 1.0])
     empty = _linalg.spectrum(np.zeros((0, 4)))
-    assert empty.rank == 0 and np.all(np.isnan(empty.smallest(2)))
+    assert empty.rank == 0 and np.all(np.isnan(empty.smallest))
     assert _linalg.spectrum(np.zeros((2, 2))).rank == 0
 
 

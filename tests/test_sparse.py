@@ -178,8 +178,9 @@ def test_sparse_path_matches_dense_and_oracles_on_small_frameworks(monkeypatch):
         assert (dense is None) == (sparse is None), label
         if dense is None:
             continue
+        assert all(s.route == "svd" for s in dense_spectra), label
         _same_verdicts(dense, sparse, dense_spectra[0].cutoff)
-        sparse_decisions += sum(s.method == "sparse" for s in spectra)
+        sparse_decisions += sum(s.route != "svd" for s in spectra)
         if label not in exact:
             continue
         assert dense["dim_F"] == oc.rational_equilibrium_dim(fw), label
@@ -207,11 +208,12 @@ def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
     pytest.importorskip("scipy.sparse.linalg")
     fw = grid(20, kind)
     sparse, spectra = _report(fw, monkeypatch, _linalg.SPARSE_MIN_SIDE)
-    assert [s.method for s in spectra] == ["sparse", "dense"]
+    assert [s.route for s in spectra] == ["band", "svd"]
     assert sparse["rigid"] and sparse["kinematic_dof"] == sparse["static_dof"] == 0
     assert sparse["dim_V0"] == 3
     assert sparse["self_stress_count"] == fw.m - (2 * fw.n - 3) == 324
     dense, dense_spectra = _report(fw, monkeypatch, DENSE_ONLY)
+    assert [d.route for d in dense_spectra] == ["svd", "svd"]
     _same_verdicts(dense, sparse, dense_spectra[0].cutoff)
     for s, d in zip(spectra, dense_spectra):
         assert (s.rank, s.shape) == (d.rank, d.shape)
@@ -219,16 +221,16 @@ def test_grids_take_the_sparse_path_with_the_dense_counts(kind, monkeypatch):
         # Gram matrix's entries: the Spectrum keeps the bracket's top, from
         # an upper bound of sigma_max
         assert d.cutoff <= s.cutoff <= 1.5 * d.cutoff
-        if s.method == "sparse":
-            # that bound of sigma_max, then the two smallest values: each one
-            # above the cutoff is the dense one, each one at or below it sits
-            # under cutoff/100
-            assert d.values[0] <= s.values[0] <= 1.5 * d.values[0]
-            low, dense_low = s.values[:0:-1], d.values[::-1][:2]
-            assert low.size == 2
-            above = dense_low > d.cutoff
-            assert np.all(np.abs(low - dense_low)[above] <= 1e-8 * dense_low[above])
-            assert np.all(low[~above] < d.cutoff / 100)
+    # the operator's bound of sigma_max, then its two smallest values: each
+    # one above the cutoff is the dense one, each one at or below it sits
+    # under cutoff/100
+    s, d = spectra[0], dense_spectra[0]
+    assert d.sigma_max <= s.sigma_max <= 1.5 * d.sigma_max
+    low, dense_low = s.smallest, d.smallest
+    assert np.all(np.isfinite(low))
+    above = dense_low > d.cutoff
+    assert np.all(np.abs(low - dense_low)[above] <= 1e-8 * dense_low[above])
+    assert np.all(low[~above] < d.cutoff / 100)
 
 
 @pytest.mark.parametrize("kind, k", [("S", 30), ("H", 30), ("S", 45), ("H", 45)])
@@ -240,7 +242,7 @@ def test_large_curved_grids_take_the_sparse_path(kind, k, monkeypatch):
     pytest.importorskip("scipy.sparse.linalg")
     fw = grid(k, kind)
     report, spectra = _report(fw, monkeypatch, _linalg.SPARSE_MIN_SIDE)
-    assert [s.method for s in spectra] == ["sparse", "dense"]
+    assert [s.route for s in spectra] == ["band", "svd"]
     assert report["rigid"] and report["kinematic_dof"] == report["static_dof"] == 0
     assert report["dim_V0"] == 3
     assert report["self_stress_count"] == fw.m - (2 * fw.n - 3)
@@ -308,13 +310,13 @@ def test_each_sparse_decision_factors_once_and_solves_little(kind, k, operator_s
     bands = _counting_bands(monkeypatch)
     spectra = _recording_spectra(monkeypatch)
     cli.analyze_framework(fw)
-    assert [s.method for s in spectra] == ["sparse", "dense"]
+    assert [s.route for s in spectra] == ["band", "svd"]
     assert (len(factors), eigsh_calls, len(bands)) == (0, [], 1)
-    assert np.all(spectra[0].smallest() <= spectra[0].cutoff / 100)
+    assert np.all(spectra[0].smallest <= spectra[0].cutoff / 100)
     for matrix, bound in ((_operator(fw), operator_solves), (oc.equilibrium_stack(fw), 30)):
         del factors[:], eigsh_calls[:], bands[:]
         spec = _linalg.spectrum(matrix)
-        assert spec.method == "sparse"
+        assert spec.route == "count"
         assert bands == []
         (factor,) = factors
         assert factor.solves <= 1 + bound  # the probe, then the values step
@@ -357,7 +359,7 @@ def test_sigma_max_stops_at_the_probes_sqrt_eps(kind, k, monkeypatch):
     fw = grid(k, kind)
     eigsh_calls = _counting_eigsh(monkeypatch)
     products = _counting_products(monkeypatch)
-    assert _linalg.spectrum(_operator(fw)).method == "sparse"
+    assert _linalg.spectrum(_operator(fw)).route == "count"
     assert eigsh_calls[0] is None
     assert products[0] <= 45
 
@@ -375,7 +377,7 @@ def test_the_sparse_path_converts_no_sparse_format():
         for kind in "ESH":
             assert cli.analyze_framework(grid(20, kind)).rigid
         spec = _linalg.spectrum(_wheel_operator(500))  # wide: the values step too
-        assert spec.method == "sparse"
+        assert spec.route == "count"
 
 
 def _gallery_images(kind):
@@ -395,44 +397,43 @@ def test_the_resolution_spectrum_is_the_operators(kind):
     # spectrum from the operator R.  The reference is the ambient resolution
     # matrix, decided on its own.  In E (f = 1, plus n zero rows) its
     # spectrum must be the operator's: on the sparse path, whose Gram
-    # matrices are the same, the reference's cutoff lies in the bracket
-    # [c_lo, c_hi] on which the operator's rank was decided (with its
-    # Killing columns; the reference has none) and the lows are null on
-    # both sides; on the dense path, whose SVDs factor R and -R^T, the
-    # values are equal to roundoff.  On S/H the singular values differ,
-    # but the rank and the nullity must not.
+    # matrices are the same, the reference's cutoff, counted at the exact
+    # cutoff, lies in the bracket [c_lo, c_hi] on which the banded
+    # certificate decided the operator's rank (with its Killing columns;
+    # the reference has none) and the lows are null on both sides; by the
+    # dense SVD, which factors R and -R^T, the values are equal to
+    # roundoff.  On S/H the singular values differ, but the rank and the
+    # nullity must not.
     pytest.importorskip("scipy.sparse.linalg")
-    methods = set()
     for label, fw in list(_gallery_images(kind)) + [("grid 20", grid(20, kind))]:
         reference = _linalg.spectrum(statics.resolution_entries(fw))
         operator = rk.motion_spaces(fw).operator
+        routes = ("band", "count") if label == "grid 20" else ("svd", "svd")
         for spec in (statics.static_spaces(fw).resolution,
                      statics.static_spaces(fw, operator=operator).resolution):
+            assert spec.route == routes[0], label
             assert spec.rank == reference.rank, label
             assert spec.nullity == fw.m - spec.rank == reference.nullity, label
-            methods.add(spec.method)
             if kind != "E":
                 continue
-            assert spec.method == reference.method, label
-            assert spec.values.shape == reference.values.shape, label
-            if spec.method == "sparse":
+            assert reference.route == routes[1], label
+            if label == "grid 20":
                 # c_lo from the largest diagonal entry of G, a lower bound of
                 # sigma_max^2; c_hi, the operator's cutoff, from an upper
                 # bound; the two lows, the operator's from its Killing
                 # columns and the reference's from Lanczos, are null values
                 # on both sides
                 columns = _operator(fw).toarray()
-                c_lo = _linalg._cutoff(np.sqrt(np.max(np.sum(columns**2, axis=0))),
-                                       *columns.shape, _linalg.RANK_TOL)
+                c_lo = oc.rule_cutoff(columns, np.sqrt(np.max(np.sum(columns**2, axis=0))))
                 assert c_lo <= reference.cutoff <= spec.cutoff, label
-                assert reference.values[0] <= spec.values[0], label
-                assert np.all(spec.smallest() <= spec.cutoff / 100), label
-                assert np.all(reference.smallest() <= spec.cutoff / 100), label
+                assert reference.sigma_max <= spec.sigma_max, label
+                assert np.all(spec.smallest <= spec.cutoff / 100), label
+                assert np.all(reference.smallest <= spec.cutoff / 100), label
             else:
+                assert spec.values.shape == reference.values.shape, label
                 assert np.all(np.abs(spec.values - reference.values)
                               <= 1e-14 * reference.values[0]), label
                 assert abs(spec.cutoff - reference.cutoff) <= 1e-14 * reference.cutoff, label
-    assert methods == {"dense", "sparse"}
 
 
 def test_static_spaces_on_the_n900_grid_fill_no_dense_matrix():
@@ -465,7 +466,7 @@ def test_a_singular_value_near_the_cutoff_is_counted_exactly(factor):
     # its side of it.
     pytest.importorskip("scipy.sparse.linalg")
     spec = _linalg.spectrum(_near_cutoff_matrix(factor))
-    assert spec.method == "sparse"
+    assert spec.route == "count"
     assert spec.rank == (317 if factor > 1 else 316)
 
 
@@ -495,10 +496,9 @@ def test_the_cutoffs_bracket_decides_where_no_value_lies_in_it(factor, rank, fac
     eigsh_calls = _counting_eigsh(monkeypatch)
     bands = _counting_bands(monkeypatch)
     spec = _linalg.spectrum(a, null_columns=_near_cutoff_null_columns())
-    assert spec.method == "sparse"
-    assert spec.rank == rank
+    assert (spec.route, spec.rank) == ("count" if factors else "band", rank)
     assert (len(made), len(eigsh_calls), len(bands)) == (factors, lanczos, 1)
-    assert np.all(spec.smallest() <= 1e-12)
+    assert np.all(spec.smallest <= 1e-12)
     monkeypatch.undo()
     assert spec.rank == _linalg.spectrum(a).rank
 
@@ -509,7 +509,7 @@ def test_a_gram_diagonal_that_underflows_falls_back_to_dense():
     pytest.importorskip("scipy.sparse.linalg")
     a = _near_cutoff_matrix(2.0)
     a[:, 0] = 1e-170
-    assert _linalg.spectrum(a).method == "dense"
+    assert _linalg.spectrum(a).route == "svd"
 
 
 def test_zero_columns_do_not_count_toward_the_size_gate(monkeypatch):
@@ -522,7 +522,7 @@ def test_zero_columns_do_not_count_toward_the_size_gate(monkeypatch):
     operator = _operator(fw)
     spec = _linalg.spectrum(operator)
     assert operator.shape == (300, 302) and min(operator.shape) >= _linalg.SPARSE_MIN_SIDE
-    assert spec.method == "dense" and spec.rank == 2 * 25 - 3
+    assert spec.route == "svd" and spec.rank == 2 * 25 - 3
     monkeypatch.setattr(_linalg, "SPARSE_MIN_SIDE", DENSE_ONLY)
     assert np.array_equal(_linalg.spectrum(operator).values, spec.values)
     monkeypatch.undo()
@@ -626,27 +626,30 @@ def _with_killing(fw):
 
 
 #: label: (a function making the matrix, or the matrix and its null columns,
-#: its rank by np.linalg.svd at the default cutoff, pinned where that SVD
-#: takes over a second, else None: computed in the test).
+#: the route that decides it, its rank by np.linalg.svd at the default
+#: cutoff, pinned where that SVD takes over a second, else None: computed in
+#: the test).
 _COUNT_CASES = {
-    **{"matrix %g" % f: (lambda f=f: _near_cutoff_matrix(f), None) for f in (0.5, 2.0, 1e3)},
-    **{"%s k=20 operator" % kind: (lambda kind=kind: _operator(grid(20, kind)), None)
+    **{"matrix %g" % f: (lambda f=f: _near_cutoff_matrix(f), "count", None)
+       for f in (0.5, 2.0, 1e3)},
+    **{"%s k=20 operator" % kind: (lambda kind=kind: _operator(grid(20, kind)), "count", None)
        for kind in "ESH"},
     **{"%s k=20 equilibrium" % kind:
-       (lambda kind=kind: oc.equilibrium_stack(grid(20, kind)), None) for kind in "ESH"},
-    "E k=30 operator": (lambda: _operator(grid(30)), 1797),
-    "E k=30 equilibrium": (lambda: oc.equilibrium_stack(grid(30)), None),
-    "E k=45 operator": (lambda: _operator(grid(45)), 4047),
-    "E k=45 equilibrium": (lambda: oc.equilibrium_stack(grid(45)), 2028),
+       (lambda kind=kind: oc.equilibrium_stack(grid(20, kind)), "count", None)
+       for kind in "ESH"},
+    "E k=30 operator": (lambda: _operator(grid(30)), "count", 1797),
+    "E k=30 equilibrium": (lambda: oc.equilibrium_stack(grid(30)), "count", None),
+    "E k=45 operator": (lambda: _operator(grid(45)), "count", 4047),
+    "E k=45 equilibrium": (lambda: oc.equilibrium_stack(grid(45)), "count", 2028),
     **{"%s k=30 %d%% dropped" % (kind, 100 * share):
-       (lambda kind=kind, share=share: _operator(_dropped_grid(kind, share)), rank)
+       (lambda kind=kind, share=share: _operator(_dropped_grid(kind, share)), "count", rank)
        for kind in "ESH" for share, rank in ((0.2, 1788), (0.4, 1543))},
-    **{"wheel rim %d" % rim: (lambda rim=rim: _wheel_operator(rim), rank)
+    **{"wheel rim %d" % rim: (lambda rim=rim: _wheel_operator(rim), "count", rank)
        for rim, rank in ((400, None), (500, None), (1000, RIM_1000_DENSE_RANK))},
-    "braced wheel rim 400": (lambda: _with_killing(braced_wheel(400)), None),
-    "shuffled E k=45 operator": (lambda: _with_killing(shuffled_grid(45)), 4047),
-    "E^3 lattice k=7 operator": (lambda: _with_killing(lattice(7)), None),
-    "100 K4 blocks": (lambda: _operator(k4_blocks(100)), None),
+    "braced wheel rim 400": (lambda: _with_killing(braced_wheel(400)), "count", None),
+    "shuffled E k=45 operator": (lambda: _with_killing(shuffled_grid(45)), "band", 4047),
+    "E^3 lattice k=7 operator": (lambda: _with_killing(lattice(7)), "band", None),
+    "100 K4 blocks": (lambda: _operator(k4_blocks(100)), "count", None),
 }
 
 
@@ -659,29 +662,25 @@ def test_the_count_is_the_dense_rank(label):
     # wheel's second, 0.3x the cutoff, is none), also where the values step
     # reads 100 values under the cutoff (the K4 blocks).
     pytest.importorskip("scipy.sparse.linalg")
-    build, rank = _COUNT_CASES[label]
+    build, route, rank = _COUNT_CASES[label]
     a = build()
     a, null_columns = a if isinstance(a, tuple) else (a, None)
     spec = _linalg.spectrum(a, null_columns=null_columns)
-    assert spec.method == "sparse", label
+    assert spec.route == route, label
     if rank is None:
-        dense = a.toarray() if isinstance(a, _linalg.Entries) else a
-        s = np.linalg.svd(dense, compute_uv=False)
-        cutoff, rank = _linalg._svd_rank(s, np.count_nonzero(np.any(dense, axis=1)),
-                                         np.count_nonzero(np.any(dense, axis=0)),
-                                         _linalg.RANK_TOL)
+        s, cutoff, rank = oc.svd_rank(a.toarray() if isinstance(a, _linalg.Entries) else a)
         if null_columns is None:
             # sigma_max and the cutoff: ARPACK stops at a sqrt(eps) residual,
             # which leaves the Rayleigh quotient sigma_max^2 at roundoff
-            assert abs(spec.values[0] - s[0]) <= 1e-12 * s[0], label
+            assert abs(spec.sigma_max - s[0]) <= 1e-12 * s[0], label
             assert abs(spec.cutoff - cutoff) <= 1e-12 * cutoff, label
         else:
             # after the banded certificate a Gershgorin bound of sigma_max
             # and the rule's cutoff for it, after the count (the braced
             # wheel) the exact ones to roundoff
-            assert s[0] <= spec.values[0] * (1 + 1e-12), label
+            assert s[0] <= spec.sigma_max * (1 + 1e-12), label
             assert cutoff <= spec.cutoff * (1 + 1e-12), label
-        low, dense_low = spec.smallest(), s[::-1][:2]
+        low, dense_low = spec.smallest, s[::-1][:2]
         null = dense_low < cutoff / 100
         assert np.all(np.abs(low - dense_low)[~null] <= 1e-8 * dense_low[~null]), label
         assert np.all(low[null] < cutoff / 100), label
@@ -699,11 +698,12 @@ def test_the_banded_certificate_or_the_count_decides(label, band_rows, factors, 
     # d = 3 lattice pins its six Killing fields' coordinates.  The count
     # follows sigma_max's Lanczos call.
     pytest.importorskip("scipy.sparse.linalg")
-    a, null_columns = _COUNT_CASES[label][0]()
+    build, route, _ = _COUNT_CASES[label]
+    a, null_columns = build()
     made, shapes = _counting_solves(monkeypatch), _counting_bands(monkeypatch)
     eigsh_calls = _counting_eigsh(monkeypatch)
     spec = _linalg.spectrum(a, null_columns=null_columns)
-    assert ([rows for rows, _ in shapes], len(made)) == (band_rows, factors)
+    assert (spec.route, [rows for rows, _ in shapes], len(made)) == (route, band_rows, factors)
     assert eigsh_calls == [None] * factors  # sigma_max's Lanczos call before the count
     assert spec.rank == a.shape[1] - null_columns.shape[1]
     assert all(order == spec.rank for _, order in shapes)
@@ -728,8 +728,8 @@ def test_a_band_that_cannot_be_allocated_leaves_the_rank_to_the_count(monkeypatc
     spec = _linalg.spectrum(a, null_columns=null_columns)
     # the count at the exact cutoff gives the certified rank, and the
     # Killing columns the same two lows
-    assert (spec.rank, spec.method) == (reference.rank, reference.method)
-    assert np.array_equal(spec.values[1:], reference.values[1:])
+    assert (reference.route, spec.route, spec.rank) == ("band", "count", reference.rank)
+    assert np.array_equal(spec.smallest, reference.smallest)
     assert (len(made), len(eigsh_calls), len(shapes)) == (1, 1, 0)
     assert refused[0][1] == reference.rank  # the band has one column per unpinned coordinate
 
@@ -746,8 +746,9 @@ def _line(components, n=400):
 
 
 def _same_spectrum(a, b):
-    assert (a.cutoff, a.rank, a.shape, a.method) == (b.cutoff, b.rank, b.shape, b.method)
-    assert np.array_equal(a.values, b.values)
+    assert (a.cutoff, a.rank, a.shape, a.route, a.sigma_max) == \
+        (b.cutoff, b.rank, b.shape, b.route, b.sigma_max)
+    assert np.array_equal(a.smallest, b.smallest)
 
 
 @pytest.mark.parametrize("kind", ["E", "S", "H"])
@@ -762,11 +763,11 @@ def test_killing_columns_give_the_lows_of_a_tall_flexible_operator(kind, monkeyp
     factors = _counting_solves(monkeypatch)
     eigsh_calls = _counting_eigsh(monkeypatch)
     spec = rk.motion_spaces(fw).operator
-    assert spec.method == "sparse"
-    assert spec.rank == _COUNT_CASES["%s k=30 20%% dropped" % kind][1] == 1788
+    assert spec.route == "count"
+    assert spec.rank == _COUNT_CASES["%s k=30 20%% dropped" % kind][2] == 1788
     assert len(factors) == 1
     assert eigsh_calls == [None]
-    assert np.all(spec.smallest() <= spec.cutoff / 100)
+    assert np.all(spec.smallest <= spec.cutoff / 100)
 
 
 def _polytope_300():
@@ -793,6 +794,7 @@ def test_wide_operators_keep_the_values_step(label, monkeypatch):
     factors = _counting_solves(monkeypatch)
     spec = rk.motion_spaces(fw).operator
     assert len(factors) == 1
+    assert spec.route == "count"
     _same_spectrum(spec, reference)
 
 
@@ -800,7 +802,9 @@ def test_null_columns_that_are_not_null_change_nothing():
     pytest.importorskip("scipy.sparse.linalg")
     a = _operator(grid(20))
     columns = np.random.default_rng(4).standard_normal((a.shape[1], 3))
-    _same_spectrum(_linalg.spectrum(a, null_columns=columns), _linalg.spectrum(a))
+    spec = _linalg.spectrum(a, null_columns=columns)
+    assert spec.route == "count"
+    _same_spectrum(spec, _linalg.spectrum(a))
 
 
 @pytest.mark.parametrize("components", [1, 2])
@@ -815,11 +819,11 @@ def test_one_killing_column_leaves_the_lows_to_lanczos(components, monkeypatch):
     monkeypatch.undo()
     factors = _counting_solves(monkeypatch)
     spec = rk.motion_spaces(fw).operator
-    assert spec.method == "sparse" and dense.method == "dense"
+    assert spec.route == "count" and dense.route == "svd"
     assert min(spec.shape) >= _linalg.SPARSE_MIN_SIDE
     assert spec.rank == dense.rank == fw.n - components
     assert len(factors) == 1
-    low, dense_low = spec.smallest(), dense.smallest()
+    low, dense_low = spec.smallest, dense.smallest
     above = dense_low > dense.cutoff
     assert np.count_nonzero(above) == 2 - components
     assert np.all(np.abs(low - dense_low)[above] <= 1e-8 * dense_low[above])
@@ -848,7 +852,7 @@ def test_the_values_step_reads_the_lows_on_the_counts_factor(label, null, k, whi
     monkeypatch.setattr(sla, "eigsh", eigsh)
     factors = _counting_solves(monkeypatch)
     spec = rk.motion_spaces(fw).operator
-    assert spec.method == "sparse"
+    assert spec.route == "count"
     assert min(spec.shape) - spec.rank == null
     assert len(factors) == 1
     assert calls[1:] == [(k, spec.cutoff**2, which)]
@@ -888,13 +892,13 @@ def test_sparse_output_is_the_same_bytes_every_run(tmp_path, capsys):
 # --- fallback ------------------------------------------------------------------
 
 def _analyze_dense_fallback(path, monkeypatch, capsys, argv=()):
-    """analyze --json on `path`: its exit code and report, and the methods of
+    """analyze --json on `path`: its exit code and report, and the routes of
     the spectra decided on the way."""
     spectra = _recording_spectra(monkeypatch)
     code = cli.main(["analyze", str(path), "--json", *argv])
     monkeypatch.undo()
     out = capsys.readouterr().out
-    return code, json.loads(out) if out else None, [s.method for s in spectra]
+    return code, json.loads(out) if out else None, [s.route for s in spectra]
 
 
 def _dense_reference(path, monkeypatch, capsys, argv=()):
@@ -924,8 +928,8 @@ def test_arpack_failure_falls_back_to_dense(error, tmp_path, monkeypatch, capsys
         raise sla.ArpackError(-9999)
 
     monkeypatch.setattr(sla, "eigsh", eigsh)
-    code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
-    assert methods == ["dense"] * 2
+    code, report, routes = _analyze_dense_fallback(path, monkeypatch, capsys)
+    assert routes == ["svd"] * 2
     assert (code, report) == expected
     assert code in (0, 10, 2, 3)
 
@@ -944,7 +948,7 @@ def test_superlu_failure_falls_back_to_dense(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sla, "splu", splu)
     spectra = _recording_spectra(monkeypatch)
     assert (cli.main(["analyze", str(path), "--json"]), capsys.readouterr().out) == expected
-    assert [s.method for s in spectra] == ["dense"] * 2
+    assert [s.route for s in spectra] == ["svd"] * 2
 
 
 class _OffDiagonalFactor(_CountingFactor):
@@ -976,8 +980,8 @@ def test_a_factor_that_cannot_count_falls_back_to_dense(factor, tmp_path, monkey
     expected = _dense_reference(path, monkeypatch, capsys)
     real = sla.splu
     monkeypatch.setattr(sla, "splu", lambda *args, **kwargs: factor(real(*args, **kwargs)))
-    code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
-    assert methods == ["dense"] * 2
+    code, report, routes = _analyze_dense_fallback(path, monkeypatch, capsys)
+    assert routes == ["svd"] * 2
     assert (code, report) == expected
 
 
@@ -990,9 +994,9 @@ def test_the_rim_1000_wheel_is_counted_on_the_sparse_path(monkeypatch):
     a = _wheel_operator(1000)
     factors = _counting_solves(monkeypatch)
     spec = _linalg.spectrum(a)
-    assert spec.method == "sparse"
+    assert spec.route == "count"
     assert spec.rank == RIM_1000_DENSE_RANK
-    assert np.all(spec.smallest() <= spec.cutoff)
+    assert np.all(spec.smallest <= spec.cutoff)
     (factor,) = factors
     assert factor.solves <= 100
 
@@ -1005,9 +1009,9 @@ def test_the_rim_2000_wheel_is_counted_on_the_sparse_path(monkeypatch):
     a = _wheel_operator(2000)
     factors = _counting_solves(monkeypatch)
     spec = _linalg.spectrum(a)
-    assert spec.method == "sparse"
+    assert spec.route == "count"
     assert spec.rank == RIM_2000_DENSE_RANK
-    assert np.all(spec.smallest() <= spec.cutoff)
+    assert np.all(spec.smallest <= spec.cutoff)
     assert len(factors) == 1
 
 
@@ -1015,8 +1019,8 @@ def test_missing_scipy_falls_back_to_dense(tmp_path, monkeypatch, capsys):
     path = _grid_file(tmp_path)
     expected = _dense_reference(path, monkeypatch, capsys)
     monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
-    code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys)
-    assert methods == ["dense"] * 2
+    code, report, routes = _analyze_dense_fallback(path, monkeypatch, capsys)
+    assert routes == ["svd"] * 2
     assert (code, report) == expected
 
 
@@ -1025,8 +1029,8 @@ def test_tolerance_below_the_squaring_floor_falls_back_to_dense(tmp_path, monkey
     path = _grid_file(tmp_path)
     argv = ("--tol", "1e-14")
     expected = _dense_reference(path, monkeypatch, capsys, argv)
-    code, report, methods = _analyze_dense_fallback(path, monkeypatch, capsys, argv)
-    assert methods == ["dense"] * 2
+    code, report, routes = _analyze_dense_fallback(path, monkeypatch, capsys, argv)
+    assert routes == ["svd"] * 2
     assert (code, report) == expected
     assert code in (0, 10, 2, 3)
 

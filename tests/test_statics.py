@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rigidkit as rk
-from rigidkit import _linalg, statics
+from rigidkit import statics
 
 import oracles as oc
 
@@ -99,16 +99,15 @@ def test_equilibrium_spectrum_is_the_stacks_dense_spectrum():
     for label, fw in _equilibrium_cases():
         spec = statics.equilibrium_spectrum(fw)
         stack = oc.equilibrium_stack(fw).toarray()
-        s = np.linalg.svd(stack, compute_uv=False) if stack.size else np.zeros(0)
-        cutoff, rank = _linalg._svd_rank(s, np.count_nonzero(np.any(stack, axis=1)),
-                                         np.count_nonzero(np.any(stack, axis=0)),
-                                         _linalg.RANK_TOL)
+        s, cutoff, rank = oc.svd_rank(stack)
         assert spec.shape == stack.shape, label
-        assert spec.method == "dense" and spec.values.shape == s.shape, label
+        assert spec.route == "svd" and spec.values.shape == s.shape, label
         assert spec.rank == rank and spec.nullity == fw.n * fw.space.ambient_dim - rank, label
         assert abs(spec.cutoff - cutoff) <= 1e-12 * cutoff, label
         if s.size:
             assert np.max(np.abs(spec.values - s)) <= 1e-13 * s[0], label
+            assert spec.sigma_max == spec.values[0], label
+            assert np.array_equal(spec.smallest, spec.values[::-1][:2]), label
 
 
 def _segment():
