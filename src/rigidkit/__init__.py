@@ -42,8 +42,8 @@ from .frameworks import (
 )
 from .kinematics import (
     MotionSpaces,
-    RigidityOperator,
     VectorField,
+    edge_residuals,
     is_infinitesimally_rigid,
     kinematic_dof,
     motion_spaces,

@@ -110,14 +110,14 @@ def analyze_framework(fw: Framework, tol=None) -> AnalysisReport:
     spanning test): one rank decision per matrix and no basis.
 
     In tangent frames the resolution matrix is the transposed rigidity
-    operator up to invertible factors, in every geometry, so its rank is
-    the operator's, passed on and not decided again: three spectra in all,
-    the equilibrium stack's on its small reduction, never the sparse path.
-    A large operator takes the sparse path with its Killing columns
-    (`_linalg._sparse_spectrum`).  The duality check kinematic dof ==
-    static dof then compares dim F with dim V0.  When they disagree, some
-    rank decision is wrong at this tolerance (coordinates spread over more
-    orders of magnitude than it resolves): no verdict.
+    operator up to invertible factors, in every geometry, so the static
+    side holds the very operator Spectrum that `motion_spaces` decided,
+    with its Killing columns on the sparse path (`_linalg._sparse_spectrum`):
+    three spectra in all, the equilibrium stack's on its small reduction,
+    never the sparse path.  The duality check kinematic dof == static dof
+    then compares dim F with dim V0.  When they disagree, some rank decision
+    is wrong at this tolerance (coordinates spread over more orders of
+    magnitude than it resolves): no verdict.
     """
     tol = default_tol() if tol is None else tol
     ms = kinematics.motion_spaces(fw, tol)
@@ -189,7 +189,7 @@ _MC_DIRECTIONS = ("stress2rec", "rec2stress", "stress2lift",
 _MC_OBJECTS = {"stress": "stress", "rec": "reciprocal", "lift": "lift"}
 
 
-def _print_mc_summary(fw, result):
+def _print_mc_summary(fw, first, result):
     if isinstance(result, mc.ReciprocalDiagram):
         print("reciprocal diagram: %d dual vertices, perpendicularity residual %.3e"
               % (len(result.positions), result.residuals["perpendicularity"]))
@@ -198,11 +198,14 @@ def _print_mc_summary(fw, result):
     elif isinstance(result, mc.PolyhedralLift):
         print("polyhedral lift (%s): incidence residual %.3e"
               % (result.kind.value, result.residuals["incidence"]))
-        if result.stress_scale != 1.0:
-            print("stress scaled by %.6g for cone admissibility" % result.stress_scale)
     elif isinstance(result, Stress):
         print("stress: %s" % json.dumps(dict(zip(map("%d-%d".__mod__, result.edges),
                                                  map(round, result.values.tolist(), repeat(12))))))
+    # a halved hyperbolic stress: the factor is on the lift or reciprocal,
+    # made or read, and the stress recovered from either is the scaled one
+    scale = getattr(result, "stress_scale", getattr(first, "stress_scale", 1.0))
+    if scale != 1.0:
+        print("stress scaled by %.6g for cone admissibility" % scale)
     if fw.space.is_euclidean:
         try:
             report = mc.euclid_convexity_classify(
@@ -242,7 +245,7 @@ def cmd_mc(args) -> int:
                                            description=doc.description))
     else:
         write_json(out, result.to_dict())
-    _print_mc_summary(fw, result)
+    _print_mc_summary(fw, first, result)
     print("wrote %s" % out)
     return EXIT_OK
 

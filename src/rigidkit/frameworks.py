@@ -5,6 +5,7 @@ interchange format used by the CLI and the example gallery.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -73,9 +74,20 @@ def _ambient_rows(coords, space: Space) -> np.ndarray:
     """Per-vertex coordinate rows as one (n, d+1) array.
 
     A Euclidean row may be a d-vector, and gets the leading 1; rows of the
-    two widths may be mixed.
+    two widths may be mixed in a list.  A 2-d ndarray is read as one array:
+    it holds no JSON booleans, so only its dtype is checked.
     """
     amb = space.ambient_dim
+    if isinstance(coords, np.ndarray) and coords.ndim == 2:
+        if coords.dtype.kind not in "iuf":
+            raise TypeError("coordinates must be numbers")
+        if coords.shape[1] == amb:
+            return coords.astype(float)
+        if not (space.is_euclidean and coords.shape[1] == space.dim):
+            raise DimensionMismatch("every coordinate row must be a (%d,)-vector" % amb)
+        rows = np.ones((len(coords), amb))
+        rows[:, 1:] = coords
+        return rows
     if isinstance(coords, np.ndarray):
         coords = coords.tolist()
     widths = np.fromiter(map(len, coords), dtype=int, count=len(coords))
@@ -260,6 +272,10 @@ def stress_positions(g: Graph, pairs: np.ndarray) -> np.ndarray:
     return at
 
 
+#: Stress keys joined by commas: i-j in ASCII digits, one pair per key.
+_STRESS_KEYS = re.compile(r"[0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*")
+
+
 def framework_from_dict(data: dict) -> FrameworkDocument:
     try:
         space = spaces.space_from_code(data["space"], _integer(data["dim"], "dim"))
@@ -280,12 +296,11 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
         stress = None
         if "stress" in data:
             keys = list(data["stress"])
-            text = "".join(keys)  # int() then reads each side, and raises on ""
-            if keys and not (set(map(str.count, keys, repeat("-"))) == {1} and text.isascii()
-                             and text.encode().translate(None, b"-").isdigit()):
+            text = ",".join(keys)  # a key holding a comma adds a comma
+            if keys and not (_STRESS_KEYS.fullmatch(text) and text.count(",") == len(keys) - 1):
                 raise ValueError("stress keys must read i-j in ASCII digits")
-            pairs = np.fromiter(map(int, chain.from_iterable(map(str.split, keys, repeat("-")))),
-                                dtype=int, count=2 * len(keys)).reshape(-1, 2)
+            pairs = np.array(text.replace("-", ",").split(",") if keys else [],
+                             dtype=int).reshape(-1, 2)
             values = _finite(_numbers(list(data["stress"].values()), "stress"), "stress")
             if values.shape != (len(pairs),):
                 raise ValueError("stress values must be numbers")

@@ -50,8 +50,10 @@ def validate_tangent_field(fw: Framework, vecs, eps=EPS_MODEL) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class VectorField:
-    """A tangent vector per vertex, stored as (n, d+1) ambient coordinates."""
+class TangentVectors:
+    """A tangent vector per vertex of a framework, stored as (n, d+1) ambient
+    coordinates: velocities (`VectorField`) or forces (`statics.Load`), the
+    two sides that virtual work pairs."""
 
     framework: Framework
     vecs: np.ndarray
@@ -61,6 +63,10 @@ class VectorField:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vecs))
+
+
+class VectorField(TangentVectors):
+    """A tangent velocity per vertex."""
 
 
 def vector_field(fw: Framework, vecs, eps=EPS_MODEL) -> VectorField:
@@ -80,37 +86,27 @@ def _unflatten(fw: Framework, flat: np.ndarray) -> np.ndarray:
     return spaces._from_frames(fw.reflectors, flat.reshape(flat.shape[:-1] + (fw.n, fw.dim)))
 
 
-@dataclass(frozen=True, eq=False)
-class RigidityOperator:
-    """Linearized edge constraints in tangent frames: one row per edge.
-    `entries` are written by index from `Graph.ends`; the dense `matrix` is
-    built from them on first access."""
-
-    framework: Framework
-    entries: _linalg.Entries
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.entries.toarray()
-
-    def edge_residuals(self, q: VectorField) -> np.ndarray:
-        """|row . q| per edge, normalized by ||row|| ||q||; for flex checks."""
-        flat = _flatten(self.framework, q.vecs)
-        vals = self.matrix @ flat
-        scale = np.linalg.norm(self.matrix, axis=1) * max(np.linalg.norm(flat), 1e-300)
-        return np.abs(vals) / np.where(scale > 0, scale, 1.0)
-
-
-def rigidity_operator(fw: Framework) -> RigidityOperator:
-    """Edge ij puts G(p_i - p_j) at vertex i and G(p_j - p_i) at vertex j,
-    each in that vertex's tangent frame: shape (m, n*d)."""
+def rigidity_operator(fw: Framework) -> _linalg.Entries:
+    """Linearized edge constraints in tangent frames, one row per edge,
+    written by index from `Graph.ends`: edge ij puts G(p_i - p_j) at vertex
+    i and G(p_j - p_i) at vertex j, each in that vertex's tangent frame:
+    shape (m, n*d)."""
     i, j = fw.graph.ends
     k = np.arange(fw.m)
     at = np.concatenate([i, j])
     diff = fw.space.metric_signs * (fw.coords[i] - fw.coords[j])
     rows = spaces._to_frames(fw.reflectors, np.concatenate([diff, -diff]), at)
-    return RigidityOperator(fw, _linalg.block_entries(
-        np.concatenate([k, k]), at, rows, (fw.m, fw.n * fw.dim)))
+    return _linalg.block_entries(np.concatenate([k, k]), at, rows, (fw.m, fw.n * fw.dim))
+
+
+def edge_residuals(q: VectorField) -> np.ndarray:
+    """|row . q| per edge of the rigidity operator of q's framework,
+    normalized by ||row|| ||q||; for flex checks."""
+    matrix = rigidity_operator(q.framework).toarray()
+    flat = _flatten(q.framework, q.vecs)
+    vals = matrix @ flat
+    scale = np.linalg.norm(matrix, axis=1) * max(np.linalg.norm(flat), 1e-300)
+    return np.abs(vals) / np.where(scale > 0, scale, 1.0)
 
 
 #: Most entries, n d C(d+1, 2), of a Killing evaluation matrix.  The
@@ -179,7 +175,7 @@ class MotionSpaces:
     def basis_V(self) -> tuple:
         """Orthonormal basis of V as VectorFields."""
         fw = self.framework
-        rows = _linalg.nullspace(rigidity_operator(fw).matrix, self.operator.rank)
+        rows = _linalg.nullspace(rigidity_operator(fw).toarray(), self.operator.rank)
         return tuple(VectorField(fw, vecs) for vecs in _unflatten(fw, rows))
 
     @cached_property
@@ -205,23 +201,17 @@ def nontrivial_part(basis_V0, vecs) -> np.ndarray:
     return flat
 
 
-def operator_spectrum(fw: Framework, tol=RANK_TOL, killing=None) -> _linalg.Spectrum:
-    """The rigidity operator's Spectrum at `tol`, the one decision that
-    `motion_spaces` and `statics.static_spaces` share.  The Killing fields
-    lie in its right null space, so their evaluation matrix (`killing`,
-    built here when not given) goes along as the known null columns that
-    the sparse path reads (`_linalg._sparse_spectrum`)."""
-    if killing is None:
-        killing = killing_evaluation_matrix(fw)
-    return _linalg.spectrum(rigidity_operator(fw).entries, tol, killing)
-
-
 def motion_spaces(fw: Framework, tol=RANK_TOL) -> MotionSpaces:
-    """The spectra of the rigidity operator (`operator_spectrum`) and the
-    Killing evaluation matrix, one rank decision each, the evaluation matrix
-    built once for both; no bases."""
+    """The spectra of the rigidity operator and of the Killing evaluation
+    matrix, one rank decision each, the operator's first; no bases.  The
+    Killing fields lie in the operator's right null space, so their
+    evaluation matrix, built once for both, goes along with the operator as
+    the known null columns that the sparse path reads
+    (`_linalg._sparse_spectrum`).  `statics.static_spaces` reads its
+    resolvable loads and self-stresses from the same operator Spectrum."""
     killing = killing_evaluation_matrix(fw)
-    ms = MotionSpaces(fw, operator_spectrum(fw, tol, killing), _linalg.spectrum(killing, tol))
+    operator = _linalg.spectrum(rigidity_operator(fw), tol, killing)
+    ms = MotionSpaces(fw, operator, _linalg.spectrum(killing, tol))
     if ms.kinematic_dof < 0:
         raise InternalInvariantError(
             "dim V = %d < dim V0 = %d; rank tolerance is inconsistent" % (ms.dim_V, ms.dim_V0)
@@ -250,13 +240,6 @@ def is_infinitesimally_rigid(fw: Framework, tol=RANK_TOL) -> bool:
                 "kinematic dof and rank formula disagree (dof=%d)" % ms.kinematic_dof
             )
     return rigid
-
-
-def virtual_work_field(q: VectorField, load_vecs: np.ndarray) -> float:
-    """Sum over vertices of the signed inner products <q_i, f_i>."""
-    fw = q.framework
-    g = fw.space.metric_signs
-    return float(np.einsum("ia,a,ia->", q.vecs, g, load_vecs))
 
 
 def require_same_framework(a: Framework, b: Framework):

@@ -44,10 +44,12 @@ from .errors import (
     NotMultiple,
     NotPerpendicular,
     NotSelfStress,
+    OffModel,
     OriginPlane,
     RigidkitError,
     UnremovableIncidence,
     WrongDimension,
+    WrongSheet,
     ZeroOnEdge,
 )
 from .frameworks import Framework, _finite, _numbers
@@ -90,7 +92,8 @@ class ReciprocalDiagram:
     """Positions for the dual graph with dual edges perpendicular to primal ones.
 
     Euclidean positions are plane points (F, 2); spherical/hyperbolic ones
-    are model points (F, 3) in the respective quadric.
+    are model points (F, 3) in the respective quadric.  `stress_scale` is
+    the halving of a hyperbolic stress, as on `PolyhedralLift`.
     """
 
     framework: Framework
@@ -99,6 +102,7 @@ class ReciprocalDiagram:
     #: Norm of the base face's lift normal before normalization onto the
     #: quadric; the S/H analogue of the Euclidean base-translation gauge.
     base_scale: float = 1.0
+    stress_scale: float = 1.0
     residuals: dict = dataclass_field(default_factory=dict)
 
     @property
@@ -125,7 +129,7 @@ class ReciprocalDiagram:
                       signed_inner(ma, pj, fw.space) * signed_inner(mb, pi, fw.space))
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "type": "reciprocal",
             "space": self.space.kind.value,
             "dim": self.space.dim,
@@ -133,6 +137,9 @@ class ReciprocalDiagram:
             "strength": self.strength,
             "base_scale": float(self.base_scale),
         }
+        if self.stress_scale != 1.0:
+            d["stress_scale"] = float(self.stress_scale)
+        return d
 
 
 @dataclass(eq=False)
@@ -217,13 +224,33 @@ def _require_object(fw: Framework, data, what: str):
         raise RigidkitError("a %s must be a JSON object" % what)
 
 
+def _scalar(data: dict, key: str) -> float:
+    """data[key] as a finite float, 1.0 when absent."""
+    return float(_numeric(data, key, ())) if key in data else 1.0
+
+
 def reciprocal_from_dict(fw: Framework, data: dict) -> ReciprocalDiagram:
-    """Parse ReciprocalDiagram.to_dict output; malformed data raises RigidkitError."""
+    """Parse ReciprocalDiagram.to_dict output; malformed data raises
+    RigidkitError.  S/H positions must lie on the model quadric <x, x> =
+    kappa to 1e-12 max(1, |x|^2) (OffModel), on H with x0 > 0 (WrongSheet),
+    and base_scale must be > 0."""
     _require_object(fw, data, "reciprocal")
-    width = 2 if fw.space.is_euclidean else 3
-    pos = _numeric(data, "positions", (fw.embedding.face_count, width))
-    base_scale = float(_numeric(data, "base_scale", ())) if "base_scale" in data else 1.0
-    return ReciprocalDiagram(fw, pos, data.get("strength"), base_scale)
+    space = fw.space
+    pos = _numeric(data, "positions", (fw.embedding.face_count, 2 if space.is_euclidean else 3))
+    if not space.is_euclidean:
+        kappa = 1.0 if space.is_spherical else -1.0
+        off = np.abs(signed_inner(pos, pos, space) - kappa) > 1e-12 * np.maximum(
+            1.0, np.sum(pos**2, axis=1))
+        if np.any(off):
+            raise OffModel("reciprocal position %d is off the %s model surface"
+                           % (np.argmax(off), space))
+        if space.is_hyperbolic and np.any(pos[:, 0] <= 0):
+            raise WrongSheet("reciprocal position %d has x0 <= 0" % np.argmax(pos[:, 0] <= 0))
+    base_scale = _scalar(data, "base_scale")
+    if not base_scale > 0:
+        raise RigidkitError("base_scale must be > 0, got %r" % base_scale)
+    return ReciprocalDiagram(fw, pos, data.get("strength"), base_scale,
+                             _scalar(data, "stress_scale"))
 
 
 def lift_from_dict(fw: Framework, data: dict) -> PolyhedralLift:
@@ -243,7 +270,7 @@ def lift_from_dict(fw: Framework, data: dict) -> PolyhedralLift:
         _numeric(data, "vertex_points", (fw.n, 3)),
         _numeric(data, "face_planes", (fw.embedding.face_count, width)),
         None if center is None else _numeric(data, "radial_center", (3,)),
-        float(_numeric(data, "stress_scale", ())) if "stress_scale" in data else 1.0,
+        _scalar(data, "stress_scale"),
     )
 
 
@@ -499,8 +526,8 @@ def _lift_from_face_vectors(fw: Framework, normals: np.ndarray, tol, closure,
     return lift
 
 
-def _reciprocal_from_face_vectors(fw: Framework, normals: np.ndarray,
-                                  closure) -> ReciprocalDiagram:
+def _reciprocal_from_face_vectors(fw: Framework, normals: np.ndarray, closure,
+                                  stress_scale) -> ReciprocalDiagram:
     """Reciprocal points of face vectors M: the gradient part in E; on S/H, M
     normalized onto the sphere or hyperboloid, keeping the base face's norm as
     base_scale and the sign pattern of <m_a, p_i> as spherical strength."""
@@ -526,7 +553,7 @@ def _reciprocal_from_face_vectors(fw: Framework, normals: np.ndarray,
             raise OriginPlane("incident pair (%d, %d) at distance pi/2"
                               % (a[bad[0]], i[bad[0]]))
         strength = "weak" if np.any(vals < 0) else "strong"
-    rec = ReciprocalDiagram(fw, positions, strength, base_scale)
+    rec = ReciprocalDiagram(fw, positions, strength, base_scale, stress_scale)
     rec.residuals["perpendicularity"] = float(np.max(rec.perpendicularity_residuals(),
                                                      initial=0.0))
     if closure is not None:
@@ -565,16 +592,17 @@ def convert(fw: Framework, obj, to: str, tol=MC_TOL):
     The space of `fw` selects the construction: vertical lifts and plane
     reciprocals in E (a reciprocal built from a stress has its base face at
     the origin); weak or strong spherical lifts on S; Minkowski lifts with
-    every face normal in the upper light cone on H.  A stress on H is halved until the cone
-    condition holds: the lift records the factor as stress_scale, and the
-    stress recovered from that lift or its reciprocal is the scaled one.
+    every face normal in the upper light cone on H.  A stress on H is halved
+    until the cone condition holds: the lift or reciprocal records the factor
+    as stress_scale, every conversion between the two carries it, and the
+    stress recovered from either is the scaled one.
     A NaN or an infinity anywhere in `obj` raises RigidkitError.
     """
     if to not in ("stress", "reciprocal", "lift"):
         raise ValueError("unknown conversion target %r" % (to,))
     _require_mc_framework(fw)
     _require_finite_object(obj)
-    closure, scale = None, 1.0
+    closure, scale = None, getattr(obj, "stress_scale", 1.0)
     if isinstance(obj, Stress) and to != "stress":
         normals, closure, scale = _face_vectors_from_stress(fw, obj, tol)
     elif isinstance(obj, ReciprocalDiagram) and to != "reciprocal":
@@ -586,7 +614,7 @@ def convert(fw: Framework, obj, to: str, tol=MC_TOL):
     if to == "lift":
         return _lift_from_face_vectors(fw, normals, tol, closure, scale)
     if to == "reciprocal":
-        return _reciprocal_from_face_vectors(fw, normals, closure)
+        return _reciprocal_from_face_vectors(fw, normals, closure, scale)
     return _stress_from_face_vectors(fw, normals, tol)
 
 

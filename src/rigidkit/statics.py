@@ -7,7 +7,7 @@ same code path serves E, S and H.  Beyond tangency equilibrium is only
 C(d+1,2) bivector conditions: dim F is decided on 2 C(d+1,2) rows at most.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,11 +18,11 @@ from .errors import DegenerateEdge, GraphError
 from .frameworks import Framework, stress_positions
 from .graphs import EdgeValues
 from .kinematics import (
+    TangentVectors,
     VectorField,
-    operator_spectrum,
+    motion_spaces,
     require_same_framework,
     validate_tangent_field,
-    virtual_work_field,
 )
 from .spaces import EPS_MODEL
 
@@ -30,18 +30,8 @@ from .spaces import EPS_MODEL
 EQUILIBRIUM_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class Load:
-    """A tangent force vector per vertex of a framework."""
-
-    framework: Framework
-    vecs: np.ndarray
-
-    def __getitem__(self, i):
-        return self.vecs[i]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vecs))
+class Load(TangentVectors):
+    """A tangent force vector per vertex."""
 
 
 def load(fw: Framework, vecs, eps=EPS_MODEL) -> Load:
@@ -211,28 +201,26 @@ def equilibrium_spectrum(fw: Framework, tol=RANK_TOL) -> _linalg.Spectrum:
 class StaticSpaces:
     """The equilibrium load space F and the resolvable load space F_0.
 
-    `equilibrium` and `resolution` are the spectra of the stacked
-    bivector/tangency matrix (`equilibrium_spectrum`: every singular value,
-    from its small reduction) and of the resolution map: dim F is the
-    nullity of the bivector map restricted to tangent loads (explicit
-    tangency rows, unit normals, handle non-spanning frameworks), dim F_0
-    the rank of the resolution map and the self-stress count its nullity.
-    Written in per-vertex tangent frames, the resolution matrix is
-    -R^T diag(f) in E and S, R the rigidity operator and f the edge factors
-    (1 in E, d / sin d on S); on H also up to an invertible d x d block per
-    vertex, the Minkowski form read in the Euclidean frames.  The frames,
-    diag(f) and the blocks are invertible, so `resolution` is the operator's
-    spectrum with its shape swapped: one rank decision serves R and R^T in
-    every geometry.  Its `sigma_max`, `smallest` and `values` are R's
-    singular values, those of the resolution matrix in E only.  The
-    self-stress basis is built on first access, by one SVD with vectors of
-    the rebuilt ambient resolution matrix cut at the stored rank; no matrix
-    is kept.
+    `equilibrium` is the spectrum of the stacked bivector/tangency matrix
+    (`equilibrium_spectrum`: every singular value, from its small
+    reduction): dim F is the nullity of the bivector map restricted to
+    tangent loads (explicit tangency rows, unit normals, handle
+    non-spanning frameworks).  `operator` is the Spectrum of the rigidity
+    operator R that `kinematics.motion_spaces` decides.  Written in
+    per-vertex tangent frames, the resolution matrix is -R^T diag(f) in E
+    and S, f the edge factors (1 in E, d / sin d on S); on H also up to an
+    invertible d x d block per vertex, the Minkowski form read in the
+    Euclidean frames.  The frames, diag(f) and the blocks are invertible,
+    so one rank decision serves R and R^T in every geometry: dim F_0 is R's
+    rank and the self-stress count the m - rank left null vectors of R.
+    The self-stress basis is built on first access, by one SVD with vectors
+    of the rebuilt ambient resolution matrix cut at that rank; no matrix is
+    kept.
     """
 
     framework: Framework
     equilibrium: _linalg.Spectrum
-    resolution: _linalg.Spectrum
+    operator: _linalg.Spectrum
 
     @property
     def dim_F(self) -> int:
@@ -240,7 +228,7 @@ class StaticSpaces:
 
     @property
     def dim_F0(self) -> int:
-        return self.resolution.rank
+        return self.operator.rank
 
     @property
     def static_dof(self) -> int:
@@ -248,7 +236,7 @@ class StaticSpaces:
 
     @property
     def self_stress_count(self) -> int:
-        return self.resolution.nullity
+        return self.operator.shape[0] - self.operator.rank
 
     @cached_property
     def self_stress_basis(self) -> tuple:
@@ -256,22 +244,20 @@ class StaticSpaces:
         stays dense, also where the rank came from the sparse path: it is the
         large side's null space (784 vectors on the 900-vertex grid)."""
         fw = self.framework
-        rows = _linalg.nullspace(resolution_matrix(fw), self.resolution.rank)
+        rows = _linalg.nullspace(resolution_matrix(fw), self.operator.rank)
         return tuple(Stress(fw.graph, row) for row in rows)
 
 
 def static_spaces(fw: Framework, tol=RANK_TOL, operator=None) -> StaticSpaces:
-    """The spectra of the stacked bivector/tangency matrix, by
-    `equilibrium_spectrum` at every size, and of the resolution map; no
-    bases.  The resolution spectrum is the rigidity operator's (see
-    `StaticSpaces`): `operator`, its Spectrum at `tol` when the caller has
-    it, else decided here by `kinematics.operator_spectrum`, as in
-    `motion_spaces`.
+    """The spectrum of the stacked bivector/tangency matrix, by
+    `equilibrium_spectrum` at every size, and the rigidity operator's (see
+    `StaticSpaces`); no bases.  `operator` is the operator's Spectrum at
+    `tol` when the caller has it, else `motion_spaces(fw, tol).operator`.
     """
     equilibrium = equilibrium_spectrum(fw, tol)
     if operator is None:
-        operator = operator_spectrum(fw, tol)
-    return StaticSpaces(fw, equilibrium, replace(operator, shape=operator.shape[::-1]))
+        operator = motion_spaces(fw, tol).operator
+    return StaticSpaces(fw, equilibrium, operator)
 
 
 def static_dof(fw: Framework, tol=RANK_TOL) -> int:
@@ -284,4 +270,4 @@ def static_dof(fw: Framework, tol=RANK_TOL) -> int:
 def virtual_work(q: VectorField, f: Load) -> float:
     """The pairing <q, f> = sum_i <q_i, f_i> (signed products, per vertex)."""
     require_same_framework(q.framework, f.framework)
-    return virtual_work_field(q, f.vecs)
+    return float(np.einsum("ia,a,ia->", q.vecs, q.framework.space.metric_signs, f.vecs))

@@ -416,13 +416,24 @@ def test_mc_scales_a_large_hyperbolic_stress_for_cone_admissibility(tmp_path, ca
     assert run(tmp_path, "mc", "fw.json", "--direction", "stress2lift", "-o", "lift.json") == 0
     scale = json.loads((tmp_path / "lift.json").read_text())["stress_scale"]
     assert 0 < scale < 1 and np.log2(scale) == np.round(np.log2(scale))
-    assert ("stress scaled by %.6g for cone admissibility\n" % scale
-            in capsys.readouterr().out)
-    assert run(tmp_path, "mc", "fw.json", "--direction", "lift2stress",
-               "--object", "lift.json", "-o", "back.json") == 0
-    back = rk.load_framework(tmp_path / "back.json").stress
-    for edge, value in w.as_dict().items():
-        assert back[edge] == pytest.approx(scale * value, rel=1e-9)
+    note = "stress scaled by %.6g for cone admissibility\n" % scale
+    assert note in capsys.readouterr().out
+    # the reciprocal records the same factor, and every conversion between
+    # lift and reciprocal carries it on
+    for direction, source, out in (("lift2stress", "lift.json", "back.json"),
+                                   ("stress2rec", None, "rec.json"),
+                                   ("rec2stress", "rec.json", "back.json"),
+                                   ("rec2lift", "rec.json", "lift.json"),
+                                   ("lift2rec", "lift.json", "rec.json")):
+        argv = ["mc", "fw.json", "--direction", direction, "-o", out]
+        assert run(tmp_path, *argv + (["--object", source] if source else [])) == 0
+        assert note in capsys.readouterr().out, direction
+        if direction.endswith("stress"):
+            back = rk.load_framework(tmp_path / out).stress
+            for edge, value in w.as_dict().items():
+                assert back[edge] == pytest.approx(scale * value, rel=1e-9), direction
+        else:
+            assert json.loads((tmp_path / out).read_text())["stress_scale"] == scale, direction
 
 
 def test_mc_on_a_drawing_with_a_reflex_face_classifies_no_convexity(tmp_path, capsys):
@@ -454,7 +465,7 @@ def test_transform_carry_load_and_field(tmp_path):
     assert rk.is_equilibrium_load(fw, rk.load(fw, doc.load))
     q = rk.vector_field(fw, doc.field)
     from rigidkit import kinematics
-    assert np.max(kinematics.rigidity_operator(fw).edge_residuals(q)) <= 1e-9
+    assert np.max(kinematics.edge_residuals(q)) <= 1e-9
 
 
 def test_render_hemisphere_model(tmp_path):
@@ -538,7 +549,7 @@ def test_analyze_factors_each_matrix_once_without_vectors(kind, monkeypatch):
             rk.affine_map(np.eye(2) * 0.1), fw), rk.Space(rk.SpaceKind(kind), 2))
     pairs = statics.bivector_map_matrix(fw).shape[0]
     expected = sorted([
-        kinematics.rigidity_operator(fw).matrix.shape,
+        kinematics.rigidity_operator(fw).shape,
         kinematics.killing_evaluation_matrix(fw).shape,
         (min(fw.n, pairs) + fw.n * 2, pairs + min(fw.n, pairs)),  # [[R^T, B_T], [I, 0]]^T
         fw.coords.shape,                # the spanning test
@@ -577,7 +588,7 @@ def test_each_basis_is_one_svd_with_vectors_at_the_stored_rank(kind, monkeypatch
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     for spaces, attr, matrix, count in (
-            (ms, "basis_V", kinematics.rigidity_operator(fw).matrix, ms.dim_V),
+            (ms, "basis_V", kinematics.rigidity_operator(fw), ms.dim_V),
             (ms, "basis_V0", kinematics.killing_evaluation_matrix(fw), ms.dim_V0),
             (ss, "self_stress_basis", statics.resolution_matrix(fw), ss.self_stress_count)):
         calls.clear()
@@ -619,25 +630,40 @@ def _without(data, key):
     return {k: v for k, v in data.items() if k != key}
 
 
-@pytest.mark.parametrize("source, corrupt", [
-    ("rec", lambda d: _without(d, "positions")),
-    ("rec", lambda d: dict(d, positions=d["positions"][:2])),
-    ("rec", lambda d: dict(d, positions=[row[:1] for row in d["positions"]])),
-    ("lift", lambda d: dict(d, kind="bogus")),
-    ("lift", lambda d: _without(d, "face_planes")),
-    ("lift", lambda d: dict(d, vertex_points=d["vertex_points"][:2])),
-    ("rec", lambda d: [d]),
+def _positions_times(factor):
+    return lambda d: dict(d, positions=[[factor * x for x in row] for row in d["positions"]])
+
+
+@pytest.mark.parametrize("source, corrupt, space", [
+    ("rec", lambda d: _without(d, "positions"), "E"),
+    ("rec", lambda d: dict(d, positions=d["positions"][:2]), "E"),
+    ("rec", lambda d: dict(d, positions=[row[:1] for row in d["positions"]]), "E"),
+    ("lift", lambda d: dict(d, kind="bogus"), "E"),
+    ("lift", lambda d: _without(d, "face_planes"), "E"),
+    ("lift", lambda d: dict(d, vertex_points=d["vertex_points"][:2]), "E"),
+    ("rec", lambda d: [d], "E"),
     # numpy reads JSON true and false as 1 and 0 among numbers
-    ("rec", lambda d: dict(d, positions=[[True] + d["positions"][0][1:]] + d["positions"][1:])),
+    ("rec", lambda d: dict(d, positions=[[True] + d["positions"][0][1:]] + d["positions"][1:]),
+     "E"),
     ("lift", lambda d: dict(d, face_planes=[[False] + d["face_planes"][0][1:]]
-                            + d["face_planes"][1:])),
-    ("lift", lambda d: dict(d, stress_scale=True)),
+                            + d["face_planes"][1:]), "E"),
+    ("lift", lambda d: dict(d, stress_scale=True), "E"),
+    # S/H positions lie on the model surface, on H on its upper sheet, and
+    # base_scale is > 0: each edit below was read as a multiple of the stress
+    ("rec", _positions_times(3), "S"),
+    ("rec", _positions_times(3), "H"),
+    ("rec", _positions_times(-1), "H"),
+    ("rec", lambda d: dict(d, base_scale=-1.0), "S"),
+    ("rec", lambda d: dict(d, base_scale=-1.0), "H"),
+    ("rec", lambda d: dict(d, base_scale=0.0), "H"),
 ], ids=["no-positions", "positions-2-rows", "positions-rows-of-1", "bogus-kind",
         "no-face-planes", "vertex-points-2-rows", "top-level-list", "positions-with-true",
-        "face-planes-with-false", "stress-scale-true"])
-def test_mc_malformed_object_is_input_error(mc_dir, source, corrupt, capsys):
-    (mc_dir / "bad.json").write_text(json.dumps(corrupt(_object(mc_dir, source))))
-    assert run(mc_dir, "mc", "prism-E.json", "--direction", "%s2stress" % source,
+        "face-planes-with-false", "stress-scale-true", "S-positions-times-3",
+        "H-positions-times-3", "H-positions-negated", "S-base-scale-negative",
+        "H-base-scale-negative", "H-base-scale-zero"])
+def test_mc_malformed_object_is_input_error(mc_dir, source, corrupt, space, capsys):
+    (mc_dir / "bad.json").write_text(json.dumps(corrupt(_object(mc_dir, source, space))))
+    assert run(mc_dir, "mc", "prism-%s.json" % space, "--direction", "%s2stress" % source,
                "--object", "bad.json", "-o", "out.json") == 2
     assert "error:" in capsys.readouterr().err
 

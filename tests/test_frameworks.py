@@ -144,6 +144,33 @@ def test_json_euclidean_rows_of_mixed_width():
     assert np.array_equal(fw.coords, [[1.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
 
 
+@pytest.mark.parametrize("code", "ESH")
+def test_an_ndarray_of_coordinates_is_read_as_an_array(code, rng):
+    # bit for bit as the same rows given as lists; only the dtype is checked
+    fw = oc.random_framework(rng, rk.spaces.space_from_code(code, 2), 5)
+    arrays = [fw.coords]
+    if code == "E":
+        arrays += [fw.coords.astype(np.float32), fw.coords[:, 1:],
+                   (fw.coords[:, 1:] * 4).astype(int)]
+    for arr in arrays:
+        from_array = rk.build_framework(fw.graph, fw.space, arr).coords
+        assert np.array_equal(from_array, rk.build_framework(fw.graph, fw.space,
+                                                             arr.tolist()).coords)
+    for arr in (fw.coords > 0, fw.coords.astype(object), fw.coords.astype(str)):
+        with pytest.raises(TypeError, match="coordinates must be numbers"):
+            rk.build_framework(fw.graph, fw.space, arr)
+    with pytest.raises(rk.errors.DimensionMismatch):
+        rk.build_framework(fw.graph, fw.space, fw.coords[:, :1])
+
+
+@pytest.mark.parametrize("keys", [["0-1,1-2", "0-2"], ["0-1-2", "1"], ["0-1", ""]])
+def test_stress_keys_split_across_keys_are_refused(keys):
+    data = {"space": "E", "dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+            "edges": [[0, 1], [1, 2], [0, 2]], "stress": dict.fromkeys(keys, 1.0)}
+    with pytest.raises(rk.errors.GraphError, match="stress keys must read i-j"):
+        rk.framework_from_dict(data)
+
+
 def _analysis(fw):
     """Every count and verdict of `analyze`, or the error it raises."""
     try:

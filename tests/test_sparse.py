@@ -394,7 +394,7 @@ def _gallery_images(kind):
 def test_the_resolution_spectrum_is_the_operators(kind):
     # In tangent frames the resolution matrix is -R^T diag(f) (on H also up
     # to an invertible d x d block per vertex), so static_spaces takes its
-    # spectrum from the operator R.  The reference is the ambient resolution
+    # Spectrum from the operator R.  The reference is the ambient resolution
     # matrix, decided on its own.  In E (f = 1, plus n zero rows) its
     # spectrum must be the operator's: on the sparse path, whose Gram
     # matrices are the same, the reference's cutoff, counted at the exact
@@ -409,11 +409,12 @@ def test_the_resolution_spectrum_is_the_operators(kind):
         reference = _linalg.spectrum(statics.resolution_entries(fw))
         operator = rk.motion_spaces(fw).operator
         routes = ("band", "count") if label == "grid 20" else ("svd", "svd")
-        for spec in (statics.static_spaces(fw).resolution,
-                     statics.static_spaces(fw, operator=operator).resolution):
+        assert statics.static_spaces(fw, operator=operator).operator is operator, label
+        for ss in (statics.static_spaces(fw), statics.static_spaces(fw, operator=operator)):
+            spec = ss.operator
             assert spec.route == routes[0], label
-            assert spec.rank == reference.rank, label
-            assert spec.nullity == fw.m - spec.rank == reference.nullity, label
+            assert spec.rank == ss.dim_F0 == reference.rank, label
+            assert ss.self_stress_count == fw.m - spec.rank == reference.nullity, label
             if kind != "E":
                 continue
             assert reference.route == routes[1], label
@@ -540,7 +541,7 @@ def _dropped_grid(kind, share):
 
 
 def _operator(fw):
-    return rk.rigidity_operator(fw).entries
+    return rk.rigidity_operator(fw)
 
 
 def henneberg(rng, n):
@@ -1091,7 +1092,7 @@ def test_tangent_frames_keep_the_singular_values(kind, d):
     for n in (4, 7, 10):
         fw = oc.random_framework(rng, rk.Space(rk.SpaceKind(kind), d), n)
         resolution = statics.resolution_matrix(fw)
-        scaled = statics.edge_factors(fw)[0][:, None] * rk.rigidity_operator(fw).matrix
+        scaled = statics.edge_factors(fw)[0][:, None] * rk.rigidity_operator(fw).toarray()
         assert scaled.shape == (fw.m, n * d)
         if kind == "H":
             assert _linalg.spectrum(scaled).rank == _linalg.spectrum(resolution).rank
