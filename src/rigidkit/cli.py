@@ -25,7 +25,6 @@ from .frameworks import (
     Framework,
     framework_to_dict,
     is_spanning,
-    json_text,
     load_framework,
     read_json,
     write_json,
@@ -149,7 +148,7 @@ def cmd_analyze(args) -> int:
     doc = load_framework(args.path)
     report = analyze_framework(doc.framework, args.tol)
     if args.json:
-        print(json_text(report.to_dict()))
+        print(json.dumps(report.to_dict(), indent=1))
     else:
         print(report.to_text())
     return EXIT_RIGID if report.rigid else EXIT_FLEXIBLE
@@ -351,13 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # finite input numbers too large to compute with are an input error
+        with np.errstate(over="raise"):
+            return args.func(args)
     except InternalInvariantError:
         raise  # a bug, not bad input: crash loudly
     except MaxwellCremonaError as exc:
         print("conversion failed: %s" % exc, file=sys.stderr)
         return EXIT_CONVERSION
-    except (RigidkitError, OSError) as exc:
+    except (RigidkitError, OSError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,7 +9,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from operator import getitem
 
 import numpy as np
@@ -323,57 +322,12 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
     return doc
 
 
-def json_text(data) -> str:
-    """`json.dumps(data, indent=1)` for dicts with string keys, lists, tuples,
-    strings, numbers, booleans and None, byte for byte, built by one
-    recursive `str.join` instead of the generator-based encoder."""
-    return _json_text(data, "\n")
-
-
-def _json_text(value, newline: str) -> str:
-    if isinstance(value, float):
-        # NaN and the infinities are the floats x with x - x != 0.
-        return float.__repr__(value) if value - value == 0 else _nonfinite_text(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + " "
-    # Finite plain floats and plain ints, most of what is written, are
-    # formatted in place rather than by a call per item.
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ("," + inner).join([
-            float.__repr__(v) if type(v) is float and v - v == 0
-            else int.__repr__(v) if type(v) is int
-            else _json_text(v, inner) for v in value])
-        return "[" + inner + items + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + (
-                float.__repr__(v) if type(v) is float and v - v == 0
-                else _json_text(v, inner)) for k, v in value.items()])
-        return "{" + inner + items + newline + "}"
-    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
-
-
-def _nonfinite_text(x: float) -> str:
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
 def write_json(path, data):
-    """Write `data` as `json.dump(data, fh, indent=1)` and a newline would."""
+    """Write `data` as one line of `json.dumps(data)` and a newline: the
+    one-shot call runs the C encoder, where `json.dump` streams through the
+    pure-Python one."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(data) + "\n")
+        fh.write(json.dumps(data) + "\n")
 
 
 def save_framework(path, fw: Framework, **attachments):

@@ -229,11 +229,27 @@ def _scalar(data: dict, key: str) -> float:
     return float(_numeric(data, key, ())) if key in data else 1.0
 
 
+def _stress_scale(fw: Framework, data: dict) -> float:
+    """data["stress_scale"], 1.0 when absent: 1 on E and S, and on H a
+    power 2^-k with 0 <= k < _HYP_SCALE_STEPS, the factors the cone halving
+    of `_face_vectors_from_stress` writes."""
+    scale = _scalar(data, "stress_scale")
+    mantissa, exponent = np.frexp(scale)
+    if fw.space.is_hyperbolic:
+        if not (mantissa == 0.5 and 1 - _HYP_SCALE_STEPS < exponent <= 1):
+            raise RigidkitError("stress_scale on H must be 2^-k with 0 <= k < %d, got %r"
+                                % (_HYP_SCALE_STEPS, scale))
+    elif scale != 1.0:
+        raise RigidkitError("stress_scale on %s must be 1, got %r" % (fw.space, scale))
+    return scale
+
+
 def reciprocal_from_dict(fw: Framework, data: dict) -> ReciprocalDiagram:
     """Parse ReciprocalDiagram.to_dict output; malformed data raises
     RigidkitError.  S/H positions must lie on the model quadric <x, x> =
     kappa to 1e-12 max(1, |x|^2) (OffModel), on H with x0 > 0 (WrongSheet),
-    and base_scale must be > 0."""
+    and base_scale must be > 0.  strength is null or absent, or on S "weak"
+    or "strong"; stress_scale is as `_stress_scale` reads it."""
     _require_object(fw, data, "reciprocal")
     space = fw.space
     pos = _numeric(data, "positions", (fw.embedding.face_count, 2 if space.is_euclidean else 3))
@@ -249,8 +265,10 @@ def reciprocal_from_dict(fw: Framework, data: dict) -> ReciprocalDiagram:
     base_scale = _scalar(data, "base_scale")
     if not base_scale > 0:
         raise RigidkitError("base_scale must be > 0, got %r" % base_scale)
-    return ReciprocalDiagram(fw, pos, data.get("strength"), base_scale,
-                             _scalar(data, "stress_scale"))
+    strength = data.get("strength")
+    if strength not in ((None, "weak", "strong") if space.is_spherical else (None,)):
+        raise RigidkitError("strength %r is not written on %s" % (strength, space))
+    return ReciprocalDiagram(fw, pos, strength, base_scale, _stress_scale(fw, data))
 
 
 def lift_from_dict(fw: Framework, data: dict) -> PolyhedralLift:
@@ -270,7 +288,7 @@ def lift_from_dict(fw: Framework, data: dict) -> PolyhedralLift:
         _numeric(data, "vertex_points", (fw.n, 3)),
         _numeric(data, "face_planes", (fw.embedding.face_count, width)),
         None if center is None else _numeric(data, "radial_center", (3,)),
-        _scalar(data, "stress_scale"),
+        _stress_scale(fw, data),
     )
 
 

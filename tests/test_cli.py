@@ -40,16 +40,26 @@ def test_analyze_json_output(tmp_path, capsys):
     capsys.readouterr()  # drain the example command's output
     code = run(tmp_path, "analyze", "k4-centroid.json", "--json")
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=1) + "\n"  # stdout stays indented
     assert report["kinematic_dof"] == report["static_dof"] == 0
     assert report["self_stress_count"] == 1
     assert report["laman"] is False  # m = 6 > 2n - 3
 
 
+def _one_line_json(text):
+    """The data of a written file, which must read as one line of
+    json.dumps(data) and a newline."""
+    data = json.loads(text)
+    assert text == json.dumps(data) + "\n"
+    return data
+
+
 @pytest.mark.parametrize("name", rk.gallery.GALLERY_NAMES)
-def test_example_files_are_json_dump_with_indent_1(tmp_path, name):
+def test_example_files_are_one_line_json_dumps(tmp_path, name):
     assert run(tmp_path, "example", name, "-o", "out.json") == 0
-    _json_dump_text((tmp_path / "out.json").read_text())
+    _one_line_json((tmp_path / "out.json").read_text())
 
 
 def test_mc_refuses_a_stress_given_twice_on_one_edge(tmp_path, capsys):
@@ -282,6 +292,7 @@ def test_transform_carry_stress(tmp_path):
     (tmp_path / "small.json").write_text(json.dumps(data))
     assert run(tmp_path, "transform", "small.json", "--to-space", "S",
                "--carry", "stress", "-o", "sph.json") == 0
+    _one_line_json((tmp_path / "sph.json").read_text())
     doc = rk.load_framework(tmp_path / "sph.json")
     assert doc.framework.space.is_spherical
     w = rk.stress_from_dict(doc.framework, doc.stress)
@@ -460,6 +471,7 @@ def test_transform_carry_load_and_field(tmp_path):
     (tmp_path / "with-load.json").write_text(json.dumps(data))
     assert run(tmp_path, "transform", "with-load.json", "--to-space", "S",
                "--carry", "load", "--carry", "field", "-o", "sph.json") == 0
+    _one_line_json((tmp_path / "sph.json").read_text())
     doc = rk.load_framework(tmp_path / "sph.json")
     fw = doc.framework
     assert rk.is_equilibrium_load(fw, rk.load(fw, doc.load))
@@ -630,6 +642,10 @@ def _without(data, key):
     return {k: v for k, v in data.items() if k != key}
 
 
+def _with(key, value):
+    return lambda d: dict(d, **{key: value})
+
+
 def _positions_times(factor):
     return lambda d: dict(d, positions=[[factor * x for x in row] for row in d["positions"]])
 
@@ -656,11 +672,45 @@ def _positions_times(factor):
     ("rec", lambda d: dict(d, base_scale=-1.0), "S"),
     ("rec", lambda d: dict(d, base_scale=-1.0), "H"),
     ("rec", lambda d: dict(d, base_scale=0.0), "H"),
+    # stress_scale is 1 on E and S, and on H one of the powers 2^-k that the
+    # cone halving writes: each edit below was read as a multiple of the stress
+    ("lift", _with("stress_scale", -2.0), "E"),
+    ("lift", _with("stress_scale", 0.0), "E"),
+    ("lift", _with("stress_scale", 3.0), "E"),
+    ("lift", _with("stress_scale", 0.3), "E"),
+    ("lift", _with("stress_scale", 0.5), "E"),
+    ("rec", _with("stress_scale", 0.5), "E"),
+    ("lift", _with("stress_scale", 0.5), "S"),
+    ("rec", _with("stress_scale", 2.0), "S"),
+    ("lift", _with("stress_scale", 3.0), "H"),
+    ("lift", _with("stress_scale", 0.3), "H"),
+    ("lift", _with("stress_scale", 2.0), "H"),
+    ("lift", _with("stress_scale", 2.0 ** -60), "H"),
+    ("rec", _with("stress_scale", -0.5), "H"),
+    # strength is what stress2rec writes: null, or on S "weak" or "strong"
+    ("rec", _with("strength", 5), "E"),
+    ("rec", _with("strength", "bogus"), "E"),
+    ("rec", _with("strength", [1]), "E"),
+    ("rec", _with("strength", "weak"), "E"),
+    ("rec", _with("strength", "bogus"), "S"),
+    ("rec", _with("strength", ["weak"]), "S"),
+    ("rec", _with("strength", "strong"), "H"),
+    # finite numbers whose products overflow: a RuntimeWarning, or exit 0
+    # with a file of infinities, before `main` raised on overflow
+    ("rec", _with("base_scale", 9.59489441260756e+154), "H"),
+    ("rec", _positions_times(1e160), "S"),
 ], ids=["no-positions", "positions-2-rows", "positions-rows-of-1", "bogus-kind",
         "no-face-planes", "vertex-points-2-rows", "top-level-list", "positions-with-true",
         "face-planes-with-false", "stress-scale-true", "S-positions-times-3",
         "H-positions-times-3", "H-positions-negated", "S-base-scale-negative",
-        "H-base-scale-negative", "H-base-scale-zero"])
+        "H-base-scale-negative", "H-base-scale-zero", "E-lift-stress-scale--2",
+        "E-lift-stress-scale-0", "E-lift-stress-scale-3", "E-lift-stress-scale-0.3",
+        "E-lift-stress-scale-0.5", "E-rec-stress-scale-0.5", "S-lift-stress-scale-0.5",
+        "S-rec-stress-scale-2", "H-lift-stress-scale-3", "H-lift-stress-scale-0.3",
+        "H-lift-stress-scale-2", "H-lift-stress-scale-2^-60", "H-rec-stress-scale--0.5",
+        "E-strength-5", "E-strength-bogus", "E-strength-list", "E-strength-weak",
+        "S-strength-bogus", "S-strength-list", "H-strength-strong",
+        "H-base-scale-overflows", "S-positions-overflow"])
 def test_mc_malformed_object_is_input_error(mc_dir, source, corrupt, space, capsys):
     (mc_dir / "bad.json").write_text(json.dumps(corrupt(_object(mc_dir, source, space))))
     assert run(mc_dir, "mc", "prism-%s.json" % space, "--direction", "%s2stress" % source,
@@ -729,14 +779,6 @@ def test_mc_checks_3_connectivity_once_per_call(mc_dir, direction, monkeypatch):
     assert len(calls) == 1
 
 
-def _json_dump_text(text):
-    """The data of a written file, which must read as json.dump(data, indent=1)
-    and a newline wrote it."""
-    data = json.loads(text)
-    assert text == json.dumps(data, indent=1) + "\n"
-    return data
-
-
 @pytest.mark.parametrize("space", ["E", "S", "H"])
 def test_mc_all_directions(mc_dir, space):
     fw, w = _prism_in(space)
@@ -745,7 +787,7 @@ def test_mc_all_directions(mc_dir, space):
     def mc(direction, source):
         assert run(mc_dir, "mc", "prism-%s.json" % space, "--direction", direction,
                    "--object", "%s-%s.json" % (source, space), "-o", "out.json") == 0
-        return _json_dump_text((mc_dir / "out.json").read_text())
+        return _one_line_json((mc_dir / "out.json").read_text())
 
     assert lift["kind"] in {"E": ("vertical",), "S": ("spherical-weak", "spherical-strong"),
                             "H": ("hyperbolic-minkowski",)}[space]
@@ -757,10 +799,6 @@ def test_mc_all_directions(mc_dir, space):
     relifted = mc("rec2lift", "rec")
     assert relifted["kind"] == lift["kind"]
     assert np.allclose(relifted["face_planes"], lift["face_planes"], atol=1e-9)
-
-
-def _with(key, value):
-    return lambda d: dict(d, **{key: value})
 
 
 def _stress_with(key, value):
@@ -899,6 +937,16 @@ def test_non_finite_input_is_input_error(tmp_path, case, capsys):
     assert run(tmp_path, command, "bad.json", *options) == 2
     err = capsys.readouterr().err
     assert "must be finite" in err and "SVD" not in err
+
+
+def test_a_stress_too_large_to_compute_with_is_input_error(tmp_path, capsys):
+    doc = rk.gallery.fixture("prism3-concurrent")
+    data = rk.framework_to_dict(doc.framework, stress={e: 1e200 * v
+                                                       for e, v in doc.stress.items()})
+    (tmp_path / "huge.json").write_text(json.dumps(data))
+    assert run(tmp_path, "mc", "huge.json", "--direction", "stress2rec", "-o", "rec.json") == 2
+    assert capsys.readouterr().err == "error: overflow encountered in multiply\n"
+    assert not (tmp_path / "rec.json").exists()
 
 
 def test_transform_builds_one_map(tmp_path, monkeypatch):

@@ -242,37 +242,12 @@ def test_a_stress_given_twice_on_one_edge_is_an_input_error(tmp_path, prism_doc)
         rk.stress_from_dict(prism_doc.framework, {(0, 1): 1.0, (1, 0): 2.0})
 
 
-_JSON_KEYS = st.text(max_size=8)
-_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
-                | st.text(max_size=12))
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_JSON_KEYS, inner, max_size=5),
-    max_leaves=40)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=_JSON_VALUES)
-def test_json_text_is_json_dumps_with_indent_1(data):
-    assert rk.frameworks.json_text(data) == json.dumps(data, indent=1)
-
-
-@pytest.mark.parametrize("value", [
-    [], {}, [[], {}], {"a": [], "b": {}}, [[[1.5]], {"k": [None, True, False]}],
-    2**63, -2**63 - 1, 2**100, -0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, -1e-7,
-    float("nan"), float("inf"), -float("inf"), np.float64(0.1), (1, 2.5),
-    {"é中\U0001f600": "\x00\x1f\t\n\"\\/ ", "": ""},
-])
-def test_json_text_on_edge_values(value):
-    assert rk.frameworks.json_text(value) == json.dumps(value, indent=1)
-
-
-def test_written_framework_files_are_json_dump_with_indent_1(tmp_path, prism_doc):
+def test_written_framework_files_are_one_line_json_dumps(tmp_path, prism_doc):
     path = tmp_path / "prism.json"
     description = "café 中\U0001f600 \x00\x07 tab\there \"quoted\" back\\slash"
     rk.save_framework(path, prism_doc.framework, stress=prism_doc.stress,
                       description=description)
     data = rk.framework_to_dict(prism_doc.framework, stress=prism_doc.stress,
                                 description=description)
-    assert path.read_text() == json.dumps(data, indent=1) + "\n"
+    assert path.read_text() == json.dumps(data) + "\n"
     assert rk.load_framework(path).description == description
