@@ -242,6 +242,35 @@ def test_a_stress_given_twice_on_one_edge_is_an_input_error(tmp_path, prism_doc)
         rk.stress_from_dict(prism_doc.framework, {(0, 1): 1.0, (1, 0): 2.0})
 
 
+def _plain(value):
+    """`value` with tuples as lists and float subclasses as floats: what a
+    JSON round trip can give back."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float):
+        return float(value)
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[], {}], {"a": [], "b": {}}, [[[1.5]], {"k": [None, True, False]}],
+    2**63, -2**63 - 1, 2**100, -0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, -1e-7,
+    float("nan"), float("inf"), -float("inf"), np.float64(0.1), (1, 2.5),
+    {"é中\U0001f600": "\x00\x1f\t\n\"\\/ ", "": ""},
+])
+def test_json_text_on_edge_values(tmp_path, value):
+    """The JSON text `write_json` writes is one ASCII line of `json.dumps`,
+    and reads back with every float bit for bit (repr is exact)."""
+    path = tmp_path / "value.json"
+    rk.frameworks.write_json(path, value)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(value) + "\n"
+    assert text.isascii() and "\n" not in text[:-1]
+    assert repr(json.loads(text)) == repr(_plain(value))
+
+
 def test_written_framework_files_are_one_line_json_dumps(tmp_path, prism_doc):
     path = tmp_path / "prism.json"
     description = "café 中\U0001f600 \x00\x07 tab\there \"quoted\" back\\slash"
