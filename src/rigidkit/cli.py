@@ -9,7 +9,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .frameworks import (
     read_json,
     write_json,
 )
-from .graphs import laman_check
-from .statics import Stress, stress_from_dict
+from .graphs import Stress, laman_check
 
 EXIT_RIGID = 0
 EXIT_OK = 0
@@ -176,7 +174,7 @@ def cmd_transform(args) -> int:
         elif carry == "field":
             attachments["field"] = fmap.kinematic(kinematics.vector_field(fw, raw)).vecs
         else:
-            attachments["stress"] = fmap.stress(stress_from_dict(fw, raw)).as_dict()
+            attachments["stress"] = fmap.stress(raw)
     out = args.output or "transformed.json"
     write_json(out, framework_to_dict(fmap.image, description=doc.description, **attachments))
     print("wrote %s (%s)" % (out, fmap.image.space))
@@ -188,7 +186,7 @@ _MC_DIRECTIONS = ("stress2rec", "rec2stress", "stress2lift",
 _MC_OBJECTS = {"stress": "stress", "rec": "reciprocal", "lift": "lift"}
 
 
-def _print_mc_summary(fw, first, result):
+def _print_mc_summary(fw, first, result, written):
     if isinstance(result, mc.ReciprocalDiagram):
         print("reciprocal diagram: %d dual vertices, perpendicularity residual %.3e"
               % (len(result.positions), result.residuals["perpendicularity"]))
@@ -198,8 +196,7 @@ def _print_mc_summary(fw, first, result):
         print("polyhedral lift (%s): incidence residual %.3e"
               % (result.kind.value, result.residuals["incidence"]))
     elif isinstance(result, Stress):
-        print("stress: %s" % json.dumps(dict(zip(map("%d-%d".__mod__, result.edges),
-                                                 map(round, result.values.tolist(), repeat(12))))))
+        print("stress: %s" % json.dumps(written["stress"]))
     # a halved hyperbolic stress: the factor is on the lift or reciprocal,
     # made or read, and the stress recovered from either is the scaled one
     scale = getattr(result, "stress_scale", getattr(first, "stress_scale", 1.0))
@@ -228,7 +225,7 @@ def cmd_mc(args) -> int:
     if source == "stress":
         if doc.stress is None:
             raise RigidkitError("direction %s needs a stress attachment" % args.direction)
-        first = stress_from_dict(fw, doc.stress)
+        first = doc.stress
     else:
         if not args.object:
             raise RigidkitError("direction %s needs --object" % args.direction)
@@ -240,11 +237,11 @@ def cmd_mc(args) -> int:
     result = mc.convert(fw, first, to=target, tol=args.tol or mc.MC_TOL)
     out = args.output or ("%s.json" % args.direction)
     if isinstance(result, Stress):
-        write_json(out, framework_to_dict(fw, stress=result.as_dict(),
-                                           description=doc.description))
+        written = framework_to_dict(fw, stress=result, description=doc.description)
     else:
-        write_json(out, result.to_dict())
-    _print_mc_summary(fw, first, result)
+        written = result.to_dict()
+    write_json(out, written)
+    _print_mc_summary(fw, first, result, written)
     print("wrote %s" % out)
     return EXIT_OK
 

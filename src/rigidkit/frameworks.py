@@ -23,7 +23,7 @@ from .errors import (
     GraphMismatch,
     RigidkitError,
 )
-from .graphs import EdgeValues, Graph, PlanarEmbedding, graph, validate_embedding
+from .graphs import EdgeValues, Graph, PlanarEmbedding, Stress, graph, validate_embedding
 from .spaces import EPS_MODEL, Space
 
 
@@ -174,7 +174,7 @@ class FrameworkDocument:
     """A framework plus the optional attachments of the file format."""
 
     framework: Framework
-    stress: dict = None      # canonical edge tuple -> float
+    stress: Stress = None    # one value per edge, 0 where the file gives none
     load: np.ndarray = None  # (n, d+1) ambient vectors
     field: np.ndarray = None
     description: str = None
@@ -187,7 +187,7 @@ def framework_to_dict(fw: Framework, stress=None, load=None, field=None,
         "dim": fw.space.dim,
         "vertices": np.asarray(fw.coords[:, 1:] if fw.space.is_euclidean else fw.coords,
                                dtype=float).tolist(),
-        "edges": np.column_stack(fw.graph.ends).tolist(),
+        "edges": fw.graph.pairs.tolist(),
     }
     if description is not None:
         d["description"] = description
@@ -196,9 +196,10 @@ def framework_to_dict(fw: Framework, stress=None, load=None, field=None,
         if fw.embedding.exterior_face is not None:
             d["exterior_face"] = int(fw.embedding.exterior_face)
     if stress is not None:
-        edges = sorted(stress)
-        d["stress"] = dict(zip(map("%d-%d".__mod__, edges),
-                               map(float, map(stress.__getitem__, edges))))
+        pairs = fw.graph.pairs
+        order = np.lexsort(pairs.T[::-1])
+        d["stress"] = dict(zip(["%d-%d" % (i, j) for i, j in pairs[order].tolist()],
+                               stress.values_on(fw.graph)[order].tolist()))
     if load is not None:
         d["load"] = np.asarray(load, dtype=float).tolist()
     if field is not None:
@@ -255,10 +256,10 @@ def _finite(values, what: str):
     return values
 
 
-def stress_positions(g: Graph, pairs: np.ndarray) -> np.ndarray:
-    """The edge positions of the stress keys (i, j), rows of `pairs`, either
-    way round; GraphError names the first key on a non-edge, else the first
-    on an edge that an earlier key took."""
+def stress_on(g: Graph, pairs: np.ndarray, values) -> Stress:
+    """The Stress on `g` with values[k] on the edge of key pairs[k], read
+    either way round, and 0 on the edges no key names; GraphError names the
+    first key on a non-edge, else the first on an edge an earlier key took."""
     at = g.edge_positions(pairs[:, 0], pairs[:, 1])
     off = np.flatnonzero(at < 0)
     if off.size:
@@ -268,7 +269,9 @@ def stress_positions(g: Graph, pairs: np.ndarray) -> np.ndarray:
     if np.any(again):
         raise GraphError("stress on edge %d-%d given twice"
                          % tuple(np.sort(pairs[np.argmax(again)])))
-    return at
+    full = np.zeros(g.edge_count)
+    full[at] = values
+    return Stress(g, full)
 
 
 #: Stress keys joined by commas: i-j in ASCII digits, one pair per key.
@@ -312,9 +315,7 @@ def framework_from_dict(data: dict) -> FrameworkDocument:
     fw = _assemble(g, space, vertices, embedding, False)
     doc = FrameworkDocument(fw, description=data.get("description"))
     if stress is not None:
-        pairs, values = stress
-        at = stress_positions(g, pairs)
-        doc.stress = dict(zip(map(g.edges.__getitem__, at.tolist()), values.tolist()))
+        doc.stress = stress_on(g, *stress)
     for name, arr in arrays.items():
         if arr.shape != (fw.n, space.ambient_dim):
             raise GraphError("%s must be %d ambient (d+1)-vectors" % (name, fw.n))

@@ -25,15 +25,13 @@ def _euclidean_framework(n, edges, coords, faces=None, exterior=None) -> Framewo
     return build_framework(g, euclidean(len(coords[0])), coords, emb)
 
 
-def _canonical_self_stress(fw: Framework, positive_edge) -> dict:
-    """The 1-dim self-stress, scaled to +1 on `positive_edge`."""
+def _canonical_self_stress(fw: Framework, positive_edge) -> statics.Stress:
+    """The 1-dim self-stress, divided by its value on `positive_edge`."""
     basis = statics.static_spaces(fw).self_stress_basis
     if len(basis) != 1:
         raise RuntimeError("fixture expected a one-dimensional self-stress space")
     w = basis[0]
-    anchor = w[positive_edge]
-    values = w.values / anchor
-    return {e: float(v) for e, v in zip(w.edges, values)}
+    return statics.Stress(w.graph, w.values / w[positive_edge])
 
 
 def triangle() -> FrameworkDocument:

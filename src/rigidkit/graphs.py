@@ -30,62 +30,68 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with a fixed edge order."""
+    """Simple undirected graph on vertices 0..n-1 with a fixed edge order,
+    held as one read-only (m, 2) index array, `pairs`."""
 
-    vertex_count: int
-    edges: tuple
-
-    def __post_init__(self):
-        """Refuse the first edge, in edge order, that is not a pair, is a loop,
-        leaves 0..n-1 or repeats an earlier edge."""
-        if not set(map(len, self.edges)) <= {2}:
-            sizes = np.fromiter(map(len, self.edges), dtype=int, count=len(self.edges))
-            k = int(np.argmax(sizes != 2))
-            Graph(self.vertex_count, self.edges[:k])  # an earlier offender comes first
-            raise GraphError("edge %r is not a pair" % (self.edges[k],))
-        n = self.vertex_count
-        tails, heads = self.ends
-        lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
-        loop = tails == heads
-        out = (lo < 0) | (hi >= n)
+    def __init__(self, vertex_count: int, edges):
+        """`edges` is an (m, 2) integer array or a sequence of pairs.  Refuse
+        the first edge, in edge order, that is not a pair, is a loop, leaves
+        0..n-1 or repeats an earlier edge."""
+        if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 2:
+            pairs = edges.astype(int)
+        else:
+            if not set(map(len, edges)) <= {2}:
+                sizes = np.fromiter(map(len, edges), dtype=int, count=len(edges))
+                k = int(np.argmax(sizes != 2))
+                Graph(vertex_count, edges[:k])  # an earlier offender comes first
+                raise GraphError("edge %r is not a pair" % (edges[k],))
+            pairs = np.fromiter(chain.from_iterable(edges), int, 2 * len(edges)).reshape(-1, 2)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        out = (lo < 0) | (hi >= vertex_count)
         # An edge out of range is refused as such: its key need only differ
         # from every other edge's.
-        key = np.where(out, -1 - np.arange(lo.size), lo * n + hi)
+        key = np.where(out, -1 - np.arange(lo.size), lo * vertex_count + hi)
         order = np.argsort(key, kind="stable")
         again = np.zeros(lo.size, dtype=bool)
         again[order[1:]] = key[order[1:]] == key[order[:-1]]
-        bad = np.flatnonzero(loop | out | again)
+        bad = np.flatnonzero((lo == hi) | out | again)
         if bad.size:
             k = bad[0]
-            e = self.edges[k]
-            if loop[k]:
+            e = tuple(pairs[k].tolist()) if isinstance(edges, np.ndarray) else edges[k]
+            if lo[k] == hi[k]:
                 raise GraphError("loop at vertex %d" % e[0])
             if out[k]:
                 raise GraphError("edge %r out of range" % (e,))
             raise GraphError("duplicate edge %r" % (e,))
+        pairs.flags.writeable = False
+        self.vertex_count = vertex_count
+        self.pairs = pairs
+        # the edge keys lo * n + hi, sorted, and the position of each in the
+        # edge order; both end in a sentinel -1
+        self._sorted_keys = np.append(key[order], -1), np.append(order, -1)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Graph)
+                                 and self.vertex_count == other.vertex_count
+                                 and np.array_equal(self.pairs, other.pairs))
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.pairs.tobytes()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     @cached_property
     def ends(self) -> tuple:
-        """(tails, heads): the edge order as two index arrays, built once."""
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=int, count=2 * len(self.edges))
-        tails, heads = flat.reshape(-1, 2).T
-        tails.flags.writeable = heads.flags.writeable = False
-        return tails, heads
+        """(tails, heads): the two columns of `pairs`, read-only views made once."""
+        return tuple(self.pairs.T)
 
     @cached_property
-    def _sorted_keys(self) -> tuple:
-        """The edge keys lo * n + hi, sorted, and the position of each in the
-        edge order; both end in a sentinel -1."""
-        tails, heads = self.ends
-        key = np.minimum(tails, heads) * self.vertex_count + np.maximum(tails, heads)
-        order = np.argsort(key)
-        return np.append(key[order], -1), np.append(order, -1)
+    def edges(self) -> tuple:
+        """`pairs` as a tuple of pairs of ints, built on first access."""
+        return tuple(map(tuple, self.pairs.tolist()))
 
     def edge_positions(self, tails, heads) -> np.ndarray:
         """Per pair tails[k], heads[k], either way round: its position in the
@@ -108,7 +114,7 @@ def graph(n: int, edges) -> Graph:
         ends = ends.reshape(0, 2)
     if ends.ndim != 2 or ends.shape[1] != 2:
         raise GraphError("every edge must be a pair of vertices")
-    return Graph(n, tuple(map(tuple, np.sort(ends, axis=1).tolist())))
+    return Graph(n, np.sort(ends, axis=1))
 
 
 class EdgeValues:
@@ -153,6 +159,19 @@ class EdgeValues:
         if g.edge_count != self.graph.edge_count or np.any(at < 0):
             raise GraphError("edges do not match the graph's edges")
         return self.values[at]
+
+
+class Stress(EdgeValues):
+    """Symmetric edge weights w_ij = w_ji, one per edge of `graph`."""
+
+    def scaled(self, factor: float) -> "Stress":
+        return Stress(self.graph, self.values * factor)
+
+    def as_dict(self) -> dict:
+        return dict(zip(self.edges, self.values.tolist()))
+
+    def __repr__(self):
+        return "Stress(%s)" % (self.as_dict(),)
 
 
 def _is_connected(g: Graph) -> bool:
@@ -360,7 +379,7 @@ def validate_embedding(g: Graph, faces, exterior_face=None) -> PlanarEmbedding:
         raise EdgeFaceMismatch("face %d has fewer than 3 vertices" % short[0])
     bad = np.flatnonzero(np.bincount(edge, minlength=m) != 2)
     if bad.size:
-        lo, hi = np.sort(np.column_stack(g.ends)[bad], axis=1).T
+        lo, hi = np.sort(g.pairs[bad], axis=1).T
         raise EdgeFaceMismatch("edges not on exactly two faces: %r"
                                % list(zip(lo.tolist(), hi.tolist())))
     directed = tails * n + heads
@@ -484,4 +503,4 @@ def dual_graph(embedding: PlanarEmbedding) -> Graph:
     lo, hi = np.minimum(rights, lefts), np.maximum(rights, lefts)
     _, first = np.unique(lo * embedding.face_count + hi, return_index=True)
     first.sort()
-    return Graph(embedding.face_count, tuple(zip(lo[first].tolist(), hi[first].tolist())))
+    return Graph(embedding.face_count, np.column_stack([lo[first], hi[first]]))

@@ -15,8 +15,8 @@ import numpy as np
 from . import _linalg, spaces
 from ._linalg import RANK_TOL
 from .errors import DegenerateEdge, GraphError
-from .frameworks import Framework, stress_positions
-from .graphs import EdgeValues
+from .frameworks import Framework, stress_on
+from .graphs import Stress
 from .kinematics import (
     TangentVectors,
     VectorField,
@@ -42,28 +42,12 @@ def zero_load(fw: Framework) -> Load:
     return Load(fw, np.zeros((fw.n, fw.space.ambient_dim)))
 
 
-class Stress(EdgeValues):
-    """Symmetric edge weights w_ij = w_ji, one per edge of `graph`."""
-
-    def scaled(self, factor: float) -> "Stress":
-        return Stress(self.graph, self.values * factor)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.edges, self.values.tolist()))
-
-    def __repr__(self):
-        return "Stress(%s)" % (self.as_dict(),)
-
-
 def stress_from_dict(fw: Framework, mapping: dict) -> Stress:
     """The stress with value mapping[(i, j)] on edge ij, keys either way
     round, and 0 on the edges not given; GraphError on a key that is no edge
     or names an edge a second time."""
     pairs = np.array(list(mapping), dtype=int).reshape(len(mapping), 2)
-    vals = np.zeros(fw.m)
-    vals[stress_positions(fw.graph, pairs)] = np.fromiter(mapping.values(), dtype=float,
-                                                          count=len(mapping))
-    return Stress(fw.graph, vals)
+    return stress_on(fw.graph, pairs, np.fromiter(mapping.values(), float, len(mapping)))
 
 
 def is_equilibrium_load(fw: Framework, ld: Load, tol=EQUILIBRIUM_TOL) -> bool:

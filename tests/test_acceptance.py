@@ -213,7 +213,7 @@ def test_criterion_08_maxwell_cremona_roundtrips():
     # Euclidean convex case: the three convex-variant booleans agree
     k4 = rk.gallery.fixture("k4-centroid")
     fw4 = k4.framework
-    w4 = rk.stress_from_dict(fw4, k4.stress)  # interior-positive normalization
+    w4 = k4.stress  # interior-positive normalization
     rec4 = mc.convert(fw4, w4, to="reciprocal")
     lift4 = mc.convert(fw4, rec4, to="lift")
     report = mc.euclid_convexity_classify(fw4, stress=w4, reciprocal=rec4, lift=lift4)

@@ -12,6 +12,7 @@ import rigidkit as rk
 from rigidkit.cli import main
 
 from test_mc_random_wheels import make_wheel
+from test_sparse import grid
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -295,8 +296,58 @@ def test_transform_carry_stress(tmp_path):
     _one_line_json((tmp_path / "sph.json").read_text())
     doc = rk.load_framework(tmp_path / "sph.json")
     assert doc.framework.space.is_spherical
-    w = rk.stress_from_dict(doc.framework, doc.stress)
+    w = doc.stress
     assert rk.apply_stress(doc.framework, w).norm() <= 1e-9  # still a self-stress
+
+
+#: The prism's edges as sorted stress keys: the order a written file names them.
+PRISM_KEYS = ["0-1", "0-2", "0-3", "1-2", "1-4", "2-5", "3-4", "3-5", "4-5"]
+
+
+def test_a_partial_stress_is_read_with_zeros_and_written_on_every_edge(tmp_path):
+    run(tmp_path, "example", "prism3-concurrent")
+    assert list(json.loads((tmp_path / "prism3-concurrent.json").read_text())["stress"]) \
+        == PRISM_KEYS
+    data = _small_prism_with_attachments()
+    data["stress"] = {"4-1": 2.5, "0-2": -1.0}
+    (tmp_path / "small.json").write_text(json.dumps(data))
+    doc = rk.load_framework(tmp_path / "small.json")
+    assert doc.stress.as_dict() == {(0, 1): 0.0, (1, 2): 0.0, (0, 2): -1.0, (3, 4): 0.0,
+                                    (4, 5): 0.0, (3, 5): 0.0, (0, 3): 0.0, (1, 4): 2.5,
+                                    (2, 5): 0.0}
+    rk.save_framework(tmp_path / "saved.json", doc.framework, stress=doc.stress)
+    saved = json.loads((tmp_path / "saved.json").read_text())["stress"]
+    assert list(saved) == PRISM_KEYS
+    assert saved == dict.fromkeys(PRISM_KEYS, 0.0) | {"0-2": -1.0, "1-4": 2.5}
+    assert run(tmp_path, "transform", "small.json", "--to-space", "S", "--carry", "stress",
+               "-o", "sph.json") == 0
+    image = json.loads((tmp_path / "sph.json").read_text())["stress"]
+    assert list(image) == PRISM_KEYS
+    assert [key for key, value in image.items() if value != 0.0] == ["0-2", "1-4"]
+
+
+@pytest.mark.parametrize("argv", [["mc", "small.json", "--direction", "stress2rec"],
+                                  ["transform", "small.json", "--to-space", "S",
+                                   "--carry", "stress"]], ids=["mc", "transform"])
+def test_a_file_stress_reaches_the_writer_as_a_stress(tmp_path, monkeypatch, argv):
+    # read once into a Stress on the file's graph, never through an (i, j) dict
+    (tmp_path / "small.json").write_text(json.dumps(_small_prism_with_attachments()))
+
+    def refused(*args):
+        raise AssertionError("a stress went through an (i, j) dict")
+
+    monkeypatch.setattr(rk.Stress, "as_dict", refused)
+    for module in (rk, rk.statics, rk.cli):  # every name a module could call it by
+        monkeypatch.setattr(module, "stress_from_dict", refused, raising=False)
+    assert run(tmp_path, *argv, "-o", "out.json") == 0
+
+
+def test_a_loaded_grid_is_analyzed_without_its_tuple_of_edges(tmp_path):
+    rk.save_framework(tmp_path / "grid.json", grid(20))
+    fw = rk.load_framework(tmp_path / "grid.json").framework
+    rk.cli.analyze_framework(fw)
+    assert "edges" not in vars(fw.graph)
+    assert fw.graph.edges == tuple(map(tuple, fw.graph.pairs.tolist()))  # built when read
 
 
 def test_mc_file_roundtrip(tmp_path, capsys):
@@ -308,8 +359,8 @@ def test_mc_file_roundtrip(tmp_path, capsys):
                "-o", "back.json") == 0
     original = rk.load_framework(tmp_path / "prism3-concurrent.json").stress
     recovered = rk.load_framework(tmp_path / "back.json").stress
-    for e, w in original.items():
-        assert recovered[e] == pytest.approx(w, abs=1e-10)
+    for e in original:
+        assert recovered[e] == pytest.approx(original[e], abs=1e-10)
 
 
 def test_mc_stress2rec_on_a_spherical_wheel_never_imports_numpy_random(tmp_path):
@@ -319,7 +370,7 @@ def test_mc_stress2rec_on_a_spherical_wheel_never_imports_numpy_random(tmp_path)
     fw = make_wheel(np.random.RandomState(3), 12)
     sph = rk.apply_map(rk.geodesic_map("S"), rk.apply_map(rk.affine_map(np.eye(2) * 0.3), fw))
     rk.save_framework(tmp_path / "wheel.json", sph,
-                      stress=rk.static_spaces(sph).self_stress_basis[0].as_dict())
+                      stress=rk.static_spaces(sph).self_stress_basis[0])
     script = (
         "import sys\n"
         "from rigidkit.cli import main\n"
@@ -404,7 +455,7 @@ def _small_prism_stress_file(path, space, scale=1.0):
     fw = rk.apply_map(rk.geodesic_map(space), rk.apply_map(
         rk.affine_map(np.eye(2) * 0.1), rk.gallery.fixture("prism3-concurrent").framework))
     w = rk.static_spaces(fw).self_stress_basis[0].scaled(scale)
-    rk.save_framework(path, fw, stress=w.as_dict())
+    rk.save_framework(path, fw, stress=w)
     return w
 
 
@@ -447,6 +498,24 @@ def test_mc_scales_a_large_hyperbolic_stress_for_cone_admissibility(tmp_path, ca
             assert json.loads((tmp_path / out).read_text())["stress_scale"] == scale, direction
 
 
+def test_mc_prints_the_stress_it_writes(tmp_path, capsys):
+    # A tiny base_scale scales the stress recovered from an H reciprocal by
+    # 1e-300; the summary once rounded it to 12 places and printed -0.0.
+    _small_prism_stress_file(tmp_path / "fw.json", "H")
+    assert run(tmp_path, "mc", "fw.json", "--direction", "stress2rec", "-o", "rec.json") == 0
+    rec = json.loads((tmp_path / "rec.json").read_text())
+    rec["base_scale"] = 1e-300
+    (tmp_path / "tiny.json").write_text(json.dumps(rec))
+    capsys.readouterr()
+    assert run(tmp_path, "mc", "fw.json", "--direction", "rec2stress", "--object", "tiny.json",
+               "-o", "back.json") == 0
+    line, = (s for s in capsys.readouterr().out.splitlines() if s.startswith("stress: "))
+    printed = json.loads(line[len("stress: "):])
+    written = json.loads((tmp_path / "back.json").read_text())["stress"]
+    assert list(printed.items()) == list(written.items())
+    assert list(printed) == PRISM_KEYS and 0.0 not in printed.values()
+
+
 def test_mc_on_a_drawing_with_a_reflex_face_classifies_no_convexity(tmp_path, capsys):
     # A wheel with one rim vertex near the hub: a reflex corner of the rim.
     fw = make_wheel(np.random.RandomState(0), 6)
@@ -455,7 +524,7 @@ def test_mc_on_a_drawing_with_a_reflex_face_classifies_no_convexity(tmp_path, ca
     xy[0] *= 0.3
     dented = rk.build_framework(fw.graph, fw.space, xy, fw.embedding)
     rk.save_framework(tmp_path / "dented.json", dented,
-                      stress=rk.static_spaces(dented).self_stress_basis[0].as_dict())
+                      stress=rk.static_spaces(dented).self_stress_basis[0])
     capsys.readouterr()
     assert run(tmp_path, "mc", "dented.json", "--direction", "stress2rec", "-o", "rec.json") == 0
     assert ("convex classification: not applicable (face 6 is not a convex polygon in the "
@@ -627,7 +696,7 @@ def mc_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("mc")
     for space in "ESH":
         fw, w = _prism_in(space)
-        rk.save_framework(path / ("prism-%s.json" % space), fw, stress=w.as_dict())
+        rk.save_framework(path / ("prism-%s.json" % space), fw, stress=w)
         for direction, source in (("stress2rec", "rec"), ("stress2lift", "lift")):
             assert run(path, "mc", "prism-%s.json" % space, "--direction", direction,
                        "-o", "%s-%s.json" % (source, space)) == 0
@@ -941,8 +1010,7 @@ def test_non_finite_input_is_input_error(tmp_path, case, capsys):
 
 def test_a_stress_too_large_to_compute_with_is_input_error(tmp_path, capsys):
     doc = rk.gallery.fixture("prism3-concurrent")
-    data = rk.framework_to_dict(doc.framework, stress={e: 1e200 * v
-                                                       for e, v in doc.stress.items()})
+    data = rk.framework_to_dict(doc.framework, stress=doc.stress.scaled(1e200))
     (tmp_path / "huge.json").write_text(json.dumps(data))
     assert run(tmp_path, "mc", "huge.json", "--direction", "stress2rec", "-o", "rec.json") == 2
     assert capsys.readouterr().err == "error: overflow encountered in multiply\n"

@@ -23,14 +23,14 @@ from oracles import directed_faces, fitted_face_planes
 @pytest.fixture
 def prism(prism_doc):
     fw = prism_doc.framework
-    return fw, rk.stress_from_dict(fw, prism_doc.stress)
+    return fw, prism_doc.stress
 
 
 @pytest.fixture
 def k4(request):
     doc = rk.gallery.fixture("k4-centroid")
     fw = doc.framework
-    return fw, rk.stress_from_dict(fw, doc.stress)
+    return fw, doc.stress
 
 
 def _curved_prism(kind):
@@ -587,7 +587,7 @@ def _gallery_stress(name, space):
     fixture shrunk by 0.1, with the stress carried by the map."""
     doc = rk.gallery.fixture(name)
     fw = doc.framework
-    w = rk.stress_from_dict(fw, doc.stress)
+    w = doc.stress
     if space == "E":
         return fw, w
     fmap = tr.FrameworkMap(tr.geodesic_map(space), scaled_into_chart(fw, 0.1))

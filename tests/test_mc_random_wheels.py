@@ -123,7 +123,7 @@ def _outside(fw):
 
 def test_classification_matches_per_face_reference():
     rng = np.random.RandomState(61)
-    cases = [(doc.framework, rk.stress_from_dict(doc.framework, doc.stress))
+    cases = [(doc.framework, doc.stress)
              for doc in map(rk.gallery.fixture, ("prism3-concurrent", "k4-centroid"))]
     while len(cases) < 26:
         fw = make_wheel(rng, int(rng.randint(4, 12)))

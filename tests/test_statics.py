@@ -153,7 +153,7 @@ def test_apply_stress_segment():
 
 def test_apply_self_stress_gives_zero_load(prism_doc):
     fw = prism_doc.framework
-    w = rk.stress_from_dict(fw, prism_doc.stress)
+    w = prism_doc.stress
     assert rk.apply_stress(fw, w).norm() <= 1e-12
 
 
